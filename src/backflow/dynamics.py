@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     BadDimension,
@@ -35,6 +34,8 @@ POSITIVITY_DRIFT = 10 * TOL_PSD
 # revalidated at the trajectory-level trace tolerance, not the stricter
 # input tolerance.
 TRAJECTORY_TOL_TRACE = 1e-9
+# exp(x) overflows a double for x above this.
+_MAX_EXPONENT = float(np.log(np.finfo(float).max))
 
 RateFunction = Callable[[np.ndarray], np.ndarray]
 
@@ -212,6 +213,11 @@ def _refined_grid(grid: np.ndarray, refine: int) -> np.ndarray:
     return np.append(fine, grid[-1])
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def lambda_map_coefficients(
     rates: RateFunctions,
     grid: np.ndarray,
@@ -245,14 +251,21 @@ def lambda_map_coefficients(
         if values.shape != fine.shape or not np.all(np.isfinite(values)):
             raise QuadratureFailure(f"rate {name} is not finite on the whole grid")
 
-    d1 = cumulative_trapezoid(gamma1, fine, initial=0.0)
-    d2 = cumulative_trapezoid(gamma2, fine, initial=0.0)
-    l1 = cumulative_trapezoid(shift1, fine, initial=0.0)
-    l2 = cumulative_trapezoid(shift2, fine, initial=0.0)
-    damping = np.exp(-(d1 + d2))
-    g1 = cumulative_trapezoid(gamma1 * damping, fine, initial=0.0)
-    g2 = cumulative_trapezoid(gamma2 * damping, fine, initial=0.0)
-    f = np.exp(-(d1 + d2) / 2.0) * np.exp(-1j * (l1 + l2))
+    # Overflow is detected from the results below, so numpy's warnings
+    # would only repeat it before the QuadratureFailure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = _cumulative_trapezoid(gamma1, fine)
+        d2 = _cumulative_trapezoid(gamma2, fine)
+        l1 = _cumulative_trapezoid(shift1, fine)
+        l2 = _cumulative_trapezoid(shift2, fine)
+        decay = d1 + d2
+        phase = l1 + l2
+        if not (np.all(np.isfinite(decay)) and np.all(np.isfinite(phase))) or decay.min() < -_MAX_EXPONENT:
+            raise QuadratureFailure("rate integrals are not finite or overflow the exponential")
+        damping = np.exp(-decay)
+        g1 = _cumulative_trapezoid(gamma1 * damping, fine)
+        g2 = _cumulative_trapezoid(gamma2 * damping, fine)
+        f = np.exp(-decay / 2.0) * np.exp(-1j * phase)
 
     take = slice(None, None, refine)
     coeffs = MapCoefficients(
@@ -278,50 +291,39 @@ def lambda_map_coefficients(
 
 
 def _check_dim3(matrix: np.ndarray) -> None:
-    if matrix.shape != (3, 3):
-        raise BadDimension(f"Lambda-system map needs a 3x3 matrix, got shape {matrix.shape}")
-
-
-def _apply_entrywise(f: complex, g1: float, g2: float, m: np.ndarray) -> np.ndarray:
-    """The map matrix action on one Hermitian 3x3 matrix."""
-    out = np.empty((3, 3), dtype=complex)
-    out[0, 0] = abs(f) ** 2 * m[0, 0]
-    out[0, 1] = f * m[0, 1]
-    out[0, 2] = f * m[0, 2]
-    out[1, 0] = np.conj(f) * m[1, 0]
-    out[2, 0] = np.conj(f) * m[2, 0]
-    out[1, 1] = g1 * m[0, 0] + m[1, 1]
-    out[2, 2] = g2 * m[0, 0] + m[2, 2]
-    out[1, 2] = m[1, 2]
-    out[2, 1] = m[2, 1]
-    return out
+    if matrix.shape[-2:] != (3, 3):
+        raise BadDimension(f"Lambda-system map needs 3x3 matrices, got shape {matrix.shape}")
 
 
 def apply_lambda_map(f: complex, g1: float, g2: float, rho: DensityMatrix) -> DensityMatrix:
     """Apply the map with the given coefficient triple to one state."""
     _check_dim3(rho.entries)
-    return make_density_matrix(_apply_entrywise(f, g1, g2, rho.entries))
+    # a one-point grid; the map action reads only f, g1 and g2
+    zero = np.zeros(1)
+    point = MapCoefficients(zero, np.array([f], dtype=complex), np.array([g1]), np.array([g2]), zero, zero, zero, zero)
+    return make_density_matrix(apply_map_to_grid(point, rho.entries)[0])
 
 
-def apply_map_to_grid(coeffs: MapCoefficients, matrix: np.ndarray) -> np.ndarray:
-    """Evolve one Hermitian 3x3 matrix through every grid point at once.
+def apply_map_to_grid(coeffs: MapCoefficients, matrices: np.ndarray) -> np.ndarray:
+    """Evolve Hermitian 3x3 matrices through every grid point at once.
 
     The map is linear, so this applies equally to states and to Hermitian
-    differences of states. Returns an array of shape (grid, 3, 3).
+    differences of states. It keeps the (b, c) block, scales the excited
+    population by |f|^2 and the excited coherences by f, and feeds g1, g2
+    of the excited population into the ground levels. Takes shape
+    (..., 3, 3) and returns shape (..., grid, 3, 3).
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = np.asarray(matrices, dtype=complex)
     _check_dim3(m)
     f = coeffs.f
-    out = np.empty((f.size, 3, 3), dtype=complex)
-    out[:, 0, 0] = np.abs(f) ** 2 * m[0, 0]
-    out[:, 0, 1] = f * m[0, 1]
-    out[:, 0, 2] = f * m[0, 2]
-    out[:, 1, 0] = np.conj(f) * m[1, 0]
-    out[:, 2, 0] = np.conj(f) * m[2, 0]
-    out[:, 1, 1] = coeffs.g1 * m[0, 0] + m[1, 1]
-    out[:, 2, 2] = coeffs.g2 * m[0, 0] + m[2, 2]
-    out[:, 1, 2] = m[1, 2]
-    out[:, 2, 1] = m[2, 1]
+    scale = np.ones((f.size, 3, 3), dtype=complex)
+    scale[:, 0, 0] = np.abs(f) ** 2
+    scale[:, 0, 1:] = f[:, None]
+    scale[:, 1:, 0] = np.conj(f)[:, None]
+    out = m[..., None, :, :] * scale
+    excited = m[..., None, 0, 0]
+    out[..., 1, 1] += coeffs.g1 * excited
+    out[..., 2, 2] += coeffs.g2 * excited
     return out
 
 

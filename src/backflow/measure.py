@@ -10,8 +10,6 @@ estimates are lower bounds on the true maximum.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +19,7 @@ from .dynamics import MapCoefficients, RateFunctions, apply_map_to_grid, lindbla
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange, ValidationError
 from .statespace import (
     DensityMatrix,
+    _clipped_distances,
     haar_unitary,
     is_orthogonal,
     make_density_matrix,
@@ -72,9 +71,7 @@ def trajectory_from_states(
     grid: np.ndarray, states1: np.ndarray, states2: np.ndarray
 ) -> TraceDistanceTrajectory:
     """Distances and rate from two stacked evolutions of shape (grid, N, N)."""
-    diffs = np.asarray(states1) - np.asarray(states2)
-    eigs = np.linalg.eigvalsh(diffs)
-    distances = np.clip(0.5 * np.abs(eigs).sum(axis=-1), 0.0, 1.0)
+    distances = _clipped_distances(np.asarray(states1) - np.asarray(states2))
     sigma = np.gradient(distances, grid, edge_order=1)
     return TraceDistanceTrajectory(grid=grid, distances=distances, sigma=sigma)
 
@@ -117,8 +114,13 @@ def backflow(traj: TraceDistanceTrajectory, rise_tolerance: float = 0.0) -> floa
     no differentiation noise enters; ``rise_tolerance`` discards
     increments at the numerical noise floor.
     """
-    inc = np.diff(traj.distances)
-    return float(inc[inc > rise_tolerance].sum())
+    return float(_rise(traj.distances, rise_tolerance))
+
+
+def _rise(distances: np.ndarray, rise_tolerance: float) -> np.ndarray:
+    """Sum of the increments above ``rise_tolerance`` along the last axis."""
+    inc = np.diff(distances, axis=-1)
+    return np.where(inc > rise_tolerance, inc, 0.0).sum(axis=-1)
 
 
 def _pairs_to_differences(pairs: list[StatePair]) -> np.ndarray:
@@ -127,23 +129,7 @@ def _pairs_to_differences(pairs: list[StatePair]) -> np.ndarray:
 
 def _batched_backflows(coeffs: MapCoefficients, deltas: np.ndarray, rise_tolerance: float) -> np.ndarray:
     """Backflows of many difference matrices at once (map is linear)."""
-    n = deltas.shape[0]
-    f = coeffs.f
-    k = f.size
-    out = np.empty((n, k, 3, 3), dtype=complex)
-    out[..., 0, 0] = np.abs(f) ** 2 * deltas[:, None, 0, 0]
-    out[..., 0, 1] = f * deltas[:, None, 0, 1]
-    out[..., 0, 2] = f * deltas[:, None, 0, 2]
-    out[..., 1, 0] = np.conj(f) * deltas[:, None, 1, 0]
-    out[..., 2, 0] = np.conj(f) * deltas[:, None, 2, 0]
-    out[..., 1, 1] = coeffs.g1 * deltas[:, None, 0, 0] + deltas[:, None, 1, 1]
-    out[..., 2, 2] = coeffs.g2 * deltas[:, None, 0, 0] + deltas[:, None, 2, 2]
-    out[..., 1, 2] = deltas[:, None, 1, 2]
-    out[..., 2, 1] = deltas[:, None, 2, 1]
-    eigs = np.linalg.eigvalsh(out.reshape(n * k, 3, 3)).reshape(n, k, 3)
-    distances = np.clip(0.5 * np.abs(eigs).sum(axis=-1), 0.0, 1.0)
-    inc = np.diff(distances, axis=1)
-    return np.where(inc > rise_tolerance, inc, 0.0).sum(axis=1)
+    return _rise(_clipped_distances(apply_map_to_grid(coeffs, deltas)), rise_tolerance)
 
 
 @dataclass(frozen=True)
@@ -300,54 +286,28 @@ class BackflowHistogram:
     seed: int
 
 
-def resolve_worker_count(requested: int | None = None) -> int:
-    """Worker count for sampling, capped by the BACKFLOW_THREADS variable.
-
-    Results never depend on this value; it only controls wall-clock time.
-    Default is single-threaded; setting BACKFLOW_THREADS both enables and
-    caps parallel sampling.
-    """
-    cap = os.environ.get("BACKFLOW_THREADS")
-    limit = max(1, int(cap)) if cap else None
-    if requested is None:
-        requested = limit if limit is not None else 1
-    requested = max(1, requested)
-    return min(requested, limit) if limit is not None else requested
-
-
 def sampled_backflows(
     coeffs: MapCoefficients,
     n_samples: int,
     seed: int,
     *,
     rise_tolerance: float = 0.0,
-    workers: int | None = None,
     batch: int = 128,
 ) -> np.ndarray:
     """Backflow of n pure orthogonal pairs, one private stream per sample.
 
-    Sample i draws from the stream keyed (seed, i) and results are merged
-    by index, so the output is identical for any worker or batch split.
+    Sample i draws from the stream keyed (seed, i), so the output is
+    identical for any batch size.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    if batch < 1:
+        raise DomainError(f"batch must be >= 1, got {batch}")
     values = np.empty(n_samples)
-
-    def fill(lo: int, hi: int) -> None:
-        for start in range(lo, hi, batch):
-            stop = min(start + batch, hi)
-            pairs = [sample_pure_orthogonal_pair(3, rng_stream(seed, i)) for i in range(start, stop)]
-            values[start:stop] = _batched_backflows(coeffs, _pairs_to_differences(pairs), rise_tolerance)
-
-    n_workers = resolve_worker_count(workers)
-    if n_workers == 1:
-        fill(0, n_samples)
-    else:
-        bounds = np.linspace(0, n_samples, n_workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-            for future in futures:
-                future.result()
+    for start in range(0, n_samples, batch):
+        stop = min(start + batch, n_samples)
+        pairs = [sample_pure_orthogonal_pair(3, rng_stream(seed, i)) for i in range(start, stop)]
+        values[start:stop] = _batched_backflows(coeffs, _pairs_to_differences(pairs), rise_tolerance)
     return values
 
 
@@ -357,7 +317,6 @@ def histogram_backflow(
     bins: int,
     seed: int,
     *,
-    workers: int | None = None,
     reference_pair: StatePair | None = None,
 ) -> BackflowHistogram:
     """Probability histogram of pure-pair backflows with a mixed-pair reference.
@@ -373,7 +332,7 @@ def histogram_backflow(
     reference = float(
         _batched_backflows(coeffs, _pairs_to_differences([(ref1, ref2)]), RISE_TOLERANCE)[0]
     )
-    values = sampled_backflows(coeffs, n_samples, seed, rise_tolerance=RISE_TOLERANCE, workers=workers)
+    values = sampled_backflows(coeffs, n_samples, seed, rise_tolerance=RISE_TOLERANCE)
     max_sampled = float(values.max())
     upper = max(max_sampled, reference)
     if upper <= 0.0:

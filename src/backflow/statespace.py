@@ -34,7 +34,7 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
     Streams with distinct keys are statistically independent, and the same
     (seed, key) always reproduces the same draws regardless of how many
-    other streams exist — the basis of the worker-count-independent
+    other streams exist — the basis of the batch-size-independent
     sampling contract.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, key)])))
@@ -217,8 +217,12 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """
     _check_same_dim(rho1, rho2)
     delta = _canonical_sign(rho1.entries - rho2.entries)
-    value = 0.5 * float(np.abs(np.linalg.eigvalsh(delta)).sum())
-    return min(max(value, 0.0), 1.0)
+    return float(_clipped_distances(delta))
+
+
+def _clipped_distances(deltas: np.ndarray) -> np.ndarray:
+    """Half the absolute-eigenvalue sums of Hermitian differences (..., N, N), clipped to [0, 1]."""
+    return np.clip(0.5 * np.abs(np.linalg.eigvalsh(deltas)).sum(axis=-1), 0.0, 1.0)
 
 
 def jordan_hahn(rho1: DensityMatrix, rho2: DensityMatrix) -> JordanHahnParts:

@@ -27,7 +27,7 @@ from .dynamics import (
     validate_cpt,
 )
 from .errors import OrthogonalPair, PositivityFailure
-from .measure import trajectory_from_states
+from .measure import TraceDistanceTrajectory, backflow, trajectory_from_states
 from .statespace import (
     TOL_PSD,
     DensityMatrix,
@@ -93,7 +93,9 @@ def depolarize_stack(grid: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (1.0 - w) * m + w * uniform
 
 
-def _distances(grid: np.ndarray, m1: np.ndarray, m2: np.ndarray, coeffs: MapCoefficients | None) -> np.ndarray:
+def _trajectory(
+    grid: np.ndarray, m1: np.ndarray, m2: np.ndarray, coeffs: MapCoefficients | None
+) -> TraceDistanceTrajectory:
     """Trace-distance trajectory of two matrices under the dim-appropriate map."""
     if m1.shape[0] == 3 and coeffs is not None:
         s1 = apply_map_to_grid(coeffs, m1)
@@ -101,13 +103,7 @@ def _distances(grid: np.ndarray, m1: np.ndarray, m2: np.ndarray, coeffs: MapCoef
     else:
         s1 = depolarize_stack(grid, m1)
         s2 = depolarize_stack(grid, m2)
-    return trajectory_from_states(grid, s1, s2).distances
-
-
-def _backflow_of(grid: np.ndarray, m1: np.ndarray, m2: np.ndarray, coeffs: MapCoefficients | None) -> float:
-    d = _distances(grid, m1, m2, coeffs)
-    inc = np.diff(d)
-    return float(inc[inc > 0].sum())
+    return trajectory_from_states(grid, s1, s2)
 
 
 def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[PropertyCheck]:
@@ -261,8 +257,8 @@ def translation_suite(
                 worst_diff,
                 float(np.abs((m1 - m2) - (rho1.entries - rho2.entries)).max()),
             )
-            base = _distances(grid, rho1.entries, rho2.entries, coeffs)
-            moved = _distances(grid, m1, m2, coeffs)
+            base = _trajectory(grid, rho1.entries, rho2.entries, coeffs).distances
+            moved = _trajectory(grid, m1, m2, coeffs).distances
             worst_traj = max(worst_traj, float(np.abs(base - moved).max()))
 
             a = construction.shift.entries
@@ -370,8 +366,8 @@ def backflow_scaling_suite(
         for _ in range(trials):
             rho1, rho2 = _random_nonorthogonal_pair(dim, rng)
             sigma1, sigma2, lam = rescale_pair(rho1, rho2)
-            bf = _backflow_of(grid, rho1.entries, rho2.entries, coeffs)
-            bf_rescaled = _backflow_of(grid, sigma1.entries, sigma2.entries, coeffs)
+            bf = backflow(_trajectory(grid, rho1.entries, rho2.entries, coeffs))
+            bf_rescaled = backflow(_trajectory(grid, sigma1.entries, sigma2.entries, coeffs))
             worst_rescale = max(worst_rescale, abs(bf_rescaled - bf / lam))
 
             interior = sample_random_state(dim, dim, rng)
@@ -381,8 +377,8 @@ def backflow_scaling_suite(
             mixed = make_density_matrix(
                 (1.0 - lam_stretch) * other.entries + lam_stretch * interior.entries
             )
-            bf_base = _backflow_of(grid, other.entries, interior.entries, coeffs)
-            bf_stretched = _backflow_of(grid, other.entries, mixed.entries, coeffs)
+            bf_base = backflow(_trajectory(grid, other.entries, interior.entries, coeffs))
+            bf_stretched = backflow(_trajectory(grid, other.entries, mixed.entries, coeffs))
             worst_stretch = max(worst_stretch, abs(bf_stretched - lam_stretch * bf_base))
             count += 1
     return [
@@ -415,7 +411,7 @@ def dynamics_suite(
     worst_contraction = 0.0
     for _ in range(contraction_pairs):
         rho1, rho2 = _random_pair(3, rng)
-        d = _distances(grid, rho1.entries, rho2.entries, coeffs)
+        d = _trajectory(grid, rho1.entries, rho2.entries, coeffs).distances
         worst_contraction = max(worst_contraction, float((d - d[0]).max()))
 
     worst_return = 0.0

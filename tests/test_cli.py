@@ -202,10 +202,11 @@ class TestHistogramCommand:
     def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["histogram", "--samples", "150", "--seed", "5"]
-        monkeypatch.setenv("BACKFLOW_THREADS", "1")
-        main(args + ["--output", str(out1)])
-        monkeypatch.setenv("BACKFLOW_THREADS", "3")
-        main(args + ["--output", str(out2)])
+        monkeypatch.delenv("BACKFLOW_THREADS", raising=False)
+        assert main(args + ["--output", str(out1)]) == 0
+        # the variable no longer selects anything; a bad value must not crash
+        monkeypatch.setenv("BACKFLOW_THREADS", "abc")
+        assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -270,6 +271,13 @@ class TestReportContract:
         cfg = write_json(tmp_path / "cfg.json", {"model": {"preset": "constant", "gamma": -0.03}})
         assert main(["measure", "--config", cfg, "--samples", "2"]) == 2
         assert "CptViolation" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_horizon_fails_without_warnings(self, capsys):
+        assert main(["trajectory", "--t-max", "1e308"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error (QuadratureFailure)")
 
     def test_byte_identical_json_outputs(self, tmp_path):
         # identical config (including the output path) and seed

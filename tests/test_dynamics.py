@@ -154,9 +154,11 @@ class TestApplyLambdaMap:
             # state validation renormalizes the quadrature-level trace error
             assert out.entries[1, 2] == pytest.approx(rho.entries[1, 2], abs=1e-10)
 
-    def test_wrong_dimension(self):
+    def test_wrong_dimension(self, preset_coeffs):
         with pytest.raises(BadDimension):
             apply_lambda_map(1.0, 0.0, 0.0, pure_state([1, 0]))
+        with pytest.raises(BadDimension):
+            apply_map_to_grid(preset_coeffs, np.zeros((4, 2, 2)))
 
 
 class TestEvolve:
@@ -189,13 +191,34 @@ class TestEvolve:
             assert abs(np.trace(state.entries).real - 1.0) <= 1e-9
 
     def test_grid_stack_matches_pointwise_application(self, preset_coeffs):
-        rho = sample_random_state(3, 3, rng_stream(4))
-        stack = apply_map_to_grid(preset_coeffs, rho.entries)
-        for k in (0, 250, 1999):
-            f, g1, g2 = preset_coeffs.at(k)
-            np.testing.assert_allclose(
-                stack[k], apply_lambda_map(f, g1, g2, rho).entries, atol=1e-14
-            )
+        def kraus_sum(f, g1, g2, m):
+            # K0 = diag(f, 1, 1), K1 = sqrt(g1)|b><a|, K2 = sqrt(g2)|c><a|
+            k0 = np.diag([f, 1.0, 1.0])
+            k1 = np.zeros((3, 3), dtype=complex)
+            k1[1, 0] = np.sqrt(g1)
+            k2 = np.zeros((3, 3), dtype=complex)
+            k2[2, 0] = np.sqrt(g2)
+            return sum(k @ m @ k.conj().T for k in (k0, k1, k2))
+
+        # level shifts make f complex, so its conjugate is exercised too
+        shifted = lambda_map_coefficients(constant_rates(gamma=0.03, shift=0.5), GRID)
+        rng = rng_stream(4)
+        rho = sample_random_state(3, 3, rng)
+        states = np.stack([sample_random_state(3, r, rng).entries for r in (1, 2, 3, 3)])
+        for coeffs in (preset_coeffs, shifted):
+            stack = apply_map_to_grid(coeffs, rho.entries)
+            stacks = apply_map_to_grid(coeffs, states)
+            assert stacks.shape == (4, GRID.size, 3, 3)
+            for k in (0, 250, 1999):
+                f, g1, g2 = coeffs.at(k)
+                expected = kraus_sum(f, g1, g2, rho.entries)
+                np.testing.assert_allclose(stack[k], expected, rtol=0.0, atol=1e-14)
+                for m, evolved in zip(states, stacks):
+                    np.testing.assert_allclose(evolved[k], kraus_sum(f, g1, g2, m), rtol=0.0, atol=1e-14)
+                # state validation renormalizes the quadrature-level trace error
+                np.testing.assert_allclose(
+                    apply_lambda_map(f, g1, g2, rho).entries, expected, rtol=0.0, atol=1e-10
+                )
 
 
 class TestLindbladIntegrate:

@@ -12,6 +12,7 @@ from backflow.errors import DomainError, IndexOutOfRange, ValidationError
 from backflow.measure import (
     MeasureStrategy,
     TraceDistanceTrajectory,
+    _batched_backflows,
     backflow,
     estimate_measure,
     histogram_backflow,
@@ -27,6 +28,7 @@ from backflow.statespace import (
     pure_state,
     rescale_pair,
     rng_stream,
+    sample_pure_orthogonal_pair,
     sample_random_state,
     trace_distance,
 )
@@ -147,6 +149,21 @@ class TestBackflow:
         assert abs(values[1] - values[0]) < 1e-4
 
 
+class TestBatchedBackflows:
+    def test_matches_per_pair_trajectories(self, preset_coeffs):
+        rng = rng_stream(14)
+        pairs = [sample_pure_orthogonal_pair(3, rng) for _ in range(32)]
+        pairs += [
+            (sample_random_state(3, int(rng.integers(1, 4)), rng), sample_random_state(3, int(rng.integers(1, 4)), rng))
+            for _ in range(32)
+        ]
+        deltas = np.stack([r1.entries - r2.entries for r1, r2 in pairs])
+        batched = _batched_backflows(preset_coeffs, deltas, 0.0)
+        single = [backflow(trace_distance_trajectory(preset_coeffs, r1, r2)) for r1, r2 in pairs]
+        np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-12)
+        assert np.max(batched) > 0.01
+
+
 class TestScalingLaws:
     def test_rescaled_pair_amplifies_backflow(self, preset_coeffs):
         rng = rng_stream(3)
@@ -233,18 +250,16 @@ class TestHistogram:
         assert hist.counts.sum() == 250
         assert hist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_deterministic_across_worker_counts(self, preset_coeffs):
-        one = sampled_backflows(preset_coeffs, 120, seed=12, workers=1)
-        three = sampled_backflows(preset_coeffs, 120, seed=12, workers=3)
-        assert np.array_equal(one, three)
-
     def test_deterministic_across_batch_sizes(self, preset_coeffs):
-        small = sampled_backflows(preset_coeffs, 90, seed=13, workers=1, batch=7)
-        large = sampled_backflows(preset_coeffs, 90, seed=13, workers=2, batch=64)
-        assert np.array_equal(small, large)
+        for n_samples, seed in ((120, 12), (90, 13)):
+            runs = [sampled_backflows(preset_coeffs, n_samples, seed=seed, batch=b) for b in (1, 7, 64, 128)]
+            for other in runs[1:]:
+                assert np.array_equal(runs[0], other)
 
     def test_input_validation(self, preset_coeffs):
         with pytest.raises(DomainError):
             histogram_backflow(preset_coeffs, n_samples=0, bins=10, seed=1)
         with pytest.raises(DomainError):
             histogram_backflow(preset_coeffs, n_samples=10, bins=0, seed=1)
+        with pytest.raises(DomainError):
+            sampled_backflows(preset_coeffs, 10, seed=1, batch=0)
