@@ -250,11 +250,20 @@ class TestHistogram:
         assert hist.counts.sum() == 250
         assert hist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_deterministic_across_worker_counts(self, preset_coeffs, monkeypatch):
+        # BACKFLOW_THREADS used to set the worker count; sampling is now
+        # single-threaded, so no value of it may change the samples.
+        monkeypatch.delenv("BACKFLOW_THREADS", raising=False)
+        one = sampled_backflows(preset_coeffs, 120, seed=12, batch=1)
+        for threads, batch in (("1", 7), ("3", 64), ("abc", 128)):
+            monkeypatch.setenv("BACKFLOW_THREADS", threads)
+            other = sampled_backflows(preset_coeffs, 120, seed=12, batch=batch)
+            assert np.array_equal(one, other)
+
     def test_deterministic_across_batch_sizes(self, preset_coeffs):
-        for n_samples, seed in ((120, 12), (90, 13)):
-            runs = [sampled_backflows(preset_coeffs, n_samples, seed=seed, batch=b) for b in (1, 7, 64, 128)]
-            for other in runs[1:]:
-                assert np.array_equal(runs[0], other)
+        runs = [sampled_backflows(preset_coeffs, 90, seed=13, batch=b) for b in (1, 7, 64, 128)]
+        for other in runs[1:]:
+            assert np.array_equal(runs[0], other)
 
     def test_input_validation(self, preset_coeffs):
         with pytest.raises(DomainError):
