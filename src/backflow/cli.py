@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import lambda_map_coefficients, make_grid, rates_from_model
+from .dynamics import _finite_number, _instance, lambda_map_coefficients, make_grid, rates_from_model
 from .errors import (
     BackflowError,
     CptViolation,
@@ -73,9 +74,12 @@ def matrix_from_json(rows, where: str) -> np.ndarray:
             [complex(cell[0], cell[1]) if isinstance(cell, (list, tuple)) else complex(cell, 0.0) for cell in row]
             for row in rows
         ]
-        return np.asarray(parsed, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+        matrix = np.asarray(parsed, dtype=complex)
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValidationError(f"{where}: cannot parse matrix entries ({exc})") from exc
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError(f"{where}: matrix entries must be finite")
+    return matrix
 
 
 def resolve_pair(spec: str) -> tuple[DensityMatrix, DensityMatrix]:
@@ -89,17 +93,72 @@ def resolve_pair(spec: str) -> tuple[DensityMatrix, DensityMatrix]:
         raise ValidationError(f"pair: {spec!r} is neither a named pair nor a readable file ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{spec}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, list) or len(data) != 2:
-        raise ValidationError(f"pair file {spec} must hold a list of two matrices")
+    return _pair(f"pair file {spec}", data)
+
+
+def _pair(where: str, entry) -> tuple[DensityMatrix, DensityMatrix]:
+    """Two JSON matrices -> a validated state pair."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise ValidationError(f"{where}: expected a [rho1, rho2] pair of matrices")
     try:
-        rho1 = make_density_matrix(matrix_from_json(data[0], "pair[0]"))
-        rho2 = make_density_matrix(matrix_from_json(data[1], "pair[1]"))
+        return tuple(make_density_matrix(matrix_from_json(rows, f"{where}[{j}]")) for j, rows in enumerate(entry))
     except BackflowError as exc:
-        raise ValidationError(f"pair file {spec}: {exc}") from exc
-    return rho1, rho2
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 # --- run configuration ----------------------------------------------------
+
+# Caps on the sizes that allocate memory, so no config value can exhaust it.
+# histogram holds about 26.5 kB per grid step for its batch of 128 pairs: 0.27 GB at the cap
+MAX_GRID_STEPS = 10**4
+# histogram keeps one float per sample: 80 MB at the cap
+MAX_SAMPLES = 10**7
+# one edge, count and probability per bin, and one CSV row
+MAX_BINS = 10**6
+# verify draws N x N complex matrices for every dimension N
+MAX_DIM = 64
+# np.gradient divides by products of two grid steps, so their square must stay a normal float
+MIN_GRID_STEP = float(np.sqrt(np.finfo(float).tiny))
+
+_ENGINES = ("closed_form", "integrator")
+_FORMATS = ("csv", "json")
+
+
+_integer = _instance((int,), "an integer")
+_text = _instance((str,), "a string")
+_path_or_null = _instance((str, type(None)), "a path string or null")
+_boolean = _instance((bool,), "true or false")
+_model = _instance((dict,), "an object with a 'preset' key")
+
+
+def _dims(name: str, value) -> tuple:
+    _instance((list, tuple), "a list of integers")(name, value)
+    return tuple(_integer(f"{name}[{i}]", d) for i, d in enumerate(value))
+
+
+def _pairs(name: str, value) -> tuple:
+    pairs = _instance((list, tuple), "a list of [rho1, rho2] pairs")(name, value)
+    return tuple(_pair(f"{name}[{i}]", entry) for i, entry in enumerate(pairs))
+
+
+def _pairs_to_json(pairs) -> list:
+    return [[matrix_to_json(a.entries), matrix_to_json(b.entries)] for a, b in pairs]
+
+
+def _int_list(text: str) -> tuple:
+    """Flag value ``2,3,4`` -> (2, 3, 4)."""
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _field(commands: str, check, echo=lambda value: value, *, default=MISSING, default_factory=MISSING, **options):
+    """A RunConfig field: the commands that read it, its kind check, its
+    payload echo, and the argparse options of those commands' flag for it
+    (option ``flag`` names the flag when it is not the field name)."""
+    metadata = {"commands": commands.split(), "check": check, "echo": echo, "options": options}
+    return field(default=default, default_factory=default_factory, metadata=metadata)
 
 
 def _default_model() -> dict:
@@ -108,85 +167,73 @@ def _default_model() -> dict:
 
 @dataclass
 class RunConfig:
-    """Validated run parameters; flags override file values."""
+    """Validated run parameters; flags override file values.
 
-    model: dict = field(default_factory=_default_model)
-    t_max: float = TAU
-    grid_steps: int = 2000
-    seed: int = 12345
-    samples: int = 1000
-    bins: int = 50
-    candidate_pairs: tuple = ()
-    engine: str = "closed_form"
-    output: str | None = None
-    format: str = "csv"
-    dims: tuple = (2, 3, 4)
-    trials: int = 100
-    refine_best: bool = False
+    This is the one statement of the config schema: each field carries
+    its kind check, its payload echo and the commands that read it. Only
+    those commands take its flag, but a config file may hold every field
+    for any command.
+    """
+
+    model: dict = _field("", _model, default_factory=_default_model)
+    t_max: float = _field(
+        "trajectory measure histogram", _finite_number, float, default=TAU, type=float, help="time horizon"
+    )
+    grid_steps: int = _field(
+        "trajectory measure histogram", _integer, int, default=2000, type=int, help="time grid steps"
+    )
+    seed: int = _field(
+        "measure histogram verify", _integer, int, default=12345, type=int, help="unsigned 64-bit RNG seed"
+    )
+    samples: int = _field("measure histogram", _integer, int, default=1000, type=int, help="sample / candidate count")
+    bins: int = _field("histogram", _integer, int, default=50, type=int, help="histogram bin count")
+    candidate_pairs: tuple = _field("", _pairs, _pairs_to_json, default=())
+    engine: str = _field("trajectory", _text, default="closed_form", choices=_ENGINES, help="evolution engine")
+    output: str | None = _field(
+        "trajectory measure histogram verify translate", _path_or_null, default=None, metavar="PATH",
+        help="payload file (default: stdout)",
+    )
+    format: str = _field("trajectory histogram", _text, default="csv", choices=_FORMATS, help="payload format")
+    dims: tuple = _field(
+        "verify", _dims, list, default=(2, 3, 4), type=_int_list, metavar="N,N,...", help="dimensions for verify suites"
+    )
+    trials: int = _field("verify", _integer, int, default=100, type=int, help="trials per dimension for verify suites")
+    refine_best: bool = _field(
+        "measure", _boolean, bool, default=False, flag="--refine", action="store_true",
+        help="simplex-refine the best pure pair",
+    )
 
     def validate(self) -> "RunConfig":
-        if not isinstance(self.model, dict):
-            raise ValidationError("model: must be an object with a 'preset' key")
-        if not self.t_max > 0.0:
-            raise ValidationError(f"t_max: must be positive, got {self.t_max}")
-        if self.grid_steps < 10:
-            raise ValidationError(f"grid_steps: must be >= 10, got {self.grid_steps}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValidationError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
-        if self.samples < 1:
-            raise ValidationError(f"samples: must be >= 1, got {self.samples}")
-        if self.bins < 1:
-            raise ValidationError(f"bins: must be >= 1, got {self.bins}")
-        if self.trials < 1:
-            raise ValidationError(f"trials: must be >= 1, got {self.trials}")
-        if self.engine not in ("closed_form", "integrator"):
+        """Range checks; parse_config has already checked each value's kind."""
+        for name, low, high in (
+            ("grid_steps", 10, MAX_GRID_STEPS),
+            ("seed", 0, 2**64 - 1),
+            ("samples", 1, MAX_SAMPLES),
+            ("bins", 1, MAX_BINS),
+            ("trials", 1, math.inf),
+        ):
+            if not low <= getattr(self, name) <= high:
+                raise ValidationError(f"{name}: must be between {low} and {high}, got {getattr(self, name)}")
+        if not self.t_max >= MIN_GRID_STEP * self.grid_steps:
+            raise ValidationError(
+                f"t_max: must be at least {MIN_GRID_STEP * self.grid_steps:.3g} for {self.grid_steps} grid steps, "
+                f"got {self.t_max}"
+            )
+        if self.engine not in _ENGINES:
             raise ValidationError(f"engine: must be closed_form or integrator, got {self.engine!r}")
-        if self.format not in ("csv", "json"):
+        if self.format not in _FORMATS:
             raise ValidationError(f"format: must be csv or json, got {self.format!r}")
-        if not self.dims or any(int(d) < 2 for d in self.dims):
-            raise ValidationError(f"dims: need dimensions >= 2, got {self.dims}")
+        if not self.dims or any(not 2 <= d <= MAX_DIM for d in self.dims):
+            raise ValidationError(f"dims: need dimensions between 2 and {MAX_DIM}, got {list(self.dims)}")
         return self
 
     def echo(self) -> dict:
         """JSON-serializable copy that parse_config accepts back verbatim."""
-        return {
-            "model": self.model,
-            "t_max": float(self.t_max),
-            "grid_steps": int(self.grid_steps),
-            "seed": int(self.seed),
-            "samples": int(self.samples),
-            "bins": int(self.bins),
-            "candidate_pairs": [
-                [matrix_to_json(a.entries), matrix_to_json(b.entries)] for a, b in self.candidate_pairs
-            ],
-            "engine": self.engine,
-            "output": self.output,
-            "format": self.format,
-            "dims": [int(d) for d in self.dims],
-            "trials": int(self.trials),
-            "refine_best": bool(self.refine_best),
-        }
-
-
-_CONFIG_FIELDS = {
-    "model",
-    "t_max",
-    "grid_steps",
-    "seed",
-    "samples",
-    "bins",
-    "candidate_pairs",
-    "engine",
-    "output",
-    "format",
-    "dims",
-    "trials",
-    "refine_best",
-}
+        return {f.name: f.metadata["echo"](getattr(self, f.name)) for f in fields(self)}
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Merge defaults <- JSON file <- flag overrides, then validate."""
+    """Merge defaults <- JSON file <- flag overrides, check kinds, then validate."""
     data: dict = {}
     if path:
         try:
@@ -198,36 +245,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
         if not isinstance(data, dict):
             raise ParseError(f"{path}: top-level config must be a JSON object")
-    unknown = set(data) - _CONFIG_FIELDS
+    merged = dict(data)
+    merged.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    schema = {f.name: f for f in fields(RunConfig)}
+    unknown = set(merged) - set(schema)
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    merged = dict(data)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-
-    pairs = []
-    for i, entry in enumerate(merged.get("candidate_pairs", []) or []):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValidationError(f"candidate_pairs[{i}]: expected a [rho1, rho2] pair")
-        try:
-            pairs.append(
-                (
-                    make_density_matrix(matrix_from_json(entry[0], f"candidate_pairs[{i}][0]")),
-                    make_density_matrix(matrix_from_json(entry[1], f"candidate_pairs[{i}][1]")),
-                )
-            )
-        except BackflowError as exc:
-            raise ValidationError(f"candidate_pairs[{i}]: {exc}") from exc
-    merged["candidate_pairs"] = tuple(pairs)
-    if "dims" in merged and merged["dims"] is not None:
-        merged["dims"] = tuple(int(d) for d in merged["dims"])
-
-    try:
-        config = RunConfig(**merged)
-    except TypeError as exc:
-        raise ValidationError(str(exc)) from exc
-    return config.validate()
+    return RunConfig(**{name: schema[name].metadata["check"](name, value) for name, value in merged.items()}).validate()
 
 
 # --- output ---------------------------------------------------------------
@@ -475,21 +499,6 @@ def cmd_translate(config: RunConfig, pair_spec: str) -> tuple[RunReport, int]:
 # --- argument parsing -----------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="unsigned 64-bit RNG seed")
-    parser.add_argument("--samples", type=int, help="sample / candidate count")
-    parser.add_argument("--grid-steps", dest="grid_steps", type=int, help="time grid steps")
-    parser.add_argument("--t-max", dest="t_max", type=float, help="time horizon")
-    parser.add_argument("--bins", type=int, help="histogram bin count")
-    parser.add_argument("--engine", choices=["closed_form", "integrator"], help="evolution engine")
-    parser.add_argument("--output", metavar="PATH", help="payload file (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], help="payload format")
-    parser.add_argument("--dims", metavar="N,N,...", help="dimensions for verify suites")
-    parser.add_argument("--trials", type=int, help="trials per dimension for verify suites")
-    parser.add_argument("--refine", action="store_true", default=None, help="simplex-refine the best pure pair")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors are invalid input (exit 1); 2 is reserved for numerical failure."""
 
@@ -498,69 +507,53 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# command -> (help, run given the config and the parsed flags)
+_COMMANDS = {
+    "trajectory": ("trace distance of one pair over time", lambda cfg, args: cmd_trajectory(cfg, args.pair)),
+    "measure": ("sampled lower bound on the backflow measure", lambda cfg, args: cmd_measure(cfg)),
+    "histogram": ("backflow histogram over random pure orthogonal pairs", lambda cfg, args: cmd_histogram(cfg)),
+    "verify": ("run the structural property suites", lambda cfg, args: cmd_verify(cfg, args.inject_fault)),
+    "translate": ("shift a non-orthogonal pair into the interior", lambda cfg, args: cmd_translate(cfg, args.pair)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, taking --config and the flags of the fields it reads."""
     parser = _Parser(
         prog="backflow",
         description="Trace-distance backflow analysis of the three-level decay model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_traj = sub.add_parser("trajectory", help="trace distance of one pair over time")
-    p_traj.add_argument("--pair", default="mpair", help="named pair (mpair|pure-ab|pure-a-plus) or JSON file")
-    _add_common(p_traj)
-
-    p_meas = sub.add_parser("measure", help="sampled lower bound on the backflow measure")
-    _add_common(p_meas)
-
-    p_hist = sub.add_parser("histogram", help="backflow histogram over random pure orthogonal pairs")
-    _add_common(p_hist)
-
-    p_ver = sub.add_parser("verify", help="run the structural property suites")
-    p_ver.add_argument("--inject-fault", choices=["shift-sign"], help=argparse.SUPPRESS)
-    _add_common(p_ver)
-
-    p_trans = sub.add_parser("translate", help="shift a non-orthogonal pair into the interior")
-    p_trans.add_argument("--pair", required=True, help="named pair or JSON file with two matrices")
-    _add_common(p_trans)
-
+    commands = {}
+    for command, (help_text, _) in _COMMANDS.items():
+        commands[command] = p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", metavar="PATH", help="JSON config file")
+        for f in fields(RunConfig):
+            if command in f.metadata["commands"]:
+                options = dict(f.metadata["options"])
+                flag = options.pop("flag", "--" + f.name.replace("_", "-"))
+                p.add_argument(flag, dest=f.name, default=None, **options)
+    commands["trajectory"].add_argument(
+        "--pair", default="mpair", help="named pair (mpair|pure-ab|pure-a-plus) or JSON file"
+    )
+    commands["verify"].add_argument("--inject-fault", choices=["shift-sign"], help=argparse.SUPPRESS)
+    commands["translate"].add_argument("--pair", required=True, help="named pair or JSON file with two matrices")
     return parser
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    keys = ("seed", "samples", "grid_steps", "t_max", "bins", "engine", "output", "format", "trials")
-    overrides = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "dims", None):
-        try:
-            overrides["dims"] = tuple(int(d) for d in str(args.dims).split(","))
-        except ValueError as exc:
-            raise ValidationError(f"dims: cannot parse {args.dims!r}") from exc
-    if getattr(args, "refine", None):
-        overrides["refine_best"] = True
-    return overrides
+    """The flags of the fields this command reads; None means not given."""
+    return {f.name: getattr(args, f.name) for f in fields(RunConfig) if args.command in f.metadata["commands"]}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config, _overrides_from(args))
-        if args.command == "trajectory":
-            report, code = cmd_trajectory(config, args.pair)
-        elif args.command == "measure":
-            report, code = cmd_measure(config)
-        elif args.command == "histogram":
-            report, code = cmd_histogram(config)
-        elif args.command == "verify":
-            report, code = cmd_verify(config, args.inject_fault)
-        elif args.command == "translate":
-            report, code = cmd_translate(config, args.pair)
-        else:  # pragma: no cover
-            raise ValidationError(f"unknown command {args.command!r}")
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 2
+        report, code = _COMMANDS[args.command][1](config, args)
     except BackflowError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _NUMERICAL_ERRORS) else 1
     _print_summary(report)
     return code
 

@@ -11,6 +11,9 @@ cross-validation. Basis order is (a, b, c) = indices (0, 1, 2).
 from __future__ import annotations
 
 import csv
+import inspect
+import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,18 +87,22 @@ def zero_rates() -> RateFunctions:
 def _load_rate_table(path: str) -> RateFunction:
     """Two-column CSV (time, value) -> linearly interpolated rate function."""
     times, values = [], []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.reader(handle):
-            if not row or not row[0].strip():
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ValidationError(f"cannot read rate table {path!r}: {exc}") from exc
+    for row in rows:
+        if not row or not row[0].strip():
+            continue
+        try:
+            t, v = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            if not times:  # tolerate a single header row
                 continue
-            try:
-                t, v = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if not times:  # tolerate a single header row
-                    continue
-                raise ValidationError(f"bad rate table row in {path}: {row!r}")
-            times.append(t)
-            values.append(v)
+            raise ValidationError(f"bad rate table row in {path}: {row!r}")
+        times.append(t)
+        values.append(v)
     if len(times) < 2:
         raise ValidationError(f"rate table {path} needs at least two rows")
     ts = np.asarray(times)
@@ -122,29 +129,53 @@ def tabulated_rates(
     return RateFunctions(*parts, description="tabulated")
 
 
+def _instance(types: tuple, what: str):
+    """Kind check for a config value: it must be an instance of ``types``
+    (a bool counts as an integer only where ``types`` names bool)."""
+
+    def check(name: str, value):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ValidationError(f"{name}: must be {what}, got {reprlib.repr(value)}")
+        return value
+
+    return check
+
+
+def _finite_number(name: str, value) -> float:
+    """Kind check for a config number: a finite float."""
+    try:
+        if math.isfinite(_instance((int, float), "a finite number")(name, value)):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValidationError(f"{name}: must be a finite number, got {reprlib.repr(value)}")
+
+
+# preset -> (rate builder, parameter check); the builder's keyword
+# parameters are the keys the preset takes, with their defaults
+_PRESETS = {
+    "sinusoidal": (sinusoidal_rates, _finite_number),
+    "constant": (constant_rates, _finite_number),
+    "zero": (zero_rates, None),
+    "tabulated": (tabulated_rates, _instance((str,), "a file path string")),
+}
+
+
 def rates_from_model(model: dict) -> RateFunctions:
-    """Resolve a CLI model description into rate functions."""
+    """Resolve a CLI model description into rate functions.
+
+    Each preset takes only its own keys (see ``_PRESETS``); an unknown
+    key or a value of the wrong kind raises ValidationError naming it.
+    """
     preset = model.get("preset", "sinusoidal")
-    if preset == "sinusoidal":
-        return sinusoidal_rates(
-            amplitude=float(model.get("amplitude", 0.03)),
-            frequency=float(model.get("frequency", 1.0)),
-        )
-    if preset == "constant":
-        return constant_rates(
-            gamma=float(model.get("gamma", 0.03)),
-            shift=float(model.get("shift", 0.0)),
-        )
-    if preset == "zero":
-        return zero_rates()
-    if preset == "tabulated":
-        return tabulated_rates(
-            gamma1=model.get("gamma1"),
-            gamma2=model.get("gamma2"),
-            lambda1=model.get("lambda1"),
-            lambda2=model.get("lambda2"),
-        )
-    raise ValidationError(f"unknown rate preset {preset!r}")
+    if not isinstance(preset, str) or preset not in _PRESETS:
+        raise ValidationError(f"model.preset: unknown rate preset {reprlib.repr(preset)}")
+    build, check = _PRESETS[preset]
+    keys = inspect.signature(build).parameters
+    unknown = [key for key in model if key != "preset" and key not in keys]
+    if unknown:
+        raise ValidationError(f"model.{unknown[0]}: not a key of preset {preset!r}, which takes {list(keys)}")
+    return build(**{key: check(f"model.{key}", value) for key, value in model.items() if key != "preset"})
 
 
 def make_grid(t_max: float, steps: int) -> np.ndarray:
@@ -243,17 +274,16 @@ def lambda_map_coefficients(
         raise DomainError(f"refine must be >= 1, got {refine}")
 
     fine = _refined_grid(grid, refine)
-    gamma1 = np.asarray(rates.gamma1(fine), dtype=float)
-    gamma2 = np.asarray(rates.gamma2(fine), dtype=float)
-    shift1 = np.asarray(rates.lambda1(fine), dtype=float)
-    shift2 = np.asarray(rates.lambda2(fine), dtype=float)
-    for name, values in (("gamma1", gamma1), ("gamma2", gamma2), ("lambda1", shift1), ("lambda2", shift2)):
-        if values.shape != fine.shape or not np.all(np.isfinite(values)):
-            raise QuadratureFailure(f"rate {name} is not finite on the whole grid")
-
     # Overflow is detected from the results below, so numpy's warnings
     # would only repeat it before the QuadratureFailure.
     with np.errstate(over="ignore", invalid="ignore"):
+        gamma1 = np.asarray(rates.gamma1(fine), dtype=float)
+        gamma2 = np.asarray(rates.gamma2(fine), dtype=float)
+        shift1 = np.asarray(rates.lambda1(fine), dtype=float)
+        shift2 = np.asarray(rates.lambda2(fine), dtype=float)
+        for name, values in (("gamma1", gamma1), ("gamma2", gamma2), ("lambda1", shift1), ("lambda2", shift2)):
+            if values.shape != fine.shape or not np.all(np.isfinite(values)):
+                raise QuadratureFailure(f"rate {name} is not finite on the whole grid")
         d1 = _cumulative_trapezoid(gamma1, fine)
         d2 = _cumulative_trapezoid(gamma2, fine)
         l1 = _cumulative_trapezoid(shift1, fine)

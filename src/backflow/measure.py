@@ -149,7 +149,6 @@ class MeasureResult:
 
     estimate: float
     best_pair: StatePair
-    best_trajectory: TraceDistanceTrajectory
     samples_evaluated: int
     candidate_breakdown: dict[str, float]
     seed: int
@@ -262,11 +261,9 @@ def estimate_measure(
         evaluated += used
         consider("refined", value, pair)
 
-    best_traj = trace_distance_trajectory(coeffs, best_pair[0], best_pair[1])
     return MeasureResult(
         estimate=best_value,
         best_pair=best_pair,
-        best_trajectory=best_traj,
         samples_evaluated=evaluated,
         candidate_breakdown=breakdown,
         seed=seed,

@@ -1,17 +1,22 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backflow.cli import (
     RunConfig,
+    build_parser,
     main,
     matrix_from_json,
     matrix_to_json,
     parse_config,
     resolve_pair,
 )
-from backflow.errors import ParseError, ValidationError
+from backflow.dynamics import lambda_map_coefficients, make_grid, rates_from_model
+from backflow.errors import BackflowError, ParseError, ValidationError
 
 MPAIR_BACKFLOW = 1.0 - np.exp(-0.12)
 
@@ -81,9 +86,117 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=r"candidate_pairs\[0\]"):
             parse_config(bad)
 
+    def test_dims_accepted_as_tuple(self):
+        assert parse_config(None, {"dims": (2, 3)}).dims == (2, 3)
+
     def test_matrix_round_trip(self):
         m = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
         np.testing.assert_allclose(matrix_from_json(matrix_to_json(m), "x"), m)
+
+
+# each value once ended in a traceback, a silent truncation or an ignored key
+BAD_CONFIG_VALUES = [
+    ({"grid_steps": "abc"}, "grid_steps"),
+    ({"grid_steps": 2000.5}, "grid_steps"),
+    ({"samples": 2.5}, "samples"),
+    ({"bins": 2.5}, "bins"),
+    ({"t_max": "7"}, "t_max"),
+    ({"seed": "x"}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"samples": True}, "samples"),
+    ({"dims": 5}, "dims"),
+    ({"candidate_pairs": 5}, "candidate_pairs"),
+    ({"candidate_pairs": [[[[10**400]], [[1]]]]}, "candidate_pairs"),
+    ({"candidate_pairs": [[[[float("nan")]], [[1]]]]}, "candidate_pairs"),
+    ({"model": {"preset": "sinusoidal", "amplitude": "x"}}, "model.amplitude"),
+    ({"model": {"preset": "sinusoidal", "amplitud": 0.3}}, "model.amplitud"),
+    ({"model": {"preset": "tabulated", "gamma1": 5}}, "model.gamma1"),
+    # sizes that allocate memory are capped
+    ({"grid_steps": 10**15}, "grid_steps"),
+    ({"samples": 10**15}, "samples"),
+    ({"bins": 10**15}, "bins"),
+    ({"dims": [2, 10**15]}, "dims"),
+]
+
+
+@pytest.mark.parametrize("values, field", BAD_CONFIG_VALUES)
+def test_bad_config_value_is_one_validation_error(tmp_path, capsys, values, field):
+    cfg = write_json(tmp_path / "cfg.json", values)
+    assert main(["trajectory", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error (ValidationError): {field}")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["measure", "--format", "csv"],
+        ["histogram", "--engine", "integrator"],
+        ["verify", "--grid-steps", "400"],
+        ["translate", "--pair", "mpair", "--seed", "3"],
+        ["trajectory", "--samples", "5"],
+    ],
+)
+def test_flag_of_a_field_the_command_does_not_read_is_a_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_command_takes_the_flags_of_the_fields_it_reads():
+    accepted = {}
+    for name, choice in build_parser()._subparsers._group_actions[0].choices.items():
+        accepted[name] = {flag for action in choice._actions for flag in action.option_strings} - {"-h", "--help"}
+    assert accepted == {
+        "trajectory": {"--config", "--t-max", "--grid-steps", "--engine", "--format", "--output", "--pair"},
+        "measure": {"--config", "--t-max", "--grid-steps", "--seed", "--samples", "--refine", "--output"},
+        "histogram": {"--config", "--t-max", "--grid-steps", "--seed", "--samples", "--bins", "--format", "--output"},
+        "verify": {"--config", "--seed", "--dims", "--trials", "--output", "--inject-fault"},
+        "translate": {"--config", "--output", "--pair"},
+    }
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, 10**15, 10**400, -(10**400)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from([f.name for f in fields(RunConfig)]), value=JSON_VALUES)
+def test_any_config_value_parses_or_raises_backflow_error(tmp_path_factory, name, value):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps({name: value}))
+    try:
+        parse_config(str(path))
+    except BackflowError:
+        pass
+
+
+MODEL_KEYS = ["preset", "amplitude", "frequency", "gamma", "shift", "gamma1", "gamma2", "lambda1", "lambda2"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    preset=st.sampled_from(["sinusoidal", "constant", "zero", "tabulated"]),
+    key=st.sampled_from(MODEL_KEYS),
+    value=JSON_VALUES,
+)
+def test_any_model_value_resolves_or_raises_backflow_error(preset, key, value):
+    try:
+        lambda_map_coefficients(rates_from_model({"preset": preset, key: value}), make_grid(2 * np.pi, 10))
+    except BackflowError:
+        pass
 
 
 class TestTrajectoryCommand:
@@ -278,6 +391,21 @@ class TestReportContract:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error (QuadratureFailure)")
+
+    def test_overflowing_rate_fails_without_warnings(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"model": {"preset": "sinusoidal", "frequency": 1e308}})
+        assert main(["trajectory", "--config", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error (QuadratureFailure)")
+
+    def test_vanishing_grid_step_fails_without_warnings(self, capsys):
+        assert main(["trajectory", "--t-max", "1e-300", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error (ValidationError): t_max")
 
     def test_byte_identical_json_outputs(self, tmp_path):
         # identical config (including the output path) and seed

@@ -60,11 +60,11 @@ class TestTrajectory:
 
     def test_mixed_reference_pair_matches_analytic(self, preset_coeffs):
         traj = trace_distance_trajectory(preset_coeffs, *mixed_reference_pair())
-        np.testing.assert_allclose(traj.distances, mpair_distance(GRID), atol=1e-6)
+        np.testing.assert_allclose(traj.distances, mpair_distance(GRID), rtol=0, atol=1e-6)
 
     def test_pure_ab_pair_matches_analytic(self, preset_coeffs):
         traj = trace_distance_trajectory(preset_coeffs, *pure_ab_pair())
-        np.testing.assert_allclose(traj.distances, (1.0 + mpair_distance(GRID)) / 2, atol=1e-6)
+        np.testing.assert_allclose(traj.distances, (1.0 + mpair_distance(GRID)) / 2, rtol=0, atol=1e-6)
 
     def test_initial_distance_one_iff_orthogonal(self, preset_coeffs):
         traj = trace_distance_trajectory(preset_coeffs, *mixed_reference_pair())
@@ -83,7 +83,7 @@ class TestTrajectory:
         integrated = trace_distance_trajectory(
             coeffs, rho1, rho2, engine="integrator", rates=rates
         )
-        np.testing.assert_allclose(closed.distances, integrated.distances, atol=1e-6)
+        np.testing.assert_allclose(closed.distances, integrated.distances, rtol=0, atol=1e-6)
 
     def test_integrator_engine_needs_rates(self, preset_coeffs):
         with pytest.raises(DomainError):
@@ -189,7 +189,7 @@ class TestScalingLaws:
             hat1, hat2, _ = jointly_translate(rho1, rho2)
             base = trace_distance_trajectory(preset_coeffs, rho1, rho2)
             moved = trace_distance_trajectory(preset_coeffs, hat1, hat2)
-            np.testing.assert_allclose(base.distances, moved.distances, atol=1e-10)
+            np.testing.assert_allclose(base.distances, moved.distances, rtol=0, atol=1e-10)
 
 
 class TestEstimateMeasure:
@@ -211,7 +211,7 @@ class TestEstimateMeasure:
         assert result.estimate >= MPAIR_BACKFLOW - 1e-5
         assert result.candidate_breakdown["explicit"] == pytest.approx(MPAIR_BACKFLOW, abs=1e-5)
         assert is_orthogonal(*result.best_pair)
-        assert result.estimate == pytest.approx(backflow(result.best_trajectory), abs=1e-9)
+        assert result.estimate == pytest.approx(backflow(trace_distance_trajectory(preset_coeffs, *result.best_pair)), abs=1e-9)
         assert result.estimate >= max(result.candidate_breakdown.values()) - 1e-15
 
     def test_non_orthogonal_explicit_pair_rejected(self, preset_coeffs):

@@ -44,7 +44,7 @@ class TestMakeDensityMatrix:
     def test_pure_diagonal(self):
         rho = diag_state(1.0, 0.0, 0.0)
         assert rho.dim == 3
-        np.testing.assert_allclose(rho.eigenvalues, [1.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(rho.eigenvalues, [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NotPositive, match="-2"):
@@ -118,14 +118,14 @@ class TestTraceDistance:
 class TestJordanHahn:
     def test_orthogonal_pure_pair(self):
         parts = jordan_hahn(diag_state(1.0, 0.0), diag_state(0.0, 1.0))
-        np.testing.assert_allclose(parts.positive_part.entries, np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(parts.negative_part.entries, np.diag([0.0, 1.0]), atol=1e-14)
+        np.testing.assert_allclose(parts.positive_part.entries, np.diag([1.0, 0.0]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(parts.negative_part.entries, np.diag([0.0, 1.0]), rtol=0, atol=1e-14)
         assert parts.weight == pytest.approx(1.0)
 
     def test_diagonal_example(self):
         parts = jordan_hahn(diag_state(0.6, 0.4), diag_state(0.4, 0.6))
-        np.testing.assert_allclose(parts.positive_part.entries, np.diag([0.2, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(parts.negative_part.entries, np.diag([0.0, 0.2]), atol=1e-14)
+        np.testing.assert_allclose(parts.positive_part.entries, np.diag([0.2, 0.0]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(parts.negative_part.entries, np.diag([0.0, 0.2]), rtol=0, atol=1e-14)
         assert parts.weight == pytest.approx(0.2)
 
     def test_identical_states_rejected(self):
@@ -145,7 +145,7 @@ class TestJordanHahn:
 
         # independent oracle: eigendecomposition of the difference
         eigs = np.linalg.eigvalsh(delta)
-        np.testing.assert_allclose(p1 - p2, delta, atol=1e-12)
+        np.testing.assert_allclose(p1 - p2, delta, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(p1)[0] >= -TOL_PSD
         assert np.linalg.eigvalsh(p2)[0] >= -TOL_PSD
         assert np.linalg.norm(p1 @ p2, 2) <= TOL_PSD
@@ -183,8 +183,8 @@ class TestOrthogonalityAndBoundary:
 class TestRescalePair:
     def test_diagonal_example(self):
         sigma1, sigma2, lam = rescale_pair(diag_state(0.6, 0.4), diag_state(0.4, 0.6))
-        np.testing.assert_allclose(sigma1.entries, np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(sigma2.entries, np.diag([0.0, 1.0]), atol=1e-14)
+        np.testing.assert_allclose(sigma1.entries, np.diag([1.0, 0.0]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sigma2.entries, np.diag([0.0, 1.0]), rtol=0, atol=1e-14)
         assert lam == pytest.approx(0.2)
 
     def test_orthogonal_input_passthrough(self):
@@ -215,7 +215,7 @@ class TestRescalePair:
         np.testing.assert_allclose(
             sigma1.entries - sigma2.entries,
             (rho1.entries - rho2.entries) / lam,
-            atol=1e-12,
+            rtol=0, atol=1e-12,
         )
 
 
@@ -261,4 +261,4 @@ class TestSampling:
 
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(4, rng_stream(3))
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-13)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(4), rtol=0, atol=1e-13)

@@ -48,7 +48,7 @@ class TestOverlapSelection:
         rho = pure_state([0, 1, 0])
         sel = overlap_selection(rho, rho)
         assert sel.overlap == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(sel.vector1, sel.vector2, atol=1e-12)
+        np.testing.assert_allclose(sel.vector1, sel.vector2, rtol=0, atol=1e-12)
 
     def test_orthogonal_pair_rejected(self):
         with pytest.raises(OrthogonalPair):
@@ -132,7 +132,7 @@ class TestBuildShiftOperator:
         hat = rho.entries - construction.shift.entries
         eigs = np.linalg.eigvalsh(hat)
         eps = construction.epsilon
-        np.testing.assert_allclose(eigs, [0.5 - eps / 2, 0.5 + eps / 2], atol=1e-12)
+        np.testing.assert_allclose(eigs, [0.5 - eps / 2, 0.5 + eps / 2], rtol=0, atol=1e-12)
 
     def test_orthogonal_pair_rejected(self):
         with pytest.raises(OrthogonalPair):
@@ -185,7 +185,7 @@ class TestJointlyTranslate:
         assert hat1.min_eigenvalue > TOL_PSD
         assert hat2.min_eigenvalue > TOL_PSD
         np.testing.assert_allclose(
-            hat1.entries - hat2.entries, rho1.entries - rho2.entries, atol=1e-12
+            hat1.entries - hat2.entries, rho1.entries - rho2.entries, rtol=0, atol=1e-12
         )
         assert abs(np.trace(construction.shift.entries)) <= 1e-12
 

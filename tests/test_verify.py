@@ -80,6 +80,6 @@ def test_depolarizer_is_linear_and_trace_preserving():
     b = (b + b.conj().T) / 2
     combined = depolarize_stack(grid, 0.3 * a + 0.7 * b)
     split = 0.3 * depolarize_stack(grid, a) + 0.7 * depolarize_stack(grid, b)
-    np.testing.assert_allclose(combined, split, atol=1e-12)
+    np.testing.assert_allclose(combined, split, rtol=0, atol=1e-12)
     traces = np.trace(depolarize_stack(grid, a), axis1=1, axis2=2)
-    np.testing.assert_allclose(traces, np.trace(a), atol=1e-12)
+    np.testing.assert_allclose(traces, np.trace(a), rtol=0, atol=1e-12)
