@@ -19,6 +19,7 @@ from .dynamics import (
     lambda_map_coefficients,
     lindblad_integrate,
     make_grid,
+    map_invariants,
     rates_from_model,
     sinusoidal_rates,
     tabulated_rates,

@@ -357,6 +357,52 @@ def apply_map_to_grid(coeffs: MapCoefficients, matrices: np.ndarray) -> np.ndarr
     return out
 
 
+def map_invariants(coeffs: MapCoefficients, matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace, trace of the square and determinant of each evolved matrix.
+
+    The same evolution as :func:`apply_map_to_grid`, without building it:
+    each invariant is a sum of per-matrix coefficients times functions of
+    x = |f|^2, g1 and g2 (the phase of f is a conjugation by
+    diag(e^{i theta}, 1, 1), so it cancels). Takes Hermitian (..., 3, 3)
+    and returns three real arrays of shape (..., grid).
+    """
+    m = np.asarray(matrices, dtype=complex)
+    _check_dim3(m)
+    a, p, q = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 2, 2].real
+    u, v, w = m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]
+    uu, vv, ww = np.abs(u) ** 2, np.abs(v) ** 2, np.abs(w) ** 2
+    cycle = (u * w * np.conj(v)).real
+    x, g1, g2 = np.abs(coeffs.f) ** 2, coeffs.g1, coeffs.g2
+    one = np.ones_like(x)
+
+    def combine(*terms):
+        # an elementwise sum in a fixed order, unlike a matrix product, so
+        # each value is bitwise independent of how many matrices are passed;
+        # summed in place, so one product at a time is held
+        total = np.zeros(a.shape + x.shape)
+        for c, t in terms:
+            total += c[..., None] * t
+        return total
+
+    trace = combine((a, x + g1 + g2), (p + q, one))
+    trace_sq = combine(
+        (p * p + q * q + 2.0 * ww, one),
+        (2.0 * (uu + vv), x),
+        (a * a, x * x),
+        (2.0 * p * a, g1),
+        (2.0 * q * a, g2),
+        (a * a, g1 * g1),
+        (a * a, g2 * g2),
+    )
+    det = combine(
+        (a * (p * q - ww) - uu * q - vv * p + 2.0 * cycle, x),
+        (a * a * q - a * vv, x * g1),
+        (a * a * p - a * uu, x * g2),
+        (a**3, x * g1 * g2),
+    )
+    return trace, trace_sq, det
+
+
 @dataclass(frozen=True, eq=False)
 class StateTrajectory:
     """States sampled along a time grid; states[0] is the initial state."""

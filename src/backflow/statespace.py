@@ -225,6 +225,47 @@ def _clipped_distances(deltas: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * np.abs(np.linalg.eigvalsh(deltas)).sum(axis=-1), 0.0, 1.0)
 
 
+def _invariant_distances(trace: np.ndarray, trace_sq: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Half the absolute-eigenvalue sums of Hermitian 3x3 matrices, clipped to [0, 1],
+    from their invariants tr M, tr M^2 and det M, without an eigensolve.
+
+    The eigenvalues are s + 2 sqrt(P/3) cos(phi - 2 pi k/3) for the mean s
+    and the invariants P, Q of the traceless part M - s. Keeping s keeps
+    the result at rounding level when the trace is near but not exactly
+    zero, as for evolved state differences. A pair of nearly equal
+    eigenvalues costs sqrt(eps) relative accuracy in each of them, which
+    changes the sum only if the pair straddles zero; for a (nearly)
+    traceless matrix that happens only when all three are near zero.
+    """
+    # the (..., grid) arrays set the peak memory, so they are reused in place
+    s = trace / 3.0
+    p = s * s
+    p *= -3.0
+    p += trace_sq
+    p /= 2.0
+    np.maximum(p, 0.0, out=p)  # P = (tr M^2 - 3 s^2) / 2
+    q = s * s
+    np.subtract(p, q, out=q)
+    q *= s
+    q += det  # Q = det M - s^3 + P s
+    radius = np.sqrt(np.divide(p, 3.0, out=p), out=p)
+    phi = radius**3
+    phi *= 2.0
+    np.divide(q, phi, out=phi, where=phi > 0.0)  # r = Q / (2 (P/3)^(3/2)), or 0 where P = 0
+    np.clip(phi, -1.0, 1.0, out=phi)
+    np.arccos(phi, out=phi)
+    phi /= 3.0
+    radius *= 2.0
+    total = np.zeros_like(s)
+    for k in range(3):
+        eigenvalue = np.cos(phi - 2.0 * np.pi * k / 3.0, out=q)
+        eigenvalue *= radius
+        eigenvalue += s
+        total += np.abs(eigenvalue, out=eigenvalue)
+    total *= 0.5
+    return np.clip(total, 0.0, 1.0, out=total)
+
+
 def jordan_hahn(rho1: DensityMatrix, rho2: DensityMatrix) -> JordanHahnParts:
     """Split rho1 - rho2 into orthogonal positive parts P1 - P2.
 

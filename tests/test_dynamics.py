@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from backflow.dynamics import (
+    RateFunctions,
     apply_lambda_map,
     apply_map_to_grid,
     constant_rates,
@@ -11,6 +12,7 @@ from backflow.dynamics import (
     lambda_map_coefficients,
     lindblad_integrate,
     make_grid,
+    map_invariants,
     rates_from_model,
     sinusoidal_rates,
     tabulated_rates,
@@ -24,10 +26,14 @@ from backflow.errors import (
     QuadratureFailure,
     ValidationError,
 )
+from backflow.measure import mixed_reference_pair
 from backflow.statespace import (
+    _clipped_distances,
+    _invariant_distances,
     make_density_matrix,
     pure_state,
     rng_stream,
+    sample_orthogonal_mixed_pair,
     sample_pure_orthogonal_pair,
     sample_random_state,
     trace_distance,
@@ -221,6 +227,64 @@ class TestEvolve:
                 np.testing.assert_allclose(
                     apply_lambda_map(f, g1, g2, rho).entries, expected, rtol=0.0, atol=1e-10
                 )
+
+
+def _unequal_rates():
+    """Two different decay channels with level shifts: g1 != g2 and complex f."""
+    return RateFunctions(
+        lambda t: 0.03 * np.sin(t),
+        lambda t: 0.05 * np.sin(t) + 0.01,
+        lambda t: 0.2 * np.cos(t),
+        lambda t: np.full(np.shape(t), 0.1),
+    )
+
+
+class TestMapInvariants:
+    @pytest.mark.parametrize(
+        "rates, steps",
+        [
+            (sinusoidal_rates(), 2000),
+            (sinusoidal_rates(), 200),
+            (constant_rates(gamma=0.03, shift=0.5), 400),
+            (_unequal_rates(), 300),
+        ],
+        ids=["default-2000", "default-200", "shifted", "unequal"],
+    )
+    def test_closed_form_matches_eigvalsh(self, rates, steps):
+        coeffs = lambda_map_coefficients(rates, make_grid(2 * np.pi, steps))
+        rng = rng_stream(15)
+        pairs = [sample_pure_orthogonal_pair(3, rng) for _ in range(16)]
+        pairs += [sample_orthogonal_mixed_pair(3, rng) for _ in range(16)]
+        pairs += [
+            (sample_random_state(3, int(rng.integers(1, 4)), rng), sample_random_state(3, int(rng.integers(1, 4)), rng))
+            for _ in range(16)
+        ]
+        # the mixed reference pair has a double eigenvalue at t = 0
+        pairs.append(mixed_reference_pair())
+        deltas = np.stack([r1.entries - r2.entries for r1, r2 in pairs])
+
+        stack = apply_map_to_grid(coeffs, deltas)
+        trace, trace_sq, det = map_invariants(coeffs, deltas)
+        assert trace.shape == trace_sq.shape == det.shape == stack.shape[:2]
+        np.testing.assert_allclose(trace, np.trace(stack, axis1=-2, axis2=-1).real, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            trace_sq, np.trace(stack @ stack, axis1=-2, axis2=-1).real, rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(det, np.linalg.det(stack).real, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            _invariant_distances(trace, trace_sq, det), _clipped_distances(stack), rtol=0, atol=1e-13
+        )
+
+    def test_zero_difference_is_exactly_zero(self, preset_coeffs):
+        # runs under the warnings-as-errors setting, so a 0/0 would fail here
+        invariants = map_invariants(preset_coeffs, np.zeros((2, 3, 3)))
+        for values in invariants:
+            assert np.all(values == 0.0)
+        assert np.all(_invariant_distances(*invariants) == 0.0)
+
+    def test_wrong_dimension(self, preset_coeffs):
+        with pytest.raises(BadDimension):
+            map_invariants(preset_coeffs, np.zeros((4, 2, 2)))
 
 
 class TestLindbladIntegrate:

@@ -10,6 +10,7 @@ from backflow.dynamics import (
 )
 from backflow.errors import DomainError, IndexOutOfRange, ValidationError
 from backflow.measure import (
+    RISE_TOLERANCE,
     MeasureStrategy,
     TraceDistanceTrajectory,
     _batched_backflows,
@@ -28,6 +29,7 @@ from backflow.statespace import (
     pure_state,
     rescale_pair,
     rng_stream,
+    sample_orthogonal_mixed_pair,
     sample_pure_orthogonal_pair,
     sample_random_state,
     trace_distance,
@@ -216,8 +218,37 @@ class TestEstimateMeasure:
 
     def test_non_orthogonal_explicit_pair_rejected(self, preset_coeffs):
         bad = (pure_state([1, 0, 0]), pure_state([1, 1, 0]))
-        with pytest.raises(ValidationError):
-            estimate_measure(preset_coeffs, MeasureStrategy(n_pure=1, explicit_pairs=(bad,)))
+        with pytest.raises(ValidationError, match="explicit candidate pair 1 is not orthogonal"):
+            estimate_measure(preset_coeffs, MeasureStrategy(n_pure=1, explicit_pairs=(pure_ab_pair(), bad)))
+
+    def test_batched_candidates_match_one_at_a_time(self):
+        # candidates are scored in batches; every class maximum, the first
+        # maximizing pair and the count must be those of scoring one by one
+        coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
+        n = 150  # more than one batch
+        strategy = MeasureStrategy(n_pure=n, n_mixed=n, explicit_pairs=(pure_ab_pair(), pure_a_plus_pair()))
+        result = estimate_measure(coeffs, strategy, seed=16)
+
+        def score(pair):
+            delta = (pair[0].entries - pair[1].entries)[None]
+            return float(_batched_backflows(coeffs, delta, RISE_TOLERANCE)[0])
+
+        classes = {
+            "pure": [sample_pure_orthogonal_pair(3, rng_stream(16, 0, i)) for i in range(n)],
+            "mixed": [sample_orthogonal_mixed_pair(3, rng_stream(16, 1, i)) for i in range(n)],
+            "explicit": list(strategy.explicit_pairs),
+        }
+        best_value, best_pair = -1.0, None
+        for label, pairs in classes.items():
+            values = [score(pair) for pair in pairs]
+            assert result.candidate_breakdown[label] == max(values)
+            first = values.index(max(values))
+            if values[first] > best_value:
+                best_value, best_pair = values[first], pairs[first]
+        assert result.estimate == best_value
+        for got, expected in zip(result.best_pair, best_pair):
+            np.testing.assert_array_equal(got.entries, expected.entries)
+        assert result.samples_evaluated == 2 * n + 2
 
     def test_refinement_does_not_regress(self, preset_coeffs):
         base = estimate_measure(preset_coeffs, MeasureStrategy(n_pure=20, n_mixed=0), seed=8)
