@@ -115,8 +115,8 @@ BAD_CONFIG_VALUES = [
     ({"grid_steps": 10**15}, "grid_steps"),
     ({"samples": 10**15}, "samples"),
     ({"bins": 10**15}, "bins"),
-    ({"trials": 10**15}, "trials"),
     ({"dims": [2, 10**15]}, "dims"),
+    ({"trials": 10**15}, "trials"),
 ]
 
 
