@@ -11,11 +11,9 @@ from .dynamics import (
     CptReport,
     MapCoefficients,
     RateFunctions,
-    StateTrajectory,
     apply_lambda_map,
     apply_map_to_grid,
     constant_rates,
-    evolve,
     lambda_map_coefficients,
     lindblad_integrate,
     make_grid,

@@ -226,6 +226,10 @@ class RunConfig:
             raise ValidationError(f"format: must be csv or json, got {self.format!r}")
         if not self.dims or any(not 2 <= d <= MAX_DIM for d in self.dims):
             raise ValidationError(f"dims: need dimensions between 2 and {MAX_DIM}, got {list(self.dims)}")
+        # each suite draws from the stream keyed (seed, suite, dim), so a
+        # repeated dim reruns the same instances
+        if len(set(self.dims)) != len(self.dims):
+            raise ValidationError(f"dims: each dimension may appear once, got {list(self.dims)}")
         return self
 
     def echo(self) -> dict:

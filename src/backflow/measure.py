@@ -96,9 +96,8 @@ def trace_distance_trajectory(
     if engine == "integrator":
         if rates is None:
             raise DomainError("integrator engine requires the rate functions")
-        t1 = lindblad_integrate(rates, rho1, coeffs.grid)
-        t2 = lindblad_integrate(rates, rho2, coeffs.grid)
-        return trajectory_from_states(coeffs.grid, t1.matrices(), t2.matrices())
+        s1, s2 = lindblad_integrate(rates, (rho1, rho2), coeffs.grid)
+        return trajectory_from_states(coeffs.grid, s1, s2)
     raise DomainError(f"unknown engine {engine!r}")
 
 

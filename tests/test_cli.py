@@ -117,6 +117,8 @@ BAD_CONFIG_VALUES = [
     ({"bins": 10**15}, "bins"),
     ({"dims": [2, 10**15]}, "dims"),
     ({"trials": 10**15}, "trials"),
+    # each suite keys its stream by (seed, suite, dim): a repeat adds no coverage
+    ({"dims": [2, 2]}, "dims"),
 ]
 
 

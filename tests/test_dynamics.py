@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from backflow.dynamics import (
     apply_lambda_map,
     apply_map_to_grid,
     constant_rates,
-    evolve,
     lambda_map_coefficients,
     lindblad_integrate,
     make_grid,
@@ -23,6 +23,8 @@ from backflow.errors import (
     BadDimension,
     CptViolation,
     DomainError,
+    IntegratorDiverged,
+    PositivityLost,
     QuadratureFailure,
     ValidationError,
 )
@@ -36,7 +38,6 @@ from backflow.statespace import (
     sample_orthogonal_mixed_pair,
     sample_pure_orthogonal_pair,
     sample_random_state,
-    trace_distance,
 )
 
 GRID = make_grid(2 * np.pi, 2000)
@@ -170,17 +171,19 @@ class TestApplyLambdaMap:
 
 
 class TestEvolve:
+    """Closed-form evolution of states through apply_map_to_grid."""
+
     def test_ground_subspace_invariant(self, preset_coeffs):
         rho0 = make_density_matrix(np.diag([0.0, 0.5, 0.5]).astype(complex))
-        traj = evolve(preset_coeffs, rho0)
-        for state in traj.states[::200]:
-            np.testing.assert_allclose(state.entries, rho0.entries, rtol=0, atol=1e-12)
+        stack = apply_map_to_grid(preset_coeffs, rho0.entries)
+        for state in stack[::200]:
+            np.testing.assert_allclose(state, rho0.entries, rtol=0, atol=1e-12)
 
     def test_excited_state_at_half_period(self, preset_coeffs):
-        traj = evolve(preset_coeffs, pure_state([1, 0, 0]))
+        stack = apply_map_to_grid(preset_coeffs, pure_state([1, 0, 0]).entries)
         g = 0.5 * (1 - np.exp(-0.12))
         np.testing.assert_allclose(
-            traj.states[1000].entries,
+            stack[1000],
             np.diag([np.exp(-0.12), g, g]),
             rtol=0, atol=1e-6,
         )
@@ -189,14 +192,14 @@ class TestEvolve:
         rng = rng_stream(2)
         for _ in range(5):
             rho0 = sample_random_state(3, int(rng.integers(1, 4)), rng)
-            traj = evolve(preset_coeffs, rho0)
-            np.testing.assert_allclose(traj.states[-1].entries, rho0.entries, rtol=0, atol=1e-6)
+            stack = apply_map_to_grid(preset_coeffs, rho0.entries)
+            np.testing.assert_allclose(stack[-1], rho0.entries, rtol=0, atol=1e-6)
 
     def test_trajectory_traces(self, preset_coeffs):
-        traj = evolve(preset_coeffs, sample_random_state(3, 2, rng_stream(3)))
-        assert traj.states[0] is not None
-        for state in traj.states[::100]:
-            assert abs(np.trace(state.entries).real - 1.0) <= 1e-9
+        # the raw map output, not renormalized: its trace defect is the
+        # quadrature's |x + g1 + g2 - 1| times the excited population
+        stack = apply_map_to_grid(preset_coeffs, sample_random_state(3, 2, rng_stream(3)).entries)
+        assert np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0).max() <= 1e-9
 
     def test_grid_stack_matches_pointwise_application(self, preset_coeffs):
         def kraus_sum(f, g1, g2, m):
@@ -290,32 +293,55 @@ class TestMapInvariants:
 class TestLindbladIntegrate:
     def test_zero_rates_constant_trajectory(self):
         rho0 = sample_random_state(3, 2, rng_stream(5))
-        traj = lindblad_integrate(zero_rates(), rho0, make_grid(2 * np.pi, 200))
-        np.testing.assert_allclose(traj.states[-1].entries, rho0.entries, rtol=0, atol=1e-12)
+        stack = lindblad_integrate(zero_rates(), [rho0], make_grid(2 * np.pi, 200))
+        assert stack.shape == (1, 201, 3, 3)
+        np.testing.assert_allclose(stack[0, -1], rho0.entries, rtol=0, atol=1e-12)
 
     def test_agrees_with_closed_form(self, preset_coeffs):
         rates = sinusoidal_rates()
         rng = rng_stream(6)
-        for _ in range(3):
-            rho0 = sample_random_state(3, int(rng.integers(1, 4)), rng)
-            closed = evolve(preset_coeffs, rho0).matrices()
-            integrated = lindblad_integrate(rates, rho0, GRID).matrices()
-            assert np.abs(closed - integrated).max() < 1e-6
+        states = [sample_random_state(3, int(rng.integers(1, 4)), rng) for _ in range(3)]
+        closed = apply_map_to_grid(preset_coeffs, np.stack([rho.entries for rho in states]))
+        integrated = lindblad_integrate(rates, states, GRID)
+        assert integrated.shape == closed.shape == (3, GRID.size, 3, 3)
+        assert np.abs(closed - integrated).max() < 1e-6
+
+    def test_batch_independence(self):
+        # every operation acts on one matrix at a time, so a state's
+        # evolution does not depend on the states integrated with it
+        rates = _unequal_rates()
+        grid = make_grid(2 * np.pi, 200)
+        rng = rng_stream(8)
+        states = [sample_random_state(3, int(rng.integers(1, 4)), rng) for _ in range(5)]
+        batched = lindblad_integrate(rates, states, grid)
+        for rho, evolved in zip(states, batched):
+            assert np.array_equal(lindblad_integrate(rates, [rho], grid)[0], evolved)
 
     def test_constant_rates_contract_distances(self):
         rates = constant_rates(gamma=0.03)
         grid = make_grid(2 * np.pi, 400)
         rng = rng_stream(7)
         for _ in range(3):
-            rho1, rho2 = sample_pure_orthogonal_pair(3, rng)
-            t1 = lindblad_integrate(rates, rho1, grid)
-            t2 = lindblad_integrate(rates, rho2, grid)
-            distances = [trace_distance(a, b) for a, b in zip(t1.states[::40], t2.states[::40])]
+            s1, s2 = lindblad_integrate(rates, sample_pure_orthogonal_pair(3, rng), grid)
+            distances = _clipped_distances(s1[::40] - s2[::40])
             assert np.all(np.diff(distances) <= 1e-12)
 
     def test_wrong_dimension(self):
         with pytest.raises(BadDimension):
-            lindblad_integrate(zero_rates(), pure_state([1, 0]), GRID)
+            lindblad_integrate(zero_rates(), [pure_state([1, 0])], GRID)
+
+    @pytest.mark.parametrize("gamma", [1e6, 1e300])
+    def test_divergence_is_an_error_not_a_warning(self, gamma):
+        # runs under the warnings-as-errors setting, so an overflow or a
+        # division by zero left to numpy would fail here as a RuntimeWarning
+        with pytest.raises(IntegratorDiverged, match="non-finite"):
+            lindblad_integrate(constant_rates(gamma=gamma), [pure_state([1, 0, 0])], make_grid(2 * np.pi, 200))
+
+    def test_positivity_loss_is_reported(self):
+        # too large a step for the decay rate: RK4 overshoots the excited
+        # population below zero in the first step
+        with pytest.raises(PositivityLost, match="t = 0.0314"):
+            lindblad_integrate(constant_rates(gamma=1e3), [pure_state([1, 0, 0])], make_grid(2 * np.pi, 200))
 
 
 class TestRatePresets:
@@ -342,5 +368,11 @@ class TestRatePresets:
         disorder.write_text("1.0,0.0\n0.5,0.1\n")
         with pytest.raises(ValidationError):
             tabulated_rates(gamma1=str(disorder))
+        # NaN comparisons are false, so a NaN time would pass the order check
+        for cells in ("nan,0.1", "inf,0.1", "1.0,nan", "1.0,-inf"):
+            table = tmp_path / "nonfinite.csv"
+            table.write_text(f"time,value\n0.0,0.0\n{cells}\n2.0,0.0\n")
+            with pytest.raises(ValidationError, match=re.escape(f"rate table {table} row 3: time and value must be finite")):
+                tabulated_rates(gamma1=str(table))
         with pytest.raises(ValidationError, match="cannot read rate table"):
             tabulated_rates(gamma1=str(tmp_path))  # a directory
