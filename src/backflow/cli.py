@@ -81,17 +81,28 @@ def matrix_from_json(rows, where: str) -> np.ndarray:
     return matrix
 
 
+def _read_json(path: str):
+    """The JSON value in a file; content that cannot be parsed is a
+    ParseError naming the file. OSError propagates."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            # bytes that are not UTF-8, an integer literal beyond Python's
+            # digit limit, or nesting deeper than the parser's recursion
+            raise ParseError(f"{path}: cannot parse JSON ({exc})") from exc
+
+
 def resolve_pair(spec: str) -> tuple[DensityMatrix, DensityMatrix]:
     """Named pair preset or path to a JSON file holding two matrices."""
     if spec in _NAMED_PAIRS:
         return _NAMED_PAIRS[spec]()
     try:
-        with open(spec, encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = _read_json(spec)
     except OSError as exc:
         raise ValidationError(f"pair: {spec!r} is neither a named pair nor a readable file ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{spec}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return _pair(f"pair file {spec}", data)
 
 
@@ -128,7 +139,6 @@ _FORMATS = ("csv", "json")
 _integer = _instance((int,), "an integer")
 _text = _instance((str,), "a string")
 _path_or_null = _instance((str, type(None)), "a path string or null")
-_boolean = _instance((bool,), "true or false")
 _model = _instance((dict,), "an object with a 'preset' key")
 
 
@@ -156,8 +166,7 @@ def _int_list(text: str) -> tuple:
 
 def _field(commands: str, check, echo=lambda value: value, *, default=MISSING, default_factory=MISSING, **options):
     """A RunConfig field: the commands that read it, its kind check, its
-    payload echo, and the argparse options of those commands' flag for it
-    (option ``flag`` names the flag when it is not the field name)."""
+    payload echo, and the argparse options of those commands' flag for it."""
     metadata = {"commands": commands.split(), "check": check, "echo": echo, "options": options}
     return field(default=default, default_factory=default_factory, metadata=metadata)
 
@@ -199,10 +208,6 @@ class RunConfig:
         "verify", _dims, list, default=(2, 3, 4), type=_int_list, metavar="N,N,...", help="dimensions for verify suites"
     )
     trials: int = _field("verify", _integer, int, default=100, type=int, help="trials per dimension for verify suites")
-    refine_best: bool = _field(
-        "measure", _boolean, bool, default=False, flag="--refine", action="store_true",
-        help="simplex-refine the best pure pair",
-    )
 
     def validate(self) -> "RunConfig":
         """Range checks; parse_config has already checked each value's kind."""
@@ -242,12 +247,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     data: dict = {}
     if path:
         try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
+            data = _read_json(path)
         except OSError as exc:
             raise ParseError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
         if not isinstance(data, dict):
             raise ParseError(f"{path}: top-level config must be a JSON object")
     merged = dict(data)
@@ -361,12 +363,7 @@ def cmd_measure(config: RunConfig) -> tuple[RunReport, int]:
     grid = make_grid(config.t_max, config.grid_steps)
     coeffs = lambda_map_coefficients(rates, grid)
     explicit = tuple(fn() for fn in _NAMED_PAIRS.values()) + tuple(config.candidate_pairs)
-    strategy = MeasureStrategy(
-        n_pure=config.samples,
-        n_mixed=config.samples,
-        explicit_pairs=explicit,
-        refine=config.refine_best,
-    )
+    strategy = MeasureStrategy(n_pure=config.samples, n_mixed=config.samples, explicit_pairs=explicit)
     t1 = time.perf_counter()
     result = estimate_measure(coeffs, strategy, config.seed)
     t2 = time.perf_counter()
@@ -535,9 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         for f in fields(RunConfig):
             if command in f.metadata["commands"]:
-                options = dict(f.metadata["options"])
-                flag = options.pop("flag", "--" + f.name.replace("_", "-"))
-                p.add_argument(flag, dest=f.name, default=None, **options)
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None, **f.metadata["options"])
     commands["trajectory"].add_argument(
         "--pair", default="mpair", help="named pair (mpair|pure-ab|pure-a-plus) or JSON file"
     )

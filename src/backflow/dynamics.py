@@ -443,6 +443,8 @@ def lindblad_integrate(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise DomainError("grid must contain at least two strictly increasing times")
+    if not states:
+        return np.empty((0, grid.size, 3, 3), dtype=complex)
     mid = (grid[:-1] + grid[1:]) / 2.0
     # rate samples at nodes and interval midpoints, in rhs argument order
     at_nodes = [np.asarray(fn(grid), dtype=float) for fn in (rates.gamma1, rates.gamma2, rates.lambda1, rates.lambda2)]

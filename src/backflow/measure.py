@@ -22,7 +22,6 @@ from .statespace import (
     DensityMatrix,
     _clipped_distances,
     _invariant_distances,
-    haar_unitary,
     is_orthogonal,
     make_density_matrix,
     pure_state,
@@ -164,8 +163,6 @@ class MeasureStrategy:
     n_pure: int = 1000
     n_mixed: int = 1000
     explicit_pairs: tuple[StatePair, ...] = ()
-    refine: bool = False
-    rise_tolerance: float = RISE_TOLERANCE
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,50 +176,6 @@ class MeasureResult:
     seed: int
 
 
-# su(3) basis for the derivative-free refinement over pure pairs
-def _gell_mann_basis() -> np.ndarray:
-    basis = np.zeros((8, 3, 3), dtype=complex)
-    basis[0, 0, 1] = basis[0, 1, 0] = 1.0
-    basis[1, 0, 1], basis[1, 1, 0] = -1j, 1j
-    basis[2, 0, 0], basis[2, 1, 1] = 1.0, -1.0
-    basis[3, 0, 2] = basis[3, 2, 0] = 1.0
-    basis[4, 0, 2], basis[4, 2, 0] = -1j, 1j
-    basis[5, 1, 2] = basis[5, 2, 1] = 1.0
-    basis[6, 1, 2], basis[6, 2, 1] = -1j, 1j
-    basis[7] = np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)
-    return basis
-
-
-def _refine_pure_pair(
-    coeffs: MapCoefficients, base_unitary: np.ndarray, rise_tolerance: float
-) -> tuple[float, StatePair, int]:
-    """Simplex search over unitary rotations of the best pure pair."""
-    from scipy.linalg import expm
-    from scipy.optimize import minimize
-
-    basis = _gell_mann_basis()
-
-    def pair_from(theta: np.ndarray) -> StatePair:
-        u = base_unitary @ expm(1j * np.einsum("k,kij->ij", theta, basis))
-        return pure_state(u[:, 0]), pure_state(u[:, 1])
-
-    evaluations = 0
-
-    def negative_backflow(theta: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        delta = _pairs_to_differences([pair_from(theta)])
-        return -float(_batched_backflows(coeffs, delta, rise_tolerance)[0])
-
-    result = minimize(
-        negative_backflow,
-        x0=np.zeros(8),
-        method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 2000},
-    )
-    return -float(result.fun), pair_from(result.x), evaluations
-
-
 def estimate_measure(
     coeffs: MapCoefficients, strategy: MeasureStrategy = MeasureStrategy(), seed: int = 0
 ) -> MeasureResult:
@@ -230,8 +183,8 @@ def estimate_measure(
 
     Candidate classes: random pure orthogonal pairs, random mixed
     orthogonal pairs, and explicit pairs (validated orthogonal). The
-    returned estimate is the largest backflow found, a lower bound on the
-    true maximum; optional simplex refinement polishes the best pure pair.
+    returned estimate is the largest backflow found, the first maximum
+    over the classes in that order, and a lower bound on the true maximum.
     """
     if strategy.n_pure < 0 or strategy.n_mixed < 0:
         raise DomainError("candidate counts must be non-negative")
@@ -256,15 +209,6 @@ def estimate_measure(
     best_pair: StatePair | None = None
     breakdown: dict[str, float] = {}
     evaluated = 0
-    best_pure_index = -1
-
-    def consider(label: str, value: float, pair: StatePair) -> None:
-        nonlocal best_value, best_pair
-        breakdown[label] = value
-        if value > best_value:
-            best_value = value
-            best_pair = pair
-
     # each class is scored in batches; its first maximum is rebuilt from
     # its stream, so no candidate list is kept
     for label, candidate, n in (
@@ -274,22 +218,16 @@ def estimate_measure(
     ):
         if n == 0:
             continue
-        values = _streamed_backflows(coeffs, candidate, n, strategy.rise_tolerance)
+        values = _streamed_backflows(coeffs, candidate, n, RISE_TOLERANCE)
         evaluated += n
         first_max = int(np.argmax(values))
-        if label == "pure":
-            best_pure_index = first_max
-        consider(label, float(values[first_max]), candidate(first_max))
+        breakdown[label] = float(values[first_max])
+        if breakdown[label] > best_value:
+            best_value = breakdown[label]
+            best_pair = candidate(first_max)
 
     if best_pair is None:
         raise DomainError("no candidates were evaluated; enable at least one class")
-
-    if strategy.refine and best_pure_index >= 0:
-        # replay the winning stream to recover the unitary behind the pair
-        base = haar_unitary(3, rng_stream(seed, 0, best_pure_index))
-        value, pair, used = _refine_pure_pair(coeffs, base, strategy.rise_tolerance)
-        evaluated += used
-        consider("refined", value, pair)
 
     return MeasureResult(
         estimate=best_value,

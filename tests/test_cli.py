@@ -133,6 +133,27 @@ def test_bad_config_value_is_one_validation_error(tmp_path, capsys, values, fiel
     assert lines[0].startswith(f"error (ValidationError): {field}")
 
 
+# each file content once ended in a UnicodeDecodeError, RecursionError or ValueError traceback
+BAD_JSON_FILES = {
+    "not-utf8": b"\xff\xfe{}",
+    "nested-too-deeply": b"[" * 100_000 + b"]" * 100_000,
+    "integer-too-long": b'{"seed": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", [["measure", "--config"], ["translate", "--pair"]], ids=["config", "pair"])
+@pytest.mark.parametrize("content", BAD_JSON_FILES.values(), ids=BAD_JSON_FILES.keys())
+def test_unparsable_json_file_is_one_parse_error(tmp_path, capsys, content, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(command + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error (ParseError): {path}: ")
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -156,7 +177,7 @@ def test_each_command_takes_the_flags_of_the_fields_it_reads():
         accepted[name] = {flag for action in choice._actions for flag in action.option_strings} - {"-h", "--help"}
     assert accepted == {
         "trajectory": {"--config", "--t-max", "--grid-steps", "--engine", "--format", "--output", "--pair"},
-        "measure": {"--config", "--t-max", "--grid-steps", "--seed", "--samples", "--refine", "--output"},
+        "measure": {"--config", "--t-max", "--grid-steps", "--seed", "--samples", "--output"},
         "histogram": {"--config", "--t-max", "--grid-steps", "--seed", "--samples", "--bins", "--format", "--output"},
         "verify": {"--config", "--seed", "--dims", "--trials", "--output", "--inject-fault"},
         "translate": {"--config", "--output", "--pair"},

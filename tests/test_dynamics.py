@@ -330,6 +330,14 @@ class TestLindbladIntegrate:
         with pytest.raises(BadDimension):
             lindblad_integrate(zero_rates(), [pure_state([1, 0])], GRID)
 
+    def test_empty_stack(self):
+        # the layout of apply_map_to_grid on a (0, 3, 3) stack; the grid is still checked
+        stack = lindblad_integrate(zero_rates(), [], make_grid(2 * np.pi, 200))
+        assert stack.shape == (0, 201, 3, 3)
+        assert stack.dtype == complex
+        with pytest.raises(DomainError, match="strictly increasing"):
+            lindblad_integrate(zero_rates(), [], np.array([1.0, 0.0]))
+
     @pytest.mark.parametrize("gamma", [1e6, 1e300])
     def test_divergence_is_an_error_not_a_warning(self, gamma):
         # runs under the warnings-as-errors setting, so an overflow or a
