@@ -31,6 +31,8 @@ from .errors import (
 from .statespace import TOL_PSD, DensityMatrix, make_density_matrix
 
 TOL_CPT = 1e-8
+# Quadrature splits every grid interval this many ways.
+REFINE = 8
 # Integrated states may drift this far below zero before it is reported.
 POSITIVITY_DRIFT = 10 * TOL_PSD
 # exp(x) overflows a double for x above this.
@@ -85,18 +87,16 @@ def _load_rate_table(path: str) -> RateFunction:
     times, values = [], []
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
+            rows = [(number, row) for number, row in enumerate(csv.reader(handle), start=1) if row and row[0].strip()]
     except (OSError, ValueError, csv.Error) as exc:
         raise ValidationError(f"cannot read rate table {path!r}: {exc}") from exc
-    for number, row in enumerate(rows, start=1):
-        if not row or not row[0].strip():
-            continue
+    for index, (number, row) in enumerate(rows):
         try:
             t, v = float(row[0]), float(row[1])
         except (ValueError, IndexError):
-            if not times:  # tolerate a single header row
+            if index == 0:  # only the first row may be a header
                 continue
-            raise ValidationError(f"bad rate table row in {path}: {row!r}")
+            raise ValidationError(f"rate table {path} row {number}: time and value must be numbers, got {row!r}")
         # a NaN time would also pass the increasing-times check below
         if not (math.isfinite(t) and math.isfinite(v)):
             raise ValidationError(f"rate table {path} row {number}: time and value must be finite, got {row!r}")
@@ -191,7 +191,7 @@ class MapCoefficients:
     """Closed-form map coefficients sampled on a time grid.
 
     f multiplies excited-state coherences, g_i feed the excited population
-    into ground level i; d_i and l_i are the underlying cumulative rate
+    into ground level i; d_i are the underlying cumulative decay-rate
     integrals. Valid coefficients satisfy g1 + g2 + |f|^2 = 1 and g_i >= 0.
     """
 
@@ -201,8 +201,6 @@ class MapCoefficients:
     g2: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
 
     def at(self, index: int) -> tuple[complex, float, float]:
         """Coefficient triple (f, g1, g2) at one grid point."""
@@ -220,13 +218,13 @@ class CptReport:
     min_g_time: float
 
 
-def validate_cpt(coeffs: MapCoefficients, tol_cpt: float = TOL_CPT) -> CptReport:
+def validate_cpt(coeffs: MapCoefficients) -> CptReport:
     """Check g1 + g2 + |f|^2 = 1 and g_i >= 0 on the whole grid."""
     identity = np.abs(coeffs.g1 + coeffs.g2 + np.abs(coeffs.f) ** 2 - 1.0)
     k_id = int(np.argmax(identity))
     g_min = np.minimum(coeffs.g1, coeffs.g2)
     k_g = int(np.argmin(g_min))
-    ok = bool(identity[k_id] <= tol_cpt and g_min[k_g] >= -tol_cpt)
+    ok = bool(identity[k_id] <= TOL_CPT and g_min[k_g] >= -TOL_CPT)
     return CptReport(
         ok=ok,
         worst_identity=float(identity[k_id]),
@@ -236,9 +234,9 @@ def validate_cpt(coeffs: MapCoefficients, tol_cpt: float = TOL_CPT) -> CptReport
     )
 
 
-def _refined_grid(grid: np.ndarray, refine: int) -> np.ndarray:
-    """Split every grid interval into ``refine`` slices, keeping grid points exact."""
-    steps = np.arange(refine) / refine
+def _refined_grid(grid: np.ndarray) -> np.ndarray:
+    """Split every grid interval into ``REFINE`` slices, keeping grid points exact."""
+    steps = np.arange(REFINE) / REFINE
     fine = (grid[:-1, None] + np.diff(grid)[:, None] * steps).ravel()
     return np.append(fine, grid[-1])
 
@@ -248,31 +246,25 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def lambda_map_coefficients(
-    rates: RateFunctions,
-    grid: np.ndarray,
-    *,
-    refine: int = 8,
-    tol_cpt: float = TOL_CPT,
-) -> MapCoefficients:
+def lambda_map_coefficients(rates: RateFunctions, grid: np.ndarray) -> MapCoefficients:
     """Cumulative-trapezoid evaluation of the map coefficients.
 
     Quadrature runs on an internally refined grid (each interval split
-    ``refine`` ways) and is downsampled, which buys several extra digits
+    ``REFINE`` ways) and is downsampled, which buys several extra digits
     of accuracy at the published 2000-step default without changing the
-    grid contract. Raises if the result violates the validity conditions.
+    grid contract. Every field is a copy with one entry per grid point,
+    so the fine-grid arrays are freed on return. Raises if the result
+    violates the validity conditions.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise DomainError("grid must contain at least two times")
     if grid[0] != 0.0:
         raise DomainError(f"grid must start at 0, got {grid[0]}")
     if np.any(np.diff(grid) <= 0):
         raise DomainError("grid times must be strictly increasing")
-    if refine < 1:
-        raise DomainError(f"refine must be >= 1, got {refine}")
 
-    fine = _refined_grid(grid, refine)
+    fine = _refined_grid(grid)
     # Overflow is detected from the results below, so numpy's warnings
     # would only repeat it before the QuadratureFailure.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -285,10 +277,8 @@ def lambda_map_coefficients(
                 raise QuadratureFailure(f"rate {name} is not finite on the whole grid")
         d1 = _cumulative_trapezoid(gamma1, fine)
         d2 = _cumulative_trapezoid(gamma2, fine)
-        l1 = _cumulative_trapezoid(shift1, fine)
-        l2 = _cumulative_trapezoid(shift2, fine)
         decay = d1 + d2
-        phase = l1 + l2
+        phase = _cumulative_trapezoid(shift1, fine) + _cumulative_trapezoid(shift2, fine)
         if not (np.all(np.isfinite(decay)) and np.all(np.isfinite(phase))) or decay.min() < -_MAX_EXPONENT:
             raise QuadratureFailure("rate integrals are not finite or overflow the exponential")
         damping = np.exp(-decay)
@@ -296,20 +286,18 @@ def lambda_map_coefficients(
         g2 = _cumulative_trapezoid(gamma2 * damping, fine)
         f = np.exp(-decay / 2.0) * np.exp(-1j * phase)
 
-    take = slice(None, None, refine)
+    take = slice(None, None, REFINE)
     coeffs = MapCoefficients(
         grid=grid,
-        f=f[take],
-        g1=g1[take],
-        g2=g2[take],
-        d1=d1[take],
-        d2=d2[take],
-        l1=l1[take],
-        l2=l2[take],
+        f=f[take].copy(),
+        g1=g1[take].copy(),
+        g2=g2[take].copy(),
+        d1=d1[take].copy(),
+        d2=d2[take].copy(),
     )
     if not np.all(np.isfinite(coeffs.f)) or not np.all(np.isfinite(coeffs.g1 + coeffs.g2)):
         raise QuadratureFailure("map coefficients are not finite")
-    report = validate_cpt(coeffs, tol_cpt)
+    report = validate_cpt(coeffs)
     if not report.ok:
         raise CptViolation(
             f"invalid map: |g1+g2+|f|^2-1| = {report.worst_identity:.3e} at "
@@ -329,7 +317,7 @@ def apply_lambda_map(f: complex, g1: float, g2: float, rho: DensityMatrix) -> De
     _check_dim3(rho.entries)
     # a one-point grid; the map action reads only f, g1 and g2
     zero = np.zeros(1)
-    point = MapCoefficients(zero, np.array([f], dtype=complex), np.array([g1]), np.array([g2]), zero, zero, zero, zero)
+    point = MapCoefficients(zero, np.array([f], dtype=complex), np.array([g1]), np.array([g2]), zero, zero)
     return make_density_matrix(apply_map_to_grid(point, rho.entries)[0])
 
 

@@ -107,14 +107,14 @@ def sigma_at(traj: TraceDistanceTrajectory, k: int) -> float:
     return float(traj.sigma[k])
 
 
-def backflow(traj: TraceDistanceTrajectory, rise_tolerance: float = 0.0) -> float:
+def backflow(traj: TraceDistanceTrajectory) -> float:
     """Sum of positive trace-distance increments along the grid.
 
     Summing increments directly telescopes over each rising interval, so
-    no differentiation noise enters; ``rise_tolerance`` discards
-    increments at the numerical noise floor.
+    no differentiation noise enters. No increment is discarded as noise;
+    the measure estimates apply ``RISE_TOLERANCE`` instead.
     """
-    return float(_rise(traj.distances, rise_tolerance))
+    return float(_rise(traj.distances, 0.0))
 
 
 def _rise(distances: np.ndarray, rise_tolerance: float) -> np.ndarray:
@@ -273,27 +273,17 @@ def sampled_backflows(
     return _streamed_backflows(coeffs, pure, n_samples, rise_tolerance, batch)
 
 
-def histogram_backflow(
-    coeffs: MapCoefficients,
-    n_samples: int,
-    bins: int,
-    seed: int,
-    *,
-    reference_pair: StatePair | None = None,
-) -> BackflowHistogram:
+def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed: int) -> BackflowHistogram:
     """Probability histogram of pure-pair backflows with a mixed-pair reference.
 
     Bins are uniform over [0, max(max_sampled, reference_value)]; the
     reference is the backflow of the excited-vs-ground-mixture pair under
-    the same map unless another pair is supplied. Increments at the noise
-    floor are discarded so monotone dynamics land exactly in the zero bin.
+    the same map. Increments at the noise floor are discarded so monotone
+    dynamics land exactly in the zero bin.
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
-    ref1, ref2 = reference_pair if reference_pair is not None else mixed_reference_pair()
-    reference = float(
-        _batched_backflows(coeffs, _pairs_to_differences([(ref1, ref2)]), RISE_TOLERANCE)[0]
-    )
+    reference = float(_batched_backflows(coeffs, _pairs_to_differences([mixed_reference_pair()]), RISE_TOLERANCE)[0])
     values = sampled_backflows(coeffs, n_samples, seed, rise_tolerance=RISE_TOLERANCE)
     max_sampled = float(values.max())
     upper = max(max_sampled, reference)

@@ -108,30 +108,20 @@ class HermitianOperator:
         return self.entries.shape[0]
 
     @classmethod
-    def from_matrix(
-        cls,
-        entries: np.ndarray,
-        traceless: bool = False,
-        *,
-        tol_herm: float = TOL_HERM,
-        tol_trace: float = TOL_TRACE,
-    ) -> "HermitianOperator":
+    def from_matrix(cls, entries: np.ndarray, traceless: bool = False) -> "HermitianOperator":
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise BadDimension(f"expected a square matrix, got shape {m.shape}")
         dev = float(np.abs(m - m.conj().T).max())
-        if dev > tol_herm:
-            raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {tol_herm:.1e}")
+        if dev > TOL_HERM:
+            raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {TOL_HERM:.1e}")
         m = (m + m.conj().T) / 2
         if traceless:
             tr = abs(complex(np.trace(m)))
-            if tr > tol_trace:
-                raise BadTrace(f"|trace| = {tr:.3e} exceeds {tol_trace:.1e} for traceless operator")
+            if tr > TOL_TRACE:
+                raise BadTrace(f"|trace| = {tr:.3e} exceeds {TOL_TRACE:.1e} for traceless operator")
         m.setflags(write=False)
         return cls(m, traceless)
-
-    def operator_norm(self) -> float:
-        return float(np.abs(np.linalg.eigvalsh(self.entries)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,32 +133,26 @@ class JordanHahnParts:
     weight: float  # common trace of both parts, equals the trace distance
 
 
-def make_density_matrix(
-    entries: np.ndarray,
-    *,
-    tol_herm: float = TOL_HERM,
-    tol_trace: float = TOL_TRACE,
-    tol_psd: float = TOL_PSD,
-) -> DensityMatrix:
+def make_density_matrix(entries: np.ndarray) -> DensityMatrix:
     """Validate and normalize a candidate density matrix.
 
     The Hermitian part is kept, and the trace is renormalized exactly to 1
-    provided it was within ``tol_trace`` to begin with.
+    provided it was within ``TOL_TRACE`` to begin with.
     """
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise BadDimension(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.abs(m - m.conj().T).max())
-    if dev > tol_herm:
-        raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {tol_herm:.1e}")
+    if dev > TOL_HERM:
+        raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {TOL_HERM:.1e}")
     m = (m + m.conj().T) / 2
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > tol_trace:
-        raise BadTrace(f"trace deviates from 1 by {abs(tr - 1.0):.3e}, beyond {tol_trace:.1e}")
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise BadTrace(f"trace deviates from 1 by {abs(tr - 1.0):.3e}, beyond {TOL_TRACE:.1e}")
     m = m / tr
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -tol_psd:
-        raise NotPositive(f"minimum eigenvalue {min_eig:.3e} below -{tol_psd:.1e}")
+    if min_eig < -TOL_PSD:
+        raise NotPositive(f"minimum eigenvalue {min_eig:.3e} below -{TOL_PSD:.1e}")
     m.setflags(write=False)
     return DensityMatrix(m)
 
@@ -289,15 +273,15 @@ def jordan_hahn(rho1: DensityMatrix, rho2: DensityMatrix) -> JordanHahnParts:
     )
 
 
-def is_orthogonal(rho1: DensityMatrix, rho2: DensityMatrix, tol: float = TOL_ORTH) -> bool:
-    """True iff the supports are orthogonal, tested as trace distance >= 1 - tol."""
+def is_orthogonal(rho1: DensityMatrix, rho2: DensityMatrix) -> bool:
+    """True iff the supports are orthogonal, tested as trace distance >= 1 - TOL_ORTH."""
     _check_same_dim(rho1, rho2)
-    return trace_distance(rho1, rho2) >= 1.0 - tol
+    return trace_distance(rho1, rho2) >= 1.0 - TOL_ORTH
 
 
-def is_boundary(rho: DensityMatrix, tol: float = TOL_PSD) -> bool:
-    """True iff the state has a zero eigenvalue (finite-dimensional boundary)."""
-    return rho.min_eigenvalue <= tol
+def is_boundary(rho: DensityMatrix) -> bool:
+    """True iff the state has a zero eigenvalue (within TOL_PSD; finite-dimensional boundary)."""
+    return rho.min_eigenvalue <= TOL_PSD
 
 
 def rescale_pair(

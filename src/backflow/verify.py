@@ -34,6 +34,7 @@ from .statespace import (
     is_orthogonal,
     jordan_hahn,
     make_density_matrix,
+    pure_state,
     rescale_pair,
     rng_stream,
     sample_orthogonal_mixed_pair,
@@ -92,11 +93,10 @@ def depolarize_stack(grid: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (1.0 - w) * m + w * uniform
 
 
-def _trajectory(
-    grid: np.ndarray, m1: np.ndarray, m2: np.ndarray, coeffs: MapCoefficients | None
-) -> TraceDistanceTrajectory:
-    """Trace-distance trajectory of two matrices under the dim-appropriate map."""
-    if m1.shape[0] == 3 and coeffs is not None:
+def _trajectory(coeffs: MapCoefficients, m1: np.ndarray, m2: np.ndarray) -> TraceDistanceTrajectory:
+    """Trace-distance trajectory of two matrices under the dim-appropriate map, on the coefficients' grid."""
+    grid = coeffs.grid
+    if m1.shape[0] == 3:
         s1 = apply_map_to_grid(coeffs, m1)
         s2 = apply_map_to_grid(coeffs, m2)
     else:
@@ -209,9 +209,9 @@ def jordan_hahn_suite(seed: int, dims=(2, 3, 4), trials: int = 100) -> list[Prop
 
 def translation_suite(
     seed: int,
+    coeffs: MapCoefficients,
     dims=(2, 3, 4),
     trials: int = 100,
-    coeffs: MapCoefficients | None = None,
     inject_fault: str | None = None,
 ) -> list[PropertyCheck]:
     """Joint-translation guarantees for non-orthogonal pairs.
@@ -220,9 +220,6 @@ def translation_suite(
     before applying it, which must make the interior check fail — a
     self-test that the suite can actually detect broken constructions.
     """
-    if coeffs is None:
-        coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 2000))
-    grid = coeffs.grid
     flip = -1.0 if inject_fault == "shift-sign" else 1.0
 
     min_interior = np.inf
@@ -256,8 +253,8 @@ def translation_suite(
                 worst_diff,
                 float(np.abs((m1 - m2) - (rho1.entries - rho2.entries)).max()),
             )
-            base = _trajectory(grid, rho1.entries, rho2.entries, coeffs).distances
-            moved = _trajectory(grid, m1, m2, coeffs).distances
+            base = _trajectory(coeffs, rho1.entries, rho2.entries).distances
+            moved = _trajectory(coeffs, m1, m2).distances
             worst_traj = max(worst_traj, float(np.abs(base - moved).max()))
 
             a = construction.shift.entries
@@ -350,14 +347,11 @@ def _max_admissible_stretch(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 def backflow_scaling_suite(
     seed: int,
+    coeffs: MapCoefficients,
     dims=(2, 3),
     trials: int = 100,
-    coeffs: MapCoefficients | None = None,
 ) -> list[PropertyCheck]:
     """Backflow scaling laws under rescaling and convex stretching."""
-    if coeffs is None:
-        coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 2000))
-    grid = coeffs.grid
     worst_rescale = worst_stretch = 0.0
     count = 0
     for dim in dims:
@@ -365,8 +359,8 @@ def backflow_scaling_suite(
         for _ in range(trials):
             rho1, rho2 = _random_nonorthogonal_pair(dim, rng)
             sigma1, sigma2, lam = rescale_pair(rho1, rho2)
-            bf = backflow(_trajectory(grid, rho1.entries, rho2.entries, coeffs))
-            bf_rescaled = backflow(_trajectory(grid, sigma1.entries, sigma2.entries, coeffs))
+            bf = backflow(_trajectory(coeffs, rho1.entries, rho2.entries))
+            bf_rescaled = backflow(_trajectory(coeffs, sigma1.entries, sigma2.entries))
             worst_rescale = max(worst_rescale, abs(bf_rescaled - bf / lam))
 
             interior = sample_random_state(dim, dim, rng)
@@ -376,8 +370,8 @@ def backflow_scaling_suite(
             mixed = make_density_matrix(
                 (1.0 - lam_stretch) * other.entries + lam_stretch * interior.entries
             )
-            bf_base = backflow(_trajectory(grid, other.entries, interior.entries, coeffs))
-            bf_stretched = backflow(_trajectory(grid, other.entries, mixed.entries, coeffs))
+            bf_base = backflow(_trajectory(coeffs, other.entries, interior.entries))
+            bf_stretched = backflow(_trajectory(coeffs, other.entries, mixed.entries))
             worst_stretch = max(worst_stretch, abs(bf_stretched - lam_stretch * bf_base))
             count += 1
     return [
@@ -386,18 +380,31 @@ def backflow_scaling_suite(
     ]
 
 
-def dynamics_suite(
-    seed: int,
-    t_max: float = 2 * np.pi,
-    grid_steps: int = 2000,
-    cross_states: int = 20,
-    contraction_pairs: int = 20,
-    period_states: int = 50,
-) -> list[PropertyCheck]:
-    """Validity, closed-form oracles, and integrator agreement for the preset rates."""
+def spanning_states() -> list[DensityMatrix]:
+    """Nine pure 3-level states whose projectors span the Hermitian 3x3 matrices.
+
+    |a>, |b>, |c> span the diagonal, and (|i> + |j>)/sqrt(2) and
+    (|i> + i|j>)/sqrt(2) add the real and imaginary part of each coherence
+    i < j. The map is linear, so a linear property that holds on these nine
+    holds for every state.
+    """
+    eye = np.eye(3)
+    vectors = list(eye)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        vectors += [eye[i] + eye[j], eye[i] + 1j * eye[j]]
+    return [pure_state(v) for v in vectors]
+
+
+def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 20) -> list[PropertyCheck]:
+    """Validity, closed-form oracles, and integrator agreement for the preset rates.
+
+    ``coeffs`` must be the preset's map; period return and integrator
+    agreement are checked on :func:`spanning_states`, which covers every
+    state by linearity, while distance contraction is not linear and is
+    checked on ``contraction_pairs`` random pairs.
+    """
     rates = sinusoidal_rates()
-    grid = make_grid(t_max, grid_steps)
-    coeffs = lambda_map_coefficients(rates, grid)
+    grid = coeffs.grid
     rng = rng_stream(seed, 50)
 
     report = validate_cpt(coeffs)
@@ -410,16 +417,11 @@ def dynamics_suite(
     worst_contraction = 0.0
     for _ in range(contraction_pairs):
         rho1, rho2 = _random_pair(3, rng)
-        d = _trajectory(grid, rho1.entries, rho2.entries, coeffs).distances
+        d = _trajectory(coeffs, rho1.entries, rho2.entries).distances
         worst_contraction = max(worst_contraction, float((d - d[0]).max()))
 
-    worst_return = 0.0
-    for _ in range(period_states):
-        rho = sample_random_state(3, int(rng.integers(1, 4)), rng)
-        final = apply_map_to_grid(coeffs, rho.entries)[-1]
-        worst_return = max(worst_return, float(np.abs(final - rho.entries).max()))
-
-    halved = lambda_map_coefficients(rates, make_grid(t_max, 2 * grid_steps))
+    # freed before the basis evolutions below, which set the peak memory
+    halved = lambda_map_coefficients(rates, make_grid(grid[-1], 2 * (grid.size - 1)))
     worst_conv = float(
         max(
             abs(halved.g1[-1] - coeffs.g1[-1]),
@@ -428,15 +430,14 @@ def dynamics_suite(
             abs(halved.d2[-1] - coeffs.d2[-1]),
         )
     )
+    del halved
 
-    worst_cross = 0.0
-    for _ in range(cross_states):
-        rho = sample_random_state(3, int(rng.integers(1, 4)), rng)
-        # one state per call: the stacks of all states at once would raise
-        # the peak memory of a verify run by about a third
-        closed = apply_map_to_grid(coeffs, rho.entries)
-        integrated = lindblad_integrate(rates, [rho], grid)[0]
-        worst_cross = max(worst_cross, float(np.abs(closed - integrated).max()))
+    basis = spanning_states()
+    initial = np.stack([state.entries for state in basis])
+    closed = apply_map_to_grid(coeffs, initial)
+    worst_return = float(np.abs(closed[:, -1] - initial).max())
+    closed -= lindblad_integrate(rates, basis, grid)
+    worst_cross = float(np.abs(closed).max())
 
     return [
         PropertyCheck("cpt-identity", report.worst_identity <= 1e-8, report.worst_identity, 1e-8, grid.size),
@@ -458,9 +459,9 @@ def dynamics_suite(
             1e-9,
             contraction_pairs,
         ),
-        PropertyCheck("period-return-identity", worst_return <= 1e-6, worst_return, 1e-6, period_states),
+        PropertyCheck("period-return-identity", worst_return <= 1e-6, worst_return, 1e-6, len(basis)),
         PropertyCheck("quadrature-step-halving", worst_conv < 1e-6, worst_conv, 1e-6, 2),
-        PropertyCheck("integrator-agreement", worst_cross <= 1e-6, worst_cross, 1e-6, cross_states),
+        PropertyCheck("integrator-agreement", worst_cross <= 1e-6, worst_cross, 1e-6, len(basis)),
     ]
 
 
@@ -475,7 +476,7 @@ def run_all(
     checks: list[PropertyCheck] = []
     checks += metric_suite(seed, dims, max(2 * trials, 200))
     checks += jordan_hahn_suite(seed, dims, trials)
-    checks += translation_suite(seed, dims, trials, coeffs, inject_fault)
-    checks += backflow_scaling_suite(seed, tuple(d for d in dims if d <= 3) or (2, 3), trials, coeffs)
-    checks += dynamics_suite(seed)
+    checks += translation_suite(seed, coeffs, dims, trials, inject_fault)
+    checks += backflow_scaling_suite(seed, coeffs, tuple(d for d in dims if d <= 3) or (2, 3), trials)
+    checks += dynamics_suite(seed, coeffs)
     return checks

@@ -88,6 +88,13 @@ class TestMapCoefficients:
         assert abs(coarse.g1[-1] - fine.g1[-1]) < 1e-6
         assert abs(coarse.d1[-1] - fine.d1[-1]) < 1e-6
 
+    def test_fields_own_one_entry_per_grid_point(self, preset_coeffs):
+        # views into the refined quadrature arrays would keep them alive
+        for field in dataclasses.fields(preset_coeffs):
+            values = getattr(preset_coeffs, field.name)
+            assert values.base is None, field.name
+            assert values.shape == (2001,), field.name
+
     def test_negative_rates_rejected(self):
         with pytest.raises(CptViolation):
             lambda_map_coefficients(constant_rates(gamma=-0.03), GRID)
@@ -384,3 +391,11 @@ class TestRatePresets:
                 tabulated_rates(gamma1=str(table))
         with pytest.raises(ValidationError, match="cannot read rate table"):
             tabulated_rates(gamma1=str(tmp_path))  # a directory
+        # only the first row may be a header: numpy 2 reprs in both rows, or
+        # a bad second row after a header, fail at row 2
+        for text in ("np.float64(0.0),np.float64(0.0)\nnp.float64(1.0),np.float64(0.1)\n",
+                     "time,value\ngarbage\n0.0,0.0\n1.0,0.1\n"):
+            table = tmp_path / "header.csv"
+            table.write_text(text)
+            with pytest.raises(ValidationError, match=re.escape(f"rate table {table} row 2: time and value must be numbers")):
+                tabulated_rates(gamma1=str(table))

@@ -9,6 +9,7 @@ from backflow.verify import (
     jordan_hahn_suite,
     metric_suite,
     run_all,
+    spanning_states,
     translation_suite,
 )
 
@@ -44,8 +45,28 @@ def test_backflow_scaling_suite(preset_coeffs, seed=104):
     assert_all_pass(checks)
 
 
-def test_dynamics_suite(seed=105):
-    assert_all_pass(dynamics_suite(seed, cross_states=3, contraction_pairs=5, period_states=10))
+def test_dynamics_suite(preset_coeffs, seed=105):
+    checks = dynamics_suite(seed, preset_coeffs, contraction_pairs=5)
+    assert_all_pass(checks)
+    by_name = {c.name: c for c in checks}
+    assert by_name["period-return-identity"].trials == 9
+    assert by_name["integrator-agreement"].trials == 9
+
+
+def test_spanning_states_span_the_hermitian_matrices():
+    # real and imaginary parts of the nine projectors, as real 18-vectors
+    flat = np.stack([np.concatenate([s.entries.real.ravel(), s.entries.imag.ravel()]) for s in spanning_states()])
+    assert flat.shape == (9, 18)
+    assert np.linalg.matrix_rank(flat) == 9
+
+
+def test_integrator_agreement_detects_a_different_map(seed=108):
+    # the suite integrates the preset rates, so coefficients of slightly
+    # different rates must fail: the check compares two independent engines
+    coeffs = lambda_map_coefficients(sinusoidal_rates(amplitude=0.0301), make_grid(2 * np.pi, 2000))
+    by_name = {c.name: c for c in dynamics_suite(seed, coeffs, contraction_pairs=1)}
+    assert not by_name["integrator-agreement"].passed
+    assert by_name["integrator-agreement"].worst > 1e-4
 
 
 def test_fault_injection_fails_interior_check(preset_coeffs, seed=106):
