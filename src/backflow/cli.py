@@ -119,7 +119,7 @@ def _pair(where: str, entry) -> tuple[DensityMatrix, DensityMatrix]:
 # --- run configuration ----------------------------------------------------
 
 # Caps on the sizes that allocate memory, so no config value can exhaust it.
-# histogram holds about 2.3 kB per grid step for its batch of 32 pairs: 23 MB at the cap
+# histogram holds about 2.05 kB per grid step for its batch of 32 pairs: 20.5 MB at the cap
 MAX_GRID_STEPS = 10**4
 # histogram keeps one float per sample: 80 MB at the cap
 MAX_SAMPLES = 10**7

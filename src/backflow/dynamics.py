@@ -97,6 +97,8 @@ def _load_rate_table(path: str) -> RateFunction:
             if index == 0:  # only the first row may be a header
                 continue
             raise ValidationError(f"rate table {path} row {number}: time and value must be numbers, got {row!r}")
+        if any(cell.strip() for cell in row[2:]):
+            raise ValidationError(f"rate table {path} row {number}: expected two columns (time, value), got {row!r}")
         # a NaN time would also pass the increasing-times check below
         if not (math.isfinite(t) and math.isfinite(v)):
             raise ValidationError(f"rate table {path} row {number}: time and value must be finite, got {row!r}")

@@ -22,6 +22,8 @@ from .statespace import (
     DensityMatrix,
     _clipped_distances,
     _invariant_distances,
+    _mixed_pair_stacks,
+    _pure_pair_stacks,
     is_orthogonal,
     make_density_matrix,
     pure_state,
@@ -136,23 +138,28 @@ def _batched_backflows(coeffs: MapCoefficients, deltas: np.ndarray, rise_toleran
     return _rise(_invariant_distances(*map_invariants(coeffs, deltas)), rise_tolerance)
 
 
-# Candidates scored per batched call. Each call holds about ten (batch, grid)
-# float arrays: at 32 that is 5 MB on a 2000-step grid, run time is flat from
+# Candidates scored per batched call. Each call holds at most eight (batch, grid)
+# float arrays: at 32 that is 4.1 MB on a 2000-step grid, run time is flat from
 # 32 to 128, and 128 raised the peak memory of a 400-step measure run by 10%.
 BATCH = 32
 
 
+def _sampled_differences(pair_stacks: Callable, seed: int, *key: int) -> Callable[[int, int], np.ndarray]:
+    """Differences rho1 - rho2 of the pairs start..stop-1 drawn from the streams (seed, *key, i)."""
+    return lambda start, stop: np.subtract(*pair_stacks(3, [rng_stream(seed, *key, i) for i in range(start, stop)]))
+
+
 def _streamed_backflows(
-    coeffs: MapCoefficients, candidate: Callable[[int], StatePair], n: int, rise_tolerance: float, batch: int = BATCH
+    coeffs: MapCoefficients, differences: Callable, n: int, rise_tolerance: float, batch: int = BATCH
 ) -> np.ndarray:
-    """Backflows of candidates 0..n-1, built by ``candidate(i)`` and scored ``batch`` at a time."""
+    """Backflows of candidates 0..n-1, their (n, 3, 3) differences built by
+    ``differences(start, stop)`` and scored ``batch`` at a time."""
     if batch < 1:
         raise DomainError(f"batch must be >= 1, got {batch}")
     values = np.empty(n)
     for start in range(0, n, batch):
         stop = min(start + batch, n)
-        pairs = [candidate(i) for i in range(start, stop)]
-        values[start:stop] = _batched_backflows(coeffs, _pairs_to_differences(pairs), rise_tolerance)
+        values[start:stop] = _batched_backflows(coeffs, differences(start, stop), rise_tolerance)
     return values
 
 
@@ -196,29 +203,27 @@ def estimate_measure(
                 "is restricted to orthogonal pairs"
             )
 
-    def pure(i: int) -> StatePair:
-        return sample_pure_orthogonal_pair(3, rng_stream(seed, 0, i))
+    def sampled(one_pair: Callable, pair_stacks: Callable, key: int) -> tuple[Callable, Callable]:
+        """Stacked differences of a sampled class, and its one-pair rebuild."""
+        return _sampled_differences(pair_stacks, seed, key), lambda i: one_pair(3, rng_stream(seed, key, i))
 
-    def mixed(i: int) -> StatePair:
-        return sample_orthogonal_mixed_pair(3, rng_stream(seed, 1, i))
-
-    def explicit(i: int) -> StatePair:
-        return strategy.explicit_pairs[i]
+    explicit = strategy.explicit_pairs
+    explicit_class = (lambda start, stop: _pairs_to_differences(explicit[start:stop]), explicit.__getitem__)
 
     best_value = -1.0
     best_pair: StatePair | None = None
     breakdown: dict[str, float] = {}
     evaluated = 0
-    # each class is scored in batches; its first maximum is rebuilt from
-    # its stream, so no candidate list is kept
-    for label, candidate, n in (
-        ("pure", pure, strategy.n_pure),
-        ("mixed", mixed, strategy.n_mixed),
-        ("explicit", explicit, len(strategy.explicit_pairs)),
+    # each class is scored in stacked batches; its first maximum is rebuilt
+    # from its stream by the one-pair sampler, so no candidate list is kept
+    for label, (differences, candidate), n in (
+        ("pure", sampled(sample_pure_orthogonal_pair, _pure_pair_stacks, 0), strategy.n_pure),
+        ("mixed", sampled(sample_orthogonal_mixed_pair, _mixed_pair_stacks, 1), strategy.n_mixed),
+        ("explicit", explicit_class, len(explicit)),
     ):
         if n == 0:
             continue
-        values = _streamed_backflows(coeffs, candidate, n, RISE_TOLERANCE)
+        values = _streamed_backflows(coeffs, differences, n, RISE_TOLERANCE)
         evaluated += n
         first_max = int(np.argmax(values))
         breakdown[label] = float(values[first_max])
@@ -266,11 +271,7 @@ def sampled_backflows(
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-
-    def pure(i: int) -> StatePair:
-        return sample_pure_orthogonal_pair(3, rng_stream(seed, i))
-
-    return _streamed_backflows(coeffs, pure, n_samples, rise_tolerance, batch)
+    return _streamed_backflows(coeffs, _sampled_differences(_pure_pair_stacks, seed), n_samples, rise_tolerance, batch)
 
 
 def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed: int) -> BackflowHistogram:

@@ -142,29 +142,46 @@ def make_density_matrix(entries: np.ndarray) -> DensityMatrix:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.abs(m - m.conj().T).max())
+    return DensityMatrix(_density_stack(m[None])[0])
+
+
+def _density_stack(stack: np.ndarray) -> np.ndarray:
+    """:func:`make_density_matrix` on an (n, N, N) stack, one eigensolve for all;
+    each read-only result is bit-identical to validating its matrix alone."""
+    adjoint = stack.conj().swapaxes(-1, -2)
+    dev = float(np.abs(stack - adjoint).max())
     if dev > TOL_HERM:
         raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {TOL_HERM:.1e}")
-    m = (m + m.conj().T) / 2
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TOL_TRACE:
-        raise BadTrace(f"trace deviates from 1 by {abs(tr - 1.0):.3e}, beyond {TOL_TRACE:.1e}")
-    m = m / tr
-    min_eig = float(np.linalg.eigvalsh(m)[0])
+    m = (stack + adjoint) / 2
+    tr = m.trace(axis1=1, axis2=2).real
+    # the worst cases are found on python floats, which for the one-matrix
+    # stacks of make_density_matrix costs less than a numpy reduction
+    off = max(abs(t - 1.0) for t in tr.tolist())
+    if off > TOL_TRACE:
+        raise BadTrace(f"trace deviates from 1 by {off:.3e}, beyond {TOL_TRACE:.1e}")
+    m = m / tr[:, None, None]
+    min_eig = min(np.linalg.eigvalsh(m)[:, 0].tolist())
     if min_eig < -TOL_PSD:
         raise NotPositive(f"minimum eigenvalue {min_eig:.3e} below -{TOL_PSD:.1e}")
     m.setflags(write=False)
-    return DensityMatrix(m)
+    return m
 
 
 def pure_state(vector: np.ndarray) -> DensityMatrix:
     """Rank-1 projector onto the given (normalized) vector."""
     v = np.asarray(vector, dtype=complex).ravel()
-    norm = np.linalg.norm(v)
-    if v.size < 1 or norm == 0.0:
+    return DensityMatrix(_density_stack(_projectors(v[None]))[0])
+
+
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """Unvalidated projectors onto the normalized rows of an (n, N) stack; each
+    squared norm is two real dot products, as in ``np.linalg.norm``."""
+    re, im = vectors.real, vectors.imag
+    norms = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    if np.any(norms == 0.0):
         raise BadDimension("pure state requires a nonzero vector")
-    v = v / norm
-    return make_density_matrix(np.outer(v, v.conj()))
+    v = vectors / norms[:, None]
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -213,13 +230,14 @@ def _invariant_distances(trace: np.ndarray, trace_sq: np.ndarray, det: np.ndarra
     """Half the absolute-eigenvalue sums of Hermitian 3x3 matrices, clipped to [0, 1],
     from their invariants tr M, tr M^2 and det M, without an eigensolve.
 
-    The eigenvalues are s + 2 sqrt(P/3) cos(phi - 2 pi k/3) for the mean s
-    and the invariants P, Q of the traceless part M - s. Keeping s keeps
-    the result at rounding level when the trace is near but not exactly
-    zero, as for evolved state differences. A pair of nearly equal
-    eigenvalues costs sqrt(eps) relative accuracy in each of them, which
-    changes the sum only if the pair straddles zero; for a (nearly)
-    traceless matrix that happens only when all three are near zero.
+    The eigenvalues are s + 2 rho cos(phi) and s - rho cos(phi) +- sqrt(3)
+    rho sin(phi) for the mean s, rho = sqrt(P/3) and phi = arccos(r)/3 in
+    [0, pi/3], with P, Q the invariants of M - s and r = Q / (2 rho^3).
+    Keeping s keeps the result at rounding level when the trace is near
+    but not exactly zero, as for evolved state differences. A pair of
+    nearly equal eigenvalues costs sqrt(eps) relative accuracy in each of
+    them, which changes the sum only if the pair straddles zero; for a
+    (nearly) traceless matrix that happens only when all three are near zero.
     """
     # the (..., grid) arrays set the peak memory, so they are reused in place
     s = trace / 3.0
@@ -233,19 +251,19 @@ def _invariant_distances(trace: np.ndarray, trace_sq: np.ndarray, det: np.ndarra
     q *= s
     q += det  # Q = det M - s^3 + P s
     radius = np.sqrt(np.divide(p, 3.0, out=p), out=p)
-    phi = radius**3
-    phi *= 2.0
-    np.divide(q, phi, out=phi, where=phi > 0.0)  # r = Q / (2 (P/3)^(3/2)), or 0 where P = 0
-    np.clip(phi, -1.0, 1.0, out=phi)
-    np.arccos(phi, out=phi)
-    phi /= 3.0
-    radius *= 2.0
-    total = np.zeros_like(s)
-    for k in range(3):
-        eigenvalue = np.cos(phi - 2.0 * np.pi * k / 3.0, out=q)
-        eigenvalue *= radius
-        eigenvalue += s
-        total += np.abs(eigenvalue, out=eigenvalue)
+    cos = radius**3
+    cos *= 2.0
+    np.divide(q, cos, out=cos, where=cos > 0.0)  # r = Q / (2 rho^3), or 0 where P = 0
+    np.clip(cos, -1.0, 1.0, out=cos)
+    np.cos(np.divide(np.arccos(cos, out=cos), 3.0, out=cos), out=cos)
+    # sin(phi) = sqrt(1 - cos(phi)^2) on [0, pi/3]
+    sin = np.sqrt(np.subtract(1.0, np.multiply(cos, cos, out=q), out=q), out=q)
+    sin *= np.sqrt(3.0) * radius  # sqrt(3) rho sin(phi)
+    cos *= radius  # rho cos(phi)
+    total = np.abs(np.add(s, 2.0 * cos, out=radius), out=radius)
+    middle = np.subtract(s, cos, out=cos)
+    total += np.abs(np.add(middle, sin, out=s), out=s)
+    total += np.abs(np.subtract(middle, sin, out=middle), out=middle)
     total *= 0.5
     return np.clip(total, 0.0, 1.0, out=total)
 
@@ -311,10 +329,15 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """
     if dim < 1:
         raise BadDimension(f"dimension must be positive, got {dim}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_stack(dim, [rng])[0]
+
+
+def _haar_stack(dim: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """:func:`haar_unitary` for one stream each, in one stacked QR."""
+    draws = np.array([(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))) for rng in rngs])
+    q, r = np.linalg.qr((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0))
+    d = r.diagonal(axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def sample_pure_orthogonal_pair(
@@ -323,8 +346,13 @@ def sample_pure_orthogonal_pair(
     """Projectors onto the first two columns of a Haar random unitary."""
     if dim < 2:
         raise BadDimension(f"orthogonal pair needs dimension >= 2, got {dim}")
-    u = haar_unitary(dim, rng)
-    return pure_state(u[:, 0]), pure_state(u[:, 1])
+    return tuple(DensityMatrix(states[0]) for states in _pure_pair_stacks(dim, [rng]))
+
+
+def _pure_pair_stacks(dim: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """:func:`sample_pure_orthogonal_pair` for one stream each, as a (2, n, N, N) stack."""
+    u = _haar_stack(dim, rngs)
+    return _density_stack(_projectors(np.concatenate([u[:, :, 0], u[:, :, 1]]))).reshape(2, len(rngs), dim, dim)
 
 
 def sample_random_state(dim: int, rank: int, rng: np.random.Generator) -> DensityMatrix:
@@ -347,11 +375,19 @@ def sample_orthogonal_mixed_pair(
     """
     if dim < 2:
         raise BadDimension(f"orthogonal pair needs dimension >= 2, got {dim}")
-    u = haar_unitary(dim, rng)
-    k = int(rng.integers(1, dim))
+    return tuple(DensityMatrix(states[0]) for states in _mixed_pair_stacks(dim, [rng]))
 
-    def _side(cols: np.ndarray) -> DensityMatrix:
-        weights = rng.dirichlet(np.ones(cols.shape[1]))
-        return make_density_matrix((cols * weights) @ cols.conj().T)
 
-    return _side(u[:, :k]), _side(u[:, k:])
+def _mixed_pair_stacks(dim: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """:func:`sample_orthogonal_mixed_pair` for one stream each, as a (2, n, N, N) stack;
+    each stream draws in the one-pair order, and each product has one pair's shapes."""
+    n = len(rngs)
+    u = _haar_stack(dim, rngs)
+    splits = [int(rng.integers(1, dim)) for rng in rngs]
+    states = np.empty((2 * n, dim, dim), dtype=complex)
+    for k in sorted(set(splits)):
+        rows = [i for i, split in enumerate(splits) if split == k]
+        for side, cols in enumerate((u[rows, :, :k], u[rows, :, k:])):
+            weights = np.array([rngs[i].dirichlet(np.ones(cols.shape[-1])) for i in rows])
+            states[[side * n + i for i in rows]] = (cols * weights[:, None, :]) @ cols.conj().swapaxes(-1, -2)
+    return _density_stack(states).reshape(2, n, dim, dim)

@@ -1,7 +1,8 @@
 """The package needs numpy alone, and nothing outside its arguments configures it.
 
-No module imports scipy, not even lazily, and no module reads or writes
-the process environment.
+No module imports scipy, not even lazily, no module reads or writes the
+process environment, and every random draw comes from a stream built by
+``statespace.rng_stream``.
 """
 
 import ast
@@ -42,6 +43,37 @@ def environment_uses(tree: ast.Module) -> list[str]:
     return uses
 
 
+def dotted(node: ast.AST) -> str:
+    """``a.b.c`` for a chain of attributes on a name, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def random_state_uses(tree: ast.Module, stream_builder: str | None = None) -> list[str]:
+    """Calls of ``np.random.*`` and imports from ``numpy.random``, outside the
+    function named ``stream_builder``."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == stream_builder:
+            exempt.update(id(inner) for inner in ast.walk(node))
+    uses = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Call) and dotted(node.func).startswith(("np.random.", "numpy.random.")):
+            uses.append(dotted(node.func))
+        elif isinstance(node, ast.Import):
+            uses += [alias.name for alias in node.names if alias.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = {alias.name for alias in node.names}
+            if node.module.startswith("numpy.random") or (node.module == "numpy" and "random" in names):
+                uses.append(f"from {node.module} import")
+    return uses
+
+
 def test_no_module_imports_scipy():
     trees = package_trees()
     assert [name for name, tree in trees.items() if "scipy" in imported_packages(tree)] == []
@@ -50,3 +82,19 @@ def test_no_module_imports_scipy():
 def test_no_module_reads_the_environment():
     trees = package_trees()
     assert {name: uses for name, tree in trees.items() if (uses := environment_uses(tree))} == {}
+
+
+def test_only_rng_stream_builds_generators():
+    # batch independence rests on every draw coming from a (seed, key) stream
+    trees = package_trees()
+    uses = {
+        name: found
+        for name, tree in trees.items()
+        if (found := random_state_uses(tree, "rng_stream" if name == "statespace.py" else None))
+    }
+    assert uses == {}
+    assert random_state_uses(trees["statespace.py"]) == [
+        "np.random.Generator", "np.random.PCG64", "np.random.SeedSequence"
+    ]
+    probe = ast.parse("import numpy as np\nnp.random.seed(1)\nx = np.random.default_rng().random()\n")
+    assert sorted(random_state_uses(probe)) == ["np.random.default_rng", "np.random.seed"]

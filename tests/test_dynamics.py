@@ -285,6 +285,18 @@ class TestMapInvariants:
             _invariant_distances(trace, trace_sq, det), _clipped_distances(stack), rtol=0, atol=1e-13
         )
 
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 0.25, -0.25])
+    @pytest.mark.parametrize(
+        "diagonal", [(2.0, -1.0, -1.0), (1.0, 1.0, 1.0)], ids=["r-is-one", "p-is-zero"]
+    )
+    def test_closed_form_at_the_edges(self, diagonal, scale):
+        # diag(2, -1, -1) has r = 1 exactly and its negative r = -1, so the
+        # clipped arccos is at either end; a multiple of the identity has P = 0
+        m = np.diag(np.array(diagonal) * scale).astype(complex)[None]
+        trace, trace_sq = (np.trace(x, axis1=-2, axis2=-1).real for x in (m, m @ m))
+        invariants = (trace, trace_sq, np.linalg.det(m).real)
+        np.testing.assert_allclose(_invariant_distances(*invariants), _clipped_distances(m), rtol=0, atol=1e-13)
+
     def test_zero_difference_is_exactly_zero(self, preset_coeffs):
         # runs under the warnings-as-errors setting, so a 0/0 would fail here
         invariants = map_invariants(preset_coeffs, np.zeros((2, 3, 3)))
@@ -399,3 +411,11 @@ class TestRatePresets:
             table.write_text(text)
             with pytest.raises(ValidationError, match=re.escape(f"rate table {table} row 2: time and value must be numbers")):
                 tabulated_rates(gamma1=str(table))
+        # a third column is not ignored; a trailing blank cell is
+        extra = tmp_path / "extra.csv"
+        extra.write_text("0.0,0.0,7\n1.0,0.1,oops\n")
+        with pytest.raises(ValidationError, match=re.escape(f"rate table {extra} row 1: expected two columns")):
+            tabulated_rates(gamma1=str(extra))
+        trailing = tmp_path / "trailing.csv"
+        trailing.write_text("time,value,\n0.0,0.0,\n1.0,0.1, \n")
+        assert tabulated_rates(gamma1=str(trailing)).gamma1(0.5) == pytest.approx(0.05)

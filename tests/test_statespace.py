@@ -12,7 +12,11 @@ from backflow.errors import (
     NotPositive,
 )
 from backflow.statespace import (
+    TOL_HERM,
     TOL_PSD,
+    _density_stack,
+    _mixed_pair_stacks,
+    _pure_pair_stacks,
     haar_unitary,
     is_boundary,
     is_orthogonal,
@@ -262,3 +266,100 @@ class TestSampling:
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(4, rng_stream(3))
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), rtol=0, atol=1e-13)
+
+
+# One-matrix reference implementations of the samplers: each matrix is
+# built and validated on its own, with 2-D operations only.
+
+
+def reference_density(m):
+    """make_density_matrix's operations on one matrix."""
+    assert np.abs(m - m.conj().T).max() <= TOL_HERM
+    m = (m + m.conj().T) / 2
+    m = m / float(np.trace(m).real)
+    assert np.linalg.eigvalsh(m)[0] >= -TOL_PSD
+    return m
+
+
+def reference_haar(dim, rng):
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def reference_weighted(cols, rng):
+    weights = rng.dirichlet(np.ones(cols.shape[1]))
+    return reference_density((cols * weights) @ cols.conj().T)
+
+
+def reference_pure_pair(dim, rng):
+    u = reference_haar(dim, rng)
+    vectors = [u[:, j] / np.linalg.norm(u[:, j]) for j in (0, 1)]
+    return [reference_density(np.outer(v, v.conj())) for v in vectors]
+
+
+def reference_mixed_pair(dim, rng):
+    u = reference_haar(dim, rng)
+    k = int(rng.integers(1, dim))
+    return k, [reference_weighted(u[:, :k], rng), reference_weighted(u[:, k:], rng)]
+
+
+class TestStackedSampling:
+    N = 48
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_pure_pairs_match_one_stream_at_a_time(self, dim):
+        first, second = _pure_pair_stacks(dim, [rng_stream(31, i) for i in range(self.N)])
+        assert first.shape == second.shape == (self.N, dim, dim)
+        for i in range(self.N):
+            expected = reference_pure_pair(dim, rng_stream(31, i))
+            one = sample_pure_orthogonal_pair(dim, rng_stream(31, i))
+            for got, alone, ref in zip((first[i], second[i]), one, expected):
+                assert np.array_equal(got, ref)
+                assert np.array_equal(alone.entries, ref)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_mixed_pairs_match_one_stream_at_a_time(self, dim):
+        first, second = _mixed_pair_stacks(dim, [rng_stream(32, i) for i in range(self.N)])
+        splits = set()
+        for i in range(self.N):
+            k, expected = reference_mixed_pair(dim, rng_stream(32, i))
+            splits.add(k)
+            one = sample_orthogonal_mixed_pair(dim, rng_stream(32, i))
+            for got, alone, ref in zip((first[i], second[i]), one, expected):
+                assert np.array_equal(got, ref)
+                assert np.array_equal(alone.entries, ref)
+        assert splits == set(range(1, dim))  # every split index is covered
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_random_state_matches_one_matrix_reference(self, dim):
+        for rank in range(1, dim + 1):
+            for i in range(8):
+                rng = rng_stream(33, rank, i)
+                expected = reference_weighted(reference_haar(dim, rng)[:, :rank], rng)
+                assert np.array_equal(sample_random_state(dim, rank, rng_stream(33, rank, i)).entries, expected)
+
+    def test_stacks_are_read_only(self):
+        first, second = _pure_pair_stacks(3, [rng_stream(34, i) for i in range(3)])
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.array([[0.5, 0.3, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]), NotHermitian),
+            (np.diag([0.7, 0.7, 0.0]), BadTrace),
+            (np.diag([1.2, -0.2, 0.0]), NotPositive),
+        ],
+        ids=["non-hermitian", "bad-trace", "not-positive"],
+    )
+    def test_stacked_validator_rejects_one_bad_matrix(self, bad, error):
+        first, _ = _pure_pair_stacks(3, [rng_stream(35, i) for i in range(5)])
+        stack = np.array(first)
+        stack[2] = bad
+        with pytest.raises(error):
+            make_density_matrix(bad)
+        with pytest.raises(error):
+            _density_stack(stack)
+        _density_stack(np.delete(stack, 2, axis=0))  # the rest of the stack is valid
