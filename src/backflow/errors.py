@@ -41,7 +41,7 @@ class OrthogonalPair(BackflowError):
 
 
 class DomainError(BackflowError):
-    """Scalar argument outside its documented domain."""
+    """Argument (a scalar, or an entry of a matrix or vector) outside its documented domain."""
 
 
 class IndexOutOfRange(BackflowError, IndexError):

@@ -16,6 +16,7 @@ from .errors import (
     BadDimension,
     BadTrace,
     DimensionMismatch,
+    DomainError,
     IdenticalStates,
     NotHermitian,
     NotPositive,
@@ -38,6 +39,16 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     sampling contract.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, key)])))
+
+
+def _check_finite(array: np.ndarray, what: str) -> None:
+    """Raise DomainError naming the non-finite entries of ``array``; the
+    later checks compare with < or >, which a NaN passes."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        shown = ", ".join(str(tuple(index)) for index in bad[:4].tolist())
+        raise DomainError(f"{len(bad)} non-finite {what}, at {shown}{', ...' if len(bad) > 4 else ''}")
 
 
 def _fix_phases(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -112,6 +123,7 @@ class HermitianOperator:
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise BadDimension(f"expected a square matrix, got shape {m.shape}")
+        _check_finite(m, "operator entries (row, column)")
         dev = float(np.abs(m - m.conj().T).max())
         if dev > TOL_HERM:
             raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {TOL_HERM:.1e}")
@@ -148,6 +160,7 @@ def make_density_matrix(entries: np.ndarray) -> DensityMatrix:
 def _density_stack(stack: np.ndarray) -> np.ndarray:
     """:func:`make_density_matrix` on an (n, N, N) stack, one eigensolve for all;
     each read-only result is bit-identical to validating its matrix alone."""
+    _check_finite(stack, "state entries (matrix, row, column)")
     adjoint = stack.conj().swapaxes(-1, -2)
     dev = float(np.abs(stack - adjoint).max())
     if dev > TOL_HERM:
@@ -176,6 +189,7 @@ def pure_state(vector: np.ndarray) -> DensityMatrix:
 def _projectors(vectors: np.ndarray) -> np.ndarray:
     """Unvalidated projectors onto the normalized rows of an (n, N) stack; each
     squared norm is two real dot products, as in ``np.linalg.norm``."""
+    _check_finite(vectors, "state vector entries (vector, component)")
     re, im = vectors.real, vectors.imag
     norms = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
     if np.any(norms == 0.0):

@@ -1,11 +1,15 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from backflow.dynamics import (
+    POSITIVITY_DRIFT,
+    STEP_BLOCK,
     RateFunctions,
+    _master_equation_rhs,
     apply_lambda_map,
     apply_map_to_grid,
     constant_rates,
@@ -39,6 +43,7 @@ from backflow.statespace import (
     sample_pure_orthogonal_pair,
     sample_random_state,
 )
+from backflow.verify import spanning_states
 
 GRID = make_grid(2 * np.pi, 2000)
 
@@ -369,6 +374,104 @@ class TestLindbladIntegrate:
         # population below zero in the first step
         with pytest.raises(PositivityLost, match="t = 0.0314"):
             lindblad_integrate(constant_rates(gamma=1e3), [pure_state([1, 0, 0])], make_grid(2 * np.pi, 200))
+
+
+def _reference_integrate(rates, states, grid):
+    """The per-step RK4 loop that the propagators replace: four right-hand
+    sides per step, then the same symmetrization, renormalization and checks."""
+    mid = (grid[:-1] + grid[1:]) / 2.0
+    fns = (rates.gamma1, rates.gamma2, rates.lambda1, rates.lambda2)
+    at_nodes = [np.asarray(fn(grid), dtype=float) for fn in fns]
+    at_mids = [np.asarray(fn(mid), dtype=float) for fn in fns]
+    rho = np.stack([state.entries for state in states])
+    out = np.empty((rho.shape[0], grid.size, 3, 3), dtype=complex)
+    out[:, 0] = rho
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(grid.size - 1):
+            h = grid[k + 1] - grid[k]
+            r0, rm, r1 = ([v[k] for v in at_nodes], [v[k] for v in at_mids], [v[k + 1] for v in at_nodes])
+            k1 = _master_equation_rhs(*r0, rho)
+            k2 = _master_equation_rhs(*rm, rho + 0.5 * h * k1)
+            k3 = _master_equation_rhs(*rm, rho + 0.5 * h * k2)
+            k4 = _master_equation_rhs(*r1, rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+            rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+            if not np.all(np.isfinite(rho)):
+                raise IntegratorDiverged(f"non-finite entries after step to t = {grid[k + 1]:.6g}")
+            min_eig = float(np.linalg.eigvalsh(rho)[:, 0].min())
+            if min_eig < -POSITIVITY_DRIFT:
+                raise PositivityLost(f"min eigenvalue {min_eig:.3e} at t = {grid[k + 1]:.6g}")
+            out[:, k + 1] = rho
+    return out
+
+
+def _switched_on_rates(gamma, after):
+    """No decay until ``after``, then a constant rate ``gamma`` in both channels."""
+
+    def rate(t):
+        return np.where(np.asarray(t, dtype=float) > after, gamma, 0.0)
+
+    return dataclasses.replace(zero_rates(), gamma1=rate, gamma2=rate)
+
+
+def _failure_time(error):
+    return re.search(r"t = (\S+)$", str(error)).group(1)
+
+
+class TestRk4Propagators:
+    """The per-step propagators against the per-step RK4 loop they replace."""
+
+    @pytest.mark.parametrize(
+        "rates, grid",
+        [
+            (_unequal_rates(), make_grid(2 * np.pi, 300)),
+            # every step length differs, and the steps grow along the grid
+            (sinusoidal_rates(0.5, 3.0), 2 * np.pi * np.linspace(0.0, 1.0, 241) ** 1.5),
+            (_unequal_rates(), make_grid(2 * np.pi, 2 * STEP_BLOCK + 5)),
+        ],
+        ids=["unequal-rates", "non-uniform-grid", "partial-last-block"],
+    )
+    def test_matches_per_step_reference(self, rates, grid):
+        rng = rng_stream(16)
+        states = spanning_states() + [sample_random_state(3, rank, rng) for rank in (1, 2, 3)]
+        integrated = lindblad_integrate(rates, states, grid)
+        np.testing.assert_allclose(integrated, _reference_integrate(rates, states, grid), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "gamma, error",
+        [(1e3, PositivityLost), (1e6, PositivityLost), (1e300, IntegratorDiverged)],
+        # at 1e6 the states lose positivity one step before they overflow,
+        # in the same block, and the earlier step is the one reported
+        ids=["positivity", "positivity-before-overflow", "divergence"],
+    )
+    def test_failure_after_the_first_block(self, gamma, error):
+        # the rate switches on at t = 2.5, so the first failing step is step 80
+        # of 200, past the first block
+        rates = _switched_on_rates(gamma, 2.5)
+        grid = make_grid(2 * np.pi, 200)
+        states = [pure_state([1, 0, 0]), pure_state([1, 1, 0])]
+        with pytest.raises(error) as reference:
+            _reference_integrate(rates, states, grid)
+        with pytest.raises(error) as raised:
+            lindblad_integrate(rates, states, grid)
+        t = float(_failure_time(raised.value))
+        assert grid[STEP_BLOCK] < t
+        assert _failure_time(raised.value) == _failure_time(reference.value)
+
+    def test_peak_memory_is_the_output_and_a_fixed_margin(self):
+        # numpy reports its buffers to tracemalloc; propagators built for
+        # every step at once would take 1.3 kB per step and array
+        basis = spanning_states()
+        grid = make_grid(2 * np.pi, 2000)
+        lindblad_integrate(sinusoidal_rates(), basis, grid[:3])  # first-call set-up
+        tracemalloc.start()
+        try:
+            out = lindblad_integrate(sinusoidal_rates(), basis, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2**20
 
 
 class TestRatePresets:

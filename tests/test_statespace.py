@@ -7,6 +7,7 @@ from backflow.errors import (
     BadDimension,
     BadTrace,
     DimensionMismatch,
+    DomainError,
     IdenticalStates,
     NotHermitian,
     NotPositive,
@@ -14,6 +15,7 @@ from backflow.errors import (
 from backflow.statespace import (
     TOL_HERM,
     TOL_PSD,
+    HermitianOperator,
     _density_stack,
     _mixed_pair_stacks,
     _pure_pair_stacks,
@@ -76,6 +78,21 @@ class TestMakeDensityMatrix:
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 9.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entries_rejected(self, value):
+        # every other check compares with < or >, which a NaN passes; runs
+        # under the warnings-as-errors setting, so inf - inf must not be reached
+        with pytest.raises(DomainError, match=r"4 non-finite .* \(0, 0, 0\), \(0, 0, 1\)"):
+            make_density_matrix(np.full((2, 2), value))
+        with pytest.raises(DomainError, match=r"1 non-finite .* at \(0, 1, 1\)$"):
+            make_density_matrix(np.diag([1.0, value]))
+        with pytest.raises(DomainError, match=r"4 non-finite operator entries"):
+            HermitianOperator.from_matrix(np.full((2, 2), value))
+        with pytest.raises(DomainError, match=r"1 non-finite state vector entries .* at \(0, 0\)$"):
+            pure_state([value, 1.0])
+        with pytest.raises(DomainError, match=r"at \(0, 0, 0\), \(0, 0, 1\), \(0, 0, 2\), \(0, 1, 0\), \.\.\.$"):
+            make_density_matrix(np.full((3, 3), value))
 
 
 class TestTraceDistance:
@@ -351,8 +368,9 @@ class TestStackedSampling:
             (np.array([[0.5, 0.3, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]), NotHermitian),
             (np.diag([0.7, 0.7, 0.0]), BadTrace),
             (np.diag([1.2, -0.2, 0.0]), NotPositive),
+            (np.diag([1.0, np.nan, 0.0]), DomainError),
         ],
-        ids=["non-hermitian", "bad-trace", "not-positive"],
+        ids=["non-hermitian", "bad-trace", "not-positive", "non-finite"],
     )
     def test_stacked_validator_rejects_one_bad_matrix(self, bad, error):
         first, _ = _pure_pair_stacks(3, [rng_stream(35, i) for i in range(5)])
