@@ -285,8 +285,11 @@ def render_json(payload: dict) -> str:
 
 def write_text(path: str | None, text: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"output: cannot write {path!r} ({exc.strerror or exc})") from exc
     else:
         sys.stdout.write(text)
 

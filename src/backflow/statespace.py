@@ -121,7 +121,7 @@ class HermitianOperator:
     @classmethod
     def from_matrix(cls, entries: np.ndarray, traceless: bool = False) -> "HermitianOperator":
         m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise BadDimension(f"expected a square matrix, got shape {m.shape}")
         _check_finite(m, "operator entries (row, column)")
         dev = float(np.abs(m - m.conj().T).max())

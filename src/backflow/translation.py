@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OrthogonalPair, PositivityFailure
+from .errors import BackflowError, DomainError, OrthogonalPair, PositivityFailure
 from .statespace import (
     TOL_PSD,
     DensityMatrix,
@@ -190,7 +190,7 @@ def jointly_translate(
         moved = rho.entries - construction.shift.entries
         try:
             state = make_density_matrix(moved)
-        except Exception as exc:  # validation failure -> tolerance problem
+        except BackflowError as exc:  # validation failure -> tolerance problem
             raise PositivityFailure(f"translated state {k} failed validation: {exc}") from exc
         if state.min_eigenvalue <= TOL_PSD:
             raise PositivityFailure(

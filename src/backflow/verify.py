@@ -1,8 +1,13 @@
-"""Randomized property suites for the structural state-pair theorems.
+"""Property suites for the structural state-pair theorems.
 
-Each suite draws seeded random instances, checks an exact structural
-claim at a stated numerical bound, and reports the worst deviation seen.
-The suites back the ``verify`` CLI command and the acceptance tests.
+Each check tests an exact structural claim at a numerical bound, and
+``_CHECKS`` declares every check's relation and bound once. A suite feeds
+its values to a ``_Worst`` accumulator, which reports the worst value seen
+per check. The metric, Jordan-Hahn, translation and backflow-scaling suites
+draw seeded random instances; ``dynamics_suite`` checks the preset's map
+coefficients on the whole time grid and the linear map on a spanning basis,
+and draws only its distance-contraction pairs. The suites back the
+``verify`` CLI command and the acceptance tests.
 
 Dimension-3 checks run under the closed-form three-level map; other
 dimensions use a time-dependent depolarizing map (linear and trace
@@ -12,6 +17,8 @@ since the structural laws hold for any linear map family.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +69,79 @@ class PropertyCheck:
     detail: str = ""
 
 
+# name -> (relation, bound, detail) in report order; a check passes when
+# its worst value stands in the relation to the bound
+_CHECKS: dict[str, tuple[str, float, str]] = {
+    # metric_suite
+    "metric-symmetry": ("<=", 0.0, ""),
+    "metric-self-distance": ("<=", 0.0, ""),
+    "metric-triangle": ("<=", 1e-12, ""),
+    "metric-unitary-invariance": ("<=", 1e-10, ""),
+    # jordan_hahn_suite
+    "jordan-hahn-reconstruction": ("<=", 1e-12, ""),
+    "jordan-hahn-traces-equal-distance": ("<=", 1e-10, ""),
+    "jordan-hahn-parts-positive": ("<=", TOL_PSD, ""),
+    "jordan-hahn-parts-orthogonal": ("<=", TOL_PSD, ""),
+    "rescale-unit-distance": ("<=", 1e-10, ""),
+    "rescale-difference-law": ("<=", 1e-12, ""),
+    "overlapping-pairs-below-unit-distance": ("<", 1.0 - 1e-8, "strictly below"),
+    "orthogonal-pairs-unit-distance": ("<=", 1e-12, ""),
+    "orthogonal-pairs-on-boundary": ("<=", TOL_PSD, ""),
+    # translation_suite
+    "translate-strictly-interior": (">", TOL_PSD, "minimum eigenvalue across translated states; must exceed bound"),
+    "translate-difference-preserved": ("<=", 1e-12, ""),
+    "translate-trajectory-invariance": ("<=", 1e-10, ""),
+    "shift-traceless": ("<=", 1e-12, ""),
+    "shift-hermitian": ("<=", 1e-12, ""),
+    "shift-nonzero": (">", 0.0, "smallest shift operator norm; must exceed bound"),
+    "orthogonal-pairs-rejected": ("<=", 0.0, "count of orthogonal pairs accepted for translation"),
+    "quadratic-bound-positive": (">", 0.0, "minimum of the positivity polynomial near the bound edge"),
+    "epsilon-bound-monotone": (">", 0.0, "smallest increment of the bound in the minimum weight"),
+    # backflow_scaling_suite
+    "rescaled-backflow-law": ("<=", 1e-8, ""),
+    "stretched-backflow-law": ("<=", 1e-8, ""),
+    # dynamics_suite
+    "cpt-identity": ("<=", 1e-8, ""),
+    "cpt-g-nonnegative": (">=", -1e-10, "minimum feeding coefficient; must not fall below bound"),
+    "closed-form-rate-integrals": ("<=", 1e-7, ""),
+    "closed-form-feeding": ("<=", 1e-7, ""),
+    "closed-form-coherence-decay": ("<=", 1e-7, ""),
+    "distance-contraction-bound": ("<=", 1e-9, ""),
+    "period-return-identity": ("<=", 1e-6, ""),
+    "quadrature-step-halving": ("<", 1e-6, ""),
+    "integrator-agreement": ("<=", 1e-6, ""),
+}
+
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+class _Worst:
+    """Worst value seen per check: the largest, from 0.0, under an upper
+    bound and the smallest, from +inf, under a lower one. A NaN stays and
+    fails its check."""
+
+    def __init__(self) -> None:
+        self._values: dict[str, float] = {}
+
+    def _get(self, name: str) -> tuple[bool, float]:
+        lower = _CHECKS[name][0].startswith(">")
+        return lower, self._values.get(name, math.inf if lower else 0.0)
+
+    def see(self, name: str, *values: float) -> None:
+        lower, current = self._get(name)
+        new = [float(v) for v in values]
+        self._values[name] = math.nan if any(map(math.isnan, new)) else (min if lower else max)(current, *new)
+
+    def checks(self, names: str, trials: int) -> list[PropertyCheck]:
+        """The checks named in the space-separated ``names``, in that order."""
+        out = []
+        for name in names.split():
+            relation, bound, detail = _CHECKS[name]
+            worst = self._get(name)[1]
+            out.append(PropertyCheck(name, _RELATIONS[relation](worst, bound), worst, bound, trials, detail))
+        return out
+
+
 def _random_pair(dim: int, rng: np.random.Generator) -> tuple[DensityMatrix, DensityMatrix]:
     """Random state pair with independently drawn ranks."""
     r1 = int(rng.integers(1, dim + 1))
@@ -107,40 +187,28 @@ def _trajectory(coeffs: MapCoefficients, m1: np.ndarray, m2: np.ndarray) -> Trac
 
 def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[PropertyCheck]:
     """Metric axioms of the trace distance plus unitary invariance."""
-    worst_sym = worst_self = worst_tri = worst_uni = 0.0
-    count = 0
+    worst = _Worst()
     for dim in dims:
         rng = rng_stream(seed, 10, dim)
         for _ in range(triples):
             a, b = _random_pair(dim, rng)
             c = sample_random_state(dim, int(rng.integers(1, dim + 1)), rng)
             dab, dba = trace_distance(a, b), trace_distance(b, a)
-            worst_sym = max(worst_sym, abs(dab - dba))
-            worst_self = max(worst_self, trace_distance(a, a))
-            worst_tri = max(
-                worst_tri, trace_distance(a, c) - (dab + trace_distance(b, c))
-            )
+            worst.see("metric-symmetry", abs(dab - dba))
+            worst.see("metric-self-distance", trace_distance(a, a))
+            worst.see("metric-triangle", trace_distance(a, c) - (dab + trace_distance(b, c)))
             u = haar_unitary(dim, rng)
             ua = make_density_matrix(u @ a.entries @ u.conj().T)
             ub = make_density_matrix(u @ b.entries @ u.conj().T)
-            worst_uni = max(worst_uni, abs(trace_distance(ua, ub) - dab))
-            count += 1
-    return [
-        PropertyCheck("metric-symmetry", worst_sym == 0.0, worst_sym, 0.0, count),
-        PropertyCheck("metric-self-distance", worst_self == 0.0, worst_self, 0.0, count),
-        PropertyCheck("metric-triangle", worst_tri <= 1e-12, worst_tri, 1e-12, count),
-        PropertyCheck("metric-unitary-invariance", worst_uni <= 1e-10, worst_uni, 1e-10, count),
-    ]
+            worst.see("metric-unitary-invariance", abs(trace_distance(ua, ub) - dab))
+    return worst.checks(
+        "metric-symmetry metric-self-distance metric-triangle metric-unitary-invariance", len(dims) * triples
+    )
 
 
 def jordan_hahn_suite(seed: int, dims=(2, 3, 4), trials: int = 100) -> list[PropertyCheck]:
     """Split/rescale identities and the orthogonality-distance equivalence."""
-    worst_recon = worst_trace = worst_pos = worst_orth = 0.0
-    worst_unit = worst_law = 0.0
-    worst_overlap_dist = 0.0
-    worst_orth_dist = 0.0
-    worst_orth_interior = 0.0
-    count = 0
+    worst = _Worst()
     for dim in dims:
         rng = rng_stream(seed, 20, dim)
         for _ in range(trials):
@@ -149,62 +217,35 @@ def jordan_hahn_suite(seed: int, dims=(2, 3, 4), trials: int = 100) -> list[Prop
             parts = jordan_hahn(rho1, rho2)
             p1, p2 = parts.positive_part.entries, parts.negative_part.entries
             dist = trace_distance(rho1, rho2)
-            worst_recon = max(worst_recon, float(np.abs(delta - (p1 - p2)).max()))
-            worst_trace = max(
-                worst_trace,
+            worst.see("jordan-hahn-reconstruction", np.abs(delta - (p1 - p2)).max())
+            worst.see(
+                "jordan-hahn-traces-equal-distance",
                 abs(float(np.trace(p1).real) - dist),
                 abs(float(np.trace(p2).real) - dist),
             )
-            worst_pos = max(
-                worst_pos,
-                max(0.0, -float(np.linalg.eigvalsh(p1)[0])),
-                max(0.0, -float(np.linalg.eigvalsh(p2)[0])),
-            )
-            worst_orth = max(worst_orth, float(np.linalg.norm(p1 @ p2, 2)))
+            # the worst value starts at 0.0, so a positive part reads 0
+            worst.see("jordan-hahn-parts-positive", -np.linalg.eigvalsh(p1)[0], -np.linalg.eigvalsh(p2)[0])
+            worst.see("jordan-hahn-parts-orthogonal", np.linalg.norm(p1 @ p2, 2))
 
             sigma1, sigma2, lam = rescale_pair(rho1, rho2)
-            worst_unit = max(worst_unit, abs(trace_distance(sigma1, sigma2) - 1.0))
-            worst_law = max(
-                worst_law,
-                float(np.abs((sigma1.entries - sigma2.entries) - delta / lam).max()),
-            )
+            worst.see("rescale-unit-distance", abs(trace_distance(sigma1, sigma2) - 1.0))
+            worst.see("rescale-difference-law", np.abs((sigma1.entries - sigma2.entries) - delta / lam).max())
 
             # full-rank pairs have overlapping supports by construction
             full1 = sample_random_state(dim, dim, rng)
             full2 = sample_random_state(dim, dim, rng)
-            worst_overlap_dist = max(worst_overlap_dist, trace_distance(full1, full2))
+            worst.see("overlapping-pairs-below-unit-distance", trace_distance(full1, full2))
 
             orth1, orth2 = sample_orthogonal_mixed_pair(dim, rng)
-            worst_orth_dist = max(worst_orth_dist, abs(trace_distance(orth1, orth2) - 1.0))
+            worst.see("orthogonal-pairs-unit-distance", abs(trace_distance(orth1, orth2) - 1.0))
             if is_orthogonal(orth1, orth2):
-                worst_orth_interior = max(
-                    worst_orth_interior, orth1.min_eigenvalue, orth2.min_eigenvalue
-                )
-            count += 1
-    return [
-        PropertyCheck("jordan-hahn-reconstruction", worst_recon <= 1e-12, worst_recon, 1e-12, count),
-        PropertyCheck("jordan-hahn-traces-equal-distance", worst_trace <= 1e-10, worst_trace, 1e-10, count),
-        PropertyCheck("jordan-hahn-parts-positive", worst_pos <= TOL_PSD, worst_pos, TOL_PSD, count),
-        PropertyCheck("jordan-hahn-parts-orthogonal", worst_orth <= TOL_PSD, worst_orth, TOL_PSD, count),
-        PropertyCheck("rescale-unit-distance", worst_unit <= 1e-10, worst_unit, 1e-10, count),
-        PropertyCheck("rescale-difference-law", worst_law <= 1e-12, worst_law, 1e-12, count),
-        PropertyCheck(
-            "overlapping-pairs-below-unit-distance",
-            worst_overlap_dist < 1.0 - 1e-8,
-            worst_overlap_dist,
-            1.0 - 1e-8,
-            count,
-            detail="strictly below",
-        ),
-        PropertyCheck("orthogonal-pairs-unit-distance", worst_orth_dist <= 1e-12, worst_orth_dist, 1e-12, count),
-        PropertyCheck(
-            "orthogonal-pairs-on-boundary",
-            worst_orth_interior <= TOL_PSD,
-            worst_orth_interior,
-            TOL_PSD,
-            count,
-        ),
-    ]
+                worst.see("orthogonal-pairs-on-boundary", orth1.min_eigenvalue, orth2.min_eigenvalue)
+    return worst.checks(
+        "jordan-hahn-reconstruction jordan-hahn-traces-equal-distance jordan-hahn-parts-positive"
+        " jordan-hahn-parts-orthogonal rescale-unit-distance rescale-difference-law"
+        " overlapping-pairs-below-unit-distance orthogonal-pairs-unit-distance orthogonal-pairs-on-boundary",
+        len(dims) * trials,
+    )
 
 
 def translation_suite(
@@ -222,13 +263,8 @@ def translation_suite(
     """
     flip = -1.0 if inject_fault == "shift-sign" else 1.0
 
-    min_interior = np.inf
-    worst_diff = worst_traj = 0.0
-    worst_traceless = worst_herm = 0.0
-    min_shift_norm = np.inf
-    rejected_failures = 0
-    worst_quadratic = np.inf
-    count = 0
+    worst = _Worst()
+    accepted = 0  # orthogonal pairs wrongly accepted for translation
     for dim in dims:
         rng = rng_stream(seed, 30, dim)
         for _ in range(trials):
@@ -244,94 +280,49 @@ def translation_suite(
                     m1, m2 = hat1.entries, hat2.entries
                 except PositivityFailure:
                     pass  # keep the raw matrices; the interior check records it
-            min_interior = min(
-                min_interior,
-                float(np.linalg.eigvalsh(m1)[0]),
-                float(np.linalg.eigvalsh(m2)[0]),
-            )
-            worst_diff = max(
-                worst_diff,
-                float(np.abs((m1 - m2) - (rho1.entries - rho2.entries)).max()),
-            )
+            worst.see("translate-strictly-interior", np.linalg.eigvalsh(m1)[0], np.linalg.eigvalsh(m2)[0])
+            worst.see("translate-difference-preserved", np.abs((m1 - m2) - (rho1.entries - rho2.entries)).max())
             base = _trajectory(coeffs, rho1.entries, rho2.entries).distances
             moved = _trajectory(coeffs, m1, m2).distances
-            worst_traj = max(worst_traj, float(np.abs(base - moved).max()))
+            worst.see("translate-trajectory-invariance", np.abs(base - moved).max())
 
             a = construction.shift.entries
-            worst_traceless = max(worst_traceless, abs(float(np.trace(a).real)), abs(float(np.trace(a).imag)))
-            worst_herm = max(worst_herm, float(np.abs(a - a.conj().T).max()))
-            min_shift_norm = min(min_shift_norm, float(np.linalg.norm(a, 2)))
+            worst.see("shift-traceless", abs(np.trace(a).real), abs(np.trace(a).imag))
+            worst.see("shift-hermitian", np.abs(a - a.conj().T).max())
+            worst.see("shift-nonzero", np.linalg.norm(a, 2))
 
             sel = construction.selection
             eps = 0.99 * construction.epsilon_max
             for weight in (sel.weight1, sel.weight2):
                 # exact minimum over [0, 1]: the parabola vertex or an endpoint
                 vertex = min(max(eps / (weight * (1.0 + sel.overlap)), 0.0), 1.0)
-                worst_quadratic = min(
-                    worst_quadratic,
+                worst.see(
+                    "quadratic-bound-positive",
                     *(quadratic_bound(weight, sel.overlap, dim, eps, x) for x in (0.0, vertex, 1.0)),
                 )
 
             orth = sample_orthogonal_mixed_pair(dim, rng)
             if is_jointly_translatable(*orth):
-                rejected_failures += 1
+                accepted += 1
             try:
                 jointly_translate(*orth)
-                rejected_failures += 1
+                accepted += 1
             except OrthogonalPair:
                 pass
-            count += 1
+    worst.see("orthogonal-pairs-rejected", accepted)
 
     # closed-form monotonicity of the admissible shift bound
     weights = np.linspace(0.05, 1.0, 40)
-    min_gap = np.inf
     for alpha in (0.2, 0.6, 0.95):
         for dim in dims:
             bounds = [epsilon_upper_bound(alpha, dim, float(w)) for w in weights]
-            min_gap = min(min_gap, float(np.diff(bounds).min()))
+            worst.see("epsilon-bound-monotone", np.diff(bounds).min())
 
-    return [
-        PropertyCheck(
-            "translate-strictly-interior",
-            min_interior > TOL_PSD,
-            min_interior,
-            TOL_PSD,
-            count,
-            detail="minimum eigenvalue across translated states; must exceed bound",
-        ),
-        PropertyCheck("translate-difference-preserved", worst_diff <= 1e-12, worst_diff, 1e-12, count),
-        PropertyCheck("translate-trajectory-invariance", worst_traj <= 1e-10, worst_traj, 1e-10, count),
-        PropertyCheck("shift-traceless", worst_traceless <= 1e-12, worst_traceless, 1e-12, count),
-        PropertyCheck("shift-hermitian", worst_herm <= 1e-12, worst_herm, 1e-12, count),
-        PropertyCheck(
-            "shift-nonzero", min_shift_norm > 0.0, min_shift_norm, 0.0, count,
-            detail="smallest shift operator norm; must exceed bound",
-        ),
-        PropertyCheck(
-            "orthogonal-pairs-rejected",
-            rejected_failures == 0,
-            float(rejected_failures),
-            0.0,
-            count,
-            detail="count of orthogonal pairs accepted for translation",
-        ),
-        PropertyCheck(
-            "quadratic-bound-positive",
-            worst_quadratic > 0.0,
-            worst_quadratic,
-            0.0,
-            count,
-            detail="minimum of the positivity polynomial near the bound edge",
-        ),
-        PropertyCheck(
-            "epsilon-bound-monotone",
-            min_gap > 0.0,
-            min_gap,
-            0.0,
-            len(weights),
-            detail="smallest increment of the bound in the minimum weight",
-        ),
-    ]
+    return worst.checks(
+        "translate-strictly-interior translate-difference-preserved translate-trajectory-invariance"
+        " shift-traceless shift-hermitian shift-nonzero orthogonal-pairs-rejected quadratic-bound-positive",
+        len(dims) * trials,
+    ) + worst.checks("epsilon-bound-monotone", len(weights))
 
 
 def _max_admissible_stretch(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -352,8 +343,7 @@ def backflow_scaling_suite(
     trials: int = 100,
 ) -> list[PropertyCheck]:
     """Backflow scaling laws under rescaling and convex stretching."""
-    worst_rescale = worst_stretch = 0.0
-    count = 0
+    worst = _Worst()
     for dim in dims:
         rng = rng_stream(seed, 40, dim)
         for _ in range(trials):
@@ -361,7 +351,7 @@ def backflow_scaling_suite(
             sigma1, sigma2, lam = rescale_pair(rho1, rho2)
             bf = backflow(_trajectory(coeffs, rho1.entries, rho2.entries))
             bf_rescaled = backflow(_trajectory(coeffs, sigma1.entries, sigma2.entries))
-            worst_rescale = max(worst_rescale, abs(bf_rescaled - bf / lam))
+            worst.see("rescaled-backflow-law", abs(bf_rescaled - bf / lam))
 
             interior = sample_random_state(dim, dim, rng)
             other = sample_random_state(dim, int(rng.integers(1, dim + 1)), rng)
@@ -372,12 +362,8 @@ def backflow_scaling_suite(
             )
             bf_base = backflow(_trajectory(coeffs, other.entries, interior.entries))
             bf_stretched = backflow(_trajectory(coeffs, other.entries, mixed.entries))
-            worst_stretch = max(worst_stretch, abs(bf_stretched - lam_stretch * bf_base))
-            count += 1
-    return [
-        PropertyCheck("rescaled-backflow-law", worst_rescale <= 1e-8, worst_rescale, 1e-8, count),
-        PropertyCheck("stretched-backflow-law", worst_stretch <= 1e-8, worst_stretch, 1e-8, count),
-    ]
+            worst.see("stretched-backflow-law", abs(bf_stretched - lam_stretch * bf_base))
+    return worst.checks("rescaled-backflow-law stretched-backflow-law", len(dims) * trials)
 
 
 def spanning_states() -> list[DensityMatrix]:
@@ -407,63 +393,47 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
     grid = coeffs.grid
     rng = rng_stream(seed, 50)
 
+    worst = _Worst()
     report = validate_cpt(coeffs)
+    worst.see("cpt-identity", report.worst_identity)
+    worst.see("cpt-g-nonnegative", report.min_g)
     d_exact = 0.03 * (1.0 - np.cos(grid))
     g_exact = 0.5 * (1.0 - np.exp(-2.0 * d_exact))
-    worst_d = float(max(np.abs(coeffs.d1 - d_exact).max(), np.abs(coeffs.d2 - d_exact).max()))
-    worst_g = float(max(np.abs(coeffs.g1 - g_exact).max(), np.abs(coeffs.g2 - g_exact).max()))
-    worst_f = float(np.abs(np.abs(coeffs.f) - np.exp(-d_exact)).max())
+    worst.see("closed-form-rate-integrals", np.abs(coeffs.d1 - d_exact).max(), np.abs(coeffs.d2 - d_exact).max())
+    worst.see("closed-form-feeding", np.abs(coeffs.g1 - g_exact).max(), np.abs(coeffs.g2 - g_exact).max())
+    worst.see("closed-form-coherence-decay", np.abs(np.abs(coeffs.f) - np.exp(-d_exact)).max())
 
-    worst_contraction = 0.0
     for _ in range(contraction_pairs):
         rho1, rho2 = _random_pair(3, rng)
         d = _trajectory(coeffs, rho1.entries, rho2.entries).distances
-        worst_contraction = max(worst_contraction, float((d - d[0]).max()))
+        worst.see("distance-contraction-bound", (d - d[0]).max())
 
     # freed before the basis evolutions below, which set the peak memory
     # (5.7 MB traced by tracemalloc, against 4.4 MB for this quadrature)
     halved = lambda_map_coefficients(rates, make_grid(grid[-1], 2 * (grid.size - 1)))
-    worst_conv = float(
-        max(
-            abs(halved.g1[-1] - coeffs.g1[-1]),
-            abs(halved.g2[-1] - coeffs.g2[-1]),
-            abs(halved.d1[-1] - coeffs.d1[-1]),
-            abs(halved.d2[-1] - coeffs.d2[-1]),
-        )
+    worst.see(
+        "quadrature-step-halving",
+        *(abs(getattr(halved, k)[-1] - getattr(coeffs, k)[-1]) for k in ("g1", "g2", "d1", "d2")),
     )
     del halved
 
     basis = spanning_states()
     initial = np.stack([state.entries for state in basis])
     closed = apply_map_to_grid(coeffs, initial)
-    worst_return = float(np.abs(closed[:, -1] - initial).max())
+    worst.see("period-return-identity", np.abs(closed[:, -1] - initial).max())
     closed -= lindblad_integrate(rates, basis, grid)
-    worst_cross = float(np.abs(closed).max())
+    worst.see("integrator-agreement", np.abs(closed).max())
 
-    return [
-        PropertyCheck("cpt-identity", report.worst_identity <= 1e-8, report.worst_identity, 1e-8, grid.size),
-        PropertyCheck(
-            "cpt-g-nonnegative",
-            report.min_g >= -1e-10,
-            report.min_g,
-            -1e-10,
+    return (
+        worst.checks(
+            "cpt-identity cpt-g-nonnegative closed-form-rate-integrals closed-form-feeding closed-form-coherence-decay",
             grid.size,
-            detail="minimum feeding coefficient; must not fall below bound",
-        ),
-        PropertyCheck("closed-form-rate-integrals", worst_d <= 1e-7, worst_d, 1e-7, grid.size),
-        PropertyCheck("closed-form-feeding", worst_g <= 1e-7, worst_g, 1e-7, grid.size),
-        PropertyCheck("closed-form-coherence-decay", worst_f <= 1e-7, worst_f, 1e-7, grid.size),
-        PropertyCheck(
-            "distance-contraction-bound",
-            worst_contraction <= 1e-9,
-            worst_contraction,
-            1e-9,
-            contraction_pairs,
-        ),
-        PropertyCheck("period-return-identity", worst_return <= 1e-6, worst_return, 1e-6, len(basis)),
-        PropertyCheck("quadrature-step-halving", worst_conv < 1e-6, worst_conv, 1e-6, 2),
-        PropertyCheck("integrator-agreement", worst_cross <= 1e-6, worst_cross, 1e-6, len(basis)),
-    ]
+        )
+        + worst.checks("distance-contraction-bound", contraction_pairs)
+        + worst.checks("period-return-identity", len(basis))
+        + worst.checks("quadrature-step-halving", 2)
+        + worst.checks("integrator-agreement", len(basis))
+    )
 
 
 def run_all(

@@ -324,10 +324,11 @@ class TestHistogramCommand:
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["histogram", "--samples", "150", "--seed", "4"]
-        main(args + ["--output", str(out1)])
-        main(args + ["--output", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
+        for seed in ("4", "5"):
+            args = ["histogram", "--samples", "150", "--seed", seed]
+            assert main(args + ["--output", str(out1)]) == 0
+            assert main(args + ["--output", str(out2)]) == 0
+            assert out1.read_bytes() == out2.read_bytes()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "hist.json"
@@ -335,14 +336,6 @@ class TestHistogramCommand:
         payload = json.loads(out.read_text())
         assert len(payload["results"]["counts"]) == 50
         assert sum(payload["results"]["probabilities"]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        # sampling runs on one thread, so a rerun must write the same bytes
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["histogram", "--samples", "150", "--seed", "5"]
-        assert main(args + ["--output", str(out1)]) == 0
-        assert main(args + ["--output", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestTranslateCommand:
@@ -428,6 +421,18 @@ class TestReportContract:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error (ValidationError): t_max")
+
+    @pytest.mark.parametrize(
+        "args, target",
+        [(["histogram", "--samples", "10"], "missing/x.csv"), (["verify", "--dims", "2", "--trials", "1"], ".")],
+        ids=["histogram-missing-directory", "verify-directory"],
+    )
+    def test_unwritable_output_is_one_validation_error(self, tmp_path, capsys, args, target):
+        path = str(tmp_path / target)
+        assert main(args + ["--output", path]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error (ValidationError): output: cannot write {path!r}")
 
     def test_byte_identical_json_outputs(self, tmp_path):
         # identical config (including the output path) and seed

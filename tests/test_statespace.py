@@ -73,6 +73,9 @@ class TestMakeDensityMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(BadDimension):
             make_density_matrix(np.zeros((2, 3)))
+        for empty in (make_density_matrix, HermitianOperator.from_matrix):
+            with pytest.raises(BadDimension, match=r"shape \(0, 0\)"):
+                empty(np.zeros((0, 0)))
 
     def test_entries_read_only(self):
         rho = maximally_mixed(2)

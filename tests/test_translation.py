@@ -204,6 +204,17 @@ class TestJointlyTranslate:
         with pytest.raises(PositivityFailure):
             jointly_translate(pure_state([1, 0]), pure_state([1, 1]), 0.99)
 
+    def test_programming_errors_propagate_unchanged(self, monkeypatch):
+        # only the library's own validation errors mean a tolerance problem
+        import backflow.translation as translation
+
+        def broken(entries):
+            raise TypeError("not a validation failure")
+
+        monkeypatch.setattr(translation, "make_density_matrix", broken)
+        with pytest.raises(TypeError, match="not a validation failure"):
+            jointly_translate(pure_state([1, 0]), pure_state([1, 1]))
+
 
 class TestIsJointlyTranslatable:
     def test_non_orthogonal_pair(self):

@@ -1,8 +1,14 @@
+import fnmatch
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from backflow.dynamics import lambda_map_coefficients, make_grid, sinusoidal_rates
 from backflow.verify import (
+    _CHECKS,
+    _Worst,
     backflow_scaling_suite,
     depolarize_stack,
     dynamics_suite,
@@ -78,18 +84,39 @@ def test_fault_injection_fails_interior_check(preset_coeffs, seed=106):
     assert by_name["translate-strictly-interior"].worst < 0.0
 
 def test_run_all_covers_every_suite(seed=107):
-    checks = run_all(seed, dims=(2, 3), trials=5)
-    names = {c.name for c in checks}
-    for expected in (
-        "metric-symmetry",
-        "jordan-hahn-reconstruction",
-        "translate-strictly-interior",
-        "rescaled-backflow-law",
-        "cpt-identity",
-        "integrator-agreement",
-    ):
-        assert expected in names
+    # every declared check, once and in declared order, at the default dims
+    checks = run_all(seed, trials=5)
+    assert [c.name for c in checks] == list(_CHECKS)
+    assert len(checks) == 33
     assert_all_pass(checks)
+
+
+@pytest.mark.parametrize("relation, passes", [("<=", True), (">=", True), ("<", False), (">", False)])
+def test_worst_value_at_the_bound(relation, passes):
+    name = next(n for n, (rel, _, _) in _CHECKS.items() if rel == relation)
+    bound = _CHECKS[name][1]
+    worst = _Worst()
+    worst.see(name, bound)
+    [check] = worst.checks(name, 1)
+    assert (check.worst, check.bound, check.passed) == (bound, bound, passes)
+
+
+def test_worst_value_keeps_a_nan():
+    worst = _Worst()
+    worst.see("metric-triangle", 0.0, float("nan"))
+    worst.see("metric-triangle", 1.0)
+    [check] = worst.checks("metric-triangle", 2)
+    assert np.isnan(check.worst) and not check.passed
+
+
+def test_readme_cites_only_declared_checks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("`verify` prints 33 checks")
+    section = readme[start:readme.index("\n## ", start)]
+    cited = re.findall(r"`([a-z]+(?:-[a-z*]+)+)`", section)
+    assert cited
+    for name in cited:
+        assert fnmatch.filter(_CHECKS, name), f"README cites {name!r}, which verify does not declare"
 
 
 def test_depolarizer_is_linear_and_trace_preserving():
