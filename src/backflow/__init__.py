@@ -17,9 +17,9 @@ from .dynamics import (
     lambda_map_coefficients,
     lindblad_integrate,
     make_grid,
-    map_invariants,
     rates_from_model,
     sinusoidal_rates,
+    stretch_ends,
     tabulated_rates,
     zero_rates,
 )

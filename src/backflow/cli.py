@@ -10,7 +10,9 @@ rejection, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -119,7 +121,8 @@ def _pair(where: str, entry) -> tuple[DensityMatrix, DensityMatrix]:
 # --- run configuration ----------------------------------------------------
 
 # Caps on the sizes that allocate memory, so no config value can exhaust it.
-# histogram holds about 2.05 kB per grid step for its batch of 32 pairs: 20.5 MB at the cap
+# histogram and measure score 32 pairs at a time at the grid's stretch ends, about
+# 6.2 kB per kept point: 0.3 MB at the cap on the default model, 62 MB if every step is mixed
 MAX_GRID_STEPS = 10**4
 # histogram keeps one float per sample: 80 MB at the cap
 MAX_SAMPLES = 10**7
@@ -235,11 +238,31 @@ class RunConfig:
         # repeated dim reruns the same instances
         if len(set(self.dims)) != len(self.dims):
             raise ValidationError(f"dims: each dimension may appear once, got {list(self.dims)}")
+        if self.output:
+            _check_writable(self.output)
         return self
 
     def echo(self) -> dict:
         """JSON-serializable copy that parse_config accepts back verbatim."""
         return {f.name: f.metadata["echo"](getattr(self, f.name)) for f in fields(self)}
+
+
+def _check_writable(path: str) -> None:
+    """Fail before the run, as ``write_text`` would after it, on an output path
+    that holds a null byte, is a directory, or whose directory is missing or
+    not writable; the file itself is not created."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if "\0" in path:
+        reason = "embedded null byte"
+    elif os.path.isdir(path):
+        reason = os.strerror(errno.EISDIR)
+    elif not os.path.isdir(parent):
+        reason = os.strerror(errno.ENOENT)
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = os.strerror(errno.EACCES)
+    else:
+        return
+    raise ValidationError(f"output: cannot write {path!r} ({reason})")
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:

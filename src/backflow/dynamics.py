@@ -14,7 +14,7 @@ import csv
 import inspect
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -346,50 +346,28 @@ def apply_map_to_grid(coeffs: MapCoefficients, matrices: np.ndarray) -> np.ndarr
     return out
 
 
-def map_invariants(coeffs: MapCoefficients, matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace, trace of the square and determinant of each evolved matrix.
+def stretch_ends(coeffs: MapCoefficients) -> MapCoefficients:
+    """The coefficients at the grid points where a trace distance can turn.
 
-    The same evolution as :func:`apply_map_to_grid`, without building it:
-    each invariant is a sum of per-matrix coefficients times functions of
-    x = |f|^2, g1 and g2 (the phase of f is a conjugation by
-    diag(e^{i theta}, 1, 1), so it cancels). Takes Hermitian (..., 3, 3)
-    and returns three real arrays of shape (..., grid).
+    The step map from t_k to t_k+1 has this model's form, with feeding
+    coefficients (g_i(t_k+1) - g_i(t_k)) / |f(t_k)|^2. A step is
+    *contracting* when both g increments are >= 0: its map is CPTP, so no
+    trace distance rises over it. It is *expanding* when both are <= 0:
+    the inverse step map is CPTP, so no trace distance falls. Otherwise it
+    is *mixed*. Kept are the first and last points, every point where the
+    step kind changes and both ends of every mixed step. Between two kept
+    points every distance is then monotone or the points bound one mixed
+    step, so the rises summed over the kept points are those summed over
+    the whole grid.
     """
-    m = np.asarray(matrices, dtype=complex)
-    _check_dim3(m)
-    a, p, q = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 2, 2].real
-    u, v, w = m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]
-    uu, vv, ww = np.abs(u) ** 2, np.abs(v) ** 2, np.abs(w) ** 2
-    cycle = (u * w * np.conj(v)).real
-    x, g1, g2 = np.abs(coeffs.f) ** 2, coeffs.g1, coeffs.g2
-    one = np.ones_like(x)
-
-    def combine(*terms):
-        # an elementwise sum in a fixed order, unlike a matrix product, so
-        # each value is bitwise independent of how many matrices are passed;
-        # summed in place, so one product at a time is held
-        total = np.zeros(a.shape + x.shape)
-        for c, t in terms:
-            total += c[..., None] * t
-        return total
-
-    trace = combine((a, x + g1 + g2), (p + q, one))
-    trace_sq = combine(
-        (p * p + q * q + 2.0 * ww, one),
-        (2.0 * (uu + vv), x),
-        (a * a, x * x),
-        (2.0 * p * a, g1),
-        (2.0 * q * a, g2),
-        (a * a, g1 * g1),
-        (a * a, g2 * g2),
-    )
-    det = combine(
-        (a * (p * q - ww) - uu * q - vv * p + 2.0 * cycle, x),
-        (a * a * q - a * vv, x * g1),
-        (a * a * p - a * uu, x * g2),
-        (a**3, x * g1 * g2),
-    )
-    return trace, trace_sq, det
+    dg1, dg2 = np.diff(coeffs.g1), np.diff(coeffs.g2)
+    # 0 contracting, 1 expanding, 2 mixed; step k runs from point k to k + 1
+    kind = np.where((dg1 >= 0) & (dg2 >= 0), 0, np.where((dg1 <= 0) & (dg2 <= 0), 1, 2))
+    keep = np.ones(coeffs.grid.size, dtype=bool)
+    # interior points between steps of two kinds or two mixed steps, which
+    # keeps both ends of every mixed step
+    keep[1:-1] = (kind[:-1] != kind[1:]) | (kind[1:] == 2)
+    return MapCoefficients(**{field.name: getattr(coeffs, field.name)[keep] for field in fields(coeffs)})
 
 
 # Nothing calls this (callers map a stack with apply_map_to_grid); it stays

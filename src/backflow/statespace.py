@@ -240,48 +240,6 @@ def _clipped_distances(deltas: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * np.abs(np.linalg.eigvalsh(deltas)).sum(axis=-1), 0.0, 1.0)
 
 
-def _invariant_distances(trace: np.ndarray, trace_sq: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Half the absolute-eigenvalue sums of Hermitian 3x3 matrices, clipped to [0, 1],
-    from their invariants tr M, tr M^2 and det M, without an eigensolve.
-
-    The eigenvalues are s + 2 rho cos(phi) and s - rho cos(phi) +- sqrt(3)
-    rho sin(phi) for the mean s, rho = sqrt(P/3) and phi = arccos(r)/3 in
-    [0, pi/3], with P, Q the invariants of M - s and r = Q / (2 rho^3).
-    Keeping s keeps the result at rounding level when the trace is near
-    but not exactly zero, as for evolved state differences. A pair of
-    nearly equal eigenvalues costs sqrt(eps) relative accuracy in each of
-    them, which changes the sum only if the pair straddles zero; for a
-    (nearly) traceless matrix that happens only when all three are near zero.
-    """
-    # the (..., grid) arrays set the peak memory, so they are reused in place
-    s = trace / 3.0
-    p = s * s
-    p *= -3.0
-    p += trace_sq
-    p /= 2.0
-    np.maximum(p, 0.0, out=p)  # P = (tr M^2 - 3 s^2) / 2
-    q = s * s
-    np.subtract(p, q, out=q)
-    q *= s
-    q += det  # Q = det M - s^3 + P s
-    radius = np.sqrt(np.divide(p, 3.0, out=p), out=p)
-    cos = radius**3
-    cos *= 2.0
-    np.divide(q, cos, out=cos, where=cos > 0.0)  # r = Q / (2 rho^3), or 0 where P = 0
-    np.clip(cos, -1.0, 1.0, out=cos)
-    np.cos(np.divide(np.arccos(cos, out=cos), 3.0, out=cos), out=cos)
-    # sin(phi) = sqrt(1 - cos(phi)^2) on [0, pi/3]
-    sin = np.sqrt(np.subtract(1.0, np.multiply(cos, cos, out=q), out=q), out=q)
-    sin *= np.sqrt(3.0) * radius  # sqrt(3) rho sin(phi)
-    cos *= radius  # rho cos(phi)
-    total = np.abs(np.add(s, 2.0 * cos, out=radius), out=radius)
-    middle = np.subtract(s, cos, out=cos)
-    total += np.abs(np.add(middle, sin, out=s), out=s)
-    total += np.abs(np.subtract(middle, sin, out=middle), out=middle)
-    total *= 0.5
-    return np.clip(total, 0.0, 1.0, out=total)
-
-
 def jordan_hahn(rho1: DensityMatrix, rho2: DensityMatrix) -> JordanHahnParts:
     """Split rho1 - rho2 into orthogonal positive parts P1 - P2.
 

@@ -66,50 +66,49 @@ class PropertyCheck:
     worst: float
     bound: float
     trials: int
-    detail: str = ""
 
 
-# name -> (relation, bound, detail) in report order; a check passes when
-# its worst value stands in the relation to the bound
-_CHECKS: dict[str, tuple[str, float, str]] = {
+# name -> (relation, bound) in report order; a check passes when its worst
+# value stands in the relation to the bound
+_CHECKS: dict[str, tuple[str, float]] = {
     # metric_suite
-    "metric-symmetry": ("<=", 0.0, ""),
-    "metric-self-distance": ("<=", 0.0, ""),
-    "metric-triangle": ("<=", 1e-12, ""),
-    "metric-unitary-invariance": ("<=", 1e-10, ""),
+    "metric-symmetry": ("<=", 0.0),
+    "metric-self-distance": ("<=", 0.0),
+    "metric-triangle": ("<=", 1e-12),
+    "metric-unitary-invariance": ("<=", 1e-10),
     # jordan_hahn_suite
-    "jordan-hahn-reconstruction": ("<=", 1e-12, ""),
-    "jordan-hahn-traces-equal-distance": ("<=", 1e-10, ""),
-    "jordan-hahn-parts-positive": ("<=", TOL_PSD, ""),
-    "jordan-hahn-parts-orthogonal": ("<=", TOL_PSD, ""),
-    "rescale-unit-distance": ("<=", 1e-10, ""),
-    "rescale-difference-law": ("<=", 1e-12, ""),
-    "overlapping-pairs-below-unit-distance": ("<", 1.0 - 1e-8, "strictly below"),
-    "orthogonal-pairs-unit-distance": ("<=", 1e-12, ""),
-    "orthogonal-pairs-on-boundary": ("<=", TOL_PSD, ""),
+    "jordan-hahn-reconstruction": ("<=", 1e-12),
+    "jordan-hahn-traces-equal-distance": ("<=", 1e-10),
+    "jordan-hahn-parts-positive": ("<=", TOL_PSD),
+    "jordan-hahn-parts-orthogonal": ("<=", TOL_PSD),
+    "rescale-unit-distance": ("<=", 1e-10),
+    "rescale-difference-law": ("<=", 1e-12),
+    "overlapping-pairs-below-unit-distance": ("<", 1.0 - 1e-8),
+    "orthogonal-pairs-unit-distance": ("<=", 1e-12),
+    "orthogonal-pairs-on-boundary": ("<=", TOL_PSD),
     # translation_suite
-    "translate-strictly-interior": (">", TOL_PSD, "minimum eigenvalue across translated states; must exceed bound"),
-    "translate-difference-preserved": ("<=", 1e-12, ""),
-    "translate-trajectory-invariance": ("<=", 1e-10, ""),
-    "shift-traceless": ("<=", 1e-12, ""),
-    "shift-hermitian": ("<=", 1e-12, ""),
-    "shift-nonzero": (">", 0.0, "smallest shift operator norm; must exceed bound"),
-    "orthogonal-pairs-rejected": ("<=", 0.0, "count of orthogonal pairs accepted for translation"),
-    "quadratic-bound-positive": (">", 0.0, "minimum of the positivity polynomial near the bound edge"),
-    "epsilon-bound-monotone": (">", 0.0, "smallest increment of the bound in the minimum weight"),
+    "translate-strictly-interior": (">", TOL_PSD),  # minimum eigenvalue across translated states
+    "translate-difference-preserved": ("<=", 1e-12),
+    "translate-trajectory-invariance": ("<=", 1e-10),
+    "shift-traceless": ("<=", 1e-12),
+    "shift-hermitian": ("<=", 1e-12),
+    "shift-nonzero": (">", 0.0),  # smallest shift operator norm
+    "orthogonal-pairs-rejected": ("<=", 0.0),  # count of orthogonal pairs accepted for translation
+    "quadratic-bound-positive": (">", 0.0),  # minimum of the positivity polynomial near the bound edge
+    "epsilon-bound-monotone": (">", 0.0),  # smallest increment of the bound in the minimum weight
     # backflow_scaling_suite
-    "rescaled-backflow-law": ("<=", 1e-8, ""),
-    "stretched-backflow-law": ("<=", 1e-8, ""),
+    "rescaled-backflow-law": ("<=", 1e-8),
+    "stretched-backflow-law": ("<=", 1e-8),
     # dynamics_suite
-    "cpt-identity": ("<=", 1e-8, ""),
-    "cpt-g-nonnegative": (">=", -1e-10, "minimum feeding coefficient; must not fall below bound"),
-    "closed-form-rate-integrals": ("<=", 1e-7, ""),
-    "closed-form-feeding": ("<=", 1e-7, ""),
-    "closed-form-coherence-decay": ("<=", 1e-7, ""),
-    "distance-contraction-bound": ("<=", 1e-9, ""),
-    "period-return-identity": ("<=", 1e-6, ""),
-    "quadrature-step-halving": ("<", 1e-6, ""),
-    "integrator-agreement": ("<=", 1e-6, ""),
+    "cpt-identity": ("<=", 1e-8),
+    "cpt-g-nonnegative": (">=", -1e-10),  # minimum feeding coefficient
+    "closed-form-rate-integrals": ("<=", 1e-7),
+    "closed-form-feeding": ("<=", 1e-7),
+    "closed-form-coherence-decay": ("<=", 1e-7),
+    "distance-contraction-bound": ("<=", 1e-9),
+    "period-return-identity": ("<=", 1e-6),
+    "quadrature-step-halving": ("<", 1e-6),
+    "integrator-agreement": ("<=", 1e-6),
 }
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -136,9 +135,9 @@ class _Worst:
         """The checks named in the space-separated ``names``, in that order."""
         out = []
         for name in names.split():
-            relation, bound, detail = _CHECKS[name]
+            relation, bound = _CHECKS[name]
             worst = self._get(name)[1]
-            out.append(PropertyCheck(name, _RELATIONS[relation](worst, bound), worst, bound, trials, detail))
+            out.append(PropertyCheck(name, _RELATIONS[relation](worst, bound), worst, bound, trials))
         return out
 
 

@@ -61,6 +61,16 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="trials"):
             parse_config(None, {"trials": 0})
 
+    def test_output_checked_without_creating_it(self, tmp_path):
+        path = tmp_path / "out.json"
+        assert parse_config(None, {"output": str(path)}).output == str(path)
+        assert not path.exists()
+        with pytest.raises(ValidationError, match="output: cannot write .*Is a directory"):
+            parse_config(None, {"output": str(tmp_path)})
+        # open() raises ValueError, not OSError, on a null byte
+        with pytest.raises(ValidationError, match="output: cannot write .*embedded null byte"):
+            parse_config(None, {"output": str(tmp_path / "x\0y")})
+
     def test_unknown_field_rejected(self, tmp_path):
         path = write_json(tmp_path / "cfg.json", {"sampels": 3})
         with pytest.raises(ValidationError, match="sampels"):
@@ -437,7 +447,10 @@ class TestReportContract:
     def test_unwritable_output_is_one_validation_error(self, tmp_path, capsys, args, target):
         path = str(tmp_path / target)
         assert main(args + ["--output", path]) == 1
-        lines = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        # the path is checked before the run, so verify prints no check lines
+        assert captured.out == ""
+        lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error (ValidationError): output: cannot write {path!r}")
 

@@ -8,6 +8,7 @@ import pytest
 from backflow.dynamics import (
     POSITIVITY_DRIFT,
     STEP_BLOCK,
+    MapCoefficients,
     RateFunctions,
     _master_equation_rhs,
     apply_lambda_map,
@@ -16,9 +17,9 @@ from backflow.dynamics import (
     lambda_map_coefficients,
     lindblad_integrate,
     make_grid,
-    map_invariants,
     rates_from_model,
     sinusoidal_rates,
+    stretch_ends,
     tabulated_rates,
     validate_cpt,
     zero_rates,
@@ -32,10 +33,9 @@ from backflow.errors import (
     QuadratureFailure,
     ValidationError,
 )
-from backflow.measure import mixed_reference_pair
+from backflow.measure import RISE_TOLERANCE, _batched_backflows, _rise, mixed_reference_pair
 from backflow.statespace import (
     _clipped_distances,
-    _invariant_distances,
     make_density_matrix,
     pure_state,
     rng_stream,
@@ -254,6 +254,33 @@ def _unequal_rates():
     )
 
 
+def _full_grid_backflows(coeffs, deltas, rise_tolerance=0.0):
+    """The reference reduction: the distance at every grid point, then the rises."""
+    return _rise(_clipped_distances(apply_map_to_grid(coeffs, deltas)), rise_tolerance)
+
+
+def _sampled_deltas(seed, n=16):
+    """Differences of n pure and n mixed orthogonal pairs from the stream ``seed``."""
+    rng = rng_stream(seed)
+    pairs = [sample_pure_orthogonal_pair(3, rng) for _ in range(n)]
+    pairs += [sample_orthogonal_mixed_pair(3, rng) for _ in range(n)]
+    return np.stack([r1.entries - r2.entries for r1, r2 in pairs])
+
+
+def _assert_stretch_ends_match_full_grid(coeffs, deltas, rise_tolerances=(0.0,)):
+    ends = stretch_ends(coeffs)
+    for rise_tolerance in rise_tolerances:
+        np.testing.assert_allclose(
+            _batched_backflows(ends, deltas, rise_tolerance),
+            _full_grid_backflows(coeffs, deltas, rise_tolerance),
+            rtol=0,
+            atol=1e-12,
+        )
+    return ends
+
+
+# The class keeps the name of the closed-form invariant scorer it replaced; it
+# checks candidate scoring at the stretch ends against the full grid.
 class TestMapInvariants:
     @pytest.mark.parametrize(
         "rates, steps",
@@ -277,41 +304,96 @@ class TestMapInvariants:
         # the mixed reference pair has a double eigenvalue at t = 0
         pairs.append(mixed_reference_pair())
         deltas = np.stack([r1.entries - r2.entries for r1, r2 in pairs])
+        _assert_stretch_ends_match_full_grid(coeffs, deltas, (0.0, RISE_TOLERANCE))
 
-        stack = apply_map_to_grid(coeffs, deltas)
-        trace, trace_sq, det = map_invariants(coeffs, deltas)
-        assert trace.shape == trace_sq.shape == det.shape == stack.shape[:2]
-        np.testing.assert_allclose(trace, np.trace(stack, axis1=-2, axis2=-1).real, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(
-            trace_sq, np.trace(stack @ stack, axis1=-2, axis2=-1).real, rtol=0, atol=1e-13
-        )
-        np.testing.assert_allclose(det, np.linalg.det(stack).real, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(
-            _invariant_distances(trace, trace_sq, det), _clipped_distances(stack), rtol=0, atol=1e-13
-        )
-
+    # the ids name a diagonal whose traceless part, as for every state
+    # difference, is fed in: diag(2, -1, -1) with a double eigenvalue, and
+    # the zero matrix left of the identity
     @pytest.mark.parametrize("scale", [1.0, -1.0, 0.25, -0.25])
     @pytest.mark.parametrize(
         "diagonal", [(2.0, -1.0, -1.0), (1.0, 1.0, 1.0)], ids=["r-is-one", "p-is-zero"]
     )
     def test_closed_form_at_the_edges(self, diagonal, scale):
-        # diag(2, -1, -1) has r = 1 exactly and its negative r = -1, so the
-        # clipped arccos is at either end; a multiple of the identity has P = 0
-        m = np.diag(np.array(diagonal) * scale).astype(complex)[None]
-        trace, trace_sq = (np.trace(x, axis1=-2, axis2=-1).real for x in (m, m @ m))
-        invariants = (trace, trace_sq, np.linalg.det(m).real)
-        np.testing.assert_allclose(_invariant_distances(*invariants), _clipped_distances(m), rtol=0, atol=1e-13)
+        m = np.diag((np.array(diagonal) - np.mean(diagonal)) * scale).astype(complex)[None]
+        rho1, rho2 = mixed_reference_pair()
+        deltas = np.concatenate([m, scale * (rho1.entries - rho2.entries)[None]])
+        half_step = np.pi / 1000
+        # (rates, grid, kept grid points): no dynamics, a one-step grid, the
+        # turning point on the last grid point and one step before it
+        for rates, grid, kept in (
+            (zero_rates(), make_grid(2 * np.pi, 200), [0, 200]),
+            (sinusoidal_rates(), make_grid(0.05, 1), [0, 1]),
+            (sinusoidal_rates(), make_grid(np.pi, 1000), [0, 1000]),
+            (sinusoidal_rates(), make_grid(np.pi + half_step, 1001), [0, 1000, 1001]),
+        ):
+            coeffs = lambda_map_coefficients(rates, grid)
+            ends = _assert_stretch_ends_match_full_grid(coeffs, deltas)
+            np.testing.assert_array_equal(ends.grid, grid[kept])
 
     def test_zero_difference_is_exactly_zero(self, preset_coeffs):
         # runs under the warnings-as-errors setting, so a 0/0 would fail here
-        invariants = map_invariants(preset_coeffs, np.zeros((2, 3, 3)))
-        for values in invariants:
-            assert np.all(values == 0.0)
-        assert np.all(_invariant_distances(*invariants) == 0.0)
+        assert np.all(_batched_backflows(stretch_ends(preset_coeffs), np.zeros((2, 3, 3)), 0.0) == 0.0)
 
     def test_wrong_dimension(self, preset_coeffs):
         with pytest.raises(BadDimension):
-            map_invariants(preset_coeffs, np.zeros((4, 2, 2)))
+            _batched_backflows(stretch_ends(preset_coeffs), np.zeros((4, 2, 2)), 0.0)
+
+
+class TestStretchEnds:
+    def test_default_model_keeps_zero_pi_and_two_pi(self, preset_coeffs):
+        ends = stretch_ends(preset_coeffs)
+        np.testing.assert_array_equal(ends.grid, GRID[[0, 1000, 2000]])
+        np.testing.assert_allclose(ends.grid, [0.0, np.pi, 2 * np.pi], rtol=0, atol=1e-15)
+        for name in ("f", "g1", "g2", "d1", "d2"):
+            np.testing.assert_array_equal(getattr(ends, name), getattr(preset_coeffs, name)[[0, 1000, 2000]])
+
+    def test_constant_rates_keep_the_ends(self):
+        # a semigroup contracts on every step, so no pair can score a rise
+        grid = make_grid(2 * np.pi, 400)
+        coeffs = lambda_map_coefficients(constant_rates(gamma=0.03, shift=0.5), grid)
+        ends = _assert_stretch_ends_match_full_grid(coeffs, _sampled_deltas(16), (0.0, RISE_TOLERANCE))
+        np.testing.assert_array_equal(ends.grid, grid[[0, -1]])
+        assert np.all(_batched_backflows(ends, _sampled_deltas(16), RISE_TOLERANCE) == 0.0)
+
+    def test_rate_zero_inside_a_step(self):
+        # at 1999 steps the rates' zero at pi falls inside a step, which
+        # turns the kind from contracting to expanding at its far end
+        grid = make_grid(2 * np.pi, 1999)
+        coeffs = lambda_map_coefficients(sinusoidal_rates(), grid)
+        assert not np.any(np.isclose(grid, np.pi, rtol=0, atol=1e-6))
+        ends = _assert_stretch_ends_match_full_grid(coeffs, _sampled_deltas(17), (0.0, RISE_TOLERANCE))
+        assert ends.grid.size == 3
+        assert 0.0 < ends.grid[1] - np.pi < grid[1]
+
+    def test_tabulated_mixed_steps(self, tmp_path):
+        # rates of opposite sign make g1 rise while g2 falls: mixed steps
+        t = np.linspace(0.0, 2 * np.pi, 2001)
+        tables = {}
+        for name, values in (("gamma1", 0.05 * np.sin(t) + 0.02), ("gamma2", 0.03 * np.sin(2 * t) + 0.01)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), values.tolist())))
+            tables[name] = str(path)
+        grid = make_grid(2 * np.pi, 600)
+        coeffs = lambda_map_coefficients(rates_from_model({"preset": "tabulated", **tables}), grid)
+        mixed = np.diff(coeffs.g1) * np.diff(coeffs.g2) < 0
+        assert 0 < mixed.sum() < mixed.size
+        ends = _assert_stretch_ends_match_full_grid(coeffs, _sampled_deltas(18, 64), (0.0, RISE_TOLERANCE))
+        assert ends.grid.size < grid.size
+        assert np.isin(grid[:-1][mixed], ends.grid).all() and np.isin(grid[1:][mixed], ends.grid).all()
+
+    def test_random_walk_coefficients(self):
+        # valid coefficients from a random walk of (g1, g2) inside the simplex:
+        # every step kind occurs, in runs of random length
+        rng = rng_stream(19)
+        g = np.cumsum(rng.normal(0.0, 0.004, size=(301, 2)) * rng.integers(0, 2, size=(301, 1)), axis=0)
+        g = np.abs(g - g[0])
+        x = 1.0 - g.sum(axis=1)
+        assert x.min() > 0.0
+        grid = np.linspace(0.0, 3.0, 301)
+        f = np.sqrt(x) * np.exp(-1j * grid)
+        coeffs = MapCoefficients(grid, f, g[:, 0], g[:, 1], np.zeros(301), np.zeros(301))
+        ends = _assert_stretch_ends_match_full_grid(coeffs, _sampled_deltas(20, 64), (0.0, RISE_TOLERANCE))
+        assert 3 < ends.grid.size < grid.size
 
 
 class TestLindbladIntegrate:

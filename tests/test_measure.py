@@ -6,6 +6,7 @@ from backflow.dynamics import (
     lambda_map_coefficients,
     make_grid,
     sinusoidal_rates,
+    stretch_ends,
     zero_rates,
 )
 from backflow.errors import DomainError, IndexOutOfRange, ValidationError
@@ -164,11 +165,12 @@ def test_optimal_states_need_not_be_pure(preset_coeffs):
     grounds = [make_density_matrix(np.diag([0.0, p, 1.0 - p]).astype(complex)) for p in ps]
     expected = MPAIR_BACKFLOW - np.maximum(0.0, g_max - np.minimum(ps, 1.0 - ps))
     assert np.all(expected[: len(on_face)] == MPAIR_BACKFLOW)
-    closed_form = _batched_backflows(preset_coeffs, np.stack([excited.entries - rho.entries for rho in grounds]), 0.0)
-    eigvalsh = [backflow(trace_distance_trajectory(preset_coeffs, excited, rho)) for rho in grounds]
-    np.testing.assert_allclose(closed_form, expected, rtol=0, atol=1e-8)
-    np.testing.assert_allclose(eigvalsh, expected, rtol=0, atol=1e-8)
-    np.testing.assert_allclose(closed_form, eigvalsh, rtol=0, atol=1e-12)
+    deltas = np.stack([excited.entries - rho.entries for rho in grounds])
+    scored = _batched_backflows(stretch_ends(preset_coeffs), deltas, 0.0)
+    full_grid = [backflow(trace_distance_trajectory(preset_coeffs, excited, rho)) for rho in grounds]
+    np.testing.assert_allclose(scored, expected, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(full_grid, expected, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(scored, full_grid, rtol=0, atol=1e-12)
 
 
 class TestBatchedBackflows:
@@ -180,7 +182,7 @@ class TestBatchedBackflows:
             for _ in range(32)
         ]
         deltas = np.stack([r1.entries - r2.entries for r1, r2 in pairs])
-        batched = _batched_backflows(preset_coeffs, deltas, 0.0)
+        batched = _batched_backflows(stretch_ends(preset_coeffs), deltas, 0.0)
         single = [backflow(trace_distance_trajectory(preset_coeffs, r1, r2)) for r1, r2 in pairs]
         np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-12)
         assert np.max(batched) > 0.01
@@ -251,7 +253,7 @@ class TestEstimateMeasure:
 
         def score(pair):
             delta = (pair[0].entries - pair[1].entries)[None]
-            return float(_batched_backflows(coeffs, delta, RISE_TOLERANCE)[0])
+            return float(_batched_backflows(stretch_ends(coeffs), delta, RISE_TOLERANCE)[0])
 
         classes = {
             "pure": [sample_pure_orthogonal_pair(3, rng_stream(16, 0, i)) for i in range(n)],

@@ -93,7 +93,7 @@ def test_run_all_covers_every_suite(seed=107):
 
 @pytest.mark.parametrize("relation, passes", [("<=", True), (">=", True), ("<", False), (">", False)])
 def test_worst_value_at_the_bound(relation, passes):
-    name = next(n for n, (rel, _, _) in _CHECKS.items() if rel == relation)
+    name = next(n for n, (rel, _) in _CHECKS.items() if rel == relation)
     bound = _CHECKS[name][1]
     worst = _Worst()
     worst.see(name, bound)
