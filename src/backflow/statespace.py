@@ -209,19 +209,19 @@ def _check_same_dim(rho1: DensityMatrix, rho2: DensityMatrix) -> None:
         raise DimensionMismatch(f"dimensions differ: {rho1.dim} vs {rho2.dim}")
 
 
-def _canonical_sign(delta: np.ndarray) -> np.ndarray:
-    """Fix the overall sign of a Hermitian difference.
+def _canonical_sign(deltas: np.ndarray) -> np.ndarray:
+    """Fix the overall sign of each Hermitian difference in an (..., N, N) stack.
 
-    Swapping the two states negates the difference exactly in floating
-    point, so canonicalizing the sign before the eigensolve makes the
-    trace distance bitwise symmetric.
+    The first nonzero real entry in row-major order, or the first nonzero
+    imaginary one if the real part is all zero, is made positive; an
+    all-zero difference is kept. Swapping the two states negates the
+    difference exactly in floating point, so canonicalizing the sign
+    before the eigensolve makes the trace distance bitwise symmetric.
     """
-    flat = delta.ravel()
-    for part in (flat.real, flat.imag):
-        idx = np.flatnonzero(part)
-        if idx.size:
-            return -delta if part[idx[0]] < 0 else delta
-    return delta
+    flat = deltas.reshape(-1, deltas.shape[-2] * deltas.shape[-1])
+    parts = np.concatenate([flat.real, flat.imag], axis=1)
+    first = parts[np.arange(len(parts)), (parts != 0).argmax(axis=1)]
+    return np.where((first < 0).reshape(deltas.shape[:-2] + (1, 1)), -deltas, deltas)
 
 
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -231,8 +231,7 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     instead of singular values.
     """
     _check_same_dim(rho1, rho2)
-    delta = _canonical_sign(rho1.entries - rho2.entries)
-    return float(_clipped_distances(delta))
+    return float(_clipped_distances(_canonical_sign(rho1.entries - rho2.entries)))
 
 
 def _clipped_distances(deltas: np.ndarray) -> np.ndarray:
@@ -306,8 +305,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _haar_stack(dim: int, rngs: list[np.random.Generator]) -> np.ndarray:
     """:func:`haar_unitary` for one stream each, in one stacked QR."""
-    draws = np.array([(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))) for rng in rngs])
-    q, r = np.linalg.qr((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0))
+    return _haar_from_ginibre(np.array([rng.standard_normal((2, dim, dim)) for rng in rngs]))
+
+
+def _haar_from_ginibre(ginibre: np.ndarray) -> np.ndarray:
+    """Haar unitaries from an (n, 2, N, N) stack of real and imaginary Ginibre parts, in one stacked QR."""
+    q, r = np.linalg.qr((ginibre[:, 0] + 1j * ginibre[:, 1]) / np.sqrt(2.0))
     d = r.diagonal(axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
 
@@ -331,9 +334,32 @@ def sample_random_state(dim: int, rank: int, rng: np.random.Generator) -> Densit
     """Random rank-r state: Haar-orthonormal support with flat Dirichlet weights."""
     if dim < 1 or not 1 <= rank <= dim:
         raise BadDimension(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    cols = haar_unitary(dim, rng)[:, :rank]
-    weights = rng.dirichlet(np.ones(rank))
-    return make_density_matrix((cols * weights) @ cols.conj().T)
+    ginibre, weights = _random_state_draws(dim, rank, rng)
+    return DensityMatrix(_density_stack(_random_state_stack(_haar_from_ginibre(ginibre[None]), [weights]))[0])
+
+
+def _random_state_draws(dim: int, rank: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The random numbers of one :func:`sample_random_state`, in its order:
+    the (2, N, N) Ginibre parts of the unitary, then the rank's flat Dirichlet weights."""
+    return rng.standard_normal((2, dim, dim)), rng.dirichlet(np.ones(rank))
+
+
+def _random_state_stack(unitaries: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
+    """Unvalidated :func:`sample_random_state` matrices for an (n, N, N) stack of
+    unitaries, each weighting its leading ``len(weights[i])`` columns."""
+    ranks = [w.size for w in weights]
+    states = np.empty(unitaries.shape, dtype=complex)
+    for k in sorted(set(ranks)):
+        rows = [i for i, rank in enumerate(ranks) if rank == k]
+        states[rows] = _weighted_projections(unitaries[rows, :, :k], np.array([weights[i] for i in rows]))
+    return states
+
+
+def _weighted_projections(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum of ``weights[i, j]`` times the projector on column j of ``cols[i]``, for
+    (n, N, r) columns and (n, r) weights; every product has one state's shapes,
+    so each matrix is bit-identical to building it alone."""
+    return (cols * weights[:, None, :]) @ cols.conj().swapaxes(-1, -2)
 
 
 def sample_orthogonal_mixed_pair(
@@ -361,5 +387,5 @@ def _mixed_pair_stacks(dim: int, rngs: list[np.random.Generator]) -> np.ndarray:
         rows = [i for i, split in enumerate(splits) if split == k]
         for side, cols in enumerate((u[rows, :, :k], u[rows, :, k:])):
             weights = np.array([rngs[i].dirichlet(np.ones(cols.shape[-1])) for i in rows])
-            states[[side * n + i for i in rows]] = (cols * weights[:, None, :]) @ cols.conj().swapaxes(-1, -2)
+            states[[side * n + i for i in rows]] = _weighted_projections(cols, weights)
     return _density_stack(states).reshape(2, n, dim, dim)

@@ -37,7 +37,12 @@ from .measure import TraceDistanceTrajectory, backflow, trajectory_from_states
 from .statespace import (
     TOL_PSD,
     DensityMatrix,
-    haar_unitary,
+    _canonical_sign,
+    _clipped_distances,
+    _density_stack,
+    _haar_from_ginibre,
+    _random_state_draws,
+    _random_state_stack,
     is_orthogonal,
     jordan_hahn,
     make_density_matrix,
@@ -141,11 +146,34 @@ class _Worst:
         return out
 
 
+# Matrix entries per stacked block: a block holds at most this many entries
+# per state across its triples or pairs, so the few dozen N x N intermediates
+# of a triple stay a few MB per block at any dimension and trial count.
+_BLOCK_ENTRIES = 1 << 12
+
+
+def _block_sizes(count: int, dim: int) -> list[int]:
+    """Sizes of the blocks that draw ``count`` triples or pairs of dim x dim states."""
+    size = max(1, _BLOCK_ENTRIES // (dim * dim))
+    return [min(size, count - start) for start in range(0, count, size)]
+
+
+def _pair_draws(dim: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The random numbers of one random pair, in its order: both ranks, then each state's draws."""
+    ranks = [int(rng.integers(1, dim + 1)) for _ in range(2)]
+    return [_random_state_draws(dim, rank, rng) for rank in ranks]
+
+
+def _random_states(draws: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The validated states of a list of state draws, with one stacked QR and one validation."""
+    unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws]))
+    return _density_stack(_random_state_stack(unitaries, [weights for _, weights in draws]))
+
+
 def _random_pair(dim: int, rng: np.random.Generator) -> tuple[DensityMatrix, DensityMatrix]:
     """Random state pair with independently drawn ranks."""
-    r1 = int(rng.integers(1, dim + 1))
-    r2 = int(rng.integers(1, dim + 1))
-    return sample_random_state(dim, r1, rng), sample_random_state(dim, r2, rng)
+    rho1, rho2 = _random_states(_pair_draws(dim, rng))
+    return DensityMatrix(rho1), DensityMatrix(rho2)
 
 
 def _random_nonorthogonal_pair(
@@ -185,24 +213,42 @@ def _trajectory(coeffs: MapCoefficients, m1: np.ndarray, m2: np.ndarray) -> Trac
 
 
 def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[PropertyCheck]:
-    """Metric axioms of the trace distance plus unitary invariance."""
+    """Metric axioms of the trace distance plus unitary invariance.
+
+    Each dimension's triples run in blocks of :func:`_block_sizes`; the
+    checks do not depend on the block size.
+    """
     worst = _Worst()
     for dim in dims:
         rng = rng_stream(seed, 10, dim)
-        for _ in range(triples):
-            a, b = _random_pair(dim, rng)
-            c = sample_random_state(dim, int(rng.integers(1, dim + 1)), rng)
-            dab, dba = trace_distance(a, b), trace_distance(b, a)
-            worst.see("metric-symmetry", abs(dab - dba))
-            worst.see("metric-self-distance", trace_distance(a, a))
-            worst.see("metric-triangle", trace_distance(a, c) - (dab + trace_distance(b, c)))
-            u = haar_unitary(dim, rng)
-            ua = make_density_matrix(u @ a.entries @ u.conj().T)
-            ub = make_density_matrix(u @ b.entries @ u.conj().T)
-            worst.see("metric-unitary-invariance", abs(trace_distance(ua, ub) - dab))
+        for n in _block_sizes(triples, dim):
+            _metric_block(worst, dim, n, rng)
     return worst.checks(
         "metric-symmetry metric-self-distance metric-triangle metric-unitary-invariance", len(dims) * triples
     )
+
+
+def _metric_block(worst: _Worst, dim: int, n: int, rng: np.random.Generator) -> None:
+    """Check ``n`` triples: the random numbers are drawn triple by triple (a
+    random pair, a third state, a Haar rotation), then every state is built
+    and compared as a stack, each bit-identical to handling its triple alone."""
+    draws, rotations = [], []
+    for _ in range(n):
+        draws += _pair_draws(dim, rng)
+        draws.append(_random_state_draws(dim, int(rng.integers(1, dim + 1)), rng))
+        rotations.append(rng.standard_normal((2, dim, dim)))
+    unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws] + rotations))
+    states = _density_stack(_random_state_stack(unitaries[: 3 * n], [weights for _, weights in draws]))
+    a, b, c = (states[k::3] for k in range(3))
+    u = unitaries[3 * n :]
+    u_adjoint = u.conj().swapaxes(-1, -2)
+    ua, ub = _density_stack(np.concatenate([u @ a @ u_adjoint, u @ b @ u_adjoint])).reshape(2, n, dim, dim)
+    deltas = np.stack([a - b, b - a, a - a, a - c, b - c, ua - ub], axis=1)
+    dab, dba, daa, dac, dbc, drot = _clipped_distances(_canonical_sign(deltas)).T
+    worst.see("metric-symmetry", *np.abs(dab - dba))
+    worst.see("metric-self-distance", *daa)
+    worst.see("metric-triangle", *(dac - (dab + dbc)))
+    worst.see("metric-unitary-invariance", *np.abs(drot - dab))
 
 
 def jordan_hahn_suite(seed: int, dims=(2, 3, 4), trials: int = 100) -> list[PropertyCheck]:
@@ -402,10 +448,13 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
     worst.see("closed-form-feeding", np.abs(coeffs.g1 - g_exact).max(), np.abs(coeffs.g2 - g_exact).max())
     worst.see("closed-form-coherence-decay", np.abs(np.abs(coeffs.f) - np.exp(-d_exact)).max())
 
-    for _ in range(contraction_pairs):
-        rho1, rho2 = _random_pair(3, rng)
-        d = _trajectory(coeffs, rho1.entries, rho2.entries).distances
-        worst.see("distance-contraction-bound", (d - d[0]).max())
+    # the pairs are drawn a block at a time, but their full-grid trajectories
+    # (three (grid, 3, 3) stacks, about 0.9 MB a pair) are held one at a time
+    for n in _block_sizes(contraction_pairs, 3):
+        states = _random_states([draw for _ in range(n) for draw in _pair_draws(3, rng)])
+        for rho1, rho2 in zip(states[0::2], states[1::2]):
+            d = _trajectory(coeffs, rho1, rho2).distances
+            worst.see("distance-contraction-bound", (d - d[0]).max())
 
     # freed before the basis evolutions below, which set the peak memory
     # (5.7 MB traced by tracemalloc, against 4.4 MB for this quadrature)

@@ -417,6 +417,15 @@ class TestReportContract:
         assert main(["measure", "--config", cfg, "--samples", "2"]) == 2
         assert "CptViolation" in capsys.readouterr().err
 
+    def test_coarse_grid_cpt_error_names_the_grid(self, capsys):
+        # the default model meets TOL_CPT only on grids finer than about 200 steps
+        assert main(["measure", "--grid-steps", "150", "--samples", "2"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error (CptViolation): invalid map: |g1+g2+|f|^2-1| = 1.178e-08")
+        assert "on 150 grid steps of width up to 0.0418879" in lines[0]
+        assert "a finer grid lowers the quadrature error" in lines[0]
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_horizon_fails_without_warnings(self, capsys):
         assert main(["trajectory", "--t-max", "1e308"]) == 2

@@ -16,9 +16,14 @@ from backflow.statespace import (
     TOL_HERM,
     TOL_PSD,
     HermitianOperator,
+    _canonical_sign,
+    _clipped_distances,
     _density_stack,
+    _haar_from_ginibre,
     _mixed_pair_stacks,
     _pure_pair_stacks,
+    _random_state_draws,
+    _random_state_stack,
     haar_unitary,
     is_boundary,
     is_orthogonal,
@@ -137,6 +142,49 @@ class TestTraceDistance:
         ua = make_density_matrix(u @ a.entries @ u.conj().T)
         ub = make_density_matrix(u @ b.entries @ u.conj().T)
         assert trace_distance(ua, ub) == pytest.approx(trace_distance(a, b), abs=1e-10)
+
+
+def reference_sign(delta):
+    """The sign rule on one matrix: the first nonzero real entry, else the
+    first nonzero imaginary one, is made positive."""
+    flat = delta.ravel()
+    for part in (flat.real, flat.imag):
+        idx = np.flatnonzero(part)
+        if idx.size:
+            return -delta if part[idx[0]] < 0 else delta
+    return delta
+
+
+class TestStackedSign:
+    @staticmethod
+    def stack():
+        rng = rng_stream(40)
+        a, b, c = (sample_random_state(3, rank, rng).entries for rank in (1, 2, 3))
+        sigma_y = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
+        leading_zeros = np.zeros((3, 3), dtype=complex)
+        leading_zeros[1, 2], leading_zeros[2, 1] = -0.25 + 1j, -0.25 - 1j
+        leading_zeros[0, 0] = -0.0
+        return np.stack([a - b, b - a, sigma_y, -sigma_y, np.zeros((3, 3), dtype=complex), a - c, leading_zeros])
+
+    def test_each_matrix_follows_the_one_matrix_rule(self):
+        stack = self.stack()
+        signed = _canonical_sign(stack)
+        assert signed.shape == stack.shape
+        for got, delta in zip(signed, stack):
+            assert got.tobytes() == reference_sign(delta).tobytes()
+            assert _canonical_sign(delta).tobytes() == got.tobytes()
+        # an imaginary-only difference takes its sign from the imaginary part
+        assert signed[2].tobytes() == signed[3].tobytes() == (-self.stack()[2]).tobytes()
+        assert signed[4].tobytes() == np.zeros((3, 3), dtype=complex).tobytes()
+
+    def test_swapped_differences_give_bitwise_equal_distances(self):
+        stack = self.stack().reshape(7, 1, 3, 3)  # any leading shape
+        plus = _clipped_distances(_canonical_sign(stack))
+        minus = _clipped_distances(_canonical_sign(-stack))
+        assert plus.shape == (7, 1)
+        assert plus.tobytes() == minus.tobytes()
+        for delta, value in zip(stack[:, 0], plus[:, 0]):
+            assert float(_clipped_distances(reference_sign(delta))) == value
 
 
 class TestJordanHahn:
@@ -359,6 +407,16 @@ class TestStackedSampling:
                 rng = rng_stream(33, rank, i)
                 expected = reference_weighted(reference_haar(dim, rng)[:, :rank], rng)
                 assert np.array_equal(sample_random_state(dim, rank, rng_stream(33, rank, i)).entries, expected)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_random_state_stack_matches_one_matrix_reference(self, dim):
+        ranks = [1 + i % dim for i in range(3 * dim)][::-1]
+        draws = [_random_state_draws(dim, rank, rng_stream(36, i)) for i, rank in enumerate(ranks)]
+        unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws]))
+        states = _density_stack(_random_state_stack(unitaries, [weights for _, weights in draws]))
+        for i, rank in enumerate(ranks):
+            rng = rng_stream(36, i)
+            assert np.array_equal(states[i], reference_weighted(reference_haar(dim, rng)[:, :rank], rng))
 
     def test_stacks_are_read_only(self):
         first, second = _pure_pair_stacks(3, [rng_stream(34, i) for i in range(3)])

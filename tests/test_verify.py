@@ -1,13 +1,18 @@
 import fnmatch
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from backflow import verify
 from backflow.dynamics import lambda_map_coefficients, make_grid, sinusoidal_rates
+from backflow.statespace import haar_unitary, make_density_matrix, rng_stream, sample_random_state, trace_distance
 from backflow.verify import (
     _CHECKS,
+    _block_sizes,
+    _trajectory,
     _Worst,
     backflow_scaling_suite,
     depolarize_stack,
@@ -131,3 +136,110 @@ def test_depolarizer_is_linear_and_trace_preserving():
     np.testing.assert_allclose(combined, split, rtol=0, atol=1e-12)
     traces = np.trace(depolarize_stack(grid, a), axis1=1, axis2=2)
     np.testing.assert_allclose(traces, np.trace(a), rtol=0, atol=1e-12)
+
+
+def reference_metric_suite(seed, dims, triples):
+    """The metric suite one triple at a time, as it ran before drawing in blocks."""
+    worst = _Worst()
+    for dim in dims:
+        rng = rng_stream(seed, 10, dim)
+        for _ in range(triples):
+            r1 = int(rng.integers(1, dim + 1))
+            r2 = int(rng.integers(1, dim + 1))
+            a, b = sample_random_state(dim, r1, rng), sample_random_state(dim, r2, rng)
+            c = sample_random_state(dim, int(rng.integers(1, dim + 1)), rng)
+            dab, dba = trace_distance(a, b), trace_distance(b, a)
+            worst.see("metric-symmetry", abs(dab - dba))
+            worst.see("metric-self-distance", trace_distance(a, a))
+            worst.see("metric-triangle", trace_distance(a, c) - (dab + trace_distance(b, c)))
+            u = haar_unitary(dim, rng)
+            ua = make_density_matrix(u @ a.entries @ u.conj().T)
+            ub = make_density_matrix(u @ b.entries @ u.conj().T)
+            worst.see("metric-unitary-invariance", abs(trace_distance(ua, ub) - dab))
+    return worst.checks(
+        "metric-symmetry metric-self-distance metric-triangle metric-unitary-invariance", len(dims) * triples
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 7, 201])
+def test_stacked_metric_suite_matches_one_triple_at_a_time(seed):
+    assert metric_suite(seed, (2, 3, 4, 5), 100) == reference_metric_suite(seed, (2, 3, 4, 5), 100)
+
+
+@pytest.mark.parametrize("block, sizes", [(1, [1] * 30), (7, [7, 7, 7, 7, 2]), (None, [30])])
+@pytest.mark.parametrize("dim", [3, 5])
+def test_metric_checks_do_not_depend_on_the_block_size(monkeypatch, dim, block, sizes):
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", (block or 30) * dim * dim)
+    assert _block_sizes(30, dim) == sizes
+    assert metric_suite(11, (dim,), 30) == reference_metric_suite(11, (dim,), 30)
+
+
+def test_contraction_pairs_do_not_depend_on_the_block_size(monkeypatch, preset_coeffs):
+    worst = 0.0
+    rng = rng_stream(12, 50)
+    for _ in range(5):
+        r1 = int(rng.integers(1, 4))
+        r2 = int(rng.integers(1, 4))
+        rho1, rho2 = sample_random_state(3, r1, rng), sample_random_state(3, r2, rng)
+        d = _trajectory(preset_coeffs, rho1.entries, rho2.entries).distances
+        worst = max(worst, float((d - d[0]).max()))
+    for block in (1, 2, 5):
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", block * 9)
+        by_name = {c.name: c for c in dynamics_suite(12, preset_coeffs, contraction_pairs=5)}
+        assert by_name["distance-contraction-bound"].worst == worst
+
+
+def test_metric_block_memory_is_bounded():
+    metric_suite(1, (16,), 2)  # first-call allocations are not the suite's
+    peaks = []
+    for dims, triples in (((16,), 32), ((16,), 320), ((64,), 4)):
+        tracemalloc.start()
+        try:
+            metric_suite(1, dims, triples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 8e6
+    assert peaks[1] <= 1.1 * peaks[0]  # ten times the triples, the same blocks
+
+
+# worst values of run_all(7, (2, 3, 4), 3), as computed one triple at a time
+RUN_ALL_SEED7_WORST = {
+    "metric-symmetry": 0.0,
+    "metric-self-distance": 0.0,
+    "metric-triangle": 0.0,
+    "metric-unitary-invariance": 7.771561172376096e-16,
+    "jordan-hahn-reconstruction": 5.551115123125783e-16,
+    "jordan-hahn-traces-equal-distance": 4.440892098500626e-16,
+    "jordan-hahn-parts-positive": 1.394060406393934e-16,
+    "jordan-hahn-parts-orthogonal": 1.5376486316947802e-16,
+    "rescale-unit-distance": 2.220446049250313e-16,
+    "rescale-difference-law": 7.771561172376096e-16,
+    "overlapping-pairs-below-unit-distance": 0.5597752793573207,
+    "orthogonal-pairs-unit-distance": 1.1102230246251565e-16,
+    "orthogonal-pairs-on-boundary": 1.0680871375024544e-16,
+    "translate-strictly-interior": 0.007258391193026889,
+    "translate-difference-preserved": 1.1102230246251565e-16,
+    "translate-trajectory-invariance": 1.1102230246251565e-15,
+    "shift-traceless": 1.1102230246251565e-16,
+    "shift-hermitian": 0.0,
+    "shift-nonzero": 0.01933314779494236,
+    "orthogonal-pairs-rejected": 0.0,
+    "quadratic-bound-positive": 0.00014498646873569408,
+    "epsilon-bound-monotone": 0.0029230769230769033,
+    "rescaled-backflow-law": 4.0939474033052647e-16,
+    "stretched-backflow-law": 3.434752482434078e-16,
+    "cpt-identity": 6.627232096434454e-11,
+    "cpt-g-nonnegative": -3.1015825116509294e-16,
+    "closed-form-rate-integrals": 7.710627553114691e-10,
+    "closed-form-feeding": 6.847431857637254e-10,
+    "closed-form-coherence-decay": 7.261595769136875e-10,
+    "distance-contraction-bound": 4.440892098500626e-16,
+    "period-return-identity": 3.1015825116509294e-16,
+    "quadrature-step-halving": 3.9848511975165237e-16,
+    "integrator-agreement": 1.3677461385697143e-09,
+}
+
+
+def test_run_all_worst_values_are_pinned():
+    assert {c.name: c.worst for c in run_all(7, (2, 3, 4), 3)} == RUN_ALL_SEED7_WORST
