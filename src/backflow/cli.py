@@ -122,7 +122,7 @@ def _pair(where: str, entry) -> tuple[DensityMatrix, DensityMatrix]:
 
 # Caps on the sizes that allocate memory, so no config value can exhaust it.
 # histogram and measure score 32 pairs at a time at the grid's stretch ends, about
-# 6.2 kB per kept point: 0.3 MB at the cap on the default model, 62 MB if every step is mixed
+# 6.1 kB per kept point: 0.3 MB at the cap on the default model, 61.5 MB if every step is mixed
 MAX_GRID_STEPS = 10**4
 # histogram keeps one float per sample: 80 MB at the cap
 MAX_SAMPLES = 10**7
@@ -130,7 +130,7 @@ MAX_SAMPLES = 10**7
 MAX_BINS = 10**6
 # verify draws N x N complex matrices for every dimension N
 MAX_DIM = 64
-# verify repeats each suite this often per dimension, about 0.045 s a trial at dims 2,3,4: 7.5 minutes at the cap
+# verify repeats each suite this often per dimension, about 0.04 s a trial at dims 2,3,4: under 7 minutes at the cap
 MAX_TRIALS = 10**4
 # np.gradient divides by products of two grid steps, so their square must stay a normal float
 MIN_GRID_STEP = float(np.sqrt(np.finfo(float).tiny))

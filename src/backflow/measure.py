@@ -139,11 +139,12 @@ def _batched_backflows(coeffs: MapCoefficients, deltas: np.ndarray, rise_toleran
     return _rise(_clipped_distances(apply_map_to_grid(coeffs, deltas)), rise_tolerance)
 
 
-# Candidates scored per batched call. Each call holds (batch, kept points, 3, 3)
-# complex arrays, about 6.2 kB per kept point at 32. At the 10^4-step cap the
-# scoring peak (tracemalloc) is 0.3 MB on the default model (3 points kept),
-# 27.7 MB with tabulated rates 0.05 sin t + 0.02 and 0.03 sin 2t + 0.01 (4465
-# points) and 62 MB on a grid whose every step is mixed (10001 points).
+# Candidates scored per batched call. Each call holds the (batch, kept points,
+# 3, 3) complex evolved differences and the distance kernel's six float arrays
+# of (batch, kept points): about 6.1 kB per kept point at 32. At the 10^4-step
+# cap the scoring peak (tracemalloc) is 0.3 MB on the default model (3 points
+# kept), 27.7 MB with tabulated rates 0.05 sin t + 0.02 and 0.03 sin 2t + 0.01
+# (4465 points) and 61.5 MB on a grid whose every step is mixed (10001 points).
 BATCH = 32
 
 

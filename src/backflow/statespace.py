@@ -216,7 +216,7 @@ def _canonical_sign(deltas: np.ndarray) -> np.ndarray:
     imaginary one if the real part is all zero, is made positive; an
     all-zero difference is kept. Swapping the two states negates the
     difference exactly in floating point, so canonicalizing the sign
-    before the eigensolve makes the trace distance bitwise symmetric.
+    before the distance kernel makes the trace distance bitwise symmetric.
     """
     flat = deltas.reshape(-1, deltas.shape[-2] * deltas.shape[-1])
     parts = np.concatenate([flat.real, flat.imag], axis=1)
@@ -225,18 +225,99 @@ def _canonical_sign(deltas: np.ndarray) -> np.ndarray:
 
 
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Half the absolute-eigenvalue sum of rho1 - rho2, clipped to [0, 1].
-
-    The difference is Hermitian by construction, so eigenvalues are used
-    instead of singular values.
-    """
+    """Half the trace norm of rho1 - rho2, clipped to [0, 1]: the sign-canonical
+    difference through :func:`_clipped_distances`, the package's one
+    trace-distance kernel."""
     _check_same_dim(rho1, rho2)
     return float(_clipped_distances(_canonical_sign(rho1.entries - rho2.entries)))
 
 
 def _clipped_distances(deltas: np.ndarray) -> np.ndarray:
-    """Half the absolute-eigenvalue sums of Hermitian differences (..., N, N), clipped to [0, 1]."""
-    return np.clip(0.5 * np.abs(np.linalg.eigvalsh(deltas)).sum(axis=-1), 0.0, 1.0)
+    """Half the trace norms of Hermitian (..., N, N) differences of equal-trace
+    matrices, clipped to [0, 1].
+
+    The package's one trace-distance kernel, dispatched on N: the closed
+    forms of :func:`_half_trace_norms_2` and :func:`_half_trace_norms_3`,
+    else half the absolute-eigenvalue sum from ``eigvalsh``. Each value
+    depends on its own matrix alone, so a stacked call is bitwise equal to
+    one-matrix calls. The closed forms keep full accuracy on (nearly)
+    traceless input.
+    """
+    if deltas.ndim == 2:
+        # ufuncs return scalars for 0-d operands, and numpy's scalar complex
+        # product rounds unlike its array loop, so one matrix is a stack of one
+        return _clipped_distances(deltas[None])[0]
+    n = deltas.shape[-1]
+    if n == 2:
+        half = _half_trace_norms_2(deltas)
+    elif n == 3:
+        half = _half_trace_norms_3(deltas)
+    else:
+        half = 0.5 * np.abs(np.linalg.eigvalsh(deltas)).sum(axis=-1)
+    return np.clip(half, 0.0, 1.0)
+
+
+def _half_trace_norms_2(m: np.ndarray) -> np.ndarray:
+    """Half the trace norms of Hermitian (..., 2, 2) matrices [[a, b], [b*, d]].
+
+    The eigenvalues are q +- h with q = (a + d)/2 and h = hypot((a - d)/2, |b|),
+    so half the absolute-eigenvalue sum is max(|q|, h).
+    """
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    return np.maximum(np.abs((a + d) * 0.5), np.hypot((a - d) * 0.5, np.abs(m[..., 0, 1])))
+
+
+def _half_trace_norms_3(m: np.ndarray) -> np.ndarray:
+    """Half the trace norms of Hermitian (..., 3, 3) matrices M, without an eigensolve.
+
+    With q = tr M / 3 and B = M - q, p = sqrt(tr B^2 / 6) and r = det B / (2 p^3)
+    clipped to [-1, 1], the eigenvalues are q + 2p cos(arccos(r)/3 + 2 pi k/3)
+    for k = 0, 1, 2. Where two of them nearly meet, arccos costs sqrt(eps)
+    relative accuracy in each of the two, but not in their sum or in the
+    third. For a traceless M the two share a sign, so half the absolute sum
+    is the third's |lambda|, the largest, and keeps full accuracy.
+    """
+    re = m.real
+    u, v, w = m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]
+    # For the diagonal (a, b, c) of B:
+    #   det B = abc + 2 Re(u w v*) - a|w|^2 - b|v|^2 - c|u|^2
+    #   tr B^2 = a^2 + b^2 + c^2 + 2 (|u|^2 + |v|^2 + |w|^2)
+    # The (...) arrays set the peak memory: after the complex temporaries of
+    # the first line, at most six are held, reused in place.
+    det = 2.0 * (u * w * v.conj()).real
+    q = (re[..., 0, 0] + re[..., 1, 1] + re[..., 2, 2]) / 3.0
+    square, product, diag, mod = np.zeros(q.shape), np.ones(q.shape), np.empty(q.shape), np.empty(q.shape)
+    for k, off in enumerate((w, v, u)):  # the entry above the diagonal outside row and column k
+        np.subtract(re[..., k, k], q, out=diag)
+        np.abs(off, out=mod)
+        mod *= mod
+        square += mod
+        square += mod
+        mod *= diag
+        det -= mod
+        product *= diag
+        diag *= diag
+        square += diag
+    det += product
+    # 2p = sqrt(4 tr B^2 / 6) into square, r = 4 det B / (2p)^3 into det, arccos(r)/3 into mod
+    two_p = np.sqrt(np.multiply(square, 4.0 / 6.0, out=square), out=square)
+    np.multiply(two_p, two_p, out=mod)
+    mod *= two_p
+    np.maximum(mod, np.finfo(float).tiny, out=mod)  # tr B^2 = 0 only where det B = 0
+    det *= 4.0
+    det /= mod
+    angle = np.arccos(np.clip(det, -1.0, 1.0, out=mod), out=mod)
+    angle /= 3.0
+    # product sums |q + 2p cos(angle + 2 pi k/3)| over k, each term built in diag
+    product[...] = 0.0
+    for k in range(3):
+        np.add(angle, 2.0 * np.pi * k / 3.0, out=diag)
+        np.cos(diag, out=diag)
+        diag *= two_p
+        diag += q
+        product += np.abs(diag, out=diag)
+    product *= 0.5
+    return product
 
 
 def jordan_hahn(rho1: DensityMatrix, rho2: DensityMatrix) -> JordanHahnParts:

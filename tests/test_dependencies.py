@@ -1,8 +1,9 @@
 """The package needs numpy alone, and nothing outside its arguments configures it.
 
 No module imports scipy, not even lazily, no module reads or writes the
-process environment, and every random draw comes from a stream built by
-``statespace.rng_stream``.
+process environment, every random draw comes from a stream built by
+``statespace.rng_stream``, and ``eigvalsh`` serves only the trace-distance
+kernel and the minimum-eigenvalue checks.
 """
 
 import ast
@@ -74,6 +75,36 @@ def random_state_uses(tree: ast.Module, stream_builder: str | None = None) -> li
     return uses
 
 
+def functions_naming(tree: ast.Module, attribute: str) -> list[str]:
+    """The innermost function around each use of ``<something>.<attribute>``
+    and each import of the name, or '<module>' outside every function, in
+    source order."""
+    names = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == attribute) or (
+            isinstance(node, ast.alias) and node.name == attribute
+        ):
+            names.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return names
+
+
+# The functions that may call eigvalsh: the trace-distance kernel, for N >= 4,
+# and the checks that need a minimum eigenvalue to its full accuracy, which
+# the kernel's closed forms do not give near a zero eigenvalue.
+EIGVALSH_FUNCTIONS = {
+    "statespace.py": {"_clipped_distances", "_density_stack"},
+    "dynamics.py": {"_check_block"},
+    "verify.py": {"jordan_hahn_suite", "translation_suite", "_max_admissible_stretch"},
+}
+
+
 def test_no_module_imports_scipy():
     trees = package_trees()
     assert [name for name, tree in trees.items() if "scipy" in imported_packages(tree)] == []
@@ -98,3 +129,14 @@ def test_only_rng_stream_builds_generators():
     ]
     probe = ast.parse("import numpy as np\nnp.random.seed(1)\nx = np.random.default_rng().random()\n")
     assert sorted(random_state_uses(probe)) == ["np.random.default_rng", "np.random.seed"]
+
+
+def test_eigvalsh_only_in_the_kernel_and_minimum_eigenvalue_checks():
+    # one trace-distance kernel: a second eigvalsh distance anywhere else fails here
+    trees = package_trees()
+    callers = {name: set(found) for name, tree in trees.items() if (found := functions_naming(tree, "eigvalsh"))}
+    assert callers == EIGVALSH_FUNCTIONS
+    probe = ast.parse(
+        "import numpy as np\ndef f(m):\n    return np.linalg.eigvalsh(m)\nfrom numpy.linalg import eigvalsh\n"
+    )
+    assert functions_naming(probe, "eigvalsh") == ["f", "<module>"]

@@ -187,6 +187,93 @@ class TestStackedSign:
             assert float(_clipped_distances(reference_sign(delta))) == value
 
 
+def eigvalsh_distances(deltas):
+    """The reference kernel: half the absolute-eigenvalue sum, clipped to [0, 1]."""
+    return np.clip(0.5 * np.abs(np.linalg.eigvalsh(deltas)).sum(axis=-1), 0.0, 1.0)
+
+
+def conjugated(spectrum, rng):
+    """U diag(spectrum) U^dagger for a Haar random U."""
+    u = haar_unitary(len(spectrum), rng)
+    return (u * np.asarray(spectrum)) @ u.conj().T
+
+
+class TestTraceNormKernel:
+    """The closed forms at N = 2 and 3 against the reference ``eigvalsh`` kernel."""
+
+    @staticmethod
+    def state_differences(dim, seed):
+        """Differences of random states of every pair of ranks, of pure and of
+        mixed orthogonal pairs, 20 of each kind."""
+        rng = rng_stream(seed, dim)
+        deltas = []
+        for _ in range(20):
+            for r1 in range(1, dim + 1):
+                for r2 in range(1, dim + 1):
+                    deltas.append(sample_random_state(dim, r1, rng).entries - sample_random_state(dim, r2, rng).entries)
+            for sample in (sample_pure_orthogonal_pair, sample_orthogonal_mixed_pair):
+                rho1, rho2 = sample(dim, rng)
+                deltas.append(rho1.entries - rho2.entries)
+        return np.array(deltas)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_state_differences_match_eigvalsh(self, dim):
+        deltas = self.state_differences(dim, 61)
+        np.testing.assert_allclose(_clipped_distances(deltas), eigvalsh_distances(deltas), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            (0.5, 0.5, -1.0),
+            (-0.5, -0.5, 1.0),
+            (1.0, -1.0, 0.0),
+            (1e-9, 1e-9, -2e-9),
+            (1e-12, 1e-12, -2e-12),
+            (0.5, -0.5),
+            (1e-9, -1e-9),
+            (1e-12, -1e-12),
+        ],
+    )
+    def test_degenerate_spectra_match_eigvalsh(self, spectrum):
+        # where two eigenvalues meet, the third (the largest |lambda|) sets the distance
+        rng = rng_stream(62, len(spectrum))
+        deltas = np.array([conjugated(spectrum, rng) for _ in range(200)])
+        np.testing.assert_allclose(_clipped_distances(deltas), eigvalsh_distances(deltas), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matrices_with_a_trace_match_eigvalsh(self, dim):
+        # evolved differences carry a trace of up to ~1e-10 (the map's CPT
+        # drift); it enters the closed forms through q = tr M / N
+        rng = rng_stream(65, dim)
+        ginibre = rng.standard_normal((200, dim, dim)) + 1j * rng.standard_normal((200, dim, dim))
+        deltas = 0.1 * (ginibre + ginibre.conj().swapaxes(-1, -2))
+        deltas += np.eye(dim) * rng.uniform(-0.3, 0.3, (200, 1, 1))
+        np.testing.assert_allclose(_clipped_distances(deltas), eigvalsh_distances(deltas), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_difference_is_exactly_zero(self, dim):
+        zero = np.zeros((dim, dim), dtype=complex)
+        assert float(_clipped_distances(zero)) == 0.0
+        assert _clipped_distances(np.zeros((4, 5, dim, dim), dtype=complex)).tobytes() == np.zeros((4, 5)).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_call_equals_one_matrix_calls(self, dim):
+        deltas = self.state_differences(dim, 63)
+        stacked = _clipped_distances(deltas.reshape(20, -1, dim, dim)).ravel()
+        for delta, value in zip(deltas, stacked):
+            assert _clipped_distances(delta).tobytes() == value.tobytes()
+            assert _clipped_distances(delta[None]).tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_eigvalsh_dimensions_are_unchanged(self, dim):
+        rng = rng_stream(64, dim)
+        deltas = np.array([sample_random_state(dim, 1 + k % dim, rng).entries for k in range(60)])
+        deltas = (deltas[:30] - deltas[30:]).reshape(5, 6, dim, dim)
+        assert _clipped_distances(deltas).tobytes() == eigvalsh_distances(deltas).tobytes()
+        for delta in deltas.reshape(-1, dim, dim):
+            assert _clipped_distances(delta).tobytes() == eigvalsh_distances(delta).tobytes()
+
+
 class TestJordanHahn:
     def test_orthogonal_pure_pair(self):
         parts = jordan_hahn(diag_state(1.0, 0.0), diag_state(0.0, 1.0))
