@@ -130,7 +130,7 @@ MAX_SAMPLES = 10**7
 MAX_BINS = 10**6
 # verify draws N x N complex matrices for every dimension N
 MAX_DIM = 64
-# verify repeats each suite this often per dimension, about 0.04 s a trial at dims 2,3,4: under 7 minutes at the cap
+# verify repeats each suite this often per dimension, about 0.025 s a trial at dims 2,3,4: about 4 minutes at the cap
 MAX_TRIALS = 10**4
 # np.gradient divides by products of two grid steps, so their square must stay a normal float
 MIN_GRID_STEP = float(np.sqrt(np.finfo(float).tiny))

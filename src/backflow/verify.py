@@ -12,7 +12,10 @@ and draws only its distance-contraction pairs. The suites back the
 Dimension-3 checks run under the closed-form three-level map; other
 dimensions use a time-dependent depolarizing map (linear and trace
 preserving, with a non-monotone noise weight so backflow is nontrivial),
-since the structural laws hold for any linear map family.
+since the structural laws hold for any linear map family. That map scales
+an equal-trace difference by one factor per time, so its distance
+trajectory is that factor times one trace distance (:func:`_trajectory`);
+:func:`depolarize_stack` applies the map itself and is the reference.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .dynamics import (
 from .errors import OrthogonalPair, PositivityFailure
 from .measure import TraceDistanceTrajectory, backflow, trajectory_from_states
 from .statespace import (
+    TOL_ORTH,
     TOL_PSD,
     DensityMatrix,
     _canonical_sign,
@@ -178,11 +182,14 @@ def _random_pair(dim: int, rng: np.random.Generator) -> tuple[DensityMatrix, Den
 
 def _random_nonorthogonal_pair(
     dim: int, rng: np.random.Generator
-) -> tuple[DensityMatrix, DensityMatrix]:
+) -> tuple[DensityMatrix, DensityMatrix, float]:
+    """Random pair that is neither orthogonal nor (nearly) equal, with its trace distance."""
     for _ in range(100):
         rho1, rho2 = _random_pair(dim, rng)
-        if not is_orthogonal(rho1, rho2) and trace_distance(rho1, rho2) > 1e-6:
-            return rho1, rho2
+        d = trace_distance(rho1, rho2)
+        # not orthogonal: is_orthogonal tests d >= 1 - TOL_ORTH
+        if 1e-6 < d < 1.0 - TOL_ORTH:
+            return rho1, rho2, d
     raise RuntimeError("failed to sample a non-orthogonal pair")  # pragma: no cover
 
 
@@ -201,15 +208,23 @@ def depolarize_stack(grid: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def _trajectory(coeffs: MapCoefficients, m1: np.ndarray, m2: np.ndarray) -> TraceDistanceTrajectory:
-    """Trace-distance trajectory of two matrices under the dim-appropriate map, on the coefficients' grid."""
+    """Trace-distance trajectory of two equal-trace matrices under the
+    dim-appropriate map, on the coefficients' grid.
+
+    Dimension 3 applies the three-level map to each matrix at every grid
+    point. Elsewhere the depolarizer maps D = m1 - m2 to (1 - w(t)) D,
+    because the uniform parts cancel when the traces are equal. The factor
+    lies in [0.2, 1], so by homogeneity of the trace norm the distance at t
+    is that factor times the initial distance: one trace distance gives the
+    whole trajectory. Every caller passes two states or two jointly
+    translated states, whose traces are equal.
+    """
     grid = coeffs.grid
     if m1.shape[0] == 3:
-        s1 = apply_map_to_grid(coeffs, m1)
-        s2 = apply_map_to_grid(coeffs, m2)
-    else:
-        s1 = depolarize_stack(grid, m1)
-        s2 = depolarize_stack(grid, m2)
-    return trajectory_from_states(grid, s1, s2)
+        return trajectory_from_states(grid, apply_map_to_grid(coeffs, m1), apply_map_to_grid(coeffs, m2))
+    distances = (1.0 - depolarizing_weights(grid)) * _clipped_distances(m1 - m2)
+    sigma = np.gradient(distances, grid, edge_order=1)
+    return TraceDistanceTrajectory(grid=grid, distances=distances, sigma=sigma)
 
 
 def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[PropertyCheck]:
@@ -257,11 +272,10 @@ def jordan_hahn_suite(seed: int, dims=(2, 3, 4), trials: int = 100) -> list[Prop
     for dim in dims:
         rng = rng_stream(seed, 20, dim)
         for _ in range(trials):
-            rho1, rho2 = _random_nonorthogonal_pair(dim, rng)
+            rho1, rho2, dist = _random_nonorthogonal_pair(dim, rng)
             delta = rho1.entries - rho2.entries
             parts = jordan_hahn(rho1, rho2)
             p1, p2 = parts.positive_part.entries, parts.negative_part.entries
-            dist = trace_distance(rho1, rho2)
             worst.see("jordan-hahn-reconstruction", np.abs(delta - (p1 - p2)).max())
             worst.see(
                 "jordan-hahn-traces-equal-distance",
@@ -313,18 +327,21 @@ def translation_suite(
     for dim in dims:
         rng = rng_stream(seed, 30, dim)
         for _ in range(trials):
-            rho1, rho2 = _random_nonorthogonal_pair(dim, rng)
-            construction = build_shift_operator(rho1, rho2, 0.5)
-            shift = flip * construction.shift.entries
-            m1 = rho1.entries - shift
-            m2 = rho2.entries - shift
+            rho1, rho2, _ = _random_nonorthogonal_pair(dim, rng)
+            translated = None
             if flip > 0:
                 # exercise the real API; failures surface as non-interior
                 try:
-                    hat1, hat2, construction = jointly_translate(rho1, rho2, 0.5)
-                    m1, m2 = hat1.entries, hat2.entries
+                    translated = jointly_translate(rho1, rho2, 0.5)
                 except PositivityFailure:
-                    pass  # keep the raw matrices; the interior check records it
+                    pass  # subtract the shift by hand; the interior check records it
+            if translated is None:
+                construction = build_shift_operator(rho1, rho2, 0.5)
+                shift = flip * construction.shift.entries
+                m1, m2 = rho1.entries - shift, rho2.entries - shift
+            else:
+                hat1, hat2, construction = translated
+                m1, m2 = hat1.entries, hat2.entries
             worst.see("translate-strictly-interior", np.linalg.eigvalsh(m1)[0], np.linalg.eigvalsh(m2)[0])
             worst.see("translate-difference-preserved", np.abs((m1 - m2) - (rho1.entries - rho2.entries)).max())
             base = _trajectory(coeffs, rho1.entries, rho2.entries).distances
@@ -392,7 +409,7 @@ def backflow_scaling_suite(
     for dim in dims:
         rng = rng_stream(seed, 40, dim)
         for _ in range(trials):
-            rho1, rho2 = _random_nonorthogonal_pair(dim, rng)
+            rho1, rho2, _ = _random_nonorthogonal_pair(dim, rng)
             sigma1, sigma2, lam = rescale_pair(rho1, rho2)
             bf = backflow(_trajectory(coeffs, rho1.entries, rho2.entries))
             bf_rescaled = backflow(_trajectory(coeffs, sigma1.entries, sigma2.entries))

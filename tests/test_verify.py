@@ -8,7 +8,17 @@ import pytest
 
 from backflow import verify
 from backflow.dynamics import lambda_map_coefficients, make_grid, sinusoidal_rates
-from backflow.statespace import haar_unitary, make_density_matrix, rng_stream, sample_random_state, trace_distance
+from backflow.measure import trajectory_from_states
+from backflow.statespace import (
+    haar_unitary,
+    make_density_matrix,
+    rescale_pair,
+    rng_stream,
+    sample_orthogonal_mixed_pair,
+    sample_random_state,
+    trace_distance,
+)
+from backflow.translation import jointly_translate
 from backflow.verify import (
     _CHECKS,
     _block_sizes,
@@ -81,12 +91,14 @@ def test_integrator_agreement_detects_a_different_map(seed=108):
 
 
 def test_fault_injection_fails_interior_check(preset_coeffs, seed=106):
-    checks = translation_suite(
-        seed, dims=(3,), trials=5, coeffs=preset_coeffs, inject_fault="shift-sign"
-    )
-    by_name = {c.name: c for c in checks}
-    assert not by_name["translate-strictly-interior"].passed
-    assert by_name["translate-strictly-interior"].worst < 0.0
+    # each dimension alone, so every map's fault path must fail on its own
+    for dim in (2, 3, 4):
+        checks = translation_suite(
+            seed, dims=(dim,), trials=5, coeffs=preset_coeffs, inject_fault="shift-sign"
+        )
+        by_name = {c.name: c for c in checks}
+        assert not by_name["translate-strictly-interior"].passed
+        assert by_name["translate-strictly-interior"].worst < 0.0
 
 def test_run_all_covers_every_suite(seed=107):
     # every declared check, once and in declared order, at the default dims
@@ -136,6 +148,49 @@ def test_depolarizer_is_linear_and_trace_preserving():
     np.testing.assert_allclose(combined, split, rtol=0, atol=1e-12)
     traces = np.trace(depolarize_stack(grid, a), axis1=1, axis2=2)
     np.testing.assert_allclose(traces, np.trace(a), rtol=0, atol=1e-12)
+
+
+def depolarizer_test_pairs(dim, seed=13):
+    """Random pairs of every rank pair, orthogonal mixed pairs, and each random
+    pair rescaled into an orthogonal pair and jointly translated into the interior."""
+    rng = rng_stream(seed, dim)
+    pairs = [
+        (sample_random_state(dim, r1, rng), sample_random_state(dim, r2, rng))
+        for r1 in range(1, dim + 1)
+        for r2 in range(1, dim + 1)
+    ]
+    overlapping = list(pairs)
+    pairs += [sample_orthogonal_mixed_pair(dim, rng) for _ in range(5)]
+    pairs += [rescale_pair(rho1, rho2)[:2] for rho1, rho2 in overlapping]
+    pairs += [jointly_translate(rho1, rho2)[:2] for rho1, rho2 in overlapping]
+    return pairs
+
+
+@pytest.mark.parametrize("dim", [2, 4, 5])
+def test_depolarizer_trajectory_matches_the_full_grid_map(preset_coeffs, dim):
+    grid = preset_coeffs.grid
+    for rho1, rho2 in depolarizer_test_pairs(dim):
+        fast = _trajectory(preset_coeffs, rho1.entries, rho2.entries)
+        reference = trajectory_from_states(
+            grid, depolarize_stack(grid, rho1.entries), depolarize_stack(grid, rho2.entries)
+        )
+        np.testing.assert_allclose(fast.distances, reference.distances, rtol=0, atol=1e-14)
+        assert abs(fast.backflow - reference.backflow) <= 1e-14
+
+
+def test_translation_suite_takes_no_full_grid_eigensolve(monkeypatch, preset_coeffs):
+    # the dim-4 trajectories scale one trace distance; no eigvalsh call may
+    # get the grid's stack of evolved differences
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert_all_pass(translation_suite(5, preset_coeffs, dims=(4,), trials=2))
+    assert matrices and max(matrices) < preset_coeffs.grid.size
 
 
 def reference_metric_suite(seed, dims, triples):
@@ -220,7 +275,7 @@ RUN_ALL_SEED7_WORST = {
     "orthogonal-pairs-on-boundary": 1.0680871375024544e-16,
     "translate-strictly-interior": 0.007258391193026889,
     "translate-difference-preserved": 1.1102230246251565e-16,
-    "translate-trajectory-invariance": 1.1102230246251565e-15,
+    "translate-trajectory-invariance": 6.661338147750939e-16,
     "shift-traceless": 1.1102230246251565e-16,
     "shift-hermitian": 0.0,
     "shift-nonzero": 0.01933314779494236,
