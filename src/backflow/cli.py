@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -69,14 +69,18 @@ def matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
 
 
+def _entry(cell) -> complex:
+    """A real number, or an [re, im] pair of exactly two real numbers; a bool is neither."""
+    parts = cell if isinstance(cell, (list, tuple)) and len(cell) == 2 else (cell, 0.0)
+    if not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in parts):
+        raise ValueError("each entry must be a real number or an [re, im] pair of real numbers")
+    return complex(*parts)
+
+
 def matrix_from_json(rows, where: str) -> np.ndarray:
     try:
-        parsed = [
-            [complex(cell[0], cell[1]) if isinstance(cell, (list, tuple)) else complex(cell, 0.0) for cell in row]
-            for row in rows
-        ]
-        matrix = np.asarray(parsed, dtype=complex)
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        matrix = np.asarray([[_entry(cell) for cell in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: cannot parse matrix entries ({exc})") from exc
     if not np.all(np.isfinite(matrix)):
         raise ValidationError(f"{where}: matrix entries must be finite")
@@ -325,15 +329,12 @@ class RunReport:
     config: dict
     results: dict
     timings: dict
-    violations: list
+    violations: list = field(default_factory=list)
 
-    def payload(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "results": self.results,
-            "violations": self.violations,
-        }
+    def payload(self, **columns) -> dict:
+        """Everything but the timings, with each array column added to results as a list."""
+        results = {**self.results, **{name: np.asarray(column).tolist() for name, column in columns.items()}}
+        return {"command": self.command, "config": self.config, "results": results, "violations": self.violations}
 
 
 def _print_summary(report: RunReport) -> None:
@@ -345,49 +346,50 @@ def _print_summary(report: RunReport) -> None:
 # --- commands -------------------------------------------------------------
 
 
+def _coefficients(config: RunConfig):
+    """The model's rates and their Lambda-map coefficients on the config's grid."""
+    rates = rates_from_model(config.model)
+    return rates, lambda_map_coefficients(rates, make_grid(config.t_max, config.grid_steps))
+
+
+def _emit(report: RunReport, config: RunConfig, table=None, **columns) -> None:
+    """Write the report's payload to the configured output (stdout if none).
+
+    A command with a table (CSV header, rows and the results keys echoed in
+    the footer) writes it in the configured format, and its JSON adds the
+    columns to results; every other command writes JSON.
+    """
+    if table is not None and config.format == "csv":
+        header, rows, footer_keys = table
+        text = render_csv(header, rows, [f"# {key},{_fmt(report.results[key])}" for key in footer_keys])
+    else:
+        text = render_json(report.payload(**columns))
+    write_text(config.output, text)
+
+
 def cmd_trajectory(config: RunConfig, pair_spec: str) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
-    rates = rates_from_model(config.model)
-    grid = make_grid(config.t_max, config.grid_steps)
-    coeffs = lambda_map_coefficients(rates, grid)
+    rates, coeffs = _coefficients(config)
     rho1, rho2 = resolve_pair(pair_spec)
     t1 = time.perf_counter()
     traj = trace_distance_trajectory(coeffs, rho1, rho2, engine=config.engine, rates=rates)
-    total_backflow = backflow(traj)
-    t2 = time.perf_counter()
-
     results = {
         "pair": pair_spec,
-        "backflow": total_backflow,
+        "backflow": backflow(traj),
         "initial_distance": float(traj.distances[0]),
         "final_distance": float(traj.distances[-1]),
     }
-    report = RunReport(
-        command="trajectory",
-        config=config.echo(),
-        results=results,
-        timings={"setup": t1 - t0, "run": t2 - t1},
-        violations=[],
-    )
-    if config.format == "json":
-        payload = report.payload()
-        payload["results"] = dict(results)
-        payload["results"]["grid"] = [float(t) for t in traj.grid]
-        payload["results"]["distance"] = [float(d) for d in traj.distances]
-        payload["results"]["sigma"] = [float(s) for s in traj.sigma]
-        write_text(config.output, render_json(payload))
-    else:
-        rows = zip(traj.grid, traj.distances, traj.sigma)
-        footer = [f"# backflow,{_fmt(total_backflow)}"]
-        write_text(config.output, render_csv(["t", "distance", "sigma"], rows, footer))
+    t2 = time.perf_counter()
+
+    report = RunReport("trajectory", config.echo(), results, {"setup": t1 - t0, "run": t2 - t1})
+    table = (["t", "distance", "sigma"], zip(traj.grid, traj.distances, traj.sigma), ["backflow"])
+    _emit(report, config, table, grid=traj.grid, distance=traj.distances, sigma=traj.sigma)
     return report, 0
 
 
 def cmd_measure(config: RunConfig) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
-    rates = rates_from_model(config.model)
-    grid = make_grid(config.t_max, config.grid_steps)
-    coeffs = lambda_map_coefficients(rates, grid)
+    _, coeffs = _coefficients(config)
     explicit = tuple(fn() for fn in _NAMED_PAIRS.values()) + tuple(config.candidate_pairs)
     strategy = MeasureStrategy(n_pure=config.samples, n_mixed=config.samples, explicit_pairs=explicit)
     t1 = time.perf_counter()
@@ -397,30 +399,19 @@ def cmd_measure(config: RunConfig) -> tuple[RunReport, int]:
     results = {
         "estimate": result.estimate,
         "bound_type": "lower",
-        "best_pair": [
-            matrix_to_json(result.best_pair[0].entries),
-            matrix_to_json(result.best_pair[1].entries),
-        ],
+        "best_pair": _pairs_to_json([result.best_pair])[0],
         "candidate_breakdown": {k: float(v) for k, v in sorted(result.candidate_breakdown.items())},
         "samples_evaluated": result.samples_evaluated,
         "seed": result.seed,
     }
-    report = RunReport(
-        command="measure",
-        config=config.echo(),
-        results=results,
-        timings={"setup": t1 - t0, "run": t2 - t1},
-        violations=[],
-    )
-    write_text(config.output, render_json(report.payload()))
+    report = RunReport("measure", config.echo(), results, {"setup": t1 - t0, "run": t2 - t1})
+    _emit(report, config)
     return report, 0
 
 
 def cmd_histogram(config: RunConfig) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
-    rates = rates_from_model(config.model)
-    grid = make_grid(config.t_max, config.grid_steps)
-    coeffs = lambda_map_coefficients(rates, grid)
+    _, coeffs = _coefficients(config)
     t1 = time.perf_counter()
     hist = histogram_backflow(coeffs, config.samples, config.bins, config.seed)
     t2 = time.perf_counter()
@@ -432,32 +423,14 @@ def cmd_histogram(config: RunConfig) -> tuple[RunReport, int]:
         "n_samples": hist.n_samples,
         "seed": hist.seed,
     }
-    report = RunReport(
-        command="histogram",
-        config=config.echo(),
-        results=results,
-        timings={"setup": t1 - t0, "run": t2 - t1},
-        violations=[],
+    report = RunReport("histogram", config.echo(), results, {"setup": t1 - t0, "run": t2 - t1})
+    edges = hist.bin_edges
+    table = (
+        ["bin_left", "bin_right", "count", "probability"],
+        zip(edges[:-1], edges[1:], hist.counts, hist.probabilities),
+        ["max_sampled", "reference_value", "n_samples", "seed"],
     )
-    if config.format == "json":
-        payload = report.payload()
-        payload["results"] = dict(results)
-        payload["results"]["bin_edges"] = [float(e) for e in hist.bin_edges]
-        payload["results"]["counts"] = [int(c) for c in hist.counts]
-        payload["results"]["probabilities"] = [float(p) for p in hist.probabilities]
-        write_text(config.output, render_json(payload))
-    else:
-        rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.probabilities)
-        footer = [
-            f"# max_sampled,{_fmt(hist.max_sampled)}",
-            f"# reference_value,{_fmt(hist.reference_value)}",
-            f"# n_samples,{hist.n_samples}",
-            f"# seed,{hist.seed}",
-        ]
-        write_text(
-            config.output,
-            render_csv(["bin_left", "bin_right", "count", "probability"], rows, footer),
-        )
+    _emit(report, config, table, bin_edges=edges, counts=hist.counts, probabilities=hist.probabilities)
     return report, 0
 
 
@@ -470,28 +443,10 @@ def cmd_verify(config: RunConfig, inject_fault: str | None) -> tuple[RunReport, 
         line = f"{status} {check.name} worst={check.worst:.6g} bound={check.bound:.6g} trials={check.trials}"
         print(line)
     violations = [check.name for check in checks if not check.passed]
-    results = {
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "worst": c.worst,
-                "bound": c.bound,
-                "trials": c.trials,
-            }
-            for c in checks
-        ],
-        "n_failed": len(violations),
-    }
-    report = RunReport(
-        command="verify",
-        config=config.echo(),
-        results=results,
-        timings={"run": t1 - t0},
-        violations=violations,
-    )
+    results = {"checks": [asdict(check) for check in checks], "n_failed": len(violations)}
+    report = RunReport("verify", config.echo(), results, {"run": t1 - t0}, violations)
     if config.output:
-        write_text(config.output, render_json(report.payload()))
+        _emit(report, config)
     return report, 0 if not violations else 2
 
 
@@ -509,18 +464,12 @@ def cmd_translate(config: RunConfig, pair_spec: str) -> tuple[RunReport, int]:
         "epsilon_max": construction.epsilon_max,
         "epsilon": construction.epsilon,
         "shift": matrix_to_json(construction.shift.entries),
-        "translated": [matrix_to_json(hat1.entries), matrix_to_json(hat2.entries)],
+        "translated": _pairs_to_json([(hat1, hat2)])[0],
         "min_eigenvalues": [hat1.min_eigenvalue, hat2.min_eigenvalue],
         "distance_preserved": abs(trace_distance(hat1, hat2) - trace_distance(rho1, rho2)),
     }
-    report = RunReport(
-        command="translate",
-        config=config.echo(),
-        results=results,
-        timings={"run": t1 - t0},
-        violations=[],
-    )
-    write_text(config.output, render_json(report.payload()))
+    report = RunReport("translate", config.echo(), results, {"run": t1 - t0})
+    _emit(report, config)
     return report, 0
 
 

@@ -63,7 +63,11 @@ class TraceDistanceTrajectory:
 
     grid: np.ndarray
     distances: np.ndarray
-    sigma: np.ndarray
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Finite-difference distance rate, derived from the distances on first use."""
+        return np.gradient(self.distances, self.grid, edge_order=1)
 
     @cached_property
     def backflow(self) -> float:
@@ -73,10 +77,9 @@ class TraceDistanceTrajectory:
 def trajectory_from_states(
     grid: np.ndarray, states1: np.ndarray, states2: np.ndarray
 ) -> TraceDistanceTrajectory:
-    """Distances and rate from two stacked evolutions of shape (grid, N, N)."""
+    """Distance trajectory of two stacked evolutions of shape (grid, N, N)."""
     distances = _clipped_distances(np.asarray(states1) - np.asarray(states2))
-    sigma = np.gradient(distances, grid, edge_order=1)
-    return TraceDistanceTrajectory(grid=grid, distances=distances, sigma=sigma)
+    return TraceDistanceTrajectory(grid=grid, distances=distances)
 
 
 def trace_distance_trajectory(

@@ -223,8 +223,7 @@ def _trajectory(coeffs: MapCoefficients, m1: np.ndarray, m2: np.ndarray) -> Trac
     if m1.shape[0] == 3:
         return trajectory_from_states(grid, apply_map_to_grid(coeffs, m1), apply_map_to_grid(coeffs, m2))
     distances = (1.0 - depolarizing_weights(grid)) * _clipped_distances(m1 - m2)
-    sigma = np.gradient(distances, grid, edge_order=1)
-    return TraceDistanceTrajectory(grid=grid, distances=distances, sigma=sigma)
+    return TraceDistanceTrajectory(grid=grid, distances=distances)
 
 
 def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[PropertyCheck]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backflow import cli
 from backflow.cli import (
     RunConfig,
     build_parser,
@@ -143,6 +144,30 @@ def test_bad_config_value_is_one_validation_error(tmp_path, capsys, values, fiel
     assert lines[0].startswith(f"error (ValidationError): {field}")
 
 
+# the first four cells were once read as numbers: a bool as 0 or 1, a long list by its first two items
+BAD_MATRIX_CELLS = [True, [1, 0, 7], [True, 0], [1, False], [1], "1", None]
+
+
+@pytest.mark.parametrize("cell", BAD_MATRIX_CELLS, ids=repr)
+def test_malformed_matrix_cell_is_one_validation_error(tmp_path, capsys, cell):
+    # with the cell read as 1 the pair is |0><0|, |1><1|: a valid orthogonal pair
+    bad = [[cell, 0, 0], [0, 0, 0], [0, 0, 0]]
+    good = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+    pair = write_json(tmp_path / "pair.json", [bad, good])
+    cfg = write_json(tmp_path / "cfg.json", {"candidate_pairs": [[good, bad]]})
+    for args, matrix in [
+        (["trajectory", "--pair", pair], f"pair file {pair}[0]"),
+        (["measure", "--config", cfg, "--samples", "1"], "candidate_pairs[0][1]"),
+    ]:
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error (ValidationError): ")
+        assert f"{matrix}: cannot parse matrix entries" in lines[0]
+
+
 # each file content once ended in a UnicodeDecodeError, RecursionError or ValueError traceback
 BAD_JSON_FILES = {
     "not-utf8": b"\xff\xfe{}",
@@ -233,6 +258,19 @@ def test_any_model_value_resolves_or_raises_backflow_error(preset, key, value):
         pass
 
 
+def read_csv(path):
+    """Column name -> cells of the data rows, and footer key -> value."""
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("# ")]
+    footer = dict(line[2:].split(",") for line in lines if line.startswith("# "))
+    return dict(zip(lines[0].split(","), zip(*rows))), footer
+
+
+def as_cells(values):
+    """JSON numbers as the CSV writes them: ints whole, floats at 9 significant digits."""
+    return tuple(str(v) if isinstance(v, int) else format(v, ".9g") for v in values)
+
+
 class TestTrajectoryCommand:
     def test_mpair_csv(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -261,6 +299,21 @@ class TestTrajectoryCommand:
         assert payload["command"] == "trajectory"
         assert payload["results"]["backflow"] == pytest.approx(MPAIR_BACKFLOW / 2, abs=1e-5)
         assert len(payload["results"]["distance"]) == 2001
+
+    @pytest.mark.parametrize("engine", ["closed_form", "integrator"])
+    def test_json_holds_the_csv_columns(self, tmp_path, engine):
+        args = ["trajectory", "--pair", "mpair", "--engine", engine, "--grid-steps", "300"]
+        assert main(args + ["--output", str(tmp_path / "t.csv")]) == 0
+        assert main(args + ["--format", "json", "--output", str(tmp_path / "t.json")]) == 0
+        columns, footer = read_csv(tmp_path / "t.csv")
+        results = json.loads((tmp_path / "t.json").read_text())["results"]
+        scalars = {"pair", "backflow", "initial_distance", "final_distance"}
+        assert set(results) == scalars | {"grid", "distance", "sigma"}
+        assert list(columns) == ["t", "distance", "sigma"]
+        for csv_name, json_name in [("t", "grid"), ("distance", "distance"), ("sigma", "sigma")]:
+            assert len(results[json_name]) == 301
+            assert as_cells(results[json_name]) == columns[csv_name]
+        assert footer == {"backflow": format(results["backflow"], ".9g")}
 
     def test_integrator_engine(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -345,6 +398,24 @@ class TestHistogramCommand:
         payload = json.loads(out.read_text())
         assert len(payload["results"]["counts"]) == 50
         assert sum(payload["results"]["probabilities"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_json_holds_the_csv_columns(self, tmp_path):
+        args = ["histogram", "--samples", "120", "--bins", "15", "--seed", "9", "--grid-steps", "400"]
+        assert main(args + ["--output", str(tmp_path / "h.csv")]) == 0
+        assert main(args + ["--format", "json", "--output", str(tmp_path / "h.json")]) == 0
+        columns, footer = read_csv(tmp_path / "h.csv")
+        results = json.loads((tmp_path / "h.json").read_text())["results"]
+        scalars = {"max_sampled", "reference_value", "gap", "n_samples", "seed"}
+        assert set(results) == scalars | {"bin_edges", "counts", "probabilities"}
+        assert list(columns) == ["bin_left", "bin_right", "count", "probability"]
+        edges = results["bin_edges"]
+        assert len(edges) == 16
+        assert as_cells(edges[:-1]) == columns["bin_left"]
+        assert as_cells(edges[1:]) == columns["bin_right"]
+        assert all(type(c) is int for c in results["counts"])
+        assert as_cells(results["counts"]) == columns["count"]
+        assert as_cells(results["probabilities"]) == columns["probability"]
+        assert footer == {key: as_cells([results[key]])[0] for key in scalars - {"gap"}}
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         # sampling runs on one thread, so a rerun must write the same bytes
@@ -462,6 +533,25 @@ class TestReportContract:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error (ValidationError): output: cannot write {path!r}")
+
+    @pytest.mark.parametrize(
+        "run, sizes",
+        [
+            (cli.cmd_histogram, {"samples": 16, "grid_steps": 400, "bins": 5, "format": "csv"}),
+            (cli.cmd_measure, {"samples": 4, "grid_steps": 400}),
+            (lambda config: cli.cmd_verify(config, None), {"dims": (2, 3), "trials": 1}),
+        ],
+        ids=["histogram", "measure", "verify"],
+    )
+    def test_benchmark_entry_points(self, tmp_path, capsys, run, sizes):
+        # bench/child.py times these calls with these argument lists
+        out = tmp_path / "payload"
+        config = parse_config(None, dict(sizes, seed=3, output=str(out)))
+        report, code = run(config)
+        assert code == 0
+        assert isinstance(report, cli.RunReport)
+        assert report.violations == []
+        assert out.stat().st_size > 0
 
     def test_byte_identical_json_outputs(self, tmp_path):
         # identical config (including the output path) and seed

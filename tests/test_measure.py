@@ -128,7 +128,7 @@ class TestSigma:
 class TestBackflow:
     def test_monotone_decreasing_gives_zero(self):
         grid = np.linspace(0.0, 1.0, 50)
-        traj = TraceDistanceTrajectory(grid, np.linspace(1.0, 0.2, 50), np.zeros(50))
+        traj = TraceDistanceTrajectory(grid, np.linspace(1.0, 0.2, 50))
         assert backflow(traj) == 0.0
 
     def test_mixed_reference_pair_value(self, preset_coeffs):
