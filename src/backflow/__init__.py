@@ -11,7 +11,6 @@ from .dynamics import (
     CptReport,
     MapCoefficients,
     RateFunctions,
-    apply_lambda_map,
     apply_map_to_grid,
     constant_rates,
     lambda_map_coefficients,
@@ -26,7 +25,6 @@ from .dynamics import (
 from .measure import (
     BackflowHistogram,
     MeasureResult,
-    MeasureStrategy,
     TraceDistanceTrajectory,
     backflow,
     estimate_measure,
@@ -35,7 +33,6 @@ from .measure import (
     pure_a_plus_pair,
     pure_ab_pair,
     sampled_backflows,
-    sigma_at,
     trace_distance_trajectory,
     trajectory_from_states,
 )
@@ -48,7 +45,6 @@ from .statespace import (
     is_orthogonal,
     jordan_hahn,
     make_density_matrix,
-    maximally_mixed,
     pure_state,
     rescale_pair,
     rng_stream,

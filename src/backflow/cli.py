@@ -20,18 +20,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .dynamics import _finite_number, _instance, lambda_map_coefficients, make_grid, rates_from_model
-from .errors import (
-    BackflowError,
-    CptViolation,
-    IntegratorDiverged,
-    ParseError,
-    PositivityFailure,
-    PositivityLost,
-    QuadratureFailure,
-    ValidationError,
-)
+from .errors import BackflowError, NumericalFailure, ParseError, ValidationError
 from .measure import (
-    MeasureStrategy,
     backflow,
     estimate_measure,
     histogram_backflow,
@@ -51,14 +41,6 @@ _NAMED_PAIRS = {
     "pure-ab": pure_ab_pair,
     "pure-a-plus": pure_a_plus_pair,
 }
-
-_NUMERICAL_ERRORS = (
-    QuadratureFailure,
-    CptViolation,
-    IntegratorDiverged,
-    PositivityLost,
-    PositivityFailure,
-)
 
 
 # --- matrix (de)serialization -------------------------------------------
@@ -113,13 +95,17 @@ def resolve_pair(spec: str) -> tuple[DensityMatrix, DensityMatrix]:
 
 
 def _pair(where: str, entry) -> tuple[DensityMatrix, DensityMatrix]:
-    """Two JSON matrices -> a validated state pair."""
+    """Two JSON matrices -> a validated state pair; an error names the matrix once."""
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise ValidationError(f"{where}: expected a [rho1, rho2] pair of matrices")
-    try:
-        return tuple(make_density_matrix(matrix_from_json(rows, f"{where}[{j}]")) for j, rows in enumerate(entry))
-    except BackflowError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    pair = []
+    for j, rows in enumerate(entry):
+        matrix = matrix_from_json(rows, f"{where}[{j}]")
+        try:
+            pair.append(make_density_matrix(matrix))
+        except BackflowError as exc:
+            raise ValidationError(f"{where}[{j}]: {exc}") from exc
+    return tuple(pair)
 
 
 # --- run configuration ----------------------------------------------------
@@ -391,9 +377,8 @@ def cmd_measure(config: RunConfig) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
     _, coeffs = _coefficients(config)
     explicit = tuple(fn() for fn in _NAMED_PAIRS.values()) + tuple(config.candidate_pairs)
-    strategy = MeasureStrategy(n_pure=config.samples, n_mixed=config.samples, explicit_pairs=explicit)
     t1 = time.perf_counter()
-    result = estimate_measure(coeffs, strategy, config.seed)
+    result = estimate_measure(coeffs, config.samples, config.seed, explicit)
     t2 = time.perf_counter()
 
     results = {
@@ -528,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         report, code = _COMMANDS[args.command][1](config, args)
     except BackflowError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, _NUMERICAL_ERRORS) else 1
+        return 2 if isinstance(exc, NumericalFailure) else 1
     _print_summary(report)
     return code
 

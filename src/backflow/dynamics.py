@@ -28,7 +28,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .statespace import TOL_PSD, DensityMatrix, make_density_matrix
+from .statespace import TOL_PSD, DensityMatrix
 
 TOL_CPT = 1e-8
 # Quadrature splits every grid interval this many ways.
@@ -49,7 +49,6 @@ class RateFunctions:
     gamma2: RateFunction
     lambda1: RateFunction
     lambda2: RateFunction
-    description: str = ""
 
 
 def _zero(t: np.ndarray) -> np.ndarray:
@@ -62,7 +61,7 @@ def sinusoidal_rates(amplitude: float = 0.03, frequency: float = 1.0) -> RateFun
     def gamma(t):
         return amplitude * np.sin(frequency * np.asarray(t, dtype=float))
 
-    return RateFunctions(gamma, gamma, _zero, _zero, f"sinusoidal(amplitude={amplitude}, frequency={frequency})")
+    return RateFunctions(gamma, gamma, _zero, _zero)
 
 
 def constant_rates(gamma: float = 0.03, shift: float = 0.0) -> RateFunctions:
@@ -74,12 +73,12 @@ def constant_rates(gamma: float = 0.03, shift: float = 0.0) -> RateFunctions:
     def s(t):
         return np.full(np.shape(t), shift)
 
-    return RateFunctions(g, g, s, s, f"constant(gamma={gamma}, shift={shift})")
+    return RateFunctions(g, g, s, s)
 
 
 def zero_rates() -> RateFunctions:
     """Trivial dynamics: the map stays the identity."""
-    return RateFunctions(_zero, _zero, _zero, _zero, "zero")
+    return RateFunctions(_zero, _zero, _zero, _zero)
 
 
 def _load_rate_table(path: str) -> RateFunction:
@@ -127,7 +126,7 @@ def tabulated_rates(
     parts = [
         _load_rate_table(p) if p else _zero for p in (gamma1, gamma2, lambda1, lambda2)
     ]
-    return RateFunctions(*parts, description="tabulated")
+    return RateFunctions(*parts)
 
 
 def _instance(types: tuple, what: str):
@@ -203,10 +202,6 @@ class MapCoefficients:
     g2: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-
-    def at(self, index: int) -> tuple[complex, float, float]:
-        """Coefficient triple (f, g1, g2) at one grid point."""
-        return complex(self.f[index]), float(self.g1[index]), float(self.g2[index])
 
 
 @dataclass(frozen=True)
@@ -313,15 +308,6 @@ def lambda_map_coefficients(rates: RateFunctions, grid: np.ndarray) -> MapCoeffi
 def _check_dim3(matrix: np.ndarray) -> None:
     if matrix.shape[-2:] != (3, 3):
         raise BadDimension(f"Lambda-system map needs 3x3 matrices, got shape {matrix.shape}")
-
-
-def apply_lambda_map(f: complex, g1: float, g2: float, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the map with the given coefficient triple to one state."""
-    _check_dim3(rho.entries)
-    # a one-point grid; the map action reads only f, g1 and g2
-    zero = np.zeros(1)
-    point = MapCoefficients(zero, np.array([f], dtype=complex), np.array([g1]), np.array([g2]), zero, zero)
-    return make_density_matrix(apply_map_to_grid(point, rho.entries)[0])
 
 
 def apply_map_to_grid(coeffs: MapCoefficients, matrices: np.ndarray) -> np.ndarray:

@@ -44,10 +44,6 @@ class DomainError(BackflowError):
     """Argument (a scalar, or an entry of a matrix or vector) outside its documented domain."""
 
 
-class IndexOutOfRange(BackflowError, IndexError):
-    """Grid index outside the sampled trajectory."""
-
-
 class ParseError(BackflowError):
     """Configuration file could not be parsed."""
 
@@ -59,21 +55,25 @@ class ValidationError(BackflowError):
 # --- numerical failures (CLI exit code 2) ------------------------------
 
 
-class QuadratureFailure(BackflowError):
+class NumericalFailure(BackflowError):
+    """Base class for the numerical failures; the CLI exits with code 2 on these."""
+
+
+class QuadratureFailure(NumericalFailure):
     """Cumulative quadrature produced non-finite values."""
 
 
-class CptViolation(BackflowError):
+class CptViolation(NumericalFailure):
     """Map coefficients violate trace preservation / complete positivity."""
 
 
-class IntegratorDiverged(BackflowError):
+class IntegratorDiverged(NumericalFailure):
     """Time stepping produced non-finite matrix entries."""
 
 
-class PositivityLost(BackflowError):
+class PositivityLost(NumericalFailure):
     """Integrated state drifted below the allowed negative-eigenvalue band."""
 
 
-class PositivityFailure(BackflowError):
+class PositivityFailure(NumericalFailure):
     """Translated state failed positivity validation."""

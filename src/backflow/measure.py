@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import MapCoefficients, RateFunctions, apply_map_to_grid, lindblad_integrate, stretch_ends
-from .errors import DimensionMismatch, DomainError, IndexOutOfRange, ValidationError
+from .errors import DimensionMismatch, DomainError, ValidationError
 from .statespace import (
     DensityMatrix,
     _clipped_distances,
@@ -105,13 +105,6 @@ def trace_distance_trajectory(
     raise DomainError(f"unknown engine {engine!r}")
 
 
-def sigma_at(traj: TraceDistanceTrajectory, k: int) -> float:
-    """Finite-difference distance rate at grid index k (central in the interior)."""
-    if not 0 <= k < traj.grid.size:
-        raise IndexOutOfRange(f"index {k} outside grid of length {traj.grid.size}")
-    return float(traj.sigma[k])
-
-
 def backflow(traj: TraceDistanceTrajectory) -> float:
     """Sum of positive trace-distance increments along the grid.
 
@@ -170,15 +163,6 @@ def _streamed_backflows(
     return values
 
 
-@dataclass(frozen=True)
-class MeasureStrategy:
-    """Candidate generation plan for the measure estimate."""
-
-    n_pure: int = 1000
-    n_mixed: int = 1000
-    explicit_pairs: tuple[StatePair, ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
 class MeasureResult:
     """Sampled lower bound on the maximal information backflow."""
@@ -191,19 +175,20 @@ class MeasureResult:
 
 
 def estimate_measure(
-    coeffs: MapCoefficients, strategy: MeasureStrategy = MeasureStrategy(), seed: int = 0
+    coeffs: MapCoefficients, samples: int = 1000, seed: int = 0, explicit_pairs: tuple[StatePair, ...] = ()
 ) -> MeasureResult:
     """Maximize backflow over sampled orthogonal candidate pairs.
 
-    Candidate classes: random pure orthogonal pairs, random mixed
-    orthogonal pairs, and explicit pairs (validated orthogonal). The
-    returned estimate is the largest backflow found, the first maximum
+    Candidate classes: ``samples`` random pure orthogonal pairs, as many
+    random mixed orthogonal pairs, and the explicit pairs (validated
+    orthogonal), so ``2 * samples + len(explicit_pairs)`` candidates in all.
+    The returned estimate is the largest backflow found, the first maximum
     over the classes in that order, and a lower bound on the true maximum.
     """
-    if strategy.n_pure < 0 or strategy.n_mixed < 0:
-        raise DomainError("candidate counts must be non-negative")
+    if samples < 0:
+        raise DomainError(f"samples must be non-negative, got {samples}")
 
-    for idx, (rho1, rho2) in enumerate(strategy.explicit_pairs):
+    for idx, (rho1, rho2) in enumerate(explicit_pairs):
         if not is_orthogonal(rho1, rho2):
             raise ValidationError(
                 f"explicit candidate pair {idx} is not orthogonal; the maximization "
@@ -214,8 +199,7 @@ def estimate_measure(
         """Stacked differences of a sampled class, and its one-pair rebuild."""
         return _sampled_differences(pair_stacks, seed, key), lambda i: one_pair(3, rng_stream(seed, key, i))
 
-    explicit = strategy.explicit_pairs
-    explicit_class = (lambda start, stop: _pairs_to_differences(explicit[start:stop]), explicit.__getitem__)
+    explicit = (lambda start, stop: _pairs_to_differences(explicit_pairs[start:stop]), explicit_pairs.__getitem__)
 
     ends = stretch_ends(coeffs)
     best_value = -1.0
@@ -225,9 +209,9 @@ def estimate_measure(
     # each class is scored in stacked batches; its first maximum is rebuilt
     # from its stream by the one-pair sampler, so no candidate list is kept
     for label, (differences, candidate), n in (
-        ("pure", sampled(sample_pure_orthogonal_pair, _pure_pair_stacks, 0), strategy.n_pure),
-        ("mixed", sampled(sample_orthogonal_mixed_pair, _mixed_pair_stacks, 1), strategy.n_mixed),
-        ("explicit", explicit_class, len(explicit)),
+        ("pure", sampled(sample_pure_orthogonal_pair, _pure_pair_stacks, 0), samples),
+        ("mixed", sampled(sample_orthogonal_mixed_pair, _mixed_pair_stacks, 1), samples),
+        ("explicit", explicit, len(explicit_pairs)),
     ):
         if n == 0:
             continue
@@ -240,7 +224,7 @@ def estimate_measure(
             best_pair = candidate(first_max)
 
     if best_pair is None:
-        raise DomainError("no candidates were evaluated; enable at least one class")
+        raise DomainError("no candidates were evaluated; give samples >= 1 or an explicit pair")
 
     return MeasureResult(
         estimate=best_value,

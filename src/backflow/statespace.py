@@ -102,17 +102,12 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def purity(self) -> float:
-        """Tr rho^2, equals 1 exactly for pure states."""
-        return float(np.real(np.trace(self.entries @ self.entries)))
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Hermitian observable-like operator, optionally constrained traceless."""
+    """Hermitian observable-like operator; :meth:`from_matrix` can also check it is traceless."""
 
     entries: np.ndarray
-    traceless: bool = False
 
     @property
     def dim(self) -> int:
@@ -133,7 +128,7 @@ class HermitianOperator:
             if tr > TOL_TRACE:
                 raise BadTrace(f"|trace| = {tr:.3e} exceeds {TOL_TRACE:.1e} for traceless operator")
         m.setflags(write=False)
-        return cls(m, traceless)
+        return cls(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,12 +191,6 @@ def _projectors(vectors: np.ndarray) -> np.ndarray:
         raise BadDimension("pure state requires a nonzero vector")
     v = vectors / norms[:, None]
     return v[:, :, None] * v.conj()[:, None, :]
-
-
-def maximally_mixed(dim: int) -> DensityMatrix:
-    if dim < 1:
-        raise BadDimension(f"dimension must be positive, got {dim}")
-    return make_density_matrix(np.eye(dim, dtype=complex) / dim)
 
 
 def _check_same_dim(rho1: DensityMatrix, rho2: DensityMatrix) -> None:
@@ -361,13 +350,14 @@ def rescale_pair(
 
     Returns (sigma1, sigma2, lam) with sigma_i = P_i / lam, so that
     sigma1 - sigma2 = (rho1 - rho2) / lam and the new pair has unit trace
-    distance. Orthogonal inputs are already in this form and are returned
-    unchanged with lam = 1.
+    distance. Orthogonal inputs, whose split weight (their trace distance)
+    is at least 1 - TOL_ORTH as in :func:`is_orthogonal`, are already in this
+    form and are returned unchanged with lam = 1.
     """
-    if is_orthogonal(rho1, rho2):
-        return rho1, rho2, 1.0
     parts = jordan_hahn(rho1, rho2)
     lam = parts.weight
+    if lam >= 1.0 - TOL_ORTH:
+        return rho1, rho2, 1.0
     sigma1 = make_density_matrix(parts.positive_part.entries / lam)
     sigma2 = make_density_matrix(parts.negative_part.entries / lam)
     return sigma1, sigma2, lam
@@ -416,7 +406,7 @@ def sample_random_state(dim: int, rank: int, rng: np.random.Generator) -> Densit
     if dim < 1 or not 1 <= rank <= dim:
         raise BadDimension(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
     ginibre, weights = _random_state_draws(dim, rank, rng)
-    return DensityMatrix(_density_stack(_random_state_stack(_haar_from_ginibre(ginibre[None]), [weights]))[0])
+    return DensityMatrix(_density_stack(_weighted_states(_haar_from_ginibre(ginibre[None]), [(0, weights)]))[0])
 
 
 def _random_state_draws(dim: int, rank: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -425,22 +415,21 @@ def _random_state_draws(dim: int, rank: int, rng: np.random.Generator) -> tuple[
     return rng.standard_normal((2, dim, dim)), rng.dirichlet(np.ones(rank))
 
 
-def _random_state_stack(unitaries: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
-    """Unvalidated :func:`sample_random_state` matrices for an (n, N, N) stack of
-    unitaries, each weighting its leading ``len(weights[i])`` columns."""
-    ranks = [w.size for w in weights]
+def _weighted_states(unitaries: np.ndarray, spans: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Unvalidated matrices for an (n, N, N) stack of unitaries and n spans
+    (start, weights): matrix i sums ``weights[j]`` times the projector on
+    column start + j of unitary i. Spans of one (start, size) are built in one
+    product, and each product has one state's shapes, so each matrix is
+    bit-identical to building it alone."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (start, weights) in enumerate(spans):
+        groups.setdefault((start, weights.size), []).append(i)
     states = np.empty(unitaries.shape, dtype=complex)
-    for k in sorted(set(ranks)):
-        rows = [i for i, rank in enumerate(ranks) if rank == k]
-        states[rows] = _weighted_projections(unitaries[rows, :, :k], np.array([weights[i] for i in rows]))
+    for (start, size), rows in groups.items():
+        cols = unitaries[rows, :, start : start + size]
+        weights = np.array([spans[i][1] for i in rows])
+        states[rows] = (cols * weights[:, None, :]) @ cols.conj().swapaxes(-1, -2)
     return states
-
-
-def _weighted_projections(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sum of ``weights[i, j]`` times the projector on column j of ``cols[i]``, for
-    (n, N, r) columns and (n, r) weights; every product has one state's shapes,
-    so each matrix is bit-identical to building it alone."""
-    return (cols * weights[:, None, :]) @ cols.conj().swapaxes(-1, -2)
 
 
 def sample_orthogonal_mixed_pair(
@@ -459,14 +448,13 @@ def sample_orthogonal_mixed_pair(
 
 def _mixed_pair_stacks(dim: int, rngs: list[np.random.Generator]) -> np.ndarray:
     """:func:`sample_orthogonal_mixed_pair` for one stream each, as a (2, n, N, N) stack;
-    each stream draws in the one-pair order, and each product has one pair's shapes."""
+    each stream draws in the one-pair order: the unitary, the split k, then
+    the weights of the first k columns and of the other N - k."""
     n = len(rngs)
     u = _haar_stack(dim, rngs)
-    splits = [int(rng.integers(1, dim)) for rng in rngs]
-    states = np.empty((2 * n, dim, dim), dtype=complex)
-    for k in sorted(set(splits)):
-        rows = [i for i, split in enumerate(splits) if split == k]
-        for side, cols in enumerate((u[rows, :, :k], u[rows, :, k:])):
-            weights = np.array([rngs[i].dirichlet(np.ones(cols.shape[-1])) for i in rows])
-            states[[side * n + i for i in rows]] = _weighted_projections(cols, weights)
-    return _density_stack(states).reshape(2, n, dim, dim)
+    first, second = [], []
+    for rng in rngs:
+        k = int(rng.integers(1, dim))
+        first.append((0, rng.dirichlet(np.ones(k))))
+        second.append((k, rng.dirichlet(np.ones(dim - k))))
+    return _density_stack(_weighted_states(np.concatenate([u, u]), first + second)).reshape(2, n, dim, dim)

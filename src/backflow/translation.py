@@ -49,18 +49,15 @@ class OverlapSelection:
 class ShiftConstruction:
     """Shift operator data for one translatable pair.
 
-    ``shift`` is epsilon * direction with epsilon strictly inside
-    (0, epsilon_max); ``norm_ratio`` is the squared ratio of the
-    superposition normalizations, (1 - overlap) / (1 + overlap).
+    ``shift`` is epsilon times the direction of :func:`build_shift_operator`,
+    with epsilon strictly inside (0, epsilon_max); ``norm_ratio`` is the
+    squared ratio of the superposition normalizations, (1 - overlap) / (1 + overlap).
     """
 
     selection: OverlapSelection
-    projector_plus: HermitianOperator
-    projector_minus: HermitianOperator
     norm_ratio: float
     epsilon_max: float
     epsilon: float
-    direction: HermitianOperator
     shift: HermitianOperator
 
 
@@ -164,12 +161,9 @@ def build_shift_operator(
 
     return ShiftConstruction(
         selection=sel,
-        projector_plus=HermitianOperator.from_matrix(proj_plus),
-        projector_minus=HermitianOperator.from_matrix(proj_minus),
         norm_ratio=ratio,
         epsilon_max=eps_max,
         epsilon=epsilon,
-        direction=HermitianOperator.from_matrix(direction, traceless=True),
         shift=HermitianOperator.from_matrix(epsilon * direction, traceless=True),
     )
 

@@ -46,7 +46,7 @@ from .statespace import (
     _density_stack,
     _haar_from_ginibre,
     _random_state_draws,
-    _random_state_stack,
+    _weighted_states,
     is_orthogonal,
     jordan_hahn,
     make_density_matrix,
@@ -171,7 +171,7 @@ def _pair_draws(dim: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np
 def _random_states(draws: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """The validated states of a list of state draws, with one stacked QR and one validation."""
     unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws]))
-    return _density_stack(_random_state_stack(unitaries, [weights for _, weights in draws]))
+    return _density_stack(_weighted_states(unitaries, [(0, weights) for _, weights in draws]))
 
 
 def _random_pair(dim: int, rng: np.random.Generator) -> tuple[DensityMatrix, DensityMatrix]:
@@ -252,7 +252,7 @@ def _metric_block(worst: _Worst, dim: int, n: int, rng: np.random.Generator) -> 
         draws.append(_random_state_draws(dim, int(rng.integers(1, dim + 1)), rng))
         rotations.append(rng.standard_normal((2, dim, dim)))
     unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws] + rotations))
-    states = _density_stack(_random_state_stack(unitaries[: 3 * n], [weights for _, weights in draws]))
+    states = _density_stack(_weighted_states(unitaries[: 3 * n], [(0, weights) for _, weights in draws]))
     a, b, c = (states[k::3] for k in range(3))
     u = unitaries[3 * n :]
     u_adjoint = u.conj().swapaxes(-1, -2)

@@ -20,7 +20,6 @@ from backflow.dynamics import (
 )
 from backflow.errors import OrthogonalPair
 from backflow.measure import (
-    MeasureStrategy,
     backflow,
     estimate_measure,
     histogram_backflow,
@@ -128,7 +127,7 @@ def test_criterion_05_markovian_null_case():
         traj = trace_distance_trajectory(coeffs, *pair)
         worst_rise = max(worst_rise, float(np.diff(traj.distances).max()))
     assert worst_rise <= 1e-10
-    result = estimate_measure(coeffs, MeasureStrategy(n_pure=50, n_mixed=50), seed=SEED)
+    result = estimate_measure(coeffs, 50, seed=SEED)
     assert result.estimate == 0.0
     announce(5, f"constant rates: worst increment {worst_rise:.2e} <= 1e-10 "
                 "over 100 orthogonal candidates, estimate = 0")

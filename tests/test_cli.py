@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backflow import cli
+from backflow import cli, errors
 from backflow.cli import (
     RunConfig,
     build_parser,
@@ -130,6 +130,8 @@ BAD_CONFIG_VALUES = [
     ({"trials": 10**15}, "trials"),
     # each suite keys its stream by (seed, suite, dim): a repeat adds no coverage
     ({"dims": [2, 2]}, "dims"),
+    # a state check names the matrix, once
+    ({"candidate_pairs": [[[[1, 0], [0, 0]], [[2, 0], [0, 0]]]]}, "candidate_pairs[0][1]: trace deviates"),
 ]
 
 
@@ -166,6 +168,7 @@ def test_malformed_matrix_cell_is_one_validation_error(tmp_path, capsys, cell):
         assert len(lines) == 1
         assert lines[0].startswith("error (ValidationError): ")
         assert f"{matrix}: cannot parse matrix entries" in lines[0]
+        assert lines[0].count(matrix.rpartition("[")[0]) == 1  # the pair is named once
 
 
 # each file content once ended in a UnicodeDecodeError, RecursionError or ValueError traceback
@@ -472,6 +475,13 @@ class TestVerifyCommand:
         assert main(["verify", "--trials", "0"]) == 1
 
 
+# the library errors that end in exit code 2; every other BackflowError ends in 1
+NUMERICAL_FAILURES = {
+    "NumericalFailure", "QuadratureFailure", "CptViolation", "IntegratorDiverged", "PositivityLost", "PositivityFailure"
+}
+ERROR_CLASSES = [cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, BackflowError)]
+
+
 class TestReportContract:
     def test_json_payload_round_trips(self, tmp_path):
         out = tmp_path / "measure.json"
@@ -487,6 +497,15 @@ class TestReportContract:
         cfg = write_json(tmp_path / "cfg.json", {"model": {"preset": "constant", "gamma": -0.03}})
         assert main(["measure", "--config", cfg, "--samples", "2"]) == 2
         assert "CptViolation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+    def test_exit_code_follows_the_error_class(self, monkeypatch, capsys, error):
+        def fail(config):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "cmd_measure", fail)
+        assert main(["measure", "--samples", "1"]) == (2 if error.__name__ in NUMERICAL_FAILURES else 1)
+        assert capsys.readouterr().err == f"error ({error.__name__}): injected\n"
 
     def test_coarse_grid_cpt_error_names_the_grid(self, capsys):
         # the default model meets TOL_CPT only on grids finer than about 200 steps

@@ -3,13 +3,16 @@
 No module imports scipy, not even lazily, no module reads or writes the
 process environment, every random draw comes from a stream built by
 ``statespace.rng_stream``, and ``eigvalsh`` serves only the trace-distance
-kernel and the minimum-eigenvalue checks.
+kernel and the minimum-eigenvalue checks. Every public function has a
+caller outside the tests.
 """
 
 import ast
+import json
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "backflow"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "backflow"
 
 ENVIRONMENT_NAMES = {"environ", "getenv", "putenv"}
 
@@ -95,6 +98,56 @@ def functions_naming(tree: ast.Module, attribute: str) -> list[str]:
     return names
 
 
+def public_functions(tree: ast.Module) -> list[str]:
+    """Public module-level functions and public methods of public classes, as
+    ``name`` or ``Class.name``, in source order."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            found.append(node.name)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found += [
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+            ]
+    return found
+
+
+def names_used(tree: ast.Module) -> set[str]:
+    """Every name a module reads, every attribute it takes and every name it
+    imports; a ``def`` statement does not name its own function."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def callers_outside_the_tests() -> set[str]:
+    """The names used by the package modules but ``__init__.py``, by ``scripts/``
+    and ``bench/*.py``, and the functions of BENCHMARK.json's per-layer metrics
+    (``<module>.<function>.<quantity>``)."""
+    trees = [tree for name, tree in package_trees().items() if name != "__init__.py"]
+    trees += [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(ROOT.glob("scripts/*.py"))]
+    trees += [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(ROOT.glob("bench/*.py"))]
+    names = set().union(*map(names_used, trees))
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return names | {m["name"].split(".")[1] for m in declared["per_layer"] if m["name"].count(".") >= 2}
+
+
+# Public functions that only the tests call, each kept for its reason.
+UNCALLED_ON_PURPOSE = {
+    "haar_unitary": "the documented Haar sampler; the package draws its unitaries as stacks",
+    "is_boundary": "the paper's claim that optimal pairs lie on the boundary, which ROADMAP item 2 gates on",
+    "depolarize_stack": "the depolarizing map itself, the reference the tests check verify._trajectory against",
+}
+
+
 # The functions that may call eigvalsh: the trace-distance kernel, for N >= 4,
 # and the checks that need a minimum eigenvalue to its full accuracy, which
 # the kernel's closed forms do not give near a zero eigenvalue.
@@ -140,3 +193,24 @@ def test_eigvalsh_only_in_the_kernel_and_minimum_eigenvalue_checks():
         "import numpy as np\ndef f(m):\n    return np.linalg.eigvalsh(m)\nfrom numpy.linalg import eigvalsh\n"
     )
     assert functions_naming(probe, "eigvalsh") == ["f", "<module>"]
+
+
+def test_every_public_function_has_a_caller():
+    # a public name that only the tests call restates another call, or is dead
+    trees = {name: tree for name, tree in package_trees().items() if name != "__init__.py"}
+    used = callers_outside_the_tests() | set(UNCALLED_ON_PURPOSE)
+    uncalled = [
+        f"{name}:{function}"
+        for name, tree in trees.items()
+        for function in public_functions(tree)
+        if function.rpartition(".")[2] not in used
+    ]
+    assert uncalled == []
+    defined = {function for tree in trees.values() for function in public_functions(tree)}
+    assert set(UNCALLED_ON_PURPOSE) <= defined
+    probe = ast.parse(
+        "def f():\n    return g()\n"
+        "class C:\n    def m(self):\n        return self.n\n    def _p(self):\n        pass\n"
+    )
+    assert public_functions(probe) == ["f", "C.m"]
+    assert names_used(probe) == {"g", "self", "n"}

@@ -11,7 +11,6 @@ from backflow.dynamics import (
     MapCoefficients,
     RateFunctions,
     _master_equation_rhs,
-    apply_lambda_map,
     apply_map_to_grid,
     constant_rates,
     lambda_map_coefficients,
@@ -145,19 +144,19 @@ class TestValidateCpt:
 
 
 class TestApplyLambdaMap:
-    def test_identity_coefficients_leave_state_unchanged(self):
+    def test_identity_coefficients_leave_state_unchanged(self, preset_coeffs):
+        # the map is the identity at t = 0
+        assert (preset_coeffs.f[0], preset_coeffs.g1[0], preset_coeffs.g2[0]) == (1.0, 0.0, 0.0)
         rho = sample_random_state(3, 3, rng_stream(1))
-        out = apply_lambda_map(1.0, 0.0, 0.0, rho)
-        np.testing.assert_array_equal(out.entries, rho.entries)
+        out = apply_map_to_grid(preset_coeffs, rho.entries)[0]
+        np.testing.assert_array_equal(out, rho.entries)
 
     def test_excited_state_populations(self, preset_coeffs):
-        f, g1, g2 = preset_coeffs.at(1500)
-        out = apply_lambda_map(f, g1, g2, pure_state([1, 0, 0]))
-        # the returned state is validated, which renormalizes its trace
-        populations = np.array([abs(f) ** 2, g1, g2])
-        np.testing.assert_allclose(
-            out.entries, np.diag(populations / populations.sum()), rtol=0, atol=1e-12
-        )
+        k = 1500
+        f, g1, g2 = preset_coeffs.f[k], preset_coeffs.g1[k], preset_coeffs.g2[k]
+        out = apply_map_to_grid(preset_coeffs, pure_state([1, 0, 0]).entries)[k]
+        # the raw map action, not renormalized
+        np.testing.assert_allclose(out, np.diag([abs(f) ** 2, g1, g2]), rtol=0, atol=1e-12)
 
     def test_ground_coherence_untouched(self, preset_coeffs):
         rho = make_density_matrix(
@@ -169,15 +168,10 @@ class TestApplyLambdaMap:
         # the raw map action keeps the ground coherence entry bitwise
         stack = apply_map_to_grid(preset_coeffs, rho.entries)
         assert np.all(stack[:, 1, 2] == rho.entries[1, 2])
-        for k in (100, 777, 2000):
-            f, g1, g2 = preset_coeffs.at(k)
-            out = apply_lambda_map(f, g1, g2, rho)
-            # state validation renormalizes the quadrature-level trace error
-            assert out.entries[1, 2] == pytest.approx(rho.entries[1, 2], abs=1e-10)
 
     def test_wrong_dimension(self, preset_coeffs):
         with pytest.raises(BadDimension):
-            apply_lambda_map(1.0, 0.0, 0.0, pure_state([1, 0]))
+            apply_map_to_grid(preset_coeffs, pure_state([1, 0]).entries)
         with pytest.raises(BadDimension):
             apply_map_to_grid(preset_coeffs, np.zeros((4, 2, 2)))
 
@@ -233,15 +227,11 @@ class TestEvolve:
             stacks = apply_map_to_grid(coeffs, states)
             assert stacks.shape == (4, GRID.size, 3, 3)
             for k in (0, 250, 1999):
-                f, g1, g2 = coeffs.at(k)
+                f, g1, g2 = coeffs.f[k], coeffs.g1[k], coeffs.g2[k]
                 expected = kraus_sum(f, g1, g2, rho.entries)
                 np.testing.assert_allclose(stack[k], expected, rtol=0.0, atol=1e-14)
                 for m, evolved in zip(states, stacks):
                     np.testing.assert_allclose(evolved[k], kraus_sum(f, g1, g2, m), rtol=0.0, atol=1e-14)
-                # state validation renormalizes the quadrature-level trace error
-                np.testing.assert_allclose(
-                    apply_lambda_map(f, g1, g2, rho).entries, expected, rtol=0.0, atol=1e-10
-                )
 
 
 def _unequal_rates():

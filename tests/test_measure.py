@@ -9,10 +9,9 @@ from backflow.dynamics import (
     stretch_ends,
     zero_rates,
 )
-from backflow.errors import DomainError, IndexOutOfRange, ValidationError
+from backflow.errors import DomainError, ValidationError
 from backflow.measure import (
     RISE_TOLERANCE,
-    MeasureStrategy,
     TraceDistanceTrajectory,
     _batched_backflows,
     backflow,
@@ -22,7 +21,6 @@ from backflow.measure import (
     pure_a_plus_pair,
     pure_ab_pair,
     sampled_backflows,
-    sigma_at,
     trace_distance_trajectory,
 )
 from backflow.statespace import (
@@ -102,27 +100,25 @@ class TestSigma:
     def test_constant_trajectory_zero_rate(self, preset_coeffs):
         rho = sample_random_state(3, 3, rng_stream(2))
         traj = trace_distance_trajectory(preset_coeffs, rho, rho)
-        assert all(sigma_at(traj, k) == 0.0 for k in range(0, 2001, 100))
+        assert all(traj.sigma[k] == 0.0 for k in range(0, 2001, 100))
 
     def test_mpair_backflow_phase(self, preset_coeffs):
         traj = trace_distance_trajectory(preset_coeffs, *mixed_reference_pair())
         # oracle: sigma(t) = -0.06 sin(t) exp(-0.06 (1 - cos t))
         k = 1500  # t = 3 pi / 2
         assert GRID[k] == pytest.approx(3 * np.pi / 2, abs=1e-12)
-        assert sigma_at(traj, k) == pytest.approx(0.06 * np.exp(-0.06), abs=2e-4)
+        assert traj.sigma[k] == pytest.approx(0.06 * np.exp(-0.06), abs=2e-4)
 
     def test_mpair_outflow_phase(self, preset_coeffs):
         traj = trace_distance_trajectory(preset_coeffs, *mixed_reference_pair())
         k = 500  # t = pi / 2
-        assert sigma_at(traj, k) == pytest.approx(-0.06 * np.exp(-0.06), abs=2e-4)
-        assert sigma_at(traj, k) < 0.0
+        assert traj.sigma[k] == pytest.approx(-0.06 * np.exp(-0.06), abs=2e-4)
+        assert traj.sigma[k] < 0.0
 
     def test_index_out_of_range(self, preset_coeffs):
+        # sigma holds one rate per grid point, the last at t_max
         traj = trace_distance_trajectory(preset_coeffs, *pure_ab_pair())
-        with pytest.raises(IndexOutOfRange):
-            sigma_at(traj, 2001)
-        with pytest.raises(IndexOutOfRange):
-            sigma_at(traj, -1)
+        assert traj.sigma.shape == traj.grid.shape == (2001,)
 
 
 class TestBackflow:
@@ -219,19 +215,16 @@ class TestScalingLaws:
 class TestEstimateMeasure:
     def test_identity_dynamics_zero(self):
         coeffs = lambda_map_coefficients(zero_rates(), make_grid(2 * np.pi, 200))
-        result = estimate_measure(coeffs, MeasureStrategy(n_pure=30, n_mixed=30), seed=5)
+        result = estimate_measure(coeffs, 30, seed=5)
         assert result.estimate == 0.0
 
     def test_markovian_semigroup_zero(self, markov_coeffs):
-        result = estimate_measure(markov_coeffs, MeasureStrategy(n_pure=60, n_mixed=60), seed=6)
+        result = estimate_measure(markov_coeffs, 60, seed=6)
         assert result.estimate == 0.0
         assert result.samples_evaluated == 120
 
     def test_explicit_reference_pair_sets_lower_bound(self, preset_coeffs):
-        strategy = MeasureStrategy(
-            n_pure=50, n_mixed=50, explicit_pairs=(mixed_reference_pair(),)
-        )
-        result = estimate_measure(preset_coeffs, strategy, seed=7)
+        result = estimate_measure(preset_coeffs, 50, seed=7, explicit_pairs=(mixed_reference_pair(),))
         assert result.estimate >= MPAIR_BACKFLOW - 1e-5
         assert result.candidate_breakdown["explicit"] == pytest.approx(MPAIR_BACKFLOW, abs=1e-5)
         assert is_orthogonal(*result.best_pair)
@@ -241,15 +234,15 @@ class TestEstimateMeasure:
     def test_non_orthogonal_explicit_pair_rejected(self, preset_coeffs):
         bad = (pure_state([1, 0, 0]), pure_state([1, 1, 0]))
         with pytest.raises(ValidationError, match="explicit candidate pair 1 is not orthogonal"):
-            estimate_measure(preset_coeffs, MeasureStrategy(n_pure=1, explicit_pairs=(pure_ab_pair(), bad)))
+            estimate_measure(preset_coeffs, 1, explicit_pairs=(pure_ab_pair(), bad))
 
     def test_batched_candidates_match_one_at_a_time(self):
         # candidates are scored in batches; every class maximum, the first
         # maximizing pair and the count must be those of scoring one by one
         coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
         n = 150  # more than one batch
-        strategy = MeasureStrategy(n_pure=n, n_mixed=n, explicit_pairs=(pure_ab_pair(), pure_a_plus_pair()))
-        result = estimate_measure(coeffs, strategy, seed=16)
+        explicit = (pure_ab_pair(), pure_a_plus_pair())
+        result = estimate_measure(coeffs, n, seed=16, explicit_pairs=explicit)
 
         def score(pair):
             delta = (pair[0].entries - pair[1].entries)[None]
@@ -258,7 +251,7 @@ class TestEstimateMeasure:
         classes = {
             "pure": [sample_pure_orthogonal_pair(3, rng_stream(16, 0, i)) for i in range(n)],
             "mixed": [sample_orthogonal_mixed_pair(3, rng_stream(16, 1, i)) for i in range(n)],
-            "explicit": list(strategy.explicit_pairs),
+            "explicit": list(explicit),
         }
         best_value, best_pair = -1.0, None
         for label, pairs in classes.items():
@@ -274,7 +267,7 @@ class TestEstimateMeasure:
 
     def test_empty_strategy_rejected(self, preset_coeffs):
         with pytest.raises(DomainError):
-            estimate_measure(preset_coeffs, MeasureStrategy(n_pure=0, n_mixed=0))
+            estimate_measure(preset_coeffs, 0)
 
 
 class TestHistogram:

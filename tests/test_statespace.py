@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backflow import statespace
 from backflow.errors import (
     BadDimension,
     BadTrace,
@@ -23,13 +24,12 @@ from backflow.statespace import (
     _mixed_pair_stacks,
     _pure_pair_stacks,
     _random_state_draws,
-    _random_state_stack,
+    _weighted_states,
     haar_unitary,
     is_boundary,
     is_orthogonal,
     jordan_hahn,
     make_density_matrix,
-    maximally_mixed,
     pure_state,
     rescale_pair,
     rng_stream,
@@ -47,9 +47,17 @@ def diag_state(*populations):
     return make_density_matrix(np.diag(populations).astype(complex))
 
 
+def uniform_state(dim):
+    return make_density_matrix(np.eye(dim) / dim)
+
+
+def purity(rho):
+    return float(np.trace(rho.entries @ rho.entries).real)
+
+
 class TestMakeDensityMatrix:
     def test_maximally_mixed_dim2(self):
-        rho = maximally_mixed(2)
+        rho = uniform_state(2)
         np.testing.assert_allclose(rho.eigenvalues, [0.5, 0.5])
 
     def test_pure_diagonal(self):
@@ -83,7 +91,7 @@ class TestMakeDensityMatrix:
                 empty(np.zeros((0, 0)))
 
     def test_entries_read_only(self):
-        rho = maximally_mixed(2)
+        rho = uniform_state(2)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 9.0
 
@@ -119,7 +127,7 @@ class TestTraceDistance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            trace_distance(maximally_mixed(2), maximally_mixed(3))
+            trace_distance(uniform_state(2), uniform_state(3))
 
     @settings(max_examples=50)
     @given(seed=seeds, dim=dims)
@@ -288,7 +296,7 @@ class TestJordanHahn:
         assert parts.weight == pytest.approx(0.2)
 
     def test_identical_states_rejected(self):
-        rho = maximally_mixed(3)
+        rho = uniform_state(3)
         with pytest.raises(IdenticalStates):
             jordan_hahn(rho, rho)
 
@@ -327,7 +335,7 @@ class TestOrthogonalityAndBoundary:
         assert is_boundary(pure_state([1, 1, 0]))
 
     def test_maximally_mixed_interior(self):
-        assert not is_boundary(maximally_mixed(4))
+        assert not is_boundary(uniform_state(4))
 
     def test_rank_deficient_diagonal(self):
         assert is_boundary(diag_state(0.5, 0.5, 0.0))
@@ -351,6 +359,21 @@ class TestRescalePair:
         sigma1, sigma2, lam = rescale_pair(rho1, rho2)
         assert lam == 1.0
         assert sigma1 is rho1 and sigma2 is rho2
+
+    def test_identical_states_rejected(self):
+        rho = diag_state(0.6, 0.4)
+        with pytest.raises(IdenticalStates):
+            rescale_pair(rho, rho)
+
+    def test_splits_without_a_trace_distance(self, monkeypatch):
+        # orthogonality is read off the split's weight, so no distance is taken
+        def no_distance(deltas):
+            raise AssertionError("rescale_pair took a trace distance")
+
+        monkeypatch.setattr(statespace, "_clipped_distances", no_distance)
+        rho1, rho2 = pure_state([1, 0]), pure_state([0, 1])
+        assert rescale_pair(rho1, rho2) == (rho1, rho2, 1.0)
+        assert rescale_pair(diag_state(0.6, 0.4), diag_state(0.4, 0.6))[2] == pytest.approx(0.2)
 
     def test_plus_zero_pair(self):
         plus = pure_state([1, 1])
@@ -382,8 +405,8 @@ class TestSampling:
     def test_pure_pair_contract(self):
         rho1, rho2 = sample_pure_orthogonal_pair(2, rng_stream(404))
         assert abs(np.trace(rho1.entries @ rho2.entries)) <= 1e-12
-        assert rho1.purity() == pytest.approx(1.0, abs=1e-12)
-        assert rho2.purity() == pytest.approx(1.0, abs=1e-12)
+        assert purity(rho1) == pytest.approx(1.0, abs=1e-12)
+        assert purity(rho2) == pytest.approx(1.0, abs=1e-12)
 
     def test_same_seed_bitwise_identical(self):
         a1, a2 = sample_pure_orthogonal_pair(3, rng_stream(1234, 5))
@@ -402,7 +425,7 @@ class TestSampling:
 
     def test_rank_one_state_pure(self):
         rho = sample_random_state(3, 1, rng_stream(10))
-        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_deficient_state_on_boundary(self):
         rho = sample_random_state(4, 3, rng_stream(11))
@@ -500,7 +523,7 @@ class TestStackedSampling:
         ranks = [1 + i % dim for i in range(3 * dim)][::-1]
         draws = [_random_state_draws(dim, rank, rng_stream(36, i)) for i, rank in enumerate(ranks)]
         unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws]))
-        states = _density_stack(_random_state_stack(unitaries, [weights for _, weights in draws]))
+        states = _density_stack(_weighted_states(unitaries, [(0, weights) for _, weights in draws]))
         for i, rank in enumerate(ranks):
             rng = rng_stream(36, i)
             assert np.array_equal(states[i], reference_weighted(reference_haar(dim, rng)[:, :rank], rng))
