@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from backflow.measure import trajectory_from_states
+from backflow.measure import backflow, trajectory_from_states
 from backflow.statespace import (
     make_density_matrix,
     rng_stream,
@@ -59,10 +59,8 @@ def two_channel_map_stack(grid: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def backflow_of(grid, rho1, rho2) -> float:
-    traj = trajectory_from_states(
-        grid, two_channel_map_stack(grid, rho1.entries), two_channel_map_stack(grid, rho2.entries)
-    )
-    return traj.backflow
+    states = [two_channel_map_stack(grid, rho.entries) for rho in (rho1, rho2)]
+    return backflow(trajectory_from_states(grid, *states))
 
 
 def main() -> int:

@@ -22,6 +22,7 @@ import numpy as np
 from .dynamics import _finite_number, _instance, lambda_map_coefficients, make_grid, rates_from_model
 from .errors import BackflowError, NumericalFailure, ParseError, ValidationError
 from .measure import (
+    _check_candidate,
     backflow,
     estimate_measure,
     histogram_backflow,
@@ -141,8 +142,12 @@ def _dims(name: str, value) -> tuple:
 
 
 def _pairs(name: str, value) -> tuple:
-    pairs = _instance((list, tuple), "a list of [rho1, rho2] pairs")(name, value)
-    return tuple(_pair(f"{name}[{i}]", entry) for i, entry in enumerate(pairs))
+    """Candidate pairs for ``measure``, each two orthogonal 3x3 states; an error names the pair as written."""
+    pairs = []
+    for i, entry in enumerate(_instance((list, tuple), "a list of [rho1, rho2] pairs")(name, value)):
+        pairs.append(_pair(f"{name}[{i}]", entry))
+        _check_candidate(pairs[-1], f"{name}[{i}]")
+    return tuple(pairs)
 
 
 def _pairs_to_json(pairs) -> list:

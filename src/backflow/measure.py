@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import MapCoefficients, RateFunctions, apply_map_to_grid, lindblad_integrate, stretch_ends
-from .errors import DimensionMismatch, DomainError, ValidationError
+from .errors import BadDimension, DimensionMismatch, DomainError, ValidationError
 from .statespace import (
     DensityMatrix,
     _clipped_distances,
@@ -27,8 +27,6 @@ from .statespace import (
     make_density_matrix,
     pure_state,
     rng_stream,
-    sample_orthogonal_mixed_pair,
-    sample_pure_orthogonal_pair,
 )
 
 StatePair = tuple[DensityMatrix, DensityMatrix]
@@ -69,10 +67,6 @@ class TraceDistanceTrajectory:
         """Finite-difference distance rate, derived from the distances on first use."""
         return np.gradient(self.distances, self.grid, edge_order=1)
 
-    @cached_property
-    def backflow(self) -> float:
-        return backflow(self)
-
 
 def trajectory_from_states(
     grid: np.ndarray, states1: np.ndarray, states2: np.ndarray
@@ -94,15 +88,14 @@ def trace_distance_trajectory(
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dimensions differ: {rho1.dim} vs {rho2.dim}")
     if engine == "closed_form":
-        s1 = apply_map_to_grid(coeffs, rho1.entries)
-        s2 = apply_map_to_grid(coeffs, rho2.entries)
-        return trajectory_from_states(coeffs.grid, s1, s2)
-    if engine == "integrator":
+        states = apply_map_to_grid(coeffs, np.stack([rho1.entries, rho2.entries]))
+    elif engine == "integrator":
         if rates is None:
             raise DomainError("integrator engine requires the rate functions")
-        s1, s2 = lindblad_integrate(rates, (rho1, rho2), coeffs.grid)
-        return trajectory_from_states(coeffs.grid, s1, s2)
-    raise DomainError(f"unknown engine {engine!r}")
+        states = lindblad_integrate(rates, (rho1, rho2), coeffs.grid)
+    else:
+        raise DomainError(f"unknown engine {engine!r}")
+    return trajectory_from_states(coeffs.grid, *states)
 
 
 def backflow(traj: TraceDistanceTrajectory) -> float:
@@ -119,10 +112,6 @@ def _rise(distances: np.ndarray, rise_tolerance: float) -> np.ndarray:
     """Sum of the increments above ``rise_tolerance`` along the last axis."""
     inc = np.diff(distances, axis=-1)
     return np.where(inc > rise_tolerance, inc, 0.0).sum(axis=-1)
-
-
-def _pairs_to_differences(pairs: list[StatePair]) -> np.ndarray:
-    return np.stack([r1.entries - r2.entries for r1, r2 in pairs])
 
 
 def _batched_backflows(coeffs: MapCoefficients, deltas: np.ndarray, rise_tolerance: float) -> np.ndarray:
@@ -144,23 +133,38 @@ def _batched_backflows(coeffs: MapCoefficients, deltas: np.ndarray, rise_toleran
 BATCH = 32
 
 
-def _sampled_differences(pair_stacks: Callable, seed: int, *key: int) -> Callable[[int, int], np.ndarray]:
-    """Differences rho1 - rho2 of the pairs start..stop-1 drawn from the streams (seed, *key, i)."""
-    return lambda start, stop: np.subtract(*pair_stacks(3, [rng_stream(seed, *key, i) for i in range(start, stop)]))
+# A pair source maps (start, stop) to the (2, stop - start, 3, 3) state
+# stacks of its pairs start..stop-1: first states, then second states.
+PairSource = Callable[[int, int], np.ndarray]
 
 
-def _streamed_backflows(
-    ends: MapCoefficients, differences: Callable, n: int, rise_tolerance: float, batch: int = BATCH
-) -> np.ndarray:
-    """Backflows of candidates 0..n-1 at the stretch ends ``ends``, their (n, 3, 3)
-    differences built by ``differences(start, stop)`` and scored ``batch`` at a time."""
-    if batch < 1:
-        raise DomainError(f"batch must be >= 1, got {batch}")
+def _sampled(pair_stacks: Callable, seed: int, *key: int) -> PairSource:
+    """The pairs drawn by ``pair_stacks`` from the streams (seed, *key, i)."""
+    return lambda start, stop: pair_stacks(3, [rng_stream(seed, *key, i) for i in range(start, stop)])
+
+
+def _given(pairs: Sequence[StatePair]) -> PairSource:
+    """The given 3x3 pairs."""
+    return lambda start, stop: np.stack([[rho.entries for rho in pair] for pair in pairs[start:stop]], axis=1)
+
+
+def _streamed_backflows(ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float) -> np.ndarray:
+    """Backflows of the pairs 0..n-1 of ``source`` at the stretch ends ``ends``,
+    scored ``BATCH`` at a time."""
     values = np.empty(n)
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
-        values[start:stop] = _batched_backflows(ends, differences(start, stop), rise_tolerance)
+    for start in range(0, n, BATCH):
+        stop = min(start + BATCH, n)
+        values[start:stop] = _batched_backflows(ends, np.subtract(*source(start, stop)), rise_tolerance)
     return values
+
+
+def _check_candidate(pair: StatePair, where: str) -> None:
+    """Reject a candidate the scorer cannot take: it must be two orthogonal 3x3 states."""
+    shapes = [rho.entries.shape for rho in pair]
+    if shapes != [(3, 3), (3, 3)]:
+        raise BadDimension(f"{where} is not a pair of 3x3 states, got shapes {shapes}")
+    if not is_orthogonal(*pair):
+        raise ValidationError(f"{where} is not orthogonal; the maximization is restricted to orthogonal pairs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,40 +192,28 @@ def estimate_measure(
     if samples < 0:
         raise DomainError(f"samples must be non-negative, got {samples}")
 
-    for idx, (rho1, rho2) in enumerate(explicit_pairs):
-        if not is_orthogonal(rho1, rho2):
-            raise ValidationError(
-                f"explicit candidate pair {idx} is not orthogonal; the maximization "
-                "is restricted to orthogonal pairs"
-            )
-
-    def sampled(one_pair: Callable, pair_stacks: Callable, key: int) -> tuple[Callable, Callable]:
-        """Stacked differences of a sampled class, and its one-pair rebuild."""
-        return _sampled_differences(pair_stacks, seed, key), lambda i: one_pair(3, rng_stream(seed, key, i))
-
-    explicit = (lambda start, stop: _pairs_to_differences(explicit_pairs[start:stop]), explicit_pairs.__getitem__)
+    for idx, pair in enumerate(explicit_pairs):
+        _check_candidate(pair, f"explicit candidate pair {idx}")
 
     ends = stretch_ends(coeffs)
     best_value = -1.0
     best_pair: StatePair | None = None
     breakdown: dict[str, float] = {}
-    evaluated = 0
     # each class is scored in stacked batches; its first maximum is rebuilt
-    # from its stream by the one-pair sampler, so no candidate list is kept
-    for label, (differences, candidate), n in (
-        ("pure", sampled(sample_pure_orthogonal_pair, _pure_pair_stacks, 0), samples),
-        ("mixed", sampled(sample_orthogonal_mixed_pair, _mixed_pair_stacks, 1), samples),
-        ("explicit", explicit, len(explicit_pairs)),
+    # from its source, so no candidate list is kept
+    for label, source, n in (
+        ("pure", _sampled(_pure_pair_stacks, seed, 0), samples),
+        ("mixed", _sampled(_mixed_pair_stacks, seed, 1), samples),
+        ("explicit", _given(explicit_pairs), len(explicit_pairs)),
     ):
         if n == 0:
             continue
-        values = _streamed_backflows(ends, differences, n, RISE_TOLERANCE)
-        evaluated += n
+        values = _streamed_backflows(ends, source, n, RISE_TOLERANCE)
         first_max = int(np.argmax(values))
         breakdown[label] = float(values[first_max])
         if breakdown[label] > best_value:
             best_value = breakdown[label]
-            best_pair = candidate(first_max)
+            best_pair = tuple(DensityMatrix(s[0]) for s in source(first_max, first_max + 1))
 
     if best_pair is None:
         raise DomainError("no candidates were evaluated; give samples >= 1 or an explicit pair")
@@ -229,7 +221,7 @@ def estimate_measure(
     return MeasureResult(
         estimate=best_value,
         best_pair=best_pair,
-        samples_evaluated=evaluated,
+        samples_evaluated=2 * samples + len(explicit_pairs),
         candidate_breakdown=breakdown,
         seed=seed,
     )
@@ -254,18 +246,15 @@ def sampled_backflows(
     seed: int,
     *,
     rise_tolerance: float = 0.0,
-    batch: int = BATCH,
 ) -> np.ndarray:
     """Backflow of n pure orthogonal pairs, one private stream per sample.
 
-    Sample i draws from the stream keyed (seed, i), so the output is
-    identical for any batch size.
+    Sample i draws from the stream keyed (seed, i), so the output does not
+    depend on ``BATCH``.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    return _streamed_backflows(
-        stretch_ends(coeffs), _sampled_differences(_pure_pair_stacks, seed), n_samples, rise_tolerance, batch
-    )
+    return _streamed_backflows(stretch_ends(coeffs), _sampled(_pure_pair_stacks, seed), n_samples, rise_tolerance)
 
 
 def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed: int) -> BackflowHistogram:
@@ -278,8 +267,7 @@ def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed:
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
-    reference_delta = _pairs_to_differences([mixed_reference_pair()])
-    reference = float(_batched_backflows(stretch_ends(coeffs), reference_delta, RISE_TOLERANCE)[0])
+    reference = float(_streamed_backflows(stretch_ends(coeffs), _given([mixed_reference_pair()]), 1, RISE_TOLERANCE)[0])
     values = sampled_backflows(coeffs, n_samples, seed, rise_tolerance=RISE_TOLERANCE)
     max_sampled = float(values.max())
     upper = max(max_sampled, reference)

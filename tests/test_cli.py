@@ -171,6 +171,31 @@ def test_malformed_matrix_cell_is_one_validation_error(tmp_path, capsys, cell):
         assert lines[0].count(matrix.rpartition("[")[0]) == 1  # the pair is named once
 
 
+# the 2x2 and 4x4 pairs once ended in a numpy ValueError traceback, and
+# the non-orthogonal one was named "explicit candidate pair 3"
+BAD_CANDIDATE_PAIRS = {
+    "2x2": ([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "BadDimension", "is not a pair of 3x3 states"),
+    "4x4": (
+        [np.diag([1, 0, 0, 0]).tolist(), np.diag([0, 1, 0, 0]).tolist()], "BadDimension", "is not a pair of 3x3 states"
+    ),
+    "non-orthogonal": (
+        [np.diag([1, 0, 0]).tolist(), [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]]], "ValidationError", "is not orthogonal"
+    ),
+}
+
+
+@pytest.mark.parametrize("pair, error, reason", BAD_CANDIDATE_PAIRS.values(), ids=BAD_CANDIDATE_PAIRS)
+def test_bad_candidate_pair_is_one_error_naming_it(tmp_path, capsys, pair, error, reason):
+    cfg = write_json(tmp_path / "cfg.json", {"candidate_pairs": [pair]})
+    assert main(["measure", "--config", cfg, "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error ({error}): candidate_pairs[0] {reason}")
+
+
 # each file content once ended in a UnicodeDecodeError, RecursionError or ValueError traceback
 BAD_JSON_FILES = {
     "not-utf8": b"\xff\xfe{}",

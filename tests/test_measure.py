@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from backflow import measure
 from backflow.dynamics import (
     constant_rates,
     lambda_map_coefficients,
@@ -9,7 +10,7 @@ from backflow.dynamics import (
     stretch_ends,
     zero_rates,
 )
-from backflow.errors import DomainError, ValidationError
+from backflow.errors import BadDimension, DomainError, ValidationError
 from backflow.measure import (
     RISE_TOLERANCE,
     TraceDistanceTrajectory,
@@ -135,11 +136,6 @@ class TestBackflow:
         traj = trace_distance_trajectory(preset_coeffs, *pure_ab_pair())
         assert backflow(traj) == pytest.approx(MPAIR_BACKFLOW / 2, abs=1e-5)
 
-    def test_lazy_attribute_matches_function(self, preset_coeffs):
-        traj = trace_distance_trajectory(preset_coeffs, *pure_a_plus_pair())
-        assert traj.backflow == backflow(traj)
-        assert traj.backflow >= 0.0
-
     def test_grid_refinement_converges(self):
         rates = sinusoidal_rates()
         values = []
@@ -236,6 +232,27 @@ class TestEstimateMeasure:
         with pytest.raises(ValidationError, match="explicit candidate pair 1 is not orthogonal"):
             estimate_measure(preset_coeffs, 1, explicit_pairs=(pure_ab_pair(), bad))
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_3x3_explicit_pair_rejected(self, preset_coeffs, dim):
+        bad = (pure_state(np.eye(dim)[0]), pure_state(np.eye(dim)[1]))
+        with pytest.raises(BadDimension, match="explicit candidate pair 1 is not a pair of 3x3 states"):
+            estimate_measure(preset_coeffs, 1, explicit_pairs=(pure_ab_pair(), bad))
+
+    def test_deterministic_across_batch_sizes(self, monkeypatch):
+        # every class is scored in batches of BATCH and its winner rebuilt
+        # from its source, so the batch size must change nothing
+        coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
+        explicit = (pure_ab_pair(), mixed_reference_pair(), pure_a_plus_pair()) * 30
+        results = []
+        for size in (1, 7, 64, 128):
+            monkeypatch.setattr(measure, "BATCH", size)
+            results.append(estimate_measure(coeffs, 90, seed=17, explicit_pairs=explicit))
+        for other in results[1:]:
+            assert other.estimate == results[0].estimate
+            assert other.candidate_breakdown == results[0].candidate_breakdown
+            for got, expected in zip(other.best_pair, results[0].best_pair):
+                np.testing.assert_array_equal(got.entries, expected.entries)
+
     def test_batched_candidates_match_one_at_a_time(self):
         # candidates are scored in batches; every class maximum, the first
         # maximizing pair and the count must be those of scoring one by one
@@ -287,11 +304,14 @@ class TestHistogram:
         assert hist.counts.sum() == 250
         assert hist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_deterministic_across_batch_sizes(self, preset_coeffs):
+    def test_deterministic_across_batch_sizes(self, preset_coeffs, monkeypatch):
         # sample i draws from its own stream, so how the samples are split
         # into stacked batches must not change them
         for n, seed in ((120, 12), (90, 13)):
-            runs = [sampled_backflows(preset_coeffs, n, seed=seed, batch=b) for b in (1, 7, 64, 128)]
+            runs = []
+            for size in (1, 7, 64, 128):
+                monkeypatch.setattr(measure, "BATCH", size)
+                runs.append(sampled_backflows(preset_coeffs, n, seed=seed))
             for other in runs[1:]:
                 assert np.array_equal(runs[0], other)
 
@@ -300,5 +320,3 @@ class TestHistogram:
             histogram_backflow(preset_coeffs, n_samples=0, bins=10, seed=1)
         with pytest.raises(DomainError):
             histogram_backflow(preset_coeffs, n_samples=10, bins=0, seed=1)
-        with pytest.raises(DomainError):
-            sampled_backflows(preset_coeffs, 10, seed=1, batch=0)
