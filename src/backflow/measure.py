@@ -23,10 +23,10 @@ from .statespace import (
     _clipped_distances,
     _mixed_pair_stacks,
     _pure_pair_stacks,
+    _streams,
     is_orthogonal,
     make_density_matrix,
     pure_state,
-    rng_stream,
 )
 
 StatePair = tuple[DensityMatrix, DensityMatrix]
@@ -139,8 +139,9 @@ PairSource = Callable[[int, int], np.ndarray]
 
 
 def _sampled(pair_stacks: Callable, seed: int, *key: int) -> PairSource:
-    """The pairs drawn by ``pair_stacks`` from the streams (seed, *key, i)."""
-    return lambda start, stop: pair_stacks(3, [rng_stream(seed, *key, i) for i in range(start, stop)])
+    """The pairs drawn by ``pair_stacks`` from the streams (seed, *key, i),
+    one generator per batch."""
+    return lambda start, stop: pair_stacks(3, _streams(seed, key, start, stop))
 
 
 def _given(pairs: Sequence[StatePair]) -> PairSource:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,15 +31,54 @@ TOL_PSD = 1e-9
 TOL_ORTH = 1e-8
 
 
-def rng_stream(seed: int, *key: int) -> np.random.Generator:
-    """Named random stream: PCG64 seeded from (seed, *key).
+# Philox-4x64 counter words 1-3 hold a stream's key; see rng_stream.
+_STREAM_KEY_WORDS = 3
 
-    Streams with distinct keys are statistically independent, and the same
-    (seed, key) always reproduces the same draws regardless of how many
-    other streams exist — the basis of the batch-size-independent
-    sampling contract.
+
+def rng_stream(seed: int, *key: int) -> np.random.Generator:
+    """Named random stream: ``Philox(key=[seed, 0], counter=[0, *key, 0...])``.
+
+    Counter word 0 is the position in the stream and words 1-3 hold up to
+    three key elements, so each stream owns 2^64 blocks of four 64-bit
+    draws. The key is padded with zeros (so ``(seed,)`` and ``(seed, 0)``
+    name the same stream; each caller keeps one key length). Philox is a
+    counter-based bijection, so streams with distinct (seed, key) are
+    independent, and the same (seed, key) always reproduces the same draws
+    regardless of how many other streams exist — the basis of the
+    batch-size-independent sampling contract. Seed and key elements are
+    integers in [0, 2^64).
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, key)])))
+    words = [int(seed), *map(int, key)]
+    if len(key) > _STREAM_KEY_WORDS:
+        raise DomainError(f"a stream takes at most {_STREAM_KEY_WORDS} key elements, got {len(key)}")
+    if not all(0 <= word < 2**64 for word in words):
+        raise DomainError(f"stream seed and key must be integers in [0, 2^64), got {tuple(words)}")
+    counter = np.array([0, *words[1:]] + [0] * (_STREAM_KEY_WORDS - len(key)), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=np.array([words[0], 0], dtype=np.uint64), counter=counter))
+
+
+def _streams(seed: int, prefix: tuple[int, ...], start: int, stop: int) -> Iterator[np.random.Generator]:
+    """The streams ``rng_stream(seed, *prefix, i)`` for i in start..stop-1, as
+    one generator moved from stream to stream by rewriting its counter, so a
+    batch opens one generator. Each stream must be read to its end before
+    the next one is taken."""
+    rng = rng_stream(seed, *prefix, start)
+    words = rng.bit_generator.state["state"]
+    counter = words["counter"].tolist()
+    # a fresh stream's state: an empty block buffer and no cached 32-bit half
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": words["key"].tolist()},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i in range(start, stop):
+        if i > start:
+            counter[len(prefix) + 1] = i
+            rng.bit_generator.state = fresh
+        yield rng
 
 
 def _check_finite(array: np.ndarray, what: str) -> None:
@@ -374,7 +414,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_stack(dim, [rng])[0]
 
 
-def _haar_stack(dim: int, rngs: list[np.random.Generator]) -> np.ndarray:
+def _haar_stack(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
     """:func:`haar_unitary` for one stream each, in one stacked QR."""
     return _haar_from_ginibre(np.array([rng.standard_normal((2, dim, dim)) for rng in rngs]))
 
@@ -395,10 +435,10 @@ def sample_pure_orthogonal_pair(
     return tuple(DensityMatrix(states[0]) for states in _pure_pair_stacks(dim, [rng]))
 
 
-def _pure_pair_stacks(dim: int, rngs: list[np.random.Generator]) -> np.ndarray:
+def _pure_pair_stacks(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
     """:func:`sample_pure_orthogonal_pair` for one stream each, as a (2, n, N, N) stack."""
     u = _haar_stack(dim, rngs)
-    return _density_stack(_projectors(np.concatenate([u[:, :, 0], u[:, :, 1]]))).reshape(2, len(rngs), dim, dim)
+    return _density_stack(_projectors(np.concatenate([u[:, :, 0], u[:, :, 1]]))).reshape(2, len(u), dim, dim)
 
 
 def sample_random_state(dim: int, rank: int, rng: np.random.Generator) -> DensityMatrix:
@@ -412,7 +452,19 @@ def sample_random_state(dim: int, rank: int, rng: np.random.Generator) -> Densit
 def _random_state_draws(dim: int, rank: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The random numbers of one :func:`sample_random_state`, in its order:
     the (2, N, N) Ginibre parts of the unitary, then the rank's flat Dirichlet weights."""
-    return rng.standard_normal((2, dim, dim)), rng.dirichlet(np.ones(rank))
+    return rng.standard_normal((2, dim, dim)), _flat_dirichlet(rng, rank)
+
+
+def _flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
+    """``rng.dirichlet(np.ones(k))`` bit for bit, without its argument checks:
+    numpy draws k standard exponentials (gamma of shape 1), sums them left to
+    right and scales by the reciprocal. The sum is a plain loop, since
+    ``sum()`` compensates float sums from Python 3.12 on."""
+    e = rng.standard_exponential(k)
+    total = 0.0
+    for x in e.tolist():
+        total += x
+    return e * (1.0 / total)
 
 
 def _weighted_states(unitaries: np.ndarray, spans: list[tuple[int, np.ndarray]]) -> np.ndarray:
@@ -446,15 +498,18 @@ def sample_orthogonal_mixed_pair(
     return tuple(DensityMatrix(states[0]) for states in _mixed_pair_stacks(dim, [rng]))
 
 
-def _mixed_pair_stacks(dim: int, rngs: list[np.random.Generator]) -> np.ndarray:
-    """:func:`sample_orthogonal_mixed_pair` for one stream each, as a (2, n, N, N) stack;
-    each stream draws in the one-pair order: the unitary, the split k, then
-    the weights of the first k columns and of the other N - k."""
-    n = len(rngs)
-    u = _haar_stack(dim, rngs)
-    first, second = [], []
+def _mixed_pair_stacks(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """:func:`sample_orthogonal_mixed_pair` for one stream each, as a (2, n, N, N) stack.
+
+    Each stream is read once, in the one-pair order: the Ginibre parts of
+    the unitary, the split k, then the weights of the first k columns and of
+    the other N - k; one stacked QR then builds every unitary.
+    """
+    ginibre, first, second = [], [], []
     for rng in rngs:
+        ginibre.append(rng.standard_normal((2, dim, dim)))
         k = int(rng.integers(1, dim))
-        first.append((0, rng.dirichlet(np.ones(k))))
-        second.append((k, rng.dirichlet(np.ones(dim - k))))
-    return _density_stack(_weighted_states(np.concatenate([u, u]), first + second)).reshape(2, n, dim, dim)
+        first.append((0, _flat_dirichlet(rng, k)))
+        second.append((k, _flat_dirichlet(rng, dim - k)))
+    u = _haar_from_ginibre(np.array(ginibre))
+    return _density_stack(_weighted_states(np.concatenate([u, u]), first + second)).reshape(2, len(u), dim, dim)

@@ -20,10 +20,12 @@ from backflow.statespace import (
     _canonical_sign,
     _clipped_distances,
     _density_stack,
+    _flat_dirichlet,
     _haar_from_ginibre,
     _mixed_pair_stacks,
     _pure_pair_stacks,
     _random_state_draws,
+    _streams,
     _weighted_states,
     haar_unitary,
     is_boundary,
@@ -552,3 +554,48 @@ class TestStackedSampling:
         with pytest.raises(error):
             _density_stack(stack)
         _density_stack(np.delete(stack, 2, axis=0))  # the rest of the stack is valid
+
+
+class TestStreams:
+    def test_layout_is_seed_key_and_counter(self):
+        # key word 0 holds the seed; counter word 0 is the position, words 1-3 the key
+        state = rng_stream(7, 1, 2).bit_generator.state
+        assert state["bit_generator"] == "Philox"
+        assert state["state"]["key"].tolist() == [7, 0]
+        assert state["state"]["counter"].tolist() == [0, 1, 2, 0]
+        top = 2**64 - 1
+        assert rng_stream(top, top, top, top).bit_generator.state["state"]["counter"].tolist() == [0, top, top, top]
+
+    def test_first_uniforms_are_pinned(self):
+        assert rng_stream(7).random(3).tolist() == [0.8720734548204873, 0.29536538151378355, 0.4200976785072422]
+        assert rng_stream(7, 1, 2).random(3).tolist() == [0.7737776922726128, 0.6816944544714919, 0.22378780896939032]
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0, 1, 2, 3, 4), (-1,), (2**64,), (0, -1), (0, 2**64), (5, 1, 2**64, 0)],
+        ids=["fourth-key-element", "negative-seed", "seed-2^64", "negative-key", "key-2^64", "last-key-2^64"],
+    )
+    def test_out_of_range_keys_are_domain_errors(self, args):
+        with pytest.raises(DomainError):
+            rng_stream(*args)
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_flat_dirichlet_is_generator_dirichlet(self, k):
+        for i in range(16):
+            ours, numpy = rng_stream(37, k, i), rng_stream(37, k, i)
+            assert np.array_equal(_flat_dirichlet(ours, k), numpy.dirichlet(np.ones(k)))
+            assert ours.random() == numpy.random()  # both read the same number of draws
+
+    @pytest.mark.parametrize("prefix", [(), (1,)], ids=["no-prefix", "prefix-1"])
+    @pytest.mark.parametrize("start", [0, 37])
+    @pytest.mark.parametrize("seed", [0, 1, 7777, 2**64 - 1])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_one_generator_per_batch_matches_one_stream_each(self, dim, seed, start, prefix):
+        # the mixed draws leave a cached 32-bit half behind (integers), which
+        # moving to the next stream must drop
+        stop = start + 6
+        for stacks in (_pure_pair_stacks, _mixed_pair_stacks):
+            batched = stacks(dim, _streams(seed, prefix, start, stop))
+            alone = stacks(dim, [rng_stream(seed, *prefix, i) for i in range(start, stop)])
+            assert batched.shape == (2, stop - start, dim, dim)
+            assert np.array_equal(batched, alone)

@@ -263,33 +263,33 @@ RUN_ALL_SEED7_WORST = {
     "metric-symmetry": 0.0,
     "metric-self-distance": 0.0,
     "metric-triangle": 0.0,
-    "metric-unitary-invariance": 9.992007221626409e-16,
-    "jordan-hahn-reconstruction": 5.551115123125783e-16,
-    "jordan-hahn-traces-equal-distance": 5.551115123125783e-16,
-    "jordan-hahn-parts-positive": 1.394060406393934e-16,
-    "jordan-hahn-parts-orthogonal": 1.5376486316947802e-16,
+    "metric-unitary-invariance": 7.771561172376096e-16,
+    "jordan-hahn-reconstruction": 7.021666937153402e-16,
+    "jordan-hahn-traces-equal-distance": 1.1102230246251565e-15,
+    "jordan-hahn-parts-positive": 1.942890293094024e-16,
+    "jordan-hahn-parts-orthogonal": 2.0723856538090405e-16,
     "rescale-unit-distance": 3.3306690738754696e-16,
-    "rescale-difference-law": 7.771561172376096e-16,
-    "overlapping-pairs-below-unit-distance": 0.5597752793573207,
-    "orthogonal-pairs-unit-distance": 0.0,
-    "orthogonal-pairs-on-boundary": 1.0680871375024544e-16,
-    "translate-strictly-interior": 0.007258391193026889,
-    "translate-difference-preserved": 1.1102230246251565e-16,
-    "translate-trajectory-invariance": 6.661338147750939e-16,
-    "shift-traceless": 1.1102230246251565e-16,
+    "rescale-difference-law": 5.551115123125783e-16,
+    "overlapping-pairs-below-unit-distance": 0.6251446385657466,
+    "orthogonal-pairs-unit-distance": 2.220446049250313e-16,
+    "orthogonal-pairs-on-boundary": 5.551115123125783e-17,
+    "translate-strictly-interior": 0.003946483649083149,
+    "translate-difference-preserved": 2.220446049250313e-16,
+    "translate-trajectory-invariance": 5.551115123125783e-16,
+    "shift-traceless": 5.551115123125783e-17,
     "shift-hermitian": 0.0,
-    "shift-nonzero": 0.01933314779494236,
+    "shift-nonzero": 0.014845448630058948,
     "orthogonal-pairs-rejected": 0.0,
-    "quadratic-bound-positive": 0.00014498646873569408,
+    "quadratic-bound-positive": 8.243014124060567e-05,
     "epsilon-bound-monotone": 0.0029230769230769033,
-    "rescaled-backflow-law": 3.3306690738754696e-16,
-    "stretched-backflow-law": 4.0939474033052647e-16,
+    "rescaled-backflow-law": 3.7470027081099033e-16,
+    "stretched-backflow-law": 1.457167719820518e-16,
     "cpt-identity": 6.627232096434454e-11,
     "cpt-g-nonnegative": -3.1015825116509294e-16,
     "closed-form-rate-integrals": 7.710627553114691e-10,
     "closed-form-feeding": 6.847431857637254e-10,
     "closed-form-coherence-decay": 7.261595769136875e-10,
-    "distance-contraction-bound": 2.7755575615628914e-16,
+    "distance-contraction-bound": 2.220446049250313e-16,
     "period-return-identity": 3.1015825116509294e-16,
     "quadrature-step-halving": 3.9848511975165237e-16,
     "integrator-agreement": 1.3677461385697143e-09,
