@@ -124,13 +124,18 @@ def _batched_backflows(coeffs: MapCoefficients, deltas: np.ndarray, rise_toleran
     return _rise(_clipped_distances(apply_map_to_grid(coeffs, deltas)), rise_tolerance)
 
 
-# Candidates scored per batched call. Each call holds the (batch, kept points,
-# 3, 3) complex evolved differences and the distance kernel's six float arrays
-# of (batch, kept points): about 6.1 kB per kept point at 32. At the 10^4-step
-# cap the scoring peak (tracemalloc) is 0.3 MB on the default model (3 points
-# kept), 27.7 MB with tabulated rates 0.05 sin t + 0.02 and 0.03 sin 2t + 0.01
-# (4465 points) and 61.5 MB on a grid whose every step is mixed (10001 points).
+# Candidates scored per batched call: max(BATCH, SCORE_POINTS // kept points).
+# Each call holds the (batch, kept points, 3, 3) complex evolved differences
+# and the distance kernel's six float arrays of (batch, kept points): about
+# 6.1 kB per kept point at 32. SCORE_POINTS caps that (candidate x kept point)
+# work where few points are kept, so a default-model class (3 points, 1365 a
+# batch) is one stacked pass; grids keeping >= 128 points stay at BATCH. At
+# the 10^4-step cap the scoring peak (tracemalloc, one full batch) is 2.0 MB
+# for pure and 2.8 MB for mixed candidates on the default model, 27.4 MB with
+# tabulated rates 0.05 sin t + 0.02 and 0.03 sin 2t + 0.01 (4465 points) and
+# 61.5 MB on a grid whose every step is mixed (10001 points).
 BATCH = 32
+SCORE_POINTS = 1 << 12
 
 
 # A pair source maps (start, stop) to the (2, stop - start, 3, 3) state
@@ -151,10 +156,11 @@ def _given(pairs: Sequence[StatePair]) -> PairSource:
 
 def _streamed_backflows(ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float) -> np.ndarray:
     """Backflows of the pairs 0..n-1 of ``source`` at the stretch ends ``ends``,
-    scored ``BATCH`` at a time."""
+    scored ``max(BATCH, SCORE_POINTS // kept points)`` at a time."""
+    batch = max(BATCH, SCORE_POINTS // ends.grid.size)
     values = np.empty(n)
-    for start in range(0, n, BATCH):
-        stop = min(start + BATCH, n)
+    for start in range(0, n, batch):
+        stop = min(start + batch, n)
         values[start:stop] = _batched_backflows(ends, np.subtract(*source(start, stop)), rise_tolerance)
     return values
 
@@ -251,7 +257,7 @@ def sampled_backflows(
     """Backflow of n pure orthogonal pairs, one private stream per sample.
 
     Sample i draws from the stream keyed (seed, i), so the output does not
-    depend on ``BATCH``.
+    depend on how the samples are split into batches.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")

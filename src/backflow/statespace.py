@@ -458,9 +458,14 @@ def _random_state_draws(dim: int, rank: int, rng: np.random.Generator) -> tuple[
 def _flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
     """``rng.dirichlet(np.ones(k))`` bit for bit, without its argument checks:
     numpy draws k standard exponentials (gamma of shape 1), sums them left to
-    right and scales by the reciprocal. The sum is a plain loop, since
-    ``sum()`` compensates float sums from Python 3.12 on."""
-    e = rng.standard_exponential(k)
+    right and scales by the reciprocal."""
+    return _normalized(rng.standard_exponential(k))
+
+
+def _normalized(e: np.ndarray) -> np.ndarray:
+    """``e`` scaled by the reciprocal of its left-to-right sum, as numpy's
+    Dirichlet does. The sum is a plain loop, since ``sum()`` compensates
+    float sums from Python 3.12 on."""
     total = 0.0
     for x in e.tolist():
         total += x
@@ -503,13 +508,17 @@ def _mixed_pair_stacks(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndar
 
     Each stream is read once, in the one-pair order: the Ginibre parts of
     the unitary, the split k, then the weights of the first k columns and of
-    the other N - k; one stacked QR then builds every unitary.
+    the other N - k. Those are two flat Dirichlet draws of k and N - k
+    exponentials, so one draw of N exponentials, split at k and normalized
+    part by part, gives the same numbers and leaves the stream in the same
+    place. One stacked QR then builds every unitary.
     """
     ginibre, first, second = [], [], []
     for rng in rngs:
         ginibre.append(rng.standard_normal((2, dim, dim)))
         k = int(rng.integers(1, dim))
-        first.append((0, _flat_dirichlet(rng, k)))
-        second.append((k, _flat_dirichlet(rng, dim - k)))
+        e = rng.standard_exponential(dim)
+        first.append((0, _normalized(e[:k])))
+        second.append((k, _normalized(e[k:])))
     u = _haar_from_ginibre(np.array(ginibre))
     return _density_stack(_weighted_states(np.concatenate([u, u]), first + second)).reshape(2, len(u), dim, dim)

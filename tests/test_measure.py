@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from backflow.measure import (
     RISE_TOLERANCE,
     TraceDistanceTrajectory,
     _batched_backflows,
+    _sampled,
+    _streamed_backflows,
     backflow,
     estimate_measure,
     histogram_backflow,
@@ -25,6 +30,7 @@ from backflow.measure import (
     trace_distance_trajectory,
 )
 from backflow.statespace import (
+    _mixed_pair_stacks,
     is_orthogonal,
     make_density_matrix,
     pure_state,
@@ -49,6 +55,25 @@ def preset_coeffs():
 @pytest.fixture(scope="module")
 def markov_coeffs():
     return lambda_map_coefficients(constant_rates(gamma=0.03), GRID)
+
+
+@pytest.fixture
+def scored_rows(monkeypatch):
+    """The candidate count of every scoring call, in call order."""
+    rows = []
+    score = measure._batched_backflows
+
+    def spy(coeffs, deltas, rise_tolerance):
+        rows.append(len(deltas))
+        return score(coeffs, deltas, rise_tolerance)
+
+    monkeypatch.setattr(measure, "_batched_backflows", spy)
+    return rows
+
+
+def chunks(n, size):
+    """The batch sizes that split n candidates ``size`` at a time."""
+    return [min(size, n - start) for start in range(0, n, size)]
 
 
 def mpair_distance(t):
@@ -238,28 +263,34 @@ class TestEstimateMeasure:
         with pytest.raises(BadDimension, match="explicit candidate pair 1 is not a pair of 3x3 states"):
             estimate_measure(preset_coeffs, 1, explicit_pairs=(pure_ab_pair(), bad))
 
-    def test_deterministic_across_batch_sizes(self, monkeypatch):
-        # every class is scored in batches of BATCH and its winner rebuilt
-        # from its source, so the batch size must change nothing
+    def test_deterministic_across_batch_sizes(self, monkeypatch, scored_rows):
+        # every class is scored in batches and its winner rebuilt from its
+        # source, so the batch size must change nothing
         coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
+        kept = stretch_ends(coeffs).grid.size
         explicit = (pure_ab_pair(), mixed_reference_pair(), pure_a_plus_pair()) * 30
         results = []
         for size in (1, 7, 64, 128):
-            monkeypatch.setattr(measure, "BATCH", size)
+            monkeypatch.setattr(measure, "BATCH", 1)
+            monkeypatch.setattr(measure, "SCORE_POINTS", size * kept)
+            scored_rows.clear()
             results.append(estimate_measure(coeffs, 90, seed=17, explicit_pairs=explicit))
+            assert scored_rows == 3 * chunks(90, size)
         for other in results[1:]:
             assert other.estimate == results[0].estimate
             assert other.candidate_breakdown == results[0].candidate_breakdown
             for got, expected in zip(other.best_pair, results[0].best_pair):
                 np.testing.assert_array_equal(got.entries, expected.entries)
 
-    def test_batched_candidates_match_one_at_a_time(self):
+    def test_batched_candidates_match_one_at_a_time(self, monkeypatch, scored_rows):
         # candidates are scored in batches; every class maximum, the first
         # maximizing pair and the count must be those of scoring one by one
         coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
-        n = 150  # more than one batch
+        n = 150  # more than one batch of 64
+        monkeypatch.setattr(measure, "SCORE_POINTS", 64 * stretch_ends(coeffs).grid.size)
         explicit = (pure_ab_pair(), pure_a_plus_pair())
         result = estimate_measure(coeffs, n, seed=16, explicit_pairs=explicit)
+        assert scored_rows == [64, 64, 22, 64, 64, 22, 2]
 
         def score(pair):
             delta = (pair[0].entries - pair[1].entries)[None]
@@ -286,6 +317,17 @@ class TestEstimateMeasure:
         with pytest.raises(DomainError):
             estimate_measure(preset_coeffs, 0)
 
+    def test_sampled_payload_is_pinned(self, preset_coeffs):
+        # a change to sampling or batching that moves a sampled byte shows here
+        named = (pure_ab_pair(), mixed_reference_pair(), pure_a_plus_pair())
+        result = estimate_measure(preset_coeffs, 300, seed=7, explicit_pairs=named)
+        assert result.candidate_breakdown == {
+            "pure": 0.05587062176570212,
+            "mixed": 0.10979232149057772,
+            "explicit": 0.11307956191422786,
+        }
+        assert result.estimate == 0.11307956191422786
+
 
 class TestHistogram:
     def test_markovian_mass_at_zero(self, markov_coeffs):
@@ -304,19 +346,72 @@ class TestHistogram:
         assert hist.counts.sum() == 250
         assert hist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_deterministic_across_batch_sizes(self, preset_coeffs, monkeypatch):
+    def test_deterministic_across_batch_sizes(self, preset_coeffs, monkeypatch, scored_rows):
         # sample i draws from its own stream, so how the samples are split
         # into stacked batches must not change them
+        kept = stretch_ends(preset_coeffs).grid.size
         for n, seed in ((120, 12), (90, 13)):
             runs = []
             for size in (1, 7, 64, 128):
-                monkeypatch.setattr(measure, "BATCH", size)
+                monkeypatch.setattr(measure, "BATCH", 1)
+                monkeypatch.setattr(measure, "SCORE_POINTS", size * kept)
+                scored_rows.clear()
                 runs.append(sampled_backflows(preset_coeffs, n, seed=seed))
+                assert scored_rows == chunks(n, size)
             for other in runs[1:]:
                 assert np.array_equal(runs[0], other)
+
+    def test_sampled_payload_is_pinned(self, preset_coeffs):
+        # a change to sampling or batching that moves a sampled byte shows here
+        hist = histogram_backflow(preset_coeffs, n_samples=2000, bins=50, seed=7)
+        assert hist.counts.tolist() == [
+            2, 11, 17, 16, 22, 46, 42, 48, 41, 71, 80, 62, 77, 118, 98, 116, 118, 137, 132, 173,
+            160, 163, 129, 90, 26, 5,
+        ] + [0] * 24
+        assert hist.max_sampled == 0.05769773249219501
 
     def test_input_validation(self, preset_coeffs):
         with pytest.raises(DomainError):
             histogram_backflow(preset_coeffs, n_samples=0, bins=10, seed=1)
         with pytest.raises(DomainError):
             histogram_backflow(preset_coeffs, n_samples=10, bins=0, seed=1)
+
+
+def tracemalloc_peak(run):
+    """Peak traced allocation, in bytes, of calling ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchRule:
+    # a batch holds max(BATCH, SCORE_POINTS // kept points) candidates: all of
+    # a class where few points are kept, BATCH where many are
+
+    def test_default_model_class_is_one_call(self, scored_rows):
+        coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
+        named = (pure_ab_pair(), mixed_reference_pair(), pure_a_plus_pair())
+        estimate_measure(coeffs, 200, seed=1, explicit_pairs=named)
+        assert scored_rows == [200, 200, 3]
+
+    def test_many_kept_points_keep_the_batch_floor(self, scored_rows):
+        # the tabulated preset's linear interpolation of two sampled tables;
+        # mixed steps keep 4465 of the cap's 10001 points
+        t = np.linspace(0.0, 2 * np.pi, 2001)
+        gamma1, gamma2 = 0.05 * np.sin(t) + 0.02, 0.03 * np.sin(2 * t) + 0.01
+        rates = replace(
+            zero_rates(), gamma1=lambda s: np.interp(s, t, gamma1), gamma2=lambda s: np.interp(s, t, gamma2)
+        )
+        ends = stretch_ends(lambda_map_coefficients(rates, make_grid(2 * np.pi, 10_000)))
+        assert ends.grid.size == 4465
+        source = _sampled(_mixed_pair_stacks, 7, 1)
+        peak = tracemalloc_peak(lambda: _streamed_backflows(ends, source, 64, RISE_TOLERANCE))
+        assert scored_rows == [32, 32]
+        assert peak <= 1.1 * 27.4e6  # one batch of 32 candidates at 4465 points
+
+    def test_default_model_histogram_memory(self, preset_coeffs):
+        peak = tracemalloc_peak(lambda: histogram_backflow(preset_coeffs, n_samples=10_000, bins=50, seed=3))
+        assert peak < 8e6

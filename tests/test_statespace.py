@@ -499,12 +499,16 @@ class TestStackedSampling:
                 assert np.array_equal(got, ref)
                 assert np.array_equal(alone.entries, ref)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    # the reference draws each side's weights with Generator.dirichlet
+    @pytest.mark.parametrize("dim", range(2, 9))
     def test_mixed_pairs_match_one_stream_at_a_time(self, dim):
-        first, second = _mixed_pair_stacks(dim, [rng_stream(32, i) for i in range(self.N)])
+        rngs = [rng_stream(32, i) for i in range(self.N)]
+        first, second = _mixed_pair_stacks(dim, rngs)
         splits = set()
         for i in range(self.N):
-            k, expected = reference_mixed_pair(dim, rng_stream(32, i))
+            reference = rng_stream(32, i)
+            k, expected = reference_mixed_pair(dim, reference)
+            assert rngs[i].random() == reference.random()  # both read the same number of draws
             splits.add(k)
             one = sample_orthogonal_mixed_pair(dim, rng_stream(32, i))
             for got, alone, ref in zip((first[i], second[i]), one, expected):
