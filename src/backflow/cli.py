@@ -112,8 +112,9 @@ def _pair(where: str, entry) -> tuple[DensityMatrix, DensityMatrix]:
 # --- run configuration ----------------------------------------------------
 
 # Caps on the sizes that allocate memory, so no config value can exhaust it.
-# histogram and measure score 32 pairs at a time at the grid's stretch ends, about
-# 6.1 kB per kept point: 0.3 MB at the cap on the default model, 61.5 MB if every step is mixed
+# histogram and measure score max(1, 4096 // kept points) pairs a call at the grid's stretch
+# ends, so a call holds at most max(4096, kept points) evolved 3x3 differences: a scoring
+# peak of 2.9 MB at the cap on the default model and under 4 MB if every step is mixed
 MAX_GRID_STEPS = 10**4
 # histogram keeps one float per sample: 80 MB at the cap
 MAX_SAMPLES = 10**7

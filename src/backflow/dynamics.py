@@ -407,27 +407,14 @@ def _rk4_propagators(h: np.ndarray, nodes: np.ndarray, middle: np.ndarray) -> np
     ``middle`` the (steps, 9, 9) ones at their midpoints, all acting on row
     vectors; ``h`` holds the step lengths. Returns M with rho_{k+1} =
     rho_k @ M_k, the RK4 update rho + h/6 (k1 + 2 k2 + 2 k3 + k4) written out
-    for a linear right-hand side. Products are scaled and summed in place,
-    since these (steps, 9, 9) arrays set the integrator's working memory.
+    for a linear right-hand side.
     """
     h = h[:, None, None]
     k1, end = nodes[:-1], nodes[1:]
-    k2 = k1 @ middle  # k2 = (1 + h/2 k1) middle
-    k2 *= 0.5 * h
-    k2 += middle
-    k3 = k2 @ middle  # k3 = (1 + h/2 k2) middle
-    k3 *= 0.5 * h
-    k3 += middle
-    k4 = k3 @ end  # k4 = (1 + h k3) end
-    k4 *= h
-    k4 += end
-    k2 += k3
-    k2 *= 2.0
-    k2 += k1
-    k2 += k4
-    k2 *= h / 6.0
-    k2 += np.eye(9)
-    return k2
+    k2 = (k1 @ middle) * (0.5 * h) + middle  # k2 = (1 + h/2 k1) middle
+    k3 = (k2 @ middle) * (0.5 * h) + middle  # k3 = (1 + h/2 k2) middle
+    k4 = (k3 @ end) * h + end  # k4 = (1 + h k3) end
+    return ((k2 + k3) * 2.0 + k1 + k4) * (h / 6.0) + np.eye(9)
 
 
 def _check_block(states: np.ndarray, times: np.ndarray) -> None:

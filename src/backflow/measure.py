@@ -124,17 +124,15 @@ def _batched_backflows(coeffs: MapCoefficients, deltas: np.ndarray, rise_toleran
     return _rise(_clipped_distances(apply_map_to_grid(coeffs, deltas)), rise_tolerance)
 
 
-# Candidates scored per batched call: max(BATCH, SCORE_POINTS // kept points).
-# Each call holds the (batch, kept points, 3, 3) complex evolved differences
-# and the distance kernel's six float arrays of (batch, kept points): about
-# 6.1 kB per kept point at 32. SCORE_POINTS caps that (candidate x kept point)
-# work where few points are kept, so a default-model class (3 points, 1365 a
-# batch) is one stacked pass; grids keeping >= 128 points stay at BATCH. At
-# the 10^4-step cap the scoring peak (tracemalloc, one full batch) is 2.0 MB
-# for pure and 2.8 MB for mixed candidates on the default model, 27.4 MB with
-# tabulated rates 0.05 sin t + 0.02 and 0.03 sin 2t + 0.01 (4465 points) and
-# 61.5 MB on a grid whose every step is mixed (10001 points).
-BATCH = 32
+# Candidates scored per batched call: max(1, SCORE_POINTS // kept points), so
+# a call holds at most max(SCORE_POINTS, kept points) evolved 3x3 differences,
+# about 0.3-0.4 kB each with the map's and the distance kernel's temporaries.
+# A default-model class (3 points, 1365 a batch) is one stacked pass; a grid
+# keeping over 2048 points scores one candidate a call. Scoring peaks
+# (tracemalloc) at the 10^4-step cap: 2.7 MB for 1365 pure and 2.9 MB for 1365
+# mixed candidates on the default model, 1.4 MB for 64 candidates with
+# tabulated rates 0.05 sin t + 0.02 and 0.03 sin 2t + 0.01 (4465 points), and
+# 3.1-3.9 MB on a grid whose steps are nearly all mixed (9843 points).
 SCORE_POINTS = 1 << 12
 
 
@@ -156,8 +154,8 @@ def _given(pairs: Sequence[StatePair]) -> PairSource:
 
 def _streamed_backflows(ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float) -> np.ndarray:
     """Backflows of the pairs 0..n-1 of ``source`` at the stretch ends ``ends``,
-    scored ``max(BATCH, SCORE_POINTS // kept points)`` at a time."""
-    batch = max(BATCH, SCORE_POINTS // ends.grid.size)
+    scored ``max(1, SCORE_POINTS // kept points)`` at a time."""
+    batch = max(1, SCORE_POINTS // ends.grid.size)
     values = np.empty(n)
     for start in range(0, n, batch):
         stop = min(start + batch, n)

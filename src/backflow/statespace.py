@@ -40,13 +40,14 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
     Counter word 0 is the position in the stream and words 1-3 hold up to
     three key elements, so each stream owns 2^64 blocks of four 64-bit
-    draws. The key is padded with zeros (so ``(seed,)`` and ``(seed, 0)``
-    name the same stream; each caller keeps one key length). Philox is a
-    counter-based bijection, so streams with distinct (seed, key) are
-    independent, and the same (seed, key) always reproduces the same draws
-    regardless of how many other streams exist — the basis of the
-    batch-size-independent sampling contract. Seed and key elements are
-    integers in [0, 2^64).
+    draws. The key is padded with zeros to three elements, so keys that
+    differ only by trailing zeros name one stream: ``(seed,)`` is
+    ``(seed, 0)`` and ``(seed, 0, 0)``, and ``(seed, 1)`` is ``(seed, 1, 0)``.
+    Philox is a counter-based bijection, so streams whose padded (seed, key)
+    differ are independent, and the same (seed, key) always reproduces the
+    same draws regardless of how many other streams exist — the basis of
+    the batch-size-independent sampling contract. Seed and key elements
+    are integers in [0, 2^64).
     """
     words = [int(seed), *map(int, key)]
     if len(key) > _STREAM_KEY_WORDS:
@@ -308,45 +309,21 @@ def _half_trace_norms_3(m: np.ndarray) -> np.ndarray:
     """
     re = m.real
     u, v, w = m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]
+    q = (re[..., 0, 0] + re[..., 1, 1] + re[..., 2, 2]) / 3.0
+    a, b, c = re[..., 0, 0] - q, re[..., 1, 1] - q, re[..., 2, 2] - q
+    uu, vv, ww = np.abs(u) ** 2, np.abs(v) ** 2, np.abs(w) ** 2
     # For the diagonal (a, b, c) of B:
     #   det B = abc + 2 Re(u w v*) - a|w|^2 - b|v|^2 - c|u|^2
     #   tr B^2 = a^2 + b^2 + c^2 + 2 (|u|^2 + |v|^2 + |w|^2)
-    # The (...) arrays set the peak memory: after the complex temporaries of
-    # the first line, at most six are held, reused in place.
-    det = 2.0 * (u * w * v.conj()).real
-    q = (re[..., 0, 0] + re[..., 1, 1] + re[..., 2, 2]) / 3.0
-    square, product, diag, mod = np.zeros(q.shape), np.ones(q.shape), np.empty(q.shape), np.empty(q.shape)
-    for k, off in enumerate((w, v, u)):  # the entry above the diagonal outside row and column k
-        np.subtract(re[..., k, k], q, out=diag)
-        np.abs(off, out=mod)
-        mod *= mod
-        square += mod
-        square += mod
-        mod *= diag
-        det -= mod
-        product *= diag
-        diag *= diag
-        square += diag
-    det += product
-    # 2p = sqrt(4 tr B^2 / 6) into square, r = 4 det B / (2p)^3 into det, arccos(r)/3 into mod
-    two_p = np.sqrt(np.multiply(square, 4.0 / 6.0, out=square), out=square)
-    np.multiply(two_p, two_p, out=mod)
-    mod *= two_p
-    np.maximum(mod, np.finfo(float).tiny, out=mod)  # tr B^2 = 0 only where det B = 0
-    det *= 4.0
-    det /= mod
-    angle = np.arccos(np.clip(det, -1.0, 1.0, out=mod), out=mod)
-    angle /= 3.0
-    # product sums |q + 2p cos(angle + 2 pi k/3)| over k, each term built in diag
-    product[...] = 0.0
-    for k in range(3):
-        np.add(angle, 2.0 * np.pi * k / 3.0, out=diag)
-        np.cos(diag, out=diag)
-        diag *= two_p
-        diag += q
-        product += np.abs(diag, out=diag)
-    product *= 0.5
-    return product
+    det = 2.0 * (u * w * v.conj()).real - ww * a - vv * b - uu * c + a * b * c
+    square = ww + ww + a * a + vv + vv + b * b + uu + uu + c * c
+    # 2p = sqrt(4 tr B^2 / 6) and r = 4 det B / (2p)^3
+    two_p = np.sqrt(square * (4.0 / 6.0))
+    cube = np.maximum(two_p * two_p * two_p, np.finfo(float).tiny)  # tr B^2 = 0 only where det B = 0
+    angle = np.arccos(np.clip(det * 4.0 / cube, -1.0, 1.0)) / 3.0
+    # half the sum of |q + 2p cos(angle + 2 pi k/3)| over the three eigenvalues
+    terms = (np.abs(two_p * np.cos(angle + 2.0 * np.pi * k / 3.0) + q) for k in range(3))
+    return sum(terms) * 0.5
 
 
 def jordan_hahn(rho1: DensityMatrix, rho2: DensityMatrix) -> JordanHahnParts:

@@ -271,7 +271,6 @@ class TestEstimateMeasure:
         explicit = (pure_ab_pair(), mixed_reference_pair(), pure_a_plus_pair()) * 30
         results = []
         for size in (1, 7, 64, 128):
-            monkeypatch.setattr(measure, "BATCH", 1)
             monkeypatch.setattr(measure, "SCORE_POINTS", size * kept)
             scored_rows.clear()
             results.append(estimate_measure(coeffs, 90, seed=17, explicit_pairs=explicit))
@@ -353,7 +352,6 @@ class TestHistogram:
         for n, seed in ((120, 12), (90, 13)):
             runs = []
             for size in (1, 7, 64, 128):
-                monkeypatch.setattr(measure, "BATCH", 1)
                 monkeypatch.setattr(measure, "SCORE_POINTS", size * kept)
                 scored_rows.clear()
                 runs.append(sampled_backflows(preset_coeffs, n, seed=seed))
@@ -388,8 +386,8 @@ def tracemalloc_peak(run):
 
 
 class TestBatchRule:
-    # a batch holds max(BATCH, SCORE_POINTS // kept points) candidates: all of
-    # a class where few points are kept, BATCH where many are
+    # a batch holds max(1, SCORE_POINTS // kept points) candidates: all of a
+    # class where few points are kept, one candidate where many are
 
     def test_default_model_class_is_one_call(self, scored_rows):
         coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
@@ -397,20 +395,25 @@ class TestBatchRule:
         estimate_measure(coeffs, 200, seed=1, explicit_pairs=named)
         assert scored_rows == [200, 200, 3]
 
-    def test_many_kept_points_keep_the_batch_floor(self, scored_rows):
-        # the tabulated preset's linear interpolation of two sampled tables;
-        # mixed steps keep 4465 of the cap's 10001 points
+    @pytest.mark.parametrize(
+        "steps, kept, rows",
+        [(10_000, 4465, [1] * 64), (2000, 897, [4] * 16)],  # 4096 // kept candidates a call
+        ids=["cap", "2000-steps"],
+    )
+    def test_many_kept_points_share_the_budget(self, scored_rows, steps, kept, rows):
+        # the tabulated preset's linear interpolation of two sampled tables,
+        # whose mixed steps keep many points
         t = np.linspace(0.0, 2 * np.pi, 2001)
         gamma1, gamma2 = 0.05 * np.sin(t) + 0.02, 0.03 * np.sin(2 * t) + 0.01
         rates = replace(
             zero_rates(), gamma1=lambda s: np.interp(s, t, gamma1), gamma2=lambda s: np.interp(s, t, gamma2)
         )
-        ends = stretch_ends(lambda_map_coefficients(rates, make_grid(2 * np.pi, 10_000)))
-        assert ends.grid.size == 4465
+        ends = stretch_ends(lambda_map_coefficients(rates, make_grid(2 * np.pi, steps)))
+        assert ends.grid.size == kept
         source = _sampled(_mixed_pair_stacks, 7, 1)
         peak = tracemalloc_peak(lambda: _streamed_backflows(ends, source, 64, RISE_TOLERANCE))
-        assert scored_rows == [32, 32]
-        assert peak <= 1.1 * 27.4e6  # one batch of 32 candidates at 4465 points
+        assert scored_rows == rows
+        assert peak <= 2e6  # at most 4465 evolved differences a call; measured 1.4 MB at the cap
 
     def test_default_model_histogram_memory(self, preset_coeffs):
         peak = tracemalloc_peak(lambda: histogram_backflow(preset_coeffs, n_samples=10_000, bins=50, seed=3))

@@ -260,6 +260,23 @@ class TestTraceNormKernel:
         deltas += np.eye(dim) * rng.uniform(-0.3, 0.3, (200, 1, 1))
         np.testing.assert_allclose(_clipped_distances(deltas), eigvalsh_distances(deltas), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "stream, spectrum, expected",
+        [
+            (0, (0.5, 0.5 - 1e-9, -1.0 + 1e-9), [0.9999999989999997, 0.9999999989999997, 0.9999999990000001]),
+            (1, (-0.5, -0.5 + 1e-6, 1.0 - 1e-6), [0.9999990000000001, 0.9999990000000001, 0.999999]),
+            (2, (1e-9, 1e-9, -2e-9), [1.9999999999999997e-09, 2.0000000000000005e-09, 1.999999999999999e-09]),
+            (3, (1e-12, 1e-12, -2e-12), [1.9999999999999983e-12, 1.9999999999999996e-12, 1.9999999999999996e-12]),
+            (4, (0.7, 0.2, 0.1 + 1e-10), [0.5000000000499998, 0.5000000000499998, 0.50000000005]),
+        ],
+        ids=["nearly-double-top", "nearly-double-bottom", "tiny-1e-9", "tiny-1e-12", "trace-near-1"],
+    )
+    def test_hard_inputs_are_pinned(self, stream, spectrum, expected):
+        # exact values of the 3x3 closed form, so a reordered operation in it shows here
+        rng = rng_stream(66, stream)
+        deltas = np.array([conjugated(spectrum, rng) for _ in range(3)])
+        assert statespace._half_trace_norms_3(deltas).tolist() == expected
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_zero_difference_is_exactly_zero(self, dim):
         zero = np.zeros((dim, dim), dtype=complex)
@@ -573,6 +590,15 @@ class TestStreams:
     def test_first_uniforms_are_pinned(self):
         assert rng_stream(7).random(3).tolist() == [0.8720734548204873, 0.29536538151378355, 0.4200976785072422]
         assert rng_stream(7, 1, 2).random(3).tolist() == [0.7737776922726128, 0.6816944544714919, 0.22378780896939032]
+
+    def test_keys_differing_by_trailing_zeros_alias(self):
+        # keys are zero-padded, so (s, 0) is (s, 0, 0): histogram's sample 0 is
+        # measure's pure candidate 0 for the same seed
+        for short, long in (((7,), (7, 0)), ((7, 0), (7, 0, 0)), ((7, 1), (7, 1, 0))):
+            assert rng_stream(*short).random(4).tolist() == rng_stream(*long).random(4).tolist()
+        alone, keyed = (sample_pure_orthogonal_pair(3, rng_stream(*key)) for key in ((7, 0), (7, 0, 0)))
+        for got, expected in zip(alone, keyed):
+            assert got.entries.tobytes() == expected.entries.tobytes()
 
     @pytest.mark.parametrize(
         "args",
