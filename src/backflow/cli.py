@@ -114,7 +114,8 @@ def _pair(where: str, entry) -> tuple[DensityMatrix, DensityMatrix]:
 # Caps on the sizes that allocate memory, so no config value can exhaust it.
 # histogram and measure score max(1, 4096 // kept points) pairs a call at the grid's stretch
 # ends, so a call holds at most max(4096, kept points) evolved 3x3 differences: a scoring
-# peak of 2.9 MB at the cap on the default model and under 4 MB if every step is mixed
+# peak of 2.9 MB at the cap on the default model and under 4 MB if every step is mixed; at the
+# cap the map coefficients peak at 1.0 MB for a preset and 7.8 MB for tabulated rates' quadrature
 MAX_GRID_STEPS = 10**4
 # histogram keeps one float per sample: 80 MB at the cap
 MAX_SAMPLES = 10**7
@@ -126,6 +127,8 @@ MAX_DIM = 64
 MAX_TRIALS = 10**4
 # np.gradient divides by products of two grid steps, so their square must stay a normal float
 MIN_GRID_STEP = float(np.sqrt(np.finfo(float).tiny))
+# and a step times the sum of two steps must stay finite
+MAX_GRID_STEP = float(np.sqrt(np.finfo(float).max / 4.0))
 
 _ENGINES = ("closed_form", "integrator")
 _FORMATS = ("csv", "json")
@@ -219,10 +222,10 @@ class RunConfig:
         ):
             if not low <= getattr(self, name) <= high:
                 raise ValidationError(f"{name}: must be between {low} and {high}, got {getattr(self, name)}")
-        if not self.t_max >= MIN_GRID_STEP * self.grid_steps:
+        if not MIN_GRID_STEP * self.grid_steps <= self.t_max <= MAX_GRID_STEP * self.grid_steps:
             raise ValidationError(
-                f"t_max: must be at least {MIN_GRID_STEP * self.grid_steps:.3g} for {self.grid_steps} grid steps, "
-                f"got {self.t_max}"
+                f"t_max: must be between {MIN_GRID_STEP * self.grid_steps:.3g} and "
+                f"{MAX_GRID_STEP * self.grid_steps:.3g} for {self.grid_steps} grid steps, got {self.t_max}"
             )
         if self.engine not in _ENGINES:
             raise ValidationError(f"engine: must be closed_form or integrator, got {self.engine!r}")

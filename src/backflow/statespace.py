@@ -371,7 +371,13 @@ def rescale_pair(
     is at least 1 - TOL_ORTH as in :func:`is_orthogonal`, are already in this
     form and are returned unchanged with lam = 1.
     """
-    parts = jordan_hahn(rho1, rho2)
+    return _rescale_parts(rho1, rho2, jordan_hahn(rho1, rho2))
+
+
+def _rescale_parts(
+    rho1: DensityMatrix, rho2: DensityMatrix, parts: JordanHahnParts
+) -> tuple[DensityMatrix, DensityMatrix, float]:
+    """:func:`rescale_pair` from the pair's split ``parts``, for callers that already hold it."""
     lam = parts.weight
     if lam >= 1.0 - TOL_ORTH:
         return rho1, rho2, 1.0

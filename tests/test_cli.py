@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from backflow import cli, errors
 from backflow.cli import (
+    MAX_GRID_STEP,
     RunConfig,
     build_parser,
     main,
@@ -532,21 +533,31 @@ class TestReportContract:
         assert main(["measure", "--samples", "1"]) == (2 if error.__name__ in NUMERICAL_FAILURES else 1)
         assert capsys.readouterr().err == f"error ({error.__name__}): injected\n"
 
-    def test_coarse_grid_cpt_error_names_the_grid(self, capsys):
-        # the default model meets TOL_CPT only on grids finer than about 200 steps
-        assert main(["measure", "--grid-steps", "150", "--samples", "2"]) == 2
+    def test_coarse_grid_cpt_error_names_the_grid(self, tmp_path, capsys):
+        # tabulated rates are integrated by quadrature, whose error on this
+        # coarse grid makes the feeding of the rate-free channel negative
+        t = np.linspace(0.0, 2 * np.pi, 2001)
+        table = tmp_path / "gamma2.csv"
+        table.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), (1.0 + np.cos(t)).tolist())))
+        cfg = write_json(tmp_path / "cfg.json", {"model": {"preset": "tabulated", "gamma2": str(table)}})
+        assert main(["measure", "--config", cfg, "--grid-steps", "150", "--samples", "2"]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error (CptViolation): invalid map: |g1+g2+|f|^2-1| = 1.178e-08")
-        assert "on 150 grid steps of width up to 0.0418879" in lines[0]
+        assert lines[0].startswith("error (CptViolation): invalid map: |g1+g2+|f|^2-1| = ")
+        assert "min g = -4.995e-06 at t = 3.14159, on 150 grid steps of width up to 0.0418879" in lines[0]
         assert "a finer grid lowers the quadrature error" in lines[0]
+        # the presets' coefficients are closed forms, valid on any grid
+        assert main(["measure", "--grid-steps", "150", "--samples", "2"]) == 0
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_horizon_fails_without_warnings(self, capsys):
-        assert main(["trajectory", "--t-max", "1e308"]) == 2
+        assert main(["trajectory", "--t-max", "1e308"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error (QuadratureFailure)")
+        assert lines[0].startswith("error (ValidationError): t_max")
+        # the longest horizon allowed still runs, np.gradient included
+        assert main(["trajectory", "--t-max", repr(MAX_GRID_STEP * 2000), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "trajectory"
 
     def test_overflowing_rate_fails_without_warnings(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"model": {"preset": "sinusoidal", "frequency": 1e308}})

@@ -4,13 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from backflow import dynamics
 from backflow.dynamics import (
     POSITIVITY_DRIFT,
+    REFINE,
     STEP_BLOCK,
     MapCoefficients,
     RateFunctions,
+    _cumulative_trapezoid,
     _master_equation_rhs,
+    _refined_grid,
+    _without_integrals,
     apply_map_to_grid,
     constant_rates,
     lambda_map_coefficients,
@@ -52,6 +59,12 @@ def preset_coeffs():
     return lambda_map_coefficients(sinusoidal_rates(), GRID)
 
 
+@pytest.fixture(scope="module")
+def quadrature_coeffs():
+    """The preset's rates integrated by quadrature, the path of tabulated rates."""
+    return lambda_map_coefficients(_without_integrals(sinusoidal_rates()), GRID)
+
+
 def analytic_d(t):
     return 0.03 * (1.0 - np.cos(t))
 
@@ -80,24 +93,25 @@ class TestMapCoefficients:
         assert abs(preset_coeffs.g1[-1]) < 1e-6
         assert abs(preset_coeffs.g2[-1]) < 1e-6
 
-    def test_matches_analytic_everywhere(self, preset_coeffs):
-        np.testing.assert_allclose(preset_coeffs.d1, analytic_d(GRID), rtol=0, atol=1e-7)
-        np.testing.assert_allclose(preset_coeffs.g1, analytic_g(GRID), rtol=0, atol=1e-7)
-        np.testing.assert_allclose(np.abs(preset_coeffs.f), np.exp(-analytic_d(GRID)), rtol=0, atol=1e-7)
+    def test_matches_analytic_everywhere(self, quadrature_coeffs):
+        np.testing.assert_allclose(quadrature_coeffs.d1, analytic_d(GRID), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(quadrature_coeffs.g1, analytic_g(GRID), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(np.abs(quadrature_coeffs.f), np.exp(-analytic_d(GRID)), rtol=0, atol=1e-7)
 
     def test_quadrature_convergence_under_step_halving(self):
-        rates = sinusoidal_rates()
+        rates = _without_integrals(sinusoidal_rates())
         coarse = lambda_map_coefficients(rates, make_grid(2 * np.pi, 1000))
         fine = lambda_map_coefficients(rates, make_grid(2 * np.pi, 2000))
         assert abs(coarse.g1[-1] - fine.g1[-1]) < 1e-6
         assert abs(coarse.d1[-1] - fine.d1[-1]) < 1e-6
 
-    def test_fields_own_one_entry_per_grid_point(self, preset_coeffs):
+    def test_fields_own_one_entry_per_grid_point(self, preset_coeffs, quadrature_coeffs):
         # views into the refined quadrature arrays would keep them alive
-        for field in dataclasses.fields(preset_coeffs):
-            values = getattr(preset_coeffs, field.name)
-            assert values.base is None, field.name
-            assert values.shape == (2001,), field.name
+        for coeffs in (preset_coeffs, quadrature_coeffs):
+            for field in dataclasses.fields(coeffs):
+                values = getattr(coeffs, field.name)
+                assert values.base is None, field.name
+                assert values.shape == (2001,), field.name
 
     def test_negative_rates_rejected(self):
         with pytest.raises(CptViolation):
@@ -114,6 +128,108 @@ class TestMapCoefficients:
             lambda_map_coefficients(rates, np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             lambda_map_coefficients(rates, np.array([0.0, 2.0, 1.0]))
+
+
+# presets drawn over their parameters, negative values included; the
+# closed form and the quadrature agree to 1e-7 on the 2000-step grid while
+# |amplitude * frequency| stays within 1.5
+PRESETS = st.one_of(
+    st.builds(sinusoidal_rates, amplitude=st.floats(-0.5, 0.5), frequency=st.floats(-3.0, 3.0)),
+    st.builds(constant_rates, gamma=st.floats(-0.5, 0.5), shift=st.floats(-5.0, 5.0)),
+    st.just(zero_rates()),
+)
+
+
+def _coefficients_or_error(rates):
+    try:
+        return lambda_map_coefficients(rates, GRID)
+    except (CptViolation, QuadratureFailure) as error:
+        return type(error)
+
+
+class TestClosedForm:
+    """The presets' closed-form coefficients against the quadrature of the same rates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rates=PRESETS)
+    def test_matches_quadrature(self, rates):
+        closed = _coefficients_or_error(rates)
+        quadrature = _coefficients_or_error(_without_integrals(rates))
+        if isinstance(closed, type) or isinstance(quadrature, type):
+            assert closed == quadrature
+            return
+        for name in ("f", "g1", "g2", "d1", "d2"):
+            np.testing.assert_allclose(getattr(closed, name), getattr(quadrature, name), rtol=0, atol=1e-7)
+        assert validate_cpt(closed).worst_identity <= 1e-15
+
+    @pytest.mark.parametrize(
+        "rates, error",
+        [
+            (sinusoidal_rates(amplitude=-0.03), CptViolation),
+            (sinusoidal_rates(frequency=-1.0), CptViolation),
+            (constant_rates(gamma=-0.03), CptViolation),
+            # exp(-D) overflows
+            (sinusoidal_rates(amplitude=-1e3), QuadratureFailure),
+            (constant_rates(gamma=-1e3), QuadratureFailure),
+        ],
+        ids=["negative-amplitude", "negative-frequency", "negative-gamma", "sinusoidal-overflow", "constant-overflow"],
+    )
+    def test_both_paths_raise_the_same_error(self, rates, error):
+        assert _coefficients_or_error(rates) is error
+        assert _coefficients_or_error(_without_integrals(rates)) is error
+
+    def test_zero_frequency_is_the_identity(self):
+        # runs under the warnings-as-errors setting, so a 0/0 would fail here
+        coeffs = lambda_map_coefficients(sinusoidal_rates(frequency=0.0), GRID)
+        assert np.all(coeffs.f == 1.0)
+        for name in ("g1", "g2", "d1", "d2"):
+            assert np.all(getattr(coeffs, name) == 0.0), name
+
+    @pytest.mark.parametrize(
+        "rates",
+        [sinusoidal_rates(), sinusoidal_rates(0.5, 3.0), constant_rates(), constant_rates(0.03, 0.5), zero_rates()],
+        ids=["default", "fast-sinusoidal", "constant", "shifted", "zero"],
+    )
+    @pytest.mark.parametrize("steps", [10, 51, 2000, 10**4])
+    def test_presets_meet_the_identity_without_quadrature(self, monkeypatch, rates, steps):
+        def refuse(grid):
+            raise AssertionError("a preset ran the refined-grid quadrature")
+
+        monkeypatch.setattr(dynamics, "_refined_grid", refuse)
+        coeffs = lambda_map_coefficients(rates, make_grid(2 * np.pi, steps))
+        assert validate_cpt(coeffs).worst_identity <= 1e-15
+        np.testing.assert_array_equal(coeffs.g1, coeffs.g2)
+        with pytest.raises(AssertionError, match="refined-grid"):
+            lambda_map_coefficients(_without_integrals(rates), make_grid(2 * np.pi, steps))
+
+    def test_replaced_rate_drops_its_integral(self):
+        # a preset's rate replaced by a plain function takes the quadrature
+        # with it, never the preset's stale closed form
+        rate = _switched_on_rates(0.03, 2.5).gamma1
+        rates = dataclasses.replace(sinusoidal_rates(), gamma1=rate, gamma2=rate)
+        coeffs = lambda_map_coefficients(rates, GRID)
+        np.testing.assert_allclose(coeffs.d1, np.maximum(GRID - 2.5, 0.0) * 0.03, rtol=0, atol=1e-4)
+
+    @pytest.mark.parametrize("steps", [600, 2000])
+    def test_tabulated_rates_move_only_by_the_feeding_sum(self, tmp_path, steps):
+        # each g_i was its own trapezoid of gamma_i exp(-D), so g1 + g2 missed
+        # 1 - exp(-D) by the quadrature error; now only g1 - g2 is integrated,
+        # d1, d2 and f are unchanged and each g_i moves by half that error
+        rates = _tabulated_two_rates(tmp_path)
+        grid = make_grid(2 * np.pi, steps)
+        coeffs = lambda_map_coefficients(rates, grid)
+        fine = _refined_grid(grid)
+        gammas = [np.asarray(rates.gamma1(fine)), np.asarray(rates.gamma2(fine))]
+        d1, d2 = (_cumulative_trapezoid(gamma, fine) for gamma in gammas)
+        decay = d1 + d2
+        separate = [_cumulative_trapezoid(gamma * np.exp(-decay), fine)[::REFINE] for gamma in gammas]
+        np.testing.assert_array_equal(coeffs.d1, d1[::REFINE])
+        np.testing.assert_array_equal(coeffs.d2, d2[::REFINE])
+        np.testing.assert_array_equal(coeffs.f, np.exp(-decay[::REFINE] / 2.0))
+        sum_error = np.abs(separate[0] + separate[1] + np.expm1(-decay[::REFINE])).max()
+        moved = max(np.abs(coeffs.g1 - separate[0]).max(), np.abs(coeffs.g2 - separate[1]).max())
+        assert moved <= sum_error / 2.0 + 1e-15
+        assert moved <= {600: 1e-9, 2000: 1e-10}[steps]
 
 
 class TestValidateCpt:
@@ -244,6 +360,17 @@ def _unequal_rates():
     )
 
 
+def _tabulated_two_rates(directory):
+    """Tabulated gamma1 = 0.05 sin t + 0.02 and gamma2 = 0.03 sin 2t + 0.01 on 2001 knots."""
+    t = np.linspace(0.0, 2 * np.pi, 2001)
+    tables = {}
+    for name, values in (("gamma1", 0.05 * np.sin(t) + 0.02), ("gamma2", 0.03 * np.sin(2 * t) + 0.01)):
+        path = directory / f"{name}.csv"
+        path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), values.tolist())))
+        tables[name] = str(path)
+    return rates_from_model({"preset": "tabulated", **tables})
+
+
 def _full_grid_backflows(coeffs, deltas, rise_tolerance=0.0):
     """The reference reduction: the distance at every grid point, then the rises."""
     return _rise(_clipped_distances(apply_map_to_grid(coeffs, deltas)), rise_tolerance)
@@ -357,14 +484,8 @@ class TestStretchEnds:
 
     def test_tabulated_mixed_steps(self, tmp_path):
         # rates of opposite sign make g1 rise while g2 falls: mixed steps
-        t = np.linspace(0.0, 2 * np.pi, 2001)
-        tables = {}
-        for name, values in (("gamma1", 0.05 * np.sin(t) + 0.02), ("gamma2", 0.03 * np.sin(2 * t) + 0.01)):
-            path = tmp_path / f"{name}.csv"
-            path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), values.tolist())))
-            tables[name] = str(path)
         grid = make_grid(2 * np.pi, 600)
-        coeffs = lambda_map_coefficients(rates_from_model({"preset": "tabulated", **tables}), grid)
+        coeffs = lambda_map_coefficients(_tabulated_two_rates(tmp_path), grid)
         mixed = np.diff(coeffs.g1) * np.diff(coeffs.g2) < 0
         assert 0 < mixed.sum() < mixed.size
         ends = _assert_stretch_ends_match_full_grid(coeffs, _sampled_deltas(18, 64), (0.0, RISE_TOLERANCE))

@@ -244,6 +244,26 @@ class TestEstimateMeasure:
         assert result.estimate == 0.0
         assert result.samples_evaluated == 120
 
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    @pytest.mark.parametrize("steps", [10, 51, 2000])
+    def test_constant_rates_are_exactly_zero_on_any_grid(self, steps, shift):
+        # the closed-form g rises on every step, so every step contracts and
+        # no rise is left for RISE_TOLERANCE to discard
+        coeffs = lambda_map_coefficients(constant_rates(gamma=0.03, shift=shift), make_grid(2 * np.pi, steps))
+        assert stretch_ends(coeffs).grid.size == 2
+        result = estimate_measure(coeffs, 20, seed=6, explicit_pairs=(mixed_reference_pair(),))
+        assert result.estimate == 0.0
+        assert set(result.candidate_breakdown.values()) == {0.0}
+
+    @pytest.mark.parametrize("steps", [10, 200, 2000, 10**4])
+    def test_reference_pair_reaches_the_exact_measure(self, steps):
+        # the closed-form coefficients carry no quadrature error, so where a
+        # grid point sits on the turning point pi, the reference pair's
+        # backflow is 1 - exp(-0.12) to rounding
+        coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, steps))
+        result = estimate_measure(coeffs, 1, seed=7, explicit_pairs=(mixed_reference_pair(),))
+        assert abs(result.candidate_breakdown["explicit"] + np.expm1(-0.12)) <= 1e-15
+
     def test_explicit_reference_pair_sets_lower_bound(self, preset_coeffs):
         result = estimate_measure(preset_coeffs, 50, seed=7, explicit_pairs=(mixed_reference_pair(),))
         assert result.estimate >= MPAIR_BACKFLOW - 1e-5
@@ -321,11 +341,11 @@ class TestEstimateMeasure:
         named = (pure_ab_pair(), mixed_reference_pair(), pure_a_plus_pair())
         result = estimate_measure(preset_coeffs, 300, seed=7, explicit_pairs=named)
         assert result.candidate_breakdown == {
-            "pure": 0.05587062176570212,
-            "mixed": 0.10979232149057772,
-            "explicit": 0.11307956191422786,
+            "pure": 0.05587062246296837,
+            "mixed": 0.10979232281944151,
+            "explicit": 0.1130795632828423,
         }
-        assert result.estimate == 0.11307956191422786
+        assert result.estimate == 0.1130795632828423
 
 
 class TestHistogram:
@@ -366,7 +386,7 @@ class TestHistogram:
             2, 11, 17, 16, 22, 46, 42, 48, 41, 71, 80, 62, 77, 118, 98, 116, 118, 137, 132, 173,
             160, 163, 129, 90, 26, 5,
         ] + [0] * 24
-        assert hist.max_sampled == 0.05769773249219501
+        assert hist.max_sampled == 0.05769773321146576
 
     def test_input_validation(self, preset_coeffs):
         with pytest.raises(DomainError):
