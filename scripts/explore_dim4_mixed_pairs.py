@@ -7,9 +7,10 @@ with a two-channel decay model (excited levels a, b decay into ground
 levels c, d at the same oscillating rate) and compares three candidate
 classes by sampled backflow:
 
-  pure-pure   random pure orthogonal pairs
-  mixed-pure  random orthogonal pairs from complementary subspaces
-  both-mixed  the uniform excited mixture vs the uniform ground mixture
+  pure-pure       random pure orthogonal pairs
+  subspace-split  random orthogonal pairs: the rescaled Jordan-Hahn split of
+                  a random traceless matrix, of ranks (1, 3), (2, 2) or (3, 1)
+  both-mixed      the uniform excited mixture vs the uniform ground mixture
 
 This is an exploration, not a verified claim: sampling only produces
 lower bounds, and nothing here certifies a global optimum.

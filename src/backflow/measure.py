@@ -4,8 +4,10 @@ The backflow of a state pair is the total increase of the trace distance
 along the evolution; maximizing it over initial pairs quantifies memory
 effects in the dynamics. Optimal pairs are orthogonal, so candidate
 generation is restricted to orthogonal pairs: random pure ones, random
-mixed ones on complementary subspaces, and user-supplied pairs. Sampled
-estimates are lower bounds on the true maximum.
+mixed ones (the rescaled Jordan-Hahn split of a random traceless matrix,
+so both states lie on the boundary, as optimal pairs do), and
+user-supplied pairs. Sampled estimates are lower bounds on the true
+maximum.
 """
 
 from __future__ import annotations

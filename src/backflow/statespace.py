@@ -334,19 +334,27 @@ def jordan_hahn(rho1: DensityMatrix, rho2: DensityMatrix) -> JordanHahnParts:
     the trace distance.
     """
     _check_same_dim(rho1, rho2)
-    delta = rho1.entries - rho2.entries
-    values, vectors = spectral_decomposition(delta)
-    if float(np.abs(values).max()) <= TOL_PSD:
+    parts, weights = _signed_parts((rho1.entries - rho2.entries)[None])
+    # the largest clipped weight is the largest |eigenvalue| of the difference
+    if float(weights.max()) <= TOL_PSD:
         raise IdenticalStates("states coincide within tolerance; no Jordan-Hahn split")
-    pos = np.clip(values, 0.0, None)
-    neg = np.clip(-values, 0.0, None)
-    p1 = (vectors * pos) @ vectors.conj().T
-    p2 = (vectors * neg) @ vectors.conj().T
-    return JordanHahnParts(
-        HermitianOperator.from_matrix(p1),
-        HermitianOperator.from_matrix(p2),
-        float(pos.sum()),
-    )
+    p1, p2 = (HermitianOperator.from_matrix(part[0]) for part in parts)
+    return JordanHahnParts(p1, p2, float(weights[0, 0].sum()))
+
+
+def _signed_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Jordan-Hahn split of an (n, N, N) stack of Hermitian matrices, in
+    one stacked ``eigh``.
+
+    Returns the (2, n, N, N) stack of the positive parts and the negated
+    negative parts, and the (2, n, N) eigenvalue weights they are built
+    from: the eigenvalues clipped at zero, and the negated eigenvalues
+    clipped at zero, so each part's trace is its weights' sum. Each split
+    is bit-identical to splitting its matrix alone.
+    """
+    values, vectors = np.linalg.eigh(h)
+    weights = np.stack([np.clip(values, 0.0, None), np.clip(-values, 0.0, None)])
+    return (vectors * weights[:, :, None, :]) @ vectors.conj().swapaxes(-1, -2), weights
 
 
 def is_orthogonal(rho1: DensityMatrix, rho2: DensityMatrix) -> bool:
@@ -429,57 +437,44 @@ def sample_random_state(dim: int, rank: int, rng: np.random.Generator) -> Densit
     if dim < 1 or not 1 <= rank <= dim:
         raise BadDimension(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
     ginibre, weights = _random_state_draws(dim, rank, rng)
-    return DensityMatrix(_density_stack(_weighted_states(_haar_from_ginibre(ginibre[None]), [(0, weights)]))[0])
+    return DensityMatrix(_density_stack(_weighted_states(_haar_from_ginibre(ginibre[None]), weights[None]))[0])
 
 
 def _random_state_draws(dim: int, rank: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The random numbers of one :func:`sample_random_state`, in its order:
-    the (2, N, N) Ginibre parts of the unitary, then the rank's flat Dirichlet weights."""
-    return rng.standard_normal((2, dim, dim)), _flat_dirichlet(rng, rank)
+    the (2, N, N) Ginibre parts of the unitary, then the rank's flat Dirichlet
+    weights, zero-padded to N."""
+    return rng.standard_normal((2, dim, dim)), np.concatenate([_flat_dirichlet(rng, rank), np.zeros(dim - rank)])
 
 
 def _flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
     """``rng.dirichlet(np.ones(k))`` bit for bit, without its argument checks:
     numpy draws k standard exponentials (gamma of shape 1), sums them left to
-    right and scales by the reciprocal."""
-    return _normalized(rng.standard_exponential(k))
-
-
-def _normalized(e: np.ndarray) -> np.ndarray:
-    """``e`` scaled by the reciprocal of its left-to-right sum, as numpy's
-    Dirichlet does. The sum is a plain loop, since ``sum()`` compensates
-    float sums from Python 3.12 on."""
+    right and scales by the reciprocal. The sum is a plain loop, since
+    ``sum()`` compensates float sums from Python 3.12 on."""
+    e = rng.standard_exponential(k)
     total = 0.0
     for x in e.tolist():
         total += x
     return e * (1.0 / total)
 
 
-def _weighted_states(unitaries: np.ndarray, spans: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Unvalidated matrices for an (n, N, N) stack of unitaries and n spans
-    (start, weights): matrix i sums ``weights[j]`` times the projector on
-    column start + j of unitary i. Spans of one (start, size) are built in one
-    product, and each product has one state's shapes, so each matrix is
-    bit-identical to building it alone."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (start, weights) in enumerate(spans):
-        groups.setdefault((start, weights.size), []).append(i)
-    states = np.empty(unitaries.shape, dtype=complex)
-    for (start, size), rows in groups.items():
-        cols = unitaries[rows, :, start : start + size]
-        weights = np.array([spans[i][1] for i in rows])
-        states[rows] = (cols * weights[:, None, :]) @ cols.conj().swapaxes(-1, -2)
-    return states
+def _weighted_states(unitaries: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Unvalidated matrices for an (n, N, N) stack of unitaries and (n, N)
+    weights: matrix i sums ``weights[i, j]`` times the projector on column j
+    of unitary i, in one stacked product, each bit-identical to building it alone."""
+    return (unitaries * weights[:, None, :]) @ unitaries.conj().swapaxes(-1, -2)
 
 
 def sample_orthogonal_mixed_pair(
     dim: int, rng: np.random.Generator
 ) -> tuple[DensityMatrix, DensityMatrix]:
-    """Random orthogonal pair supported on complementary Haar subspaces.
+    """Random orthogonal pair: the rescaled Jordan-Hahn split of a traceless GUE matrix.
 
-    The splitting index is drawn uniformly from 1..dim-1, and each side
-    gets flat Dirichlet weights on its subspace, so for dim >= 3 at least
-    one side is generically a proper mixture.
+    The positive and the negated negative part of H - (tr H / N) 1, with
+    H = G + G^dagger for a complex Ginibre G, each divided by its trace. The
+    two states are orthogonal and on the boundary, of ranks (r, N - r) for a
+    random 1 <= r <= N - 1, so for dim >= 3 one side is a proper mixture.
     """
     if dim < 2:
         raise BadDimension(f"orthogonal pair needs dimension >= 2, got {dim}")
@@ -489,19 +484,13 @@ def sample_orthogonal_mixed_pair(
 def _mixed_pair_stacks(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
     """:func:`sample_orthogonal_mixed_pair` for one stream each, as a (2, n, N, N) stack.
 
-    Each stream is read once, in the one-pair order: the Ginibre parts of
-    the unitary, the split k, then the weights of the first k columns and of
-    the other N - k. Those are two flat Dirichlet draws of k and N - k
-    exponentials, so one draw of N exponentials, split at k and normalized
-    part by part, gives the same numbers and leaves the stream in the same
-    place. One stacked QR then builds every unitary.
+    Each stream is read once, for the (2, N, N) real and imaginary parts of
+    its Ginibre matrix; one stacked split and one validation then build every pair.
     """
-    ginibre, first, second = [], [], []
-    for rng in rngs:
-        ginibre.append(rng.standard_normal((2, dim, dim)))
-        k = int(rng.integers(1, dim))
-        e = rng.standard_exponential(dim)
-        first.append((0, _normalized(e[:k])))
-        second.append((k, _normalized(e[k:])))
-    u = _haar_from_ginibre(np.array(ginibre))
-    return _density_stack(_weighted_states(np.concatenate([u, u]), first + second)).reshape(2, len(u), dim, dim)
+    ginibre = np.array([rng.standard_normal((2, dim, dim)) for rng in rngs])
+    g = ginibre[:, 0] + 1j * ginibre[:, 1]
+    h = g + g.conj().swapaxes(-1, -2)
+    h -= (h.trace(axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
+    parts, weights = _signed_parts(h)
+    parts /= weights.sum(axis=-1)[:, :, None, None]
+    return _density_stack(parts.reshape(-1, dim, dim)).reshape(2, len(h), dim, dim)

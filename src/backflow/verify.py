@@ -173,7 +173,7 @@ def _pair_draws(dim: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np
 def _random_states(draws: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """The validated states of a list of state draws, with one stacked QR and one validation."""
     unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws]))
-    return _density_stack(_weighted_states(unitaries, [(0, weights) for _, weights in draws]))
+    return _density_stack(_weighted_states(unitaries, np.array([weights for _, weights in draws])))
 
 
 def _random_pair(dim: int, rng: np.random.Generator) -> tuple[DensityMatrix, DensityMatrix]:
@@ -254,7 +254,7 @@ def _metric_block(worst: _Worst, dim: int, n: int, rng: np.random.Generator) -> 
         draws.append(_random_state_draws(dim, int(rng.integers(1, dim + 1)), rng))
         rotations.append(rng.standard_normal((2, dim, dim)))
     unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws] + rotations))
-    states = _density_stack(_weighted_states(unitaries[: 3 * n], [(0, weights) for _, weights in draws]))
+    states = _density_stack(_weighted_states(unitaries[: 3 * n], np.array([weights for _, weights in draws])))
     a, b, c = (states[k::3] for k in range(3))
     u = unitaries[3 * n :]
     u_adjoint = u.conj().swapaxes(-1, -2)

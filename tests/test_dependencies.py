@@ -2,9 +2,10 @@
 
 No module imports scipy, not even lazily, no module reads or writes the
 process environment, every random draw comes from a stream built by
-``statespace.rng_stream``, and ``eigvalsh`` serves only the trace-distance
-kernel and the minimum-eigenvalue checks. Every public function has a
-caller outside the tests.
+``statespace.rng_stream``, ``eigvalsh`` serves only the trace-distance
+kernel and the minimum-eigenvalue checks, and ``eigh`` serves only the one
+Jordan-Hahn split, the spectral decomposition of a state and verify's
+stretch bound. Every public function has a caller outside the tests.
 """
 
 import ast
@@ -157,6 +158,14 @@ EIGVALSH_FUNCTIONS = {
     "verify.py": {"jordan_hahn_suite", "translation_suite", "_max_admissible_stretch"},
 }
 
+# The functions that may call eigh: the one split by sign, which the
+# Jordan-Hahn split and the mixed-pair sampler share, the eigenvectors of a
+# state, and the inverse square root of verify's stretch bound.
+EIGH_FUNCTIONS = {
+    "statespace.py": {"_signed_parts", "spectral_decomposition"},
+    "verify.py": {"_max_admissible_stretch"},
+}
+
 
 def test_no_module_imports_scipy():
     trees = package_trees()
@@ -191,6 +200,13 @@ def test_eigvalsh_only_in_the_kernel_and_minimum_eigenvalue_checks():
         "import numpy as np\ndef f(m):\n    return np.linalg.eigvalsh(m)\nfrom numpy.linalg import eigvalsh\n"
     )
     assert functions_naming(probe, "eigvalsh") == ["f", "<module>"]
+
+
+def test_eigh_only_in_the_split_and_the_spectral_decomposition():
+    # one split by sign: a second eigh-based split anywhere else fails here
+    trees = package_trees()
+    callers = {name: set(found) for name, tree in trees.items() if (found := functions_naming(tree, "eigh"))}
+    assert callers == EIGH_FUNCTIONS
 
 
 def test_every_public_function_has_a_caller():

@@ -342,7 +342,7 @@ class TestEstimateMeasure:
         result = estimate_measure(preset_coeffs, 300, seed=7, explicit_pairs=named)
         assert result.candidate_breakdown == {
             "pure": 0.05587062246296837,
-            "mixed": 0.10979232281944151,
+            "mixed": 0.10624969199575152,
             "explicit": 0.1130795632828423,
         }
         assert result.estimate == 0.1130795632828423

@@ -57,6 +57,10 @@ def purity(rho):
     return float(np.trace(rho.entries @ rho.entries).real)
 
 
+def rank(rho):
+    return int(np.count_nonzero(np.linalg.eigvalsh(rho.entries) > TOL_PSD))
+
+
 class TestMakeDensityMatrix:
     def test_maximally_mixed_dim2(self):
         rho = uniform_state(2)
@@ -339,6 +343,19 @@ class TestJordanHahn:
         assert parts.weight == pytest.approx(expected_weight, abs=1e-12)
         assert parts.weight == pytest.approx(trace_distance(rho1, rho2), abs=1e-10)
 
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_sampled_mixed_pair_is_its_own_split(self, dim):
+        # the chart identity: the split of the pair's difference rescales back to the pair
+        for i in range(16):
+            rho1, rho2 = sample_orthogonal_mixed_pair(dim, rng_stream(34, i))
+            parts = jordan_hahn(rho1, rho2)
+            np.testing.assert_allclose(parts.positive_part.entries, rho1.entries, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(parts.negative_part.entries, rho2.entries, rtol=0, atol=1e-12)
+            assert parts.weight == pytest.approx(1.0, abs=1e-12)
+            sigma1, sigma2, lam = rescale_pair(rho1, rho2)
+            assert lam == 1.0
+            assert sigma1 is rho1 and sigma2 is rho2
+
 
 class TestOrthogonalityAndBoundary:
     def test_computational_basis_orthogonal(self):
@@ -360,10 +377,18 @@ class TestOrthogonalityAndBoundary:
         assert is_boundary(diag_state(0.5, 0.5, 0.0))
 
     def test_orthogonal_pairs_lie_on_boundary(self):
-        for seed in range(30):
-            rho1, rho2 = sample_orthogonal_mixed_pair(4, rng_stream(seed, 96))
-            assert is_orthogonal(rho1, rho2)
-            assert is_boundary(rho1) and is_boundary(rho2)
+        # a sampled pair splits a traceless matrix by sign: ranks (r, N - r),
+        # where r = 1 and r = 3 each have probability about 0.03 at N = 4
+        for dim in range(2, 7):
+            ranks = set()
+            for seed in range(200):
+                rho1, rho2 = sample_orthogonal_mixed_pair(dim, rng_stream(seed, 96))
+                assert is_orthogonal(rho1, rho2)
+                assert is_boundary(rho1) and is_boundary(rho2)
+                assert 1 <= rank(rho1) <= dim - 1 and rank(rho1) + rank(rho2) == dim
+                ranks.add(rank(rho1))
+            if dim <= 4:
+                assert ranks == set(range(1, dim))  # every split of the dimension occurs
 
 
 class TestRescalePair:
@@ -485,9 +510,11 @@ def reference_haar(dim, rng):
     return q * (d / np.abs(d))
 
 
-def reference_weighted(cols, rng):
-    weights = rng.dirichlet(np.ones(cols.shape[1]))
-    return reference_density((cols * weights) @ cols.conj().T)
+def reference_weighted(u, rank, rng):
+    """A rank-r state from numpy's own Dirichlet, zero-padded to all N columns of u."""
+    weights = np.zeros(u.shape[1])
+    weights[:rank] = rng.dirichlet(np.ones(rank))
+    return reference_density((u * weights) @ u.conj().T)
 
 
 def reference_pure_pair(dim, rng):
@@ -497,9 +524,16 @@ def reference_pure_pair(dim, rng):
 
 
 def reference_mixed_pair(dim, rng):
-    u = reference_haar(dim, rng)
-    k = int(rng.integers(1, dim))
-    return k, [reference_weighted(u[:, :k], rng), reference_weighted(u[:, k:], rng)]
+    """The split of one traceless GUE matrix by a one-matrix ``np.linalg.eigh``."""
+    z = rng.standard_normal((2, dim, dim))
+    g = z[0] + 1j * z[1]
+    h = g + g.conj().T
+    h = h - np.trace(h) / dim * np.eye(dim)
+    values, vectors = np.linalg.eigh(h)
+    pair = []
+    for weights in (np.clip(values, 0.0, None), np.clip(-values, 0.0, None)):
+        pair.append(reference_density((vectors * weights) @ vectors.conj().T / weights.sum()))
+    return pair
 
 
 class TestStackedSampling:
@@ -516,29 +550,26 @@ class TestStackedSampling:
                 assert np.array_equal(got, ref)
                 assert np.array_equal(alone.entries, ref)
 
-    # the reference draws each side's weights with Generator.dirichlet
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_mixed_pairs_match_one_stream_at_a_time(self, dim):
         rngs = [rng_stream(32, i) for i in range(self.N)]
         first, second = _mixed_pair_stacks(dim, rngs)
-        splits = set()
+        assert first.shape == second.shape == (self.N, dim, dim)
         for i in range(self.N):
             reference = rng_stream(32, i)
-            k, expected = reference_mixed_pair(dim, reference)
-            assert rngs[i].random() == reference.random()  # both read the same number of draws
-            splits.add(k)
+            expected = reference_mixed_pair(dim, reference)
+            assert rngs[i].random() == reference.random()  # both read the same 2N^2 normals
             one = sample_orthogonal_mixed_pair(dim, rng_stream(32, i))
             for got, alone, ref in zip((first[i], second[i]), one, expected):
                 assert np.array_equal(got, ref)
                 assert np.array_equal(alone.entries, ref)
-        assert splits == set(range(1, dim))  # every split index is covered
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_random_state_matches_one_matrix_reference(self, dim):
         for rank in range(1, dim + 1):
             for i in range(8):
                 rng = rng_stream(33, rank, i)
-                expected = reference_weighted(reference_haar(dim, rng)[:, :rank], rng)
+                expected = reference_weighted(reference_haar(dim, rng), rank, rng)
                 assert np.array_equal(sample_random_state(dim, rank, rng_stream(33, rank, i)).entries, expected)
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -546,10 +577,10 @@ class TestStackedSampling:
         ranks = [1 + i % dim for i in range(3 * dim)][::-1]
         draws = [_random_state_draws(dim, rank, rng_stream(36, i)) for i, rank in enumerate(ranks)]
         unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws]))
-        states = _density_stack(_weighted_states(unitaries, [(0, weights) for _, weights in draws]))
+        states = _density_stack(_weighted_states(unitaries, np.array([weights for _, weights in draws])))
         for i, rank in enumerate(ranks):
             rng = rng_stream(36, i)
-            assert np.array_equal(states[i], reference_weighted(reference_haar(dim, rng)[:, :rank], rng))
+            assert np.array_equal(states[i], reference_weighted(reference_haar(dim, rng), rank, rng))
 
     def test_stacks_are_read_only(self):
         first, second = _pure_pair_stacks(3, [rng_stream(34, i) for i in range(3)])
@@ -621,11 +652,22 @@ class TestStreams:
     @pytest.mark.parametrize("seed", [0, 1, 7777, 2**64 - 1])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_one_generator_per_batch_matches_one_stream_each(self, dim, seed, start, prefix):
-        # the mixed draws leave a cached 32-bit half behind (integers), which
-        # moving to the next stream must drop
+        # both samplers read only normals; a cached 32-bit half is covered by
+        # test_moving_on_drops_a_cached_32_bit_half
         stop = start + 6
         for stacks in (_pure_pair_stacks, _mixed_pair_stacks):
             batched = stacks(dim, _streams(seed, prefix, start, stop))
             alone = stacks(dim, [rng_stream(seed, *prefix, i) for i in range(start, stop)])
             assert batched.shape == (2, stop - start, dim, dim)
             assert np.array_equal(batched, alone)
+
+    @pytest.mark.parametrize("prefix", [(), (1,)], ids=["no-prefix", "prefix-1"])
+    @pytest.mark.parametrize("start", [0, 37])
+    def test_moving_on_drops_a_cached_32_bit_half(self, start, prefix):
+        # a small-range integers draw takes one 32-bit half of a 64-bit word
+        # and caches the other, which moving to the next stream must drop
+        stop = start + 6
+        batched = [(int(rng.integers(0, 1000)), rng.random()) for rng in _streams(5, prefix, start, stop)]
+        streams = [rng_stream(5, *prefix, i) for i in range(start, stop)]
+        alone = [(int(rng.integers(0, 1000)), rng.random()) for rng in streams]
+        assert batched == alone

@@ -278,26 +278,26 @@ RUN_ALL_SEED7_WORST = {
     "metric-symmetry": 0.0,
     "metric-self-distance": 0.0,
     "metric-triangle": 0.0,
-    "metric-unitary-invariance": 7.771561172376096e-16,
-    "jordan-hahn-reconstruction": 7.021666937153402e-16,
-    "jordan-hahn-traces-equal-distance": 1.1102230246251565e-15,
-    "jordan-hahn-parts-positive": 1.942890293094024e-16,
-    "jordan-hahn-parts-orthogonal": 2.0723856538090405e-16,
-    "rescale-unit-distance": 3.3306690738754696e-16,
-    "rescale-difference-law": 5.551115123125783e-16,
-    "overlapping-pairs-below-unit-distance": 0.6251446385657466,
-    "orthogonal-pairs-unit-distance": 2.220446049250313e-16,
-    "orthogonal-pairs-on-boundary": 5.551115123125783e-17,
+    "metric-unitary-invariance": 8.881784197001252e-16,
+    "jordan-hahn-reconstruction": 5.551115123125783e-16,
+    "jordan-hahn-traces-equal-distance": 8.881784197001252e-16,
+    "jordan-hahn-parts-positive": 9.947307755469926e-17,
+    "jordan-hahn-parts-orthogonal": 1.3072267677666308e-16,
+    "rescale-unit-distance": 2.220446049250313e-16,
+    "rescale-difference-law": 4.440892098500626e-16,
+    "overlapping-pairs-below-unit-distance": 0.7682844651888135,
+    "orthogonal-pairs-unit-distance": 3.3306690738754696e-16,
+    "orthogonal-pairs-on-boundary": 1.1102230246251565e-16,
     "translate-strictly-interior": 0.003946483649083149,
-    "translate-difference-preserved": 2.220446049250313e-16,
-    "translate-trajectory-invariance": 6.661338147750939e-16,
-    "shift-traceless": 5.551115123125783e-17,
+    "translate-difference-preserved": 1.1443916996305594e-16,
+    "translate-trajectory-invariance": 5.551115123125783e-16,
+    "shift-traceless": 1.6653345369377348e-16,
     "shift-hermitian": 0.0,
     "shift-nonzero": 0.014845448630058948,
     "orthogonal-pairs-rejected": 0.0,
     "quadratic-bound-positive": 8.243014124060567e-05,
     "epsilon-bound-monotone": 0.0029230769230769033,
-    "rescaled-backflow-law": 3.3306690738754696e-16,
+    "rescaled-backflow-law": 3.885780586188048e-16,
     "stretched-backflow-law": 1.3530843112619095e-16,
     "cpt-identity": 2.220446049250313e-16,
     "cpt-g-nonnegative": -1.7638935453291527e-17,
