@@ -433,37 +433,28 @@ def _pure_pair_stacks(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarr
 
 
 def sample_random_state(dim: int, rank: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random rank-r state: Haar-orthonormal support with flat Dirichlet weights."""
+    """Random rank-r state from the induced measure: G G^dagger / tr(G G^dagger)
+    for the first r columns of an N x N complex Ginibre matrix G
+    (Zyczkowski & Sommers, J. Phys. A 34, 7111, 2001).
+
+    The stream is read once, for the (2, N, N) real and imaginary parts of G,
+    whatever the rank; columns r..N-1 are zeroed. A rank-r state has mean
+    purity (N + r) / (N r + 1).
+    """
     if dim < 1 or not 1 <= rank <= dim:
         raise BadDimension(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    ginibre, weights = _random_state_draws(dim, rank, rng)
-    return DensityMatrix(_density_stack(_weighted_states(_haar_from_ginibre(ginibre[None]), weights[None]))[0])
+    return DensityMatrix(_random_state_stack([rank], rng.standard_normal((2, dim, dim))[None])[0])
 
 
-def _random_state_draws(dim: int, rank: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The random numbers of one :func:`sample_random_state`, in its order:
-    the (2, N, N) Ginibre parts of the unitary, then the rank's flat Dirichlet
-    weights, zero-padded to N."""
-    return rng.standard_normal((2, dim, dim)), np.concatenate([_flat_dirichlet(rng, rank), np.zeros(dim - rank)])
-
-
-def _flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
-    """``rng.dirichlet(np.ones(k))`` bit for bit, without its argument checks:
-    numpy draws k standard exponentials (gamma of shape 1), sums them left to
-    right and scales by the reciprocal. The sum is a plain loop, since
-    ``sum()`` compensates float sums from Python 3.12 on."""
-    e = rng.standard_exponential(k)
-    total = 0.0
-    for x in e.tolist():
-        total += x
-    return e * (1.0 / total)
-
-
-def _weighted_states(unitaries: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Unvalidated matrices for an (n, N, N) stack of unitaries and (n, N)
-    weights: matrix i sums ``weights[i, j]`` times the projector on column j
-    of unitary i, in one stacked product, each bit-identical to building it alone."""
-    return (unitaries * weights[:, None, :]) @ unitaries.conj().swapaxes(-1, -2)
+def _random_state_stack(ranks: np.ndarray | list[int], ginibre: np.ndarray) -> np.ndarray:
+    """:func:`sample_random_state` for each rank and its (2, N, N) Ginibre parts
+    in an (n, 2, N, N) stack, with one stacked product and one validation;
+    each state is bit-identical to building it alone."""
+    dim = ginibre.shape[-1]
+    kept = np.arange(dim) < np.asarray(ranks)[:, None, None]
+    g = (ginibre[:, 0] + 1j * ginibre[:, 1]) * kept
+    m = g @ g.conj().swapaxes(-1, -2)
+    return _density_stack(m / m.trace(axis1=1, axis2=2).real[:, None, None])
 
 
 def sample_orthogonal_mixed_pair(

@@ -6,8 +6,14 @@ its values to a ``_Worst`` accumulator, which reports the worst value seen
 per check. The metric, Jordan-Hahn, translation and backflow-scaling suites
 draw seeded random instances; ``dynamics_suite`` checks the preset's map
 coefficients on the whole time grid and the linear map on a spanning basis,
-and draws only its distance-contraction pairs. The suites back the
-``verify`` CLI command and the acceptance tests.
+and draws only its distance-contraction pairs. Instance i of dimension N
+draws from its own stream ``rng_stream(seed, tag, N, i)``, with tag 10
+(metric), 20 (Jordan-Hahn), 30 (translation) or 40 (backflow scaling);
+contraction pair i draws from ``(seed, 50, 3, i)``. So an instance's values
+depend on its key alone, not on the block it is drawn in or on how many
+numbers another instance or check reads. Random states follow the induced
+law of :func:`sample_random_state`. The suites back the ``verify`` CLI
+command and the acceptance tests.
 
 Dimension-3 checks run under the closed-form three-level map; other
 dimensions use a time-dependent depolarizing map (linear and trace
@@ -23,6 +29,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -46,15 +54,14 @@ from .statespace import (
     _clipped_distances,
     _density_stack,
     _haar_from_ginibre,
-    _random_state_draws,
+    _random_state_stack,
     _rescale_parts,
-    _weighted_states,
+    _streams,
     is_orthogonal,
     jordan_hahn,
     make_density_matrix,
     pure_state,
     rescale_pair,
-    rng_stream,
     sample_orthogonal_mixed_pair,
     sample_random_state,
     trace_distance,
@@ -164,22 +171,19 @@ def _block_sizes(count: int, dim: int) -> list[int]:
     return [min(size, count - start) for start in range(0, count, size)]
 
 
-def _pair_draws(dim: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The random numbers of one random pair, in its order: both ranks, then each state's draws."""
-    ranks = [int(rng.integers(1, dim + 1)) for _ in range(2)]
-    return [_random_state_draws(dim, rank, rng) for rank in ranks]
-
-
-def _random_states(draws: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The validated states of a list of state draws, with one stacked QR and one validation."""
-    unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws]))
-    return _density_stack(_weighted_states(unitaries, np.array([weights for _, weights in draws])))
-
-
-def _random_pair(dim: int, rng: np.random.Generator) -> tuple[DensityMatrix, DensityMatrix]:
-    """Random state pair with independently drawn ranks."""
-    rho1, rho2 = _random_states(_pair_draws(dim, rng))
-    return DensityMatrix(rho1), DensityMatrix(rho2)
+def _random_states(
+    dim: int, rngs: Iterable[np.random.Generator], count: int, blocks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each stream's ``count`` ranks in 1..N, then one (blocks, 2, N, N)
+    normal block, blocks >= count. The first ``count`` Ginibre parts of each
+    block become states of those ranks, as in :func:`sample_random_state`.
+    Returns the (n, count, N, N) states, built and validated as one stack,
+    and the (n, blocks, 2, N, N) normals."""
+    draws = [(rng.integers(1, dim + 1, count), rng.standard_normal((blocks, 2, dim, dim))) for rng in rngs]
+    normals = np.array([block for _, block in draws])
+    ranks = np.concatenate([ranks for ranks, _ in draws])
+    states = _random_state_stack(ranks, normals[:, :count].reshape(-1, 2, dim, dim))
+    return states.reshape(len(draws), count, dim, dim), normals
 
 
 def _random_nonorthogonal_pair(
@@ -187,7 +191,7 @@ def _random_nonorthogonal_pair(
 ) -> tuple[DensityMatrix, DensityMatrix, float]:
     """Random pair that is neither orthogonal nor (nearly) equal, with its trace distance."""
     for _ in range(100):
-        rho1, rho2 = _random_pair(dim, rng)
+        rho1, rho2 = (DensityMatrix(state) for state in _random_states(dim, [rng], 2, 2)[0][0])
         d = trace_distance(rho1, rho2)
         # not orthogonal: is_orthogonal tests d >= 1 - TOL_ORTH
         if 1e-6 < d < 1.0 - TOL_ORTH:
@@ -231,32 +235,28 @@ def _trajectory(coeffs: MapCoefficients, m1: np.ndarray, m2: np.ndarray) -> Trac
 def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[PropertyCheck]:
     """Metric axioms of the trace distance plus unitary invariance.
 
-    Each dimension's triples run in blocks of :func:`_block_sizes`; the
-    checks do not depend on the block size.
+    Triple i of dimension N draws from the stream ``(seed, 10, N, i)``. Each
+    dimension's triples run in blocks of :func:`_block_sizes`; the checks do
+    not depend on the block size.
     """
     worst = _Worst()
     for dim in dims:
-        rng = rng_stream(seed, 10, dim)
+        streams = _streams(seed, (10, dim), 0, triples)
         for n in _block_sizes(triples, dim):
-            _metric_block(worst, dim, n, rng)
+            _metric_block(worst, dim, islice(streams, n))
     return worst.checks(
         "metric-symmetry metric-self-distance metric-triangle metric-unitary-invariance", len(dims) * triples
     )
 
 
-def _metric_block(worst: _Worst, dim: int, n: int, rng: np.random.Generator) -> None:
-    """Check ``n`` triples: the random numbers are drawn triple by triple (a
-    random pair, a third state, a Haar rotation), then every state is built
-    and compared as a stack, each bit-identical to handling its triple alone."""
-    draws, rotations = [], []
-    for _ in range(n):
-        draws += _pair_draws(dim, rng)
-        draws.append(_random_state_draws(dim, int(rng.integers(1, dim + 1)), rng))
-        rotations.append(rng.standard_normal((2, dim, dim)))
-    unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws] + rotations))
-    states = _density_stack(_weighted_states(unitaries[: 3 * n], np.array([weights for _, weights in draws])))
-    a, b, c = (states[k::3] for k in range(3))
-    u = unitaries[3 * n :]
+def _metric_block(worst: _Worst, dim: int, rngs: Iterable[np.random.Generator]) -> None:
+    """Check one triple per stream: three random states and a Haar rotation
+    from its fourth Ginibre block, built and compared as a stack, each
+    bit-identical to handling its triple alone."""
+    states, normals = _random_states(dim, rngs, 3, 4)
+    a, b, c = states.swapaxes(0, 1)
+    n = len(states)
+    u = _haar_from_ginibre(normals[:, 3])
     u_adjoint = u.conj().swapaxes(-1, -2)
     ua, ub = _density_stack(np.concatenate([u @ a @ u_adjoint, u @ b @ u_adjoint])).reshape(2, n, dim, dim)
     deltas = np.stack([a - b, b - a, a - a, a - c, b - c, ua - ub], axis=1)
@@ -271,8 +271,7 @@ def jordan_hahn_suite(seed: int, dims=(2, 3, 4), trials: int = 100) -> list[Prop
     """Split/rescale identities and the orthogonality-distance equivalence."""
     worst = _Worst()
     for dim in dims:
-        rng = rng_stream(seed, 20, dim)
-        for _ in range(trials):
+        for rng in _streams(seed, (20, dim), 0, trials):
             rho1, rho2, dist = _random_nonorthogonal_pair(dim, rng)
             delta = rho1.entries - rho2.entries
             parts = jordan_hahn(rho1, rho2)
@@ -326,8 +325,7 @@ def translation_suite(
     worst = _Worst()
     accepted = 0  # orthogonal pairs wrongly accepted for translation
     for dim in dims:
-        rng = rng_stream(seed, 30, dim)
-        for _ in range(trials):
+        for rng in _streams(seed, (30, dim), 0, trials):
             rho1, rho2, _ = _random_nonorthogonal_pair(dim, rng)
             translated = None
             if flip > 0:
@@ -408,8 +406,7 @@ def backflow_scaling_suite(
     """Backflow scaling laws under rescaling and convex stretching."""
     worst = _Worst()
     for dim in dims:
-        rng = rng_stream(seed, 40, dim)
-        for _ in range(trials):
+        for rng in _streams(seed, (40, dim), 0, trials):
             rho1, rho2, _ = _random_nonorthogonal_pair(dim, rng)
             sigma1, sigma2, lam = rescale_pair(rho1, rho2)
             bf = backflow(_trajectory(coeffs, rho1.entries, rho2.entries))
@@ -457,7 +454,6 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
     """
     rates = sinusoidal_rates()
     grid = coeffs.grid
-    rng = rng_stream(seed, 50)
 
     worst = _Worst()
     integrated = _without_integrals(rates)
@@ -475,9 +471,9 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
 
     # the pairs are drawn a block at a time, but their full-grid trajectories
     # (three (grid, 3, 3) stacks, about 0.9 MB a pair) are held one at a time
+    streams = _streams(seed, (50, 3), 0, contraction_pairs)
     for n in _block_sizes(contraction_pairs, 3):
-        states = _random_states([draw for _ in range(n) for draw in _pair_draws(3, rng)])
-        for rho1, rho2 in zip(states[0::2], states[1::2]):
+        for rho1, rho2 in _random_states(3, islice(streams, n), 2, 2)[0]:
             d = _trajectory(coeffs, rho1, rho2).distances
             worst.see("distance-contraction-bound", (d - d[0]).max())
 

@@ -20,13 +20,10 @@ from backflow.statespace import (
     _canonical_sign,
     _clipped_distances,
     _density_stack,
-    _flat_dirichlet,
-    _haar_from_ginibre,
     _mixed_pair_stacks,
     _pure_pair_stacks,
-    _random_state_draws,
+    _random_state_stack,
     _streams,
-    _weighted_states,
     haar_unitary,
     is_boundary,
     is_orthogonal,
@@ -475,6 +472,21 @@ class TestSampling:
         rho = sample_random_state(4, 3, rng_stream(11))
         assert is_boundary(rho)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_random_states_follow_the_induced_law(self, dim):
+        # the induced measure of an N x r Ginibre matrix has rank r and mean
+        # purity (N + r) / (N r + 1); flat Dirichlet weights give 2/3 at N = r = 2
+        samples = 1000
+        for rank in range(1, dim + 1):
+            purities = []
+            for i in range(samples):
+                rho = sample_random_state(dim, rank, rng_stream(38, dim, rank, i))
+                assert int((rho.eigenvalues > TOL_PSD).sum()) == rank
+                purities.append(purity(rho))
+            expected = (dim + rank) / (dim * rank + 1)
+            error = np.std(purities) / np.sqrt(samples)
+            assert abs(np.mean(purities) - expected) <= 4 * error + 1e-12
+
     def test_bad_dimension(self):
         with pytest.raises(BadDimension):
             sample_pure_orthogonal_pair(1, rng_stream(0))
@@ -510,11 +522,13 @@ def reference_haar(dim, rng):
     return q * (d / np.abs(d))
 
 
-def reference_weighted(u, rank, rng):
-    """A rank-r state from numpy's own Dirichlet, zero-padded to all N columns of u."""
-    weights = np.zeros(u.shape[1])
-    weights[:rank] = rng.dirichlet(np.ones(rank))
-    return reference_density((u * weights) @ u.conj().T)
+def reference_random_state(dim, rank, rng):
+    """G G^dagger / tr for one N x N complex Ginibre G with columns rank..N-1 zeroed."""
+    z = rng.standard_normal((2, dim, dim))
+    g = z[0] + 1j * z[1]
+    g[:, rank:] = 0.0
+    m = g @ g.conj().T
+    return reference_density(m / float(np.trace(m).real))
 
 
 def reference_pure_pair(dim, rng):
@@ -569,18 +583,26 @@ class TestStackedSampling:
         for rank in range(1, dim + 1):
             for i in range(8):
                 rng = rng_stream(33, rank, i)
-                expected = reference_weighted(reference_haar(dim, rng), rank, rng)
+                expected = reference_random_state(dim, rank, rng)
                 assert np.array_equal(sample_random_state(dim, rank, rng_stream(33, rank, i)).entries, expected)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_random_state_reads_one_normal_block_whatever_the_rank(self, dim):
+        # a state reads its (2, N, N) Ginibre parts and nothing more, so the
+        # next number a stream gives does not depend on the rank drawn
+        for rank in range(1, dim + 1):
+            ours, reference = rng_stream(39, dim, rank), rng_stream(39, dim, rank)
+            sample_random_state(dim, rank, ours)
+            reference.standard_normal((2, dim, dim))
+            assert ours.random() == reference.random()
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_random_state_stack_matches_one_matrix_reference(self, dim):
         ranks = [1 + i % dim for i in range(3 * dim)][::-1]
-        draws = [_random_state_draws(dim, rank, rng_stream(36, i)) for i, rank in enumerate(ranks)]
-        unitaries = _haar_from_ginibre(np.array([ginibre for ginibre, _ in draws]))
-        states = _density_stack(_weighted_states(unitaries, np.array([weights for _, weights in draws])))
+        ginibre = np.array([rng_stream(36, i).standard_normal((2, dim, dim)) for i in range(len(ranks))])
+        states = _random_state_stack(ranks, ginibre)
         for i, rank in enumerate(ranks):
-            rng = rng_stream(36, i)
-            assert np.array_equal(states[i], reference_weighted(reference_haar(dim, rng), rank, rng))
+            assert np.array_equal(states[i], reference_random_state(dim, rank, rng_stream(36, i)))
 
     def test_stacks_are_read_only(self):
         first, second = _pure_pair_stacks(3, [rng_stream(34, i) for i in range(3)])
@@ -639,13 +661,6 @@ class TestStreams:
     def test_out_of_range_keys_are_domain_errors(self, args):
         with pytest.raises(DomainError):
             rng_stream(*args)
-
-    @pytest.mark.parametrize("k", range(1, 12))
-    def test_flat_dirichlet_is_generator_dirichlet(self, k):
-        for i in range(16):
-            ours, numpy = rng_stream(37, k, i), rng_stream(37, k, i)
-            assert np.array_equal(_flat_dirichlet(ours, k), numpy.dirichlet(np.ones(k)))
-            assert ours.random() == numpy.random()  # both read the same number of draws
 
     @pytest.mark.parametrize("prefix", [(), (1,)], ids=["no-prefix", "prefix-1"])
     @pytest.mark.parametrize("start", [0, 37])

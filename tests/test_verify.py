@@ -70,6 +70,30 @@ def test_jordan_hahn_suite_splits_each_pair_once(monkeypatch):
     assert calls == [2] * 5 + [3] * 5
 
 
+def test_checks_do_not_depend_on_the_mixed_pair_draws(monkeypatch, preset_coeffs):
+    # each trial draws from its own stream and its orthogonal mixed pair
+    # last, so a sampler that reads one more number moves no other check
+    def suites():
+        return {
+            c.name: c.worst
+            for c in jordan_hahn_suite(7, (2, 3, 4), 10) + translation_suite(7, preset_coeffs, (2, 3, 4), 10)
+        }
+
+    before = suites()
+    calls = []
+
+    def one_more_normal(dim, rng):
+        calls.append(dim)
+        rng.standard_normal()
+        return sample_orthogonal_mixed_pair(dim, rng)
+
+    monkeypatch.setattr(verify, "sample_orthogonal_mixed_pair", one_more_normal)
+    after = suites()
+    assert len(calls) == 60
+    moved = {"orthogonal-pairs-unit-distance", "orthogonal-pairs-on-boundary"}
+    assert {k: v for k, v in after.items() if k not in moved} == {k: v for k, v in before.items() if k not in moved}
+
+
 def test_translation_suite(preset_coeffs, seed=103):
     assert_all_pass(translation_suite(seed, dims=(2, 3, 4), trials=15, coeffs=preset_coeffs))
 
@@ -209,15 +233,14 @@ def test_translation_suite_takes_no_full_grid_eigensolve(monkeypatch, preset_coe
 
 
 def reference_metric_suite(seed, dims, triples):
-    """The metric suite one triple at a time, as it ran before drawing in blocks."""
+    """The metric suite one triple at a time through the public samplers: triple
+    i reads its stream's three ranks, then three states and a Haar rotation."""
     worst = _Worst()
     for dim in dims:
-        rng = rng_stream(seed, 10, dim)
-        for _ in range(triples):
-            r1 = int(rng.integers(1, dim + 1))
-            r2 = int(rng.integers(1, dim + 1))
-            a, b = sample_random_state(dim, r1, rng), sample_random_state(dim, r2, rng)
-            c = sample_random_state(dim, int(rng.integers(1, dim + 1)), rng)
+        for i in range(triples):
+            rng = rng_stream(seed, 10, dim, i)
+            ranks = rng.integers(1, dim + 1, 3)
+            a, b, c = (sample_random_state(dim, int(rank), rng) for rank in ranks)
             dab, dba = trace_distance(a, b), trace_distance(b, a)
             worst.see("metric-symmetry", abs(dab - dba))
             worst.see("metric-self-distance", trace_distance(a, a))
@@ -244,13 +267,43 @@ def test_metric_checks_do_not_depend_on_the_block_size(monkeypatch, dim, block, 
     assert metric_suite(11, (dim,), 30) == reference_metric_suite(11, (dim,), 30)
 
 
+SUITE_STREAMS = {
+    "metric": (lambda seed, coeffs: metric_suite(seed, (2, 3), 4), 10, (2, 3)),
+    "jordan-hahn": (lambda seed, coeffs: jordan_hahn_suite(seed, (2, 3), 4), 20, (2, 3)),
+    "translation": (lambda seed, coeffs: translation_suite(seed, coeffs, (2, 3), 4), 30, (2, 3)),
+    "backflow-scaling": (lambda seed, coeffs: backflow_scaling_suite(seed, coeffs, (2, 3), 4), 40, (2, 3)),
+    "contraction": (lambda seed, coeffs: dynamics_suite(seed, coeffs, 4), 50, (3,)),
+}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_STREAMS))
+def test_each_instance_draws_from_its_own_stream(monkeypatch, preset_coeffs, suite):
+    # instance i of dimension N reads the fresh stream (seed, tag, N, i)
+    run, tag, dims = SUITE_STREAMS[suite]
+    original = verify._streams
+    keys = []
+
+    def recording(seed, prefix, start, stop):
+        for i, rng in zip(range(start, stop), original(seed, prefix, start, stop)):
+            fresh = rng_stream(seed, *prefix, i).bit_generator.state
+            state = rng.bit_generator.state
+            for word in ("counter", "key"):
+                assert np.array_equal(state["state"][word], fresh["state"][word])
+            assert (state["buffer_pos"], state["has_uint32"]) == (fresh["buffer_pos"], fresh["has_uint32"])
+            keys.append((seed, *prefix, i))
+            yield rng
+
+    monkeypatch.setattr(verify, "_streams", recording)
+    run(9, preset_coeffs)
+    assert keys == [(9, tag, dim, i) for dim in dims for i in range(4)]
+
+
 def test_contraction_pairs_do_not_depend_on_the_block_size(monkeypatch, preset_coeffs):
     worst = 0.0
-    rng = rng_stream(12, 50)
-    for _ in range(5):
-        r1 = int(rng.integers(1, 4))
-        r2 = int(rng.integers(1, 4))
-        rho1, rho2 = sample_random_state(3, r1, rng), sample_random_state(3, r2, rng)
+    for i in range(5):
+        rng = rng_stream(12, 50, 3, i)
+        r1, r2 = rng.integers(1, 4, 2)
+        rho1, rho2 = sample_random_state(3, int(r1), rng), sample_random_state(3, int(r2), rng)
         d = _trajectory(preset_coeffs, rho1.entries, rho2.entries).distances
         worst = max(worst, float((d - d[0]).max()))
     for block in (1, 2, 5):
@@ -273,32 +326,32 @@ def test_metric_block_memory_is_bounded():
     assert peaks[1] <= 1.1 * peaks[0]  # ten times the triples, the same blocks
 
 
-# worst values of run_all(7, (2, 3, 4), 3), as computed one triple at a time
+# worst values of run_all(7, (2, 3, 4), 3)
 RUN_ALL_SEED7_WORST = {
     "metric-symmetry": 0.0,
     "metric-self-distance": 0.0,
     "metric-triangle": 0.0,
     "metric-unitary-invariance": 8.881784197001252e-16,
-    "jordan-hahn-reconstruction": 5.551115123125783e-16,
-    "jordan-hahn-traces-equal-distance": 8.881784197001252e-16,
-    "jordan-hahn-parts-positive": 9.947307755469926e-17,
-    "jordan-hahn-parts-orthogonal": 1.3072267677666308e-16,
-    "rescale-unit-distance": 2.220446049250313e-16,
-    "rescale-difference-law": 4.440892098500626e-16,
-    "overlapping-pairs-below-unit-distance": 0.7682844651888135,
-    "orthogonal-pairs-unit-distance": 3.3306690738754696e-16,
-    "orthogonal-pairs-on-boundary": 1.1102230246251565e-16,
-    "translate-strictly-interior": 0.003946483649083149,
-    "translate-difference-preserved": 1.1443916996305594e-16,
-    "translate-trajectory-invariance": 5.551115123125783e-16,
-    "shift-traceless": 1.6653345369377348e-16,
+    "jordan-hahn-reconstruction": 4.996003610813204e-16,
+    "jordan-hahn-traces-equal-distance": 4.440892098500626e-16,
+    "jordan-hahn-parts-positive": 1.393811598976718e-16,
+    "jordan-hahn-parts-orthogonal": 1.1387480982728266e-16,
+    "rescale-unit-distance": 4.440892098500626e-16,
+    "rescale-difference-law": 4.90457592513324e-16,
+    "overlapping-pairs-below-unit-distance": 0.6090367666108747,
+    "orthogonal-pairs-unit-distance": 0.0,
+    "orthogonal-pairs-on-boundary": 2.1109924659424998e-16,
+    "translate-strictly-interior": 0.002968211725917839,
+    "translate-difference-preserved": 2.220446049250313e-16,
+    "translate-trajectory-invariance": 6.661338147750939e-16,
+    "shift-traceless": 6.591949208711867e-17,
     "shift-hermitian": 0.0,
-    "shift-nonzero": 0.014845448630058948,
+    "shift-nonzero": 0.009772717508358965,
     "orthogonal-pairs-rejected": 0.0,
-    "quadratic-bound-positive": 8.243014124060567e-05,
+    "quadratic-bound-positive": 6.966931307153101e-05,
     "epsilon-bound-monotone": 0.0029230769230769033,
-    "rescaled-backflow-law": 3.885780586188048e-16,
-    "stretched-backflow-law": 1.3530843112619095e-16,
+    "rescaled-backflow-law": 7.216449660063518e-16,
+    "stretched-backflow-law": 3.95516952522712e-16,
     "cpt-identity": 2.220446049250313e-16,
     "cpt-g-nonnegative": -1.7638935453291527e-17,
     "closed-form-rate-integrals": 7.710627553114691e-10,
