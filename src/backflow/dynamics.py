@@ -15,6 +15,7 @@ import inspect
 import math
 import reprlib
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -224,6 +225,8 @@ class MapCoefficients:
     f multiplies excited-state coherences, g_i feed the excited population
     into ground level i; d_i are the underlying cumulative decay-rate
     integrals. Valid coefficients satisfy g1 + g2 + |f|^2 = 1 and g_i >= 0.
+    Every field is kept as a read-only copy, so the map scale built from
+    them once cannot go stale.
     """
 
     grid: np.ndarray
@@ -232,6 +235,24 @@ class MapCoefficients:
     g2: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            values = np.array(getattr(self, field.name))
+            values.setflags(write=False)
+            object.__setattr__(self, field.name, values)
+
+    @cached_property
+    def _scale(self) -> np.ndarray:
+        """The (grid, 3, 3) factors by which the map multiplies a matrix's
+        entries: |f|^2 on the excited population, f and its conjugate on
+        the excited coherences, 1 on the (b, c) block."""
+        scale = np.ones((self.f.size, 3, 3), dtype=complex)
+        scale[:, 0, 0] = np.abs(self.f) ** 2
+        scale[:, 0, 1:] = self.f[:, None]
+        scale[:, 1:, 0] = np.conj(self.f)[:, None]
+        scale.setflags(write=False)
+        return scale
 
 
 @dataclass(frozen=True)
@@ -348,7 +369,7 @@ def lambda_map_coefficients(rates: RateFunctions, grid: np.ndarray) -> MapCoeffi
             d1, d2, phase, spread = _quadrature(rates, grid)
         else:
             d1, phase = closed
-            d2, spread = d1.copy(), 0.0
+            d2, spread = d1, 0.0
         decay = d1 + d2
         _check_integrals(decay, phase)
         total = -np.expm1(-decay)
@@ -388,16 +409,12 @@ def apply_map_to_grid(coeffs: MapCoefficients, matrices: np.ndarray) -> np.ndarr
     differences of states. It keeps the (b, c) block, scales the excited
     population by |f|^2 and the excited coherences by f, and feeds g1, g2
     of the excited population into the ground levels. Takes shape
-    (..., 3, 3) and returns shape (..., grid, 3, 3).
+    (..., 3, 3) and returns shape (..., grid, 3, 3). The coefficients build
+    their scale once, so a call only multiplies and adds the two feeds.
     """
     m = np.asarray(matrices, dtype=complex)
     _check_dim3(m)
-    f = coeffs.f
-    scale = np.ones((f.size, 3, 3), dtype=complex)
-    scale[:, 0, 0] = np.abs(f) ** 2
-    scale[:, 0, 1:] = f[:, None]
-    scale[:, 1:, 0] = np.conj(f)[:, None]
-    out = m[..., None, :, :] * scale
+    out = m[..., None, :, :] * coeffs._scale
     excited = m[..., None, 0, 0]
     out[..., 1, 1] += coeffs.g1 * excited
     out[..., 2, 2] += coeffs.g2 * excited
@@ -519,11 +536,14 @@ def lindblad_integrate(
     from the master equation's generators at the step's nodes and midpoint
     (:func:`_rk4_propagators`). Propagators are built a block of
     ``STEP_BLOCK`` (32) steps at a time, so the memory beyond the output
-    does not grow with the block count. Each step applies its propagator to
-    each matrix alone, re-symmetrizes and renormalizes the trace. After each
-    block, one ``isfinite`` and one stacked eigensolve check every step's
-    states, and the first step that is non-finite or has an eigenvalue below
-    the allowed band is reported, never clipped.
+    does not grow with the block count. A step is one product of each
+    matrix alone with its propagator. After each block, its states are
+    re-symmetrized and their traces renormalized at once, so every
+    returned state is exactly Hermitian, and the next block starts from
+    the block's last state; then one ``isfinite`` and one stacked
+    eigensolve check every step's states, and the first step that is
+    non-finite or has an eigenvalue below the allowed band is reported,
+    never clipped.
     """
     for state in states:
         _check_dim3(state.entries)
@@ -545,9 +565,10 @@ def lindblad_integrate(
     n = len(states)
     out = np.empty((n, grid.size, 3, 3), dtype=complex)
     out[:, 0] = np.stack([state.entries for state in states])
-    # (n, 1, 9): a stack of one-row products, so each state's product is
-    # computed alone and does not depend on the states integrated with it
-    rho = out[:, 0].reshape(n, 1, 9)
+    # (n, grid, 1, 9): each step's states as a stack of one-row products, so
+    # each state's product is computed alone and does not depend on the
+    # states integrated with it
+    rows = out.reshape(n, grid.size, 1, 9)
     # divergence is detected from the states below, so numpy's warnings
     # would only repeat it before the IntegratorDiverged
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -557,10 +578,9 @@ def lindblad_integrate(
                 np.diff(grid[first : last + 1]), generator(at_nodes[first : last + 1]), generator(at_mids[first:last])
             )
             for k in range(first, last):
-                step = np.matmul(rho, propagators[k - first]).reshape(n, 3, 3)
-                step = (step + step.conj().swapaxes(-1, -2)) / 2.0
-                step /= np.trace(step, axis1=-2, axis2=-1).real[:, None, None]
-                out[:, k + 1] = step
-                rho = step.reshape(n, 1, 9)
+                np.matmul(rows[:, k], propagators[k - first], out=rows[:, k + 1])
+            block = out[:, first + 1 : last + 1]
+            block = (block + block.conj().swapaxes(-1, -2)) / 2.0
+            out[:, first + 1 : last + 1] = block / np.trace(block, axis1=-2, axis2=-1).real[..., None, None]
             _check_block(out[:, first + 1 : last + 1], grid[first + 1 : last + 1])
     return out

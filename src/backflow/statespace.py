@@ -159,11 +159,7 @@ class HermitianOperator:
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-        _check_finite(m, "operator entries (row, column)")
-        dev = float(np.abs(m - m.conj().T).max())
-        if dev > TOL_HERM:
-            raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {TOL_HERM:.1e}")
-        m = (m + m.conj().T) / 2
+        m = _hermitian_parts(m, "operator entries (row, column)")
         if traceless:
             tr = abs(complex(np.trace(m)))
             if tr > TOL_TRACE:
@@ -193,15 +189,21 @@ def make_density_matrix(entries: np.ndarray) -> DensityMatrix:
     return DensityMatrix(_density_stack(m[None])[0])
 
 
-def _density_stack(stack: np.ndarray) -> np.ndarray:
-    """:func:`make_density_matrix` on an (n, N, N) stack, one eigensolve for all;
-    each read-only result is bit-identical to validating its matrix alone."""
-    _check_finite(stack, "state entries (matrix, row, column)")
+def _hermitian_parts(stack: np.ndarray, what: str) -> np.ndarray:
+    """The Hermitian parts (M + M^dagger) / 2 of a (..., N, N) stack, once its
+    ``what`` are finite and each M is within TOL_HERM of Hermitian."""
+    _check_finite(stack, what)
     adjoint = stack.conj().swapaxes(-1, -2)
     dev = float(np.abs(stack - adjoint).max())
     if dev > TOL_HERM:
         raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {TOL_HERM:.1e}")
-    m = (stack + adjoint) / 2
+    return (stack + adjoint) / 2
+
+
+def _density_stack(stack: np.ndarray) -> np.ndarray:
+    """:func:`make_density_matrix` on an (n, N, N) stack, one eigensolve for all;
+    each read-only result is bit-identical to validating its matrix alone."""
+    m = _hermitian_parts(stack, "state entries (matrix, row, column)")
     tr = m.trace(axis1=1, axis2=2).real
     # the worst cases are found on python floats, which for the one-matrix
     # stacks of make_density_matrix costs less than a numpy reduction
@@ -259,7 +261,13 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     difference through :func:`_clipped_distances`, the package's one
     trace-distance kernel."""
     _check_same_dim(rho1, rho2)
-    return float(_clipped_distances(_canonical_sign(rho1.entries - rho2.entries)))
+    return float(_trace_distances(rho1.entries - rho2.entries))
+
+
+def _trace_distances(deltas: np.ndarray) -> np.ndarray:
+    """:func:`trace_distance` on an (..., N, N) stack of state differences,
+    each value bit-identical to its pair's."""
+    return _clipped_distances(_canonical_sign(deltas))
 
 
 def _clipped_distances(deltas: np.ndarray) -> np.ndarray:
@@ -334,12 +342,23 @@ def jordan_hahn(rho1: DensityMatrix, rho2: DensityMatrix) -> JordanHahnParts:
     the trace distance.
     """
     _check_same_dim(rho1, rho2)
-    parts, weights = _signed_parts((rho1.entries - rho2.entries)[None])
+    parts, weights = _jordan_hahn_stack((rho1.entries - rho2.entries)[None])
+    p1, p2 = (HermitianOperator(part[0]) for part in parts)
+    return JordanHahnParts(p1, p2, float(weights[0]))
+
+
+def _jordan_hahn_stack(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`jordan_hahn` on an (n, N, N) stack of state differences: the
+    read-only (2, n, N, N) stack of the parts P1 and P2, checked and made
+    Hermitian as :meth:`HermitianOperator.from_matrix` keeps them, and the
+    (n,) weights. Each pair's split is bit-identical to splitting it alone."""
+    parts, weights = _signed_parts(deltas)
     # the largest clipped weight is the largest |eigenvalue| of the difference
-    if float(weights.max()) <= TOL_PSD:
+    if float(weights.max(axis=(0, 2)).min()) <= TOL_PSD:
         raise IdenticalStates("states coincide within tolerance; no Jordan-Hahn split")
-    p1, p2 = (HermitianOperator.from_matrix(part[0]) for part in parts)
-    return JordanHahnParts(p1, p2, float(weights[0, 0].sum()))
+    parts = _hermitian_parts(parts.astype(complex, copy=False), "operator entries (part, matrix, row, column)")
+    parts.setflags(write=False)
+    return parts, weights[0].sum(axis=-1)
 
 
 def _signed_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,19 +398,29 @@ def rescale_pair(
     is at least 1 - TOL_ORTH as in :func:`is_orthogonal`, are already in this
     form and are returned unchanged with lam = 1.
     """
-    return _rescale_parts(rho1, rho2, jordan_hahn(rho1, rho2))
-
-
-def _rescale_parts(
-    rho1: DensityMatrix, rho2: DensityMatrix, parts: JordanHahnParts
-) -> tuple[DensityMatrix, DensityMatrix, float]:
-    """:func:`rescale_pair` from the pair's split ``parts``, for callers that already hold it."""
-    lam = parts.weight
-    if lam >= 1.0 - TOL_ORTH:
+    parts = jordan_hahn(rho1, rho2)
+    split = np.stack([parts.positive_part.entries, parts.negative_part.entries])[:, None]
+    pair = np.stack([rho1.entries, rho2.entries])[:, None]
+    (sigma1, sigma2), (lam,) = _rescaled_pairs(pair, split, np.array([parts.weight]))
+    if lam == 1.0:  # a kept pair: any other weight is below 1 - TOL_ORTH
         return rho1, rho2, 1.0
-    sigma1 = make_density_matrix(parts.positive_part.entries / lam)
-    sigma2 = make_density_matrix(parts.negative_part.entries / lam)
-    return sigma1, sigma2, lam
+    return DensityMatrix(sigma1[0]), DensityMatrix(sigma2[0]), float(lam)
+
+
+def _rescaled_pairs(pairs: np.ndarray, parts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rescale_pair` on a (2, n, N, N) stack of state pairs, given their
+    split by :func:`_jordan_hahn_stack`: the (2, n, N, N) rescaled pairs,
+    validated as one stack, and the (n,) factors lam. A pair whose weight
+    reaches 1 - TOL_ORTH is kept as it is, with lam = 1. Each rescaled pair
+    is bit-identical to rescaling it alone."""
+    kept = weights >= 1.0 - TOL_ORTH
+    lams = np.where(kept, 1.0, weights)
+    rescaled = pairs.copy()
+    if not kept.all():
+        scaled = parts[:, ~kept] / lams[~kept, None, None]
+        rescaled[:, ~kept] = _density_stack(scaled.reshape(-1, *scaled.shape[2:])).reshape(scaled.shape)
+    rescaled.setflags(write=False)
+    return rescaled, lams
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -476,9 +505,16 @@ def _mixed_pair_stacks(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndar
     """:func:`sample_orthogonal_mixed_pair` for one stream each, as a (2, n, N, N) stack.
 
     Each stream is read once, for the (2, N, N) real and imaginary parts of
-    its Ginibre matrix; one stacked split and one validation then build every pair.
+    its Ginibre matrix.
     """
-    ginibre = np.array([rng.standard_normal((2, dim, dim)) for rng in rngs])
+    return _mixed_pairs_from_ginibre(np.array([rng.standard_normal((2, dim, dim)) for rng in rngs]))
+
+
+def _mixed_pairs_from_ginibre(ginibre: np.ndarray) -> np.ndarray:
+    """Orthogonal mixed pairs from an (n, 2, N, N) stack of real and imaginary
+    Ginibre parts, as a (2, n, N, N) stack: one stacked split and one
+    validation build every pair."""
+    dim = ginibre.shape[-1]
     g = ginibre[:, 0] + 1j * ginibre[:, 1]
     h = g + g.conj().swapaxes(-1, -2)
     h -= (h.trace(axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)

@@ -50,18 +50,19 @@ from .statespace import (
     TOL_ORTH,
     TOL_PSD,
     DensityMatrix,
-    _canonical_sign,
     _clipped_distances,
     _density_stack,
     _haar_from_ginibre,
+    _jordan_hahn_stack,
+    _mixed_pairs_from_ginibre,
     _random_state_stack,
-    _rescale_parts,
+    _rescaled_pairs,
     _streams,
-    is_orthogonal,
-    jordan_hahn,
+    _trace_distances,
     make_density_matrix,
     pure_state,
     rescale_pair,
+    rng_stream,
     sample_orthogonal_mixed_pair,
     sample_random_state,
     trace_distance,
@@ -147,7 +148,7 @@ class _Worst:
     def see(self, name: str, *values: float) -> None:
         lower, current = self._get(name)
         new = [float(v) for v in values]
-        self._values[name] = math.nan if any(map(math.isnan, new)) else (min if lower else max)(current, *new)
+        self._values[name] = math.nan if any(map(math.isnan, new)) else (min if lower else max)([current, *new])
 
     def checks(self, names: str, trials: int) -> list[PropertyCheck]:
         """The checks named in the space-separated ``names``, in that order."""
@@ -193,10 +194,14 @@ def _random_nonorthogonal_pair(
     for _ in range(100):
         rho1, rho2 = (DensityMatrix(state) for state in _random_states(dim, [rng], 2, 2)[0][0])
         d = trace_distance(rho1, rho2)
-        # not orthogonal: is_orthogonal tests d >= 1 - TOL_ORTH
-        if 1e-6 < d < 1.0 - TOL_ORTH:
+        if _accepted(d):
             return rho1, rho2, d
     raise RuntimeError("failed to sample a non-orthogonal pair")  # pragma: no cover
+
+
+def _accepted(distances: np.ndarray | float) -> np.ndarray | bool:
+    """Whether pairs at these distances are neither orthogonal nor nearly equal."""
+    return (1e-6 < distances) & (distances < 1.0 - TOL_ORTH)
 
 
 def depolarizing_weights(grid: np.ndarray) -> np.ndarray:
@@ -227,18 +232,14 @@ def _trajectory(coeffs: MapCoefficients, m1: np.ndarray, m2: np.ndarray) -> Trac
     """
     grid = coeffs.grid
     if m1.shape[0] == 3:
-        return trajectory_from_states(grid, apply_map_to_grid(coeffs, m1), apply_map_to_grid(coeffs, m2))
+        return trajectory_from_states(grid, *apply_map_to_grid(coeffs, np.stack([m1, m2])))
     distances = (1.0 - depolarizing_weights(grid)) * _clipped_distances(m1 - m2)
     return TraceDistanceTrajectory(grid=grid, distances=distances)
 
 
 def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[PropertyCheck]:
-    """Metric axioms of the trace distance plus unitary invariance.
-
-    Triple i of dimension N draws from the stream ``(seed, 10, N, i)``. Each
-    dimension's triples run in blocks of :func:`_block_sizes`; the checks do
-    not depend on the block size.
-    """
+    """Metric axioms of the trace distance plus unitary invariance, in blocks
+    of :func:`_block_sizes`."""
     worst = _Worst()
     for dim in dims:
         streams = _streams(seed, (10, dim), 0, triples)
@@ -260,7 +261,7 @@ def _metric_block(worst: _Worst, dim: int, rngs: Iterable[np.random.Generator]) 
     u_adjoint = u.conj().swapaxes(-1, -2)
     ua, ub = _density_stack(np.concatenate([u @ a @ u_adjoint, u @ b @ u_adjoint])).reshape(2, n, dim, dim)
     deltas = np.stack([a - b, b - a, a - a, a - c, b - c, ua - ub], axis=1)
-    dab, dba, daa, dac, dbc, drot = _clipped_distances(_canonical_sign(deltas)).T
+    dab, dba, daa, dac, dbc, drot = _trace_distances(deltas).T
     worst.see("metric-symmetry", *np.abs(dab - dba))
     worst.see("metric-self-distance", *daa)
     worst.see("metric-triangle", *(dac - (dab + dbc)))
@@ -268,43 +269,56 @@ def _metric_block(worst: _Worst, dim: int, rngs: Iterable[np.random.Generator]) 
 
 
 def jordan_hahn_suite(seed: int, dims=(2, 3, 4), trials: int = 100) -> list[PropertyCheck]:
-    """Split/rescale identities and the orthogonality-distance equivalence."""
+    """Split/rescale identities and the orthogonality-distance equivalence,
+    in blocks of :func:`_block_sizes`."""
     worst = _Worst()
     for dim in dims:
-        for rng in _streams(seed, (20, dim), 0, trials):
-            rho1, rho2, dist = _random_nonorthogonal_pair(dim, rng)
-            delta = rho1.entries - rho2.entries
-            parts = jordan_hahn(rho1, rho2)
-            p1, p2 = parts.positive_part.entries, parts.negative_part.entries
-            worst.see("jordan-hahn-reconstruction", np.abs(delta - (p1 - p2)).max())
-            worst.see(
-                "jordan-hahn-traces-equal-distance",
-                abs(float(np.trace(p1).real) - dist),
-                abs(float(np.trace(p2).real) - dist),
-            )
-            # the worst value starts at 0.0, so a positive part reads 0
-            worst.see("jordan-hahn-parts-positive", -np.linalg.eigvalsh(p1)[0], -np.linalg.eigvalsh(p2)[0])
-            worst.see("jordan-hahn-parts-orthogonal", np.linalg.norm(p1 @ p2, 2))
-
-            sigma1, sigma2, lam = _rescale_parts(rho1, rho2, parts)
-            worst.see("rescale-unit-distance", abs(trace_distance(sigma1, sigma2) - 1.0))
-            worst.see("rescale-difference-law", np.abs((sigma1.entries - sigma2.entries) - delta / lam).max())
-
-            # full-rank pairs have overlapping supports by construction
-            full1 = sample_random_state(dim, dim, rng)
-            full2 = sample_random_state(dim, dim, rng)
-            worst.see("overlapping-pairs-below-unit-distance", trace_distance(full1, full2))
-
-            orth1, orth2 = sample_orthogonal_mixed_pair(dim, rng)
-            worst.see("orthogonal-pairs-unit-distance", abs(trace_distance(orth1, orth2) - 1.0))
-            if is_orthogonal(orth1, orth2):
-                worst.see("orthogonal-pairs-on-boundary", orth1.min_eigenvalue, orth2.min_eigenvalue)
+        start = 0
+        for n in _block_sizes(trials, dim):
+            _jordan_hahn_block(worst, seed, dim, start, start + n)
+            start += n
     return worst.checks(
         "jordan-hahn-reconstruction jordan-hahn-traces-equal-distance jordan-hahn-parts-positive"
         " jordan-hahn-parts-orthogonal rescale-unit-distance rescale-difference-law"
         " overlapping-pairs-below-unit-distance orthogonal-pairs-unit-distance orthogonal-pairs-on-boundary",
         len(dims) * trials,
     )
+
+
+def _jordan_hahn_block(worst: _Worst, seed: int, dim: int, start: int, stop: int) -> None:
+    """Check trials start..stop-1 as stacks: a non-orthogonal pair, redrawn
+    from its stream if rejected, two full-rank states and a mixed pair."""
+    states, normals = _random_states(dim, _streams(seed, (20, dim), start, stop), 2, 5)
+    dist = _trace_distances(states[:, 0] - states[:, 1])
+    for j in np.flatnonzero(~_accepted(dist)):  # about 1e-8 a trial
+        rng = rng_stream(seed, 20, dim, start + j)
+        rho1, rho2, dist[j] = _random_nonorthogonal_pair(dim, rng)
+        states = states.copy()
+        states[j] = rho1.entries, rho2.entries
+        normals[j, 2:] = rng.standard_normal((3, 2, dim, dim))
+    pairs = states.swapaxes(0, 1)
+    delta = pairs[0] - pairs[1]
+    parts, weights = _jordan_hahn_stack(delta)
+    p1, p2 = parts
+    worst.see("jordan-hahn-reconstruction", *np.abs(delta - (p1 - p2)).max(axis=(1, 2)))
+    worst.see("jordan-hahn-traces-equal-distance", *np.abs(parts.trace(axis1=2, axis2=3).real - dist).ravel())
+    # the worst value starts at 0.0, so a positive part reads 0
+    worst.see("jordan-hahn-parts-positive", *-np.linalg.eigvalsh(parts)[..., 0].ravel())
+    worst.see("jordan-hahn-parts-orthogonal", *np.linalg.norm(p1 @ p2, 2, axis=(1, 2)))
+
+    (sigma1, sigma2), lam = _rescaled_pairs(pairs, parts, weights)
+    worst.see("rescale-unit-distance", *np.abs(_trace_distances(sigma1 - sigma2) - 1.0))
+    worst.see("rescale-difference-law", *np.abs((sigma1 - sigma2) - delta / lam[:, None, None]).max(axis=(1, 2)))
+
+    # full-rank pairs have overlapping supports by construction
+    full = _random_state_stack([dim] * 2 * len(delta), normals[:, 2:4].reshape(-1, 2, dim, dim))
+    worst.see("overlapping-pairs-below-unit-distance", *_trace_distances(full[::2] - full[1::2]))
+    orth = _mixed_pairs_from_ginibre(normals[:, 4])
+    orth_dist = _trace_distances(orth[0] - orth[1])
+    worst.see("orthogonal-pairs-unit-distance", *np.abs(orth_dist - 1.0))
+    # the pairs is_orthogonal passes, by their smallest eigenvalues
+    boundary = np.linalg.eigvalsh(orth[:, orth_dist >= 1.0 - TOL_ORTH])[..., 0]
+    worst.see("orthogonal-pairs-on-boundary", *boundary.ravel())
 
 
 def translation_suite(
@@ -477,8 +491,8 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
             d = _trajectory(coeffs, rho1, rho2).distances
             worst.see("distance-contraction-bound", (d - d[0]).max())
 
-    # freed before the basis evolutions below, which set the peak memory
-    # (5.8 MB traced by tracemalloc, against 3.4 MB for this quadrature)
+    # freed before the basis evolution below; this quadrature sets the peak
+    # memory (3.5 MB traced by tracemalloc, against 3.3 MB for the evolution)
     halved = lambda_map_coefficients(integrated, make_grid(grid[-1], 2 * (grid.size - 1)))
     worst.see(
         "quadrature-step-halving",
@@ -486,12 +500,13 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
     )
     del halved, quadrature
 
+    # the closed form one state at a time, so the integrated basis is the
+    # one full-grid stack held
     basis = spanning_states()
-    initial = np.stack([state.entries for state in basis])
-    closed = apply_map_to_grid(coeffs, initial)
-    worst.see("period-return-identity", np.abs(closed[:, -1] - initial).max())
-    closed -= lindblad_integrate(rates, basis, grid)
-    worst.see("integrator-agreement", np.abs(closed).max())
+    for state, evolved in zip(basis, lindblad_integrate(rates, basis, grid)):
+        closed = apply_map_to_grid(coeffs, state.entries)
+        worst.see("period-return-identity", np.abs(closed[-1] - state.entries).max())
+        worst.see("integrator-agreement", np.abs(closed - evolved).max())
 
     return (
         worst.checks(

@@ -41,6 +41,7 @@ from backflow.errors import (
 )
 from backflow.measure import RISE_TOLERANCE, _batched_backflows, _rise, mixed_reference_pair
 from backflow.statespace import (
+    DensityMatrix,
     _clipped_distances,
     make_density_matrix,
     pure_state,
@@ -112,6 +113,30 @@ class TestMapCoefficients:
                 values = getattr(coeffs, field.name)
                 assert values.base is None, field.name
                 assert values.shape == (2001,), field.name
+
+    def test_fields_are_read_only_copies(self, preset_coeffs):
+        # the cached map scale is built from the fields, so none may change
+        for field in dataclasses.fields(preset_coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(preset_coeffs, field.name)[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            preset_coeffs._scale[0, 0, 0] = 0.5
+        f = preset_coeffs.f.copy()
+        coeffs = dataclasses.replace(preset_coeffs, f=f)
+        f[:] = 0.0  # the caller's array stays writable, and its writes do not reach the copy
+        assert np.array_equal(coeffs.f, preset_coeffs.f)
+
+    def test_replaced_coefficients_build_their_own_scale(self, preset_coeffs):
+        before = apply_map_to_grid(preset_coeffs, pure_state([1, 1, 0]).entries)
+        shifted = preset_coeffs.f * np.exp(-0.5j * GRID)
+        coeffs = dataclasses.replace(preset_coeffs, f=shifted)
+        assert coeffs._scale is not preset_coeffs._scale
+        assert np.array_equal(coeffs._scale[:, 0, 0], np.abs(shifted) ** 2)
+        assert np.array_equal(coeffs._scale[:, 0, 1], shifted)
+        assert np.array_equal(coeffs._scale[:, 1, 0], np.conj(shifted))
+        after = apply_map_to_grid(coeffs, pure_state([1, 1, 0]).entries)
+        assert np.array_equal(after[:, 0, 1], shifted / 2)
+        assert np.array_equal(apply_map_to_grid(preset_coeffs, pure_state([1, 1, 0]).entries), before)
 
     def test_negative_rates_rejected(self):
         with pytest.raises(CptViolation):
@@ -284,6 +309,28 @@ class TestApplyLambdaMap:
         # the raw map action keeps the ground coherence entry bitwise
         stack = apply_map_to_grid(preset_coeffs, rho.entries)
         assert np.all(stack[:, 1, 2] == rho.entries[1, 2])
+
+    def test_matches_a_scale_built_per_call(self, preset_coeffs):
+        # the scale is built once per coefficients; the products must be
+        # those of building it on every call
+        def per_call(coeffs, matrices):
+            m = np.asarray(matrices, dtype=complex)
+            f = coeffs.f
+            scale = np.ones((f.size, 3, 3), dtype=complex)
+            scale[:, 0, 0] = np.abs(f) ** 2
+            scale[:, 0, 1:] = f[:, None]
+            scale[:, 1:, 0] = np.conj(f)[:, None]
+            out = m[..., None, :, :] * scale
+            out[..., 1, 1] += coeffs.g1 * m[..., None, 0, 0]
+            out[..., 2, 2] += coeffs.g2 * m[..., None, 0, 0]
+            return out
+
+        shifted = lambda_map_coefficients(_unequal_rates(), GRID)
+        rng = rng_stream(23)
+        states = np.stack([sample_random_state(3, r, rng).entries for r in (1, 2, 3)])
+        for coeffs in (preset_coeffs, shifted, stretch_ends(shifted)):
+            for matrices in (states[0], states, states[:, None] - states[None]):
+                assert np.array_equal(apply_map_to_grid(coeffs, matrices), per_call(coeffs, matrices))
 
     def test_wrong_dimension(self, preset_coeffs):
         with pytest.raises(BadDimension):
@@ -542,6 +589,23 @@ class TestLindbladIntegrate:
             s1, s2 = lindblad_integrate(rates, sample_pure_orthogonal_pair(3, rng), grid)
             distances = _clipped_distances(s1[::40] - s2[::40])
             assert np.all(np.diff(distances) <= 1e-12)
+
+    @pytest.mark.parametrize("rates", [sinusoidal_rates(), _unequal_rates()], ids=["preset", "unequal"])
+    def test_every_step_is_hermitian_with_unit_trace(self, rates):
+        # a block's states are symmetrized and renormalized together after
+        # the block; every returned step must still be exactly Hermitian,
+        # with a trace within one unit in the last place of 1
+        rng = rng_stream(24)
+        states = spanning_states() + [sample_random_state(3, rank, rng) for rank in (1, 2, 3) for _ in range(2)]
+        stack = lindblad_integrate(rates, states, GRID)
+        assert stack.shape == (15, 2001, 3, 3)
+        assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+        assert np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0).max() <= np.finfo(float).eps
+        # a start that is Hermitian only to rounding is made exactly Hermitian
+        entries = np.array(states[-1].entries)
+        entries[1, 0] = np.nextafter(entries[1, 0].real, 1.0) + 1j * entries[1, 0].imag
+        [evolved] = lindblad_integrate(rates, [DensityMatrix(entries)], GRID)
+        assert np.array_equal(evolved[1:], evolved[1:].conj().swapaxes(-1, -2))
 
     def test_wrong_dimension(self):
         with pytest.raises(BadDimension):

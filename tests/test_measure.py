@@ -405,6 +405,15 @@ def tracemalloc_peak(run):
         tracemalloc.stop()
 
 
+def tabulated_coeffs(steps):
+    """The tabulated preset's linear interpolation of two sampled tables,
+    whose mixed steps keep many points."""
+    t = np.linspace(0.0, 2 * np.pi, 2001)
+    gamma1, gamma2 = 0.05 * np.sin(t) + 0.02, 0.03 * np.sin(2 * t) + 0.01
+    rates = replace(zero_rates(), gamma1=lambda s: np.interp(s, t, gamma1), gamma2=lambda s: np.interp(s, t, gamma2))
+    return lambda_map_coefficients(rates, make_grid(2 * np.pi, steps))
+
+
 class TestBatchRule:
     # a batch holds max(1, SCORE_POINTS // kept points) candidates: all of a
     # class where few points are kept, one candidate where many are
@@ -421,19 +430,36 @@ class TestBatchRule:
         ids=["cap", "2000-steps"],
     )
     def test_many_kept_points_share_the_budget(self, scored_rows, steps, kept, rows):
-        # the tabulated preset's linear interpolation of two sampled tables,
-        # whose mixed steps keep many points
-        t = np.linspace(0.0, 2 * np.pi, 2001)
-        gamma1, gamma2 = 0.05 * np.sin(t) + 0.02, 0.03 * np.sin(2 * t) + 0.01
-        rates = replace(
-            zero_rates(), gamma1=lambda s: np.interp(s, t, gamma1), gamma2=lambda s: np.interp(s, t, gamma2)
-        )
-        ends = stretch_ends(lambda_map_coefficients(rates, make_grid(2 * np.pi, steps)))
+        ends = stretch_ends(tabulated_coeffs(steps))
         assert ends.grid.size == kept
         source = _sampled(_mixed_pair_stacks, 7, 1)
         peak = tracemalloc_peak(lambda: _streamed_backflows(ends, source, 64, RISE_TOLERANCE))
         assert scored_rows == rows
         assert peak <= 2e6  # at most 4465 evolved differences a call; measured 1.4 MB at the cap
+
+    def test_few_candidates_a_call_are_drawn_in_chunks(self, monkeypatch, scored_rows):
+        # 897 kept points score 4 candidates a call, but the pairs are drawn
+        # 512 a call, and the values are those of drawing each batch alone
+        coeffs = tabulated_coeffs(2000)
+        ends = stretch_ends(coeffs)
+        draw = measure._pure_pair_stacks
+        drawn = []
+
+        def counted(dim, rngs):
+            pairs = draw(dim, rngs)
+            drawn.append(pairs.shape[1])
+            return pairs
+
+        monkeypatch.setattr(measure, "_pure_pair_stacks", counted)
+        values = sampled_backflows(coeffs, 1200, seed=5)
+        assert drawn == [512, 512, 176]
+        assert scored_rows == [4] * 300
+        source = _sampled(draw, 5)
+        one_batch_a_draw = [
+            _batched_backflows(ends, np.subtract(*source(start, min(start + 4, 1200))), 0.0)
+            for start in range(0, 1200, 4)
+        ]
+        assert np.array_equal(values, np.concatenate(one_batch_a_draw))
 
     def test_default_model_histogram_memory(self, preset_coeffs):
         peak = tracemalloc_peak(lambda: histogram_backflow(preset_coeffs, n_samples=10_000, bins=50, seed=3))

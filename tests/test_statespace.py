@@ -320,6 +320,19 @@ class TestJordanHahn:
         with pytest.raises(IdenticalStates):
             jordan_hahn(rho, rho)
 
+    def test_parts_are_kept_as_hermitian_operators(self):
+        rng = rng_stream(5, 97)
+        parts = jordan_hahn(sample_random_state(4, 3, rng), sample_random_state(4, 2, rng))
+        for part in (parts.positive_part.entries, parts.negative_part.entries):
+            assert np.array_equal(part, part.conj().T)
+            assert not part.flags.writeable
+
+    def test_a_stack_with_one_coinciding_pair_is_rejected(self):
+        rng = rng_stream(5, 98)
+        a, b = (sample_random_state(3, 3, rng).entries for _ in range(2))
+        with pytest.raises(IdenticalStates):
+            statespace._jordan_hahn_stack(np.stack([a - b, b - b, b - a]))
+
     @settings(max_examples=50, deadline=None)
     @given(seed=seeds)
     def test_random_pair_invariants(self, seed):
@@ -425,6 +438,7 @@ class TestRescalePair:
         assert lam == pytest.approx(eigs[-1], abs=1e-14)
         assert lam == pytest.approx(2 ** -0.5, abs=1e-12)
         assert trace_distance(sigma1, sigma2) == pytest.approx(1.0, abs=1e-10)
+        assert not sigma1.entries.flags.writeable and not sigma2.entries.flags.writeable
 
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, dim=dims)

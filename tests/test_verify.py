@@ -10,7 +10,10 @@ from backflow import statespace, verify
 from backflow.dynamics import lambda_map_coefficients, make_grid, sinusoidal_rates
 from backflow.measure import backflow, trajectory_from_states
 from backflow.statespace import (
+    TOL_ORTH,
     haar_unitary,
+    is_orthogonal,
+    jordan_hahn,
     make_density_matrix,
     rescale_pair,
     rng_stream,
@@ -56,23 +59,46 @@ def test_jordan_hahn_suite(seed=102):
 
 
 def test_jordan_hahn_suite_splits_each_pair_once(monkeypatch):
-    # the suite hands its split to the rescaling instead of rescale_pair's own
-    original = statespace.jordan_hahn
+    # each block's pairs are split in one stacked call, which the rescaling
+    # reuses; the block's one other split builds its orthogonal mixed pairs
+    original = statespace._signed_parts
     calls = []
 
-    def counted(rho1, rho2):
-        calls.append(rho1.dim)
-        return original(rho1, rho2)
+    def counted(h):
+        calls.append(h.shape)
+        return original(h)
 
-    monkeypatch.setattr(verify, "jordan_hahn", counted)
-    monkeypatch.setattr(statespace, "jordan_hahn", counted)
+    def one_pair(*args):
+        raise AssertionError("the stacked suite splits no pair alone")
+
+    monkeypatch.setattr(statespace, "_signed_parts", counted)
+    monkeypatch.setattr(statespace, "jordan_hahn", one_pair)
+    monkeypatch.setattr(verify, "rescale_pair", one_pair)
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 3 * 9)
     jordan_hahn_suite(7, dims=(2, 3), trials=5)
-    assert calls == [2] * 5 + [3] * 5
+    assert calls == [(5, 2, 2)] * 2 + [(3, 3, 3)] * 2 + [(2, 3, 3)] * 2
+
+
+def test_non_orthogonal_mixed_pairs_fail_their_check(monkeypatch):
+    # a broken mixed-pair sampler fails its check, in blocks of one too, and
+    # leaves the boundary check no pair to read
+    def maximally_mixed(ginibre):
+        n, _, dim, _ = ginibre.shape
+        return np.broadcast_to(np.eye(dim) / dim, (2, n, dim, dim))
+
+    monkeypatch.setattr(verify, "_mixed_pairs_from_ginibre", maximally_mixed)
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1)
+    checks = {c.name: c for c in jordan_hahn_suite(7, dims=(2, 3), trials=3)}
+    assert [name for name, c in checks.items() if not c.passed] == ["orthogonal-pairs-unit-distance"]
+    assert checks["orthogonal-pairs-unit-distance"].worst == 1.0
+    assert checks["orthogonal-pairs-on-boundary"].worst == 0.0
 
 
 def test_checks_do_not_depend_on_the_mixed_pair_draws(monkeypatch, preset_coeffs):
     # each trial draws from its own stream and its orthogonal mixed pair
-    # last, so a sampler that reads one more number moves no other check
+    # last, so other numbers for that pair move no other check: the
+    # translation suite's sampler reads one more number, and the stacked
+    # Jordan-Hahn suite builds each pair from its normals shifted by one
     def suites():
         return {
             c.name: c.worst
@@ -81,15 +107,22 @@ def test_checks_do_not_depend_on_the_mixed_pair_draws(monkeypatch, preset_coeffs
 
     before = suites()
     calls = []
+    build = verify._mixed_pairs_from_ginibre
 
     def one_more_normal(dim, rng):
         calls.append(dim)
         rng.standard_normal()
         return sample_orthogonal_mixed_pair(dim, rng)
 
+    def shifted_by_one(ginibre):
+        calls.append(len(ginibre))
+        flat = ginibre.reshape(len(ginibre), -1)
+        return build(np.roll(flat, -1, axis=1).reshape(ginibre.shape))
+
     monkeypatch.setattr(verify, "sample_orthogonal_mixed_pair", one_more_normal)
+    monkeypatch.setattr(verify, "_mixed_pairs_from_ginibre", shifted_by_one)
     after = suites()
-    assert len(calls) == 60
+    assert calls == [10, 10, 10] + [2] * 10 + [3] * 10 + [4] * 10
     moved = {"orthogonal-pairs-unit-distance", "orthogonal-pairs-on-boundary"}
     assert {k: v for k, v in after.items() if k not in moved} == {k: v for k, v in before.items() if k not in moved}
 
@@ -267,6 +300,114 @@ def test_metric_checks_do_not_depend_on_the_block_size(monkeypatch, dim, block, 
     assert metric_suite(11, (dim,), 30) == reference_metric_suite(11, (dim,), 30)
 
 
+def reference_jordan_hahn_suite(seed, dims, trials, accepted=lambda d: 1e-6 < d < 1.0 - TOL_ORTH, worst=None):
+    """The Jordan-Hahn suite one trial at a time through the public functions:
+    trial i reads its stream's pair, redrawn until ``accepted``, then two
+    full-rank states and an orthogonal mixed pair."""
+    worst = worst or _Worst()
+    for dim in dims:
+        for i in range(trials):
+            rng = rng_stream(seed, 20, dim, i)
+            while True:
+                rho1, rho2 = (sample_random_state(dim, int(rank), rng) for rank in rng.integers(1, dim + 1, 2))
+                dist = trace_distance(rho1, rho2)
+                if accepted(dist):
+                    break
+            delta = rho1.entries - rho2.entries
+            parts = jordan_hahn(rho1, rho2)
+            p1, p2 = parts.positive_part.entries, parts.negative_part.entries
+            worst.see("jordan-hahn-reconstruction", np.abs(delta - (p1 - p2)).max())
+            worst.see(
+                "jordan-hahn-traces-equal-distance",
+                abs(float(np.trace(p1).real) - dist),
+                abs(float(np.trace(p2).real) - dist),
+            )
+            worst.see("jordan-hahn-parts-positive", -np.linalg.eigvalsh(p1)[0], -np.linalg.eigvalsh(p2)[0])
+            worst.see("jordan-hahn-parts-orthogonal", np.linalg.norm(p1 @ p2, 2))
+            sigma1, sigma2, lam = rescale_pair(rho1, rho2)
+            worst.see("rescale-unit-distance", abs(trace_distance(sigma1, sigma2) - 1.0))
+            worst.see("rescale-difference-law", np.abs((sigma1.entries - sigma2.entries) - delta / lam).max())
+            full1, full2 = sample_random_state(dim, dim, rng), sample_random_state(dim, dim, rng)
+            worst.see("overlapping-pairs-below-unit-distance", trace_distance(full1, full2))
+            orth1, orth2 = sample_orthogonal_mixed_pair(dim, rng)
+            worst.see("orthogonal-pairs-unit-distance", abs(trace_distance(orth1, orth2) - 1.0))
+            if is_orthogonal(orth1, orth2):
+                worst.see("orthogonal-pairs-on-boundary", *(np.linalg.eigvalsh(s.entries)[0] for s in (orth1, orth2)))
+    return worst.checks(
+        "jordan-hahn-reconstruction jordan-hahn-traces-equal-distance jordan-hahn-parts-positive"
+        " jordan-hahn-parts-orthogonal rescale-unit-distance rescale-difference-law"
+        " overlapping-pairs-below-unit-distance orthogonal-pairs-unit-distance orthogonal-pairs-on-boundary",
+        len(dims) * trials,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 7, 201])
+def test_stacked_jordan_hahn_suite_matches_one_trial_at_a_time(seed):
+    assert jordan_hahn_suite(seed, (2, 3, 4, 5), 100) == reference_jordan_hahn_suite(seed, (2, 3, 4, 5), 100)
+
+
+class _EveryValue(_Worst):
+    """A worst-value accumulator that also keeps every value it sees."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = {}
+
+    def see(self, name, *values):
+        self.seen.setdefault(name, []).extend(float(v) for v in values)
+        super().see(name, *values)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 7, 201])
+def test_rejected_first_pairs_redraw_from_their_own_stream(monkeypatch, seed, dim, block):
+    # a first pair is rejected about once in 1e8 trials; rejecting trial 3's
+    # first pair by its distance makes that trial redraw, in any block, and
+    # every value the suite sees is then the one-trial reference's
+    rng = rng_stream(seed, 20, dim, 3)
+    first = [sample_random_state(dim, int(rank), rng) for rank in rng.integers(1, dim + 1, 2)]
+    rejected = trace_distance(*first)
+    original = verify._accepted
+    redraws = []
+
+    def accepted(distances):
+        redraws.append(np.count_nonzero(np.asarray(distances) == rejected))
+        return original(distances) & (distances != rejected)
+
+    stacked = []
+
+    def recording():
+        stacked.append(_EveryValue())
+        return stacked[-1]
+
+    monkeypatch.setattr(verify, "_Worst", recording)
+    monkeypatch.setattr(verify, "_accepted", accepted)
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", (block or 12) * dim * dim)
+    jordan_hahn_suite(seed, (dim,), 12)
+    assert sum(redraws) == 2  # the stacked draw and the redraw's first pair
+    reference, unforced = _EveryValue(), _EveryValue()
+    reference_jordan_hahn_suite(seed, (dim,), 12, accepted, reference)
+    reference_jordan_hahn_suite(seed, (dim,), 12, worst=unforced)
+    [values] = [{name: sorted(seen) for name, seen in worst.seen.items()} for worst in stacked]
+    assert values == {name: sorted(seen) for name, seen in reference.seen.items()}
+    assert values != {name: sorted(seen) for name, seen in unforced.seen.items()}
+
+
+def test_jordan_hahn_block_memory_is_bounded():
+    jordan_hahn_suite(1, (16,), 2)  # first-call allocations are not the suite's
+    peaks = []
+    for dims, trials in (((16,), 32), ((16,), 320), ((64,), 4)):
+        tracemalloc.start()
+        try:
+            jordan_hahn_suite(1, dims, trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 8e6
+    assert peaks[1] <= 1.1 * peaks[0]  # ten times the trials, the same blocks
+
+
 SUITE_STREAMS = {
     "metric": (lambda seed, coeffs: metric_suite(seed, (2, 3), 4), 10, (2, 3)),
     "jordan-hahn": (lambda seed, coeffs: jordan_hahn_suite(seed, (2, 3), 4), 20, (2, 3)),
@@ -340,7 +481,7 @@ RUN_ALL_SEED7_WORST = {
     "rescale-difference-law": 4.90457592513324e-16,
     "overlapping-pairs-below-unit-distance": 0.6090367666108747,
     "orthogonal-pairs-unit-distance": 0.0,
-    "orthogonal-pairs-on-boundary": 2.1109924659424998e-16,
+    "orthogonal-pairs-on-boundary": 1.2141142072176856e-16,
     "translate-strictly-interior": 0.002968211725917839,
     "translate-difference-preserved": 2.220446049250313e-16,
     "translate-trajectory-invariance": 6.661338147750939e-16,
