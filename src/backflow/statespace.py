@@ -93,22 +93,27 @@ def _check_finite(array: np.ndarray, what: str) -> None:
 
 
 def _fix_phases(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Make the first above-tolerance component of each column real positive."""
-    fixed = vectors.copy()
-    for j in range(fixed.shape[1]):
-        col = fixed[:, j]
-        idx = np.flatnonzero(np.abs(col) > tol)
-        if idx.size:
-            pivot = col[idx[0]]
-            col *= np.conj(pivot) / np.abs(pivot)
-    return fixed
+    """Make the first above-tolerance component of each column real positive,
+    in a (..., N, N) stack of eigenvector columns; a column with no such
+    component is kept."""
+    above = np.abs(vectors) > tol
+    found = above.any(axis=-2, keepdims=True)
+    pivot = np.take_along_axis(vectors, above.argmax(axis=-2)[..., None, :], axis=-2)
+    return np.where(found, vectors * (np.conj(pivot) / np.where(found, np.abs(pivot), 1.0)), vectors)
 
 
 def spectral_decomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and phase-fixed eigenvector columns of a Hermitian matrix."""
+    """Eigenvalues (descending) and phase-fixed eigenvector columns of a
+    Hermitian matrix, or of each matrix in an (n, N, N) stack in one ``eigh``.
+
+    The sort is stable, so tied eigenvalues keep the order ``eigh`` gives
+    their eigenvectors; each matrix's result is bit-identical to
+    decomposing it alone.
+    """
     values, vectors = np.linalg.eigh(matrix)
-    order = np.argsort(-values, kind="stable")
-    return values[order], _fix_phases(vectors[:, order])
+    order = np.argsort(-values, axis=-1, kind="stable")
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    return np.take_along_axis(values, order, axis=-1), _fix_phases(vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,18 +131,9 @@ class DensityMatrix:
         return self.entries.shape[0]
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        return spectral_decomposition(self.entries)
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order."""
-        return self._spectrum[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Eigenvector columns matching :attr:`eigenvalues`, phases fixed."""
-        return self._spectrum[1]
+        return spectral_decomposition(self.entries)[0]
 
     @property
     def min_eigenvalue(self) -> float:
@@ -159,13 +155,19 @@ class HermitianOperator:
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-        m = _hermitian_parts(m, "operator entries (row, column)")
-        if traceless:
-            tr = abs(complex(np.trace(m)))
-            if tr > TOL_TRACE:
-                raise BadTrace(f"|trace| = {tr:.3e} exceeds {TOL_TRACE:.1e} for traceless operator")
-        m.setflags(write=False)
-        return cls(m)
+        return cls(_operator_stack(m[None], traceless)[0])
+
+
+def _operator_stack(stack: np.ndarray, traceless: bool) -> np.ndarray:
+    """:meth:`HermitianOperator.from_matrix` on an (n, N, N) stack; each
+    read-only result is bit-identical to checking its matrix alone."""
+    m = _hermitian_parts(stack, "operator entries (matrix, row, column)")
+    if traceless:
+        tr = float(np.abs(m.trace(axis1=1, axis2=2)).max())
+        if tr > TOL_TRACE:
+            raise BadTrace(f"|trace| = {tr:.3e} exceeds {TOL_TRACE:.1e} for traceless operator")
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)

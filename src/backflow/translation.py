@@ -6,22 +6,31 @@ removing them from the boundary while preserving their difference. The
 construction works off a pair of overlapping support eigenvectors: their
 normalized sum/difference superpositions define rank-1 projectors whose
 weighted combination is the shift direction.
+
+Each step runs on a (2, n, N, N) stack of pairs, and each public function
+is its one-pair case; :func:`_translations` chains the steps over a stack
+without raising on a pair. Each pair's result is bit-identical to
+translating it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import BackflowError, DomainError, OrthogonalPair, PositivityFailure
 from .statespace import (
+    TOL_ORTH,
     TOL_PSD,
     DensityMatrix,
     HermitianOperator,
     _check_same_dim,
-    is_orthogonal,
-    make_density_matrix,
+    _density_stack,
+    _operator_stack,
+    _projectors,
+    _trace_distances,
+    spectral_decomposition,
 )
 
 # Below this vector norm the difference superposition is treated as zero
@@ -61,6 +70,12 @@ class ShiftConstruction:
     shift: HermitianOperator
 
 
+def _pair_stack(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """The (2, 1, N, N) stack of one pair."""
+    _check_same_dim(rho1, rho2)
+    return np.stack([rho1.entries, rho2.entries])[:, None]
+
+
 def overlap_selection(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapSelection:
     """Select the support eigenvector pair with the largest overlap.
 
@@ -68,48 +83,61 @@ def overlap_selection(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapSelect
     participate; the winner maximizes |<psi_i|psi_j>|, which maximizes the
     admissible shift magnitude downstream.
     """
-    _check_same_dim(rho1, rho2)
-    if is_orthogonal(rho1, rho2):
+    if not is_jointly_translatable(rho1, rho2):
         raise OrthogonalPair("supports are orthogonal; no overlapping eigenvector pair exists")
-    keep1 = rho1.eigenvalues > TOL_PSD
-    keep2 = rho2.eigenvalues > TOL_PSD
-    v1 = rho1.eigenvectors[:, keep1]
-    v2 = rho2.eigenvectors[:, keep2]
-    overlaps = v1.conj().T @ v2
-    i, j = np.unravel_index(np.argmax(np.abs(overlaps)), overlaps.shape)
-    raw = overlaps[i, j]
-    alpha = min(float(np.abs(raw)), 1.0)
-    if alpha == 0.0:
-        raise OrthogonalPair("all support overlaps vanish")
-    vec1 = v1[:, i].copy()
-    vec2 = v2[:, j] * (np.conj(raw) / np.abs(raw))
-    vec1.setflags(write=False)
-    vec2.setflags(write=False)
+    selection = _overlap_selections(_pair_stack(rho1, rho2))
     return OverlapSelection(
-        vector1=vec1,
-        vector2=vec2,
-        overlap=alpha,
-        # eigenvalues of a unit-trace state cannot exceed 1; strip round-off
-        weight1=min(float(rho1.eigenvalues[keep1][i]), 1.0),
-        weight2=min(float(rho2.eigenvalues[keep2][j]), 1.0),
+        selection.vector1[0],
+        selection.vector2[0],
+        *(float(getattr(selection, name)[0]) for name in ("overlap", "weight1", "weight2")),
     )
+
+
+def _overlap_selections(pairs: np.ndarray) -> OverlapSelection:
+    """:func:`overlap_selection` on a (2, n, N, N) stack of translatable pairs,
+    from one spectral decomposition of the 2n states: (n, N) read-only
+    vectors and (n,) overlaps and weights. Raises OrthogonalPair if every
+    pair of support eigenvectors of a pair is orthogonal."""
+    _, n, dim, _ = pairs.shape
+    values, vectors = spectral_decomposition(pairs.reshape(-1, dim, dim))
+    values, vectors = values.reshape(2, n, dim), vectors.reshape(2, n, dim, dim)
+    # the support eigenvectors: a prefix of each descending spectrum, so the
+    # first largest overlap in row-major order is the support block's
+    keep = values > TOL_PSD
+    overlaps = vectors[0].conj().swapaxes(-1, -2) @ vectors[1]
+    magnitudes = np.where(keep[0, :, :, None] & keep[1, :, None, :], np.abs(overlaps), -1.0)
+    i, j = np.divmod(magnitudes.reshape(n, -1).argmax(axis=1), dim)
+    rows = np.arange(n)
+    raw = overlaps[rows, i, j]
+    alpha = np.abs(raw)
+    if not alpha.all():
+        raise OrthogonalPair("all support overlaps vanish")
+    vector1 = vectors[0, rows, :, i]
+    vector2 = vectors[1, rows, :, j] * (np.conj(raw) / alpha)[:, None]
+    vector1.setflags(write=False)
+    vector2.setflags(write=False)
+    # eigenvalues of a unit-trace state cannot exceed 1; strip round-off
+    weight1, weight2 = (np.minimum(values[k, rows, index], 1.0) for k, index in ((0, i), (1, j)))
+    return OverlapSelection(vector1, vector2, np.minimum(alpha, 1.0), weight1, weight2)
 
 
 def quadratic_bound(p: float, alpha: float, dim: int, epsilon: float, x: float) -> float:
     """Positivity margin polynomial p*x^2 + 4*c_plus^2*eps*(alpha/N - x).
 
     Strict positivity of this function on [0, 1] for both weights is what
-    certifies that the shifted states stay positive definite.
+    certifies that the shifted states stay positive definite. ``p``,
+    ``alpha``, ``epsilon`` and ``x`` may also be arrays that broadcast
+    together, each element checked and evaluated as alone.
     """
-    if not 0.0 < p <= 1.0:
+    if not np.all((0.0 < p) & (p <= 1.0)):
         raise DomainError(f"weight p must be in (0, 1], got {p}")
-    if not 0.0 < alpha <= 1.0:
+    if not np.all((0.0 < alpha) & (alpha <= 1.0)):
         raise DomainError(f"overlap alpha must be in (0, 1], got {alpha}")
     if dim < 2:
         raise DomainError(f"dimension must be >= 2, got {dim}")
-    if epsilon <= 0.0:
+    if not np.all(epsilon > 0.0):
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 <= x <= 1.0:
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError(f"x must be in [0, 1], got {x}")
     c_plus_sq = 1.0 / (2.0 * (1.0 + alpha))
     return p * x * x + 4.0 * c_plus_sq * epsilon * (alpha / dim - x)
@@ -139,33 +167,35 @@ def build_shift_operator(
     if not 0.0 < epsilon_fraction < 1.0:
         raise DomainError(f"epsilon_fraction must be in (0, 1), got {epsilon_fraction}")
     sel = overlap_selection(rho1, rho2)
-    dim = rho1.dim
-    alpha = sel.overlap
-
-    plus = sel.vector1 + sel.vector2
-    psi_plus = plus / np.linalg.norm(plus)
-    proj_plus = np.outer(psi_plus, psi_plus.conj())
-
-    minus = sel.vector1 - sel.vector2
-    minus_norm = float(np.linalg.norm(minus))
-    if minus_norm < _DEGENERATE_NORM:
-        proj_minus = np.zeros((dim, dim), dtype=complex)
-    else:
-        psi_minus = minus / minus_norm
-        proj_minus = np.outer(psi_minus, psi_minus.conj())
-
-    ratio = (1.0 - alpha) / (1.0 + alpha)
-    direction = proj_plus - ratio * proj_minus - (1.0 - ratio) * np.eye(dim) / dim
-    eps_max = epsilon_upper_bound(alpha, dim, min(sel.weight1, sel.weight2))
-    epsilon = epsilon_fraction * eps_max
-
+    stacked = OverlapSelection(*(np.asarray(getattr(sel, field.name))[None] for field in fields(sel)))
+    ratio, eps_max, directions = _shift_directions(stacked)
+    epsilon = epsilon_fraction * float(eps_max[0])
     return ShiftConstruction(
         selection=sel,
-        norm_ratio=ratio,
-        epsilon_max=eps_max,
+        norm_ratio=float(ratio[0]),
+        epsilon_max=float(eps_max[0]),
         epsilon=epsilon,
-        shift=HermitianOperator.from_matrix(epsilon * direction, traceless=True),
+        shift=HermitianOperator.from_matrix(epsilon * directions[0], traceless=True),
     )
+
+
+def _shift_directions(selection: OverlapSelection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n,) ratios r, (n,) bounds epsilon_max and (n, N, N) unchecked
+    directions of :func:`build_shift_operator` for a stacked selection."""
+    dim = selection.vector1.shape[-1]
+    alpha = selection.overlap
+    plus = selection.vector1 + selection.vector2
+    minus = selection.vector1 - selection.vector2
+    degenerate = (np.linalg.norm(minus, axis=-1) < _DEGENERATE_NORM)[:, None]
+    # a degenerate row's projector is replaced by zero, so the plus vector
+    # stands in for its zero-norm difference
+    proj_minus = np.where(degenerate[:, None], 0.0, _projectors(np.where(degenerate, plus, minus)))
+    ratio = (1.0 - alpha) / (1.0 + alpha)
+    factor = ratio[:, None, None]
+    directions = _projectors(plus) - factor * proj_minus - (1.0 - factor) * np.eye(dim) / dim
+    min_weights = np.minimum(selection.weight1, selection.weight2)
+    eps_max = np.array([epsilon_upper_bound(a, dim, w) for a, w in zip(alpha.tolist(), min_weights.tolist())])
+    return ratio, eps_max, directions
 
 
 def jointly_translate(
@@ -179,23 +209,57 @@ def jointly_translate(
     guarantees positivity for any epsilon inside the admissible interval.
     """
     construction = build_shift_operator(rho1, rho2, epsilon_fraction)
-    shifted = []
-    for k, rho in enumerate((rho1, rho2), start=1):
-        moved = rho.entries - construction.shift.entries
-        try:
-            state = make_density_matrix(moved)
-        except BackflowError as exc:  # validation failure -> tolerance problem
-            raise PositivityFailure(f"translated state {k} failed validation: {exc}") from exc
-        if state.min_eigenvalue <= TOL_PSD:
+    translated, interior = _translated(_pair_stack(rho1, rho2), construction.shift.entries)
+    for k in (0, 1):
+        if not interior[k, 0]:
             raise PositivityFailure(
-                f"translated state {k} not strictly interior: "
-                f"min eigenvalue {state.min_eigenvalue:.3e} <= {TOL_PSD:.1e}"
+                f"translated state {k + 1} is not a state with every eigenvalue above {TOL_PSD:.1e}"
             )
-        shifted.append(state)
-    return shifted[0], shifted[1], construction
+    return DensityMatrix(translated[0, 0]), DensityMatrix(translated[1, 0]), construction
+
+
+def _translated(pairs: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (2, n, N, N) stack of pairs less their (n, N, N) shifts, and the (2, n)
+    mask of the strictly interior ones: those that validate as states with
+    every eigenvalue above TOL_PSD, as :func:`jointly_translate` requires.
+    These are returned validated and the others as they are, read-only;
+    no matrix raises."""
+    moved = pairs - shifts
+    flat = moved.reshape(-1, *moved.shape[2:])
+    try:
+        states, valid = _density_stack(flat), np.ones(len(flat), dtype=bool)
+    except BackflowError:  # a matrix is not a state: validate each alone
+        states, valid = flat.copy(), np.zeros(len(flat), dtype=bool)
+        for k, matrix in enumerate(flat):
+            try:
+                states[k], valid[k] = _density_stack(matrix[None])[0], True
+            except BackflowError:
+                pass
+    interior = valid & (np.linalg.eigvalsh(states)[:, 0] > TOL_PSD)
+    translated = np.where(interior[:, None, None], states, flat).reshape(moved.shape)
+    translated.setflags(write=False)
+    return translated, interior.reshape(2, -1)
+
+
+def _translations(
+    pairs: np.ndarray, epsilon_fraction: float
+) -> tuple[OverlapSelection, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`jointly_translate` on a (2, n, N, N) stack of translatable pairs,
+    without raising on a pair: the stacked selection, the (n,) bounds
+    epsilon_max, the (n, N, N) shifts, and the translated pairs and
+    interior mask of :func:`_translated`."""
+    selection = _overlap_selections(pairs)
+    _, eps_max, directions = _shift_directions(selection)
+    shifts = _operator_stack(epsilon_fraction * eps_max[:, None, None] * directions, traceless=True)
+    return selection, eps_max, shifts, *_translated(pairs, shifts)
 
 
 def is_jointly_translatable(rho1: DensityMatrix, rho2: DensityMatrix) -> bool:
     """Translatable if and only if the pair is not orthogonal."""
-    _check_same_dim(rho1, rho2)
-    return not is_orthogonal(rho1, rho2)
+    return bool(_translatable(_pair_stack(rho1, rho2))[0])
+
+
+def _translatable(pairs: np.ndarray) -> np.ndarray:
+    """:func:`is_jointly_translatable` on a (2, n, N, N) stack of pairs: a
+    trace distance below 1 - TOL_ORTH, the test of ``is_orthogonal``."""
+    return _trace_distances(pairs[0] - pairs[1]) < 1.0 - TOL_ORTH

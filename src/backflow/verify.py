@@ -18,10 +18,8 @@ command and the acceptance tests.
 Dimension-3 checks run under the closed-form three-level map; other
 dimensions use a time-dependent depolarizing map (linear and trace
 preserving, with a non-monotone noise weight so backflow is nontrivial),
-since the structural laws hold for any linear map family. That map scales
-an equal-trace difference by one factor per time, so its distance
-trajectory is that factor times one trace distance (:func:`_trajectory`);
-:func:`depolarize_stack` applies the map itself and is the reference.
+since the structural laws hold for any linear map family;
+:func:`depolarize_stack` applies it and is the reference for :func:`_trajectory`.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -44,8 +42,7 @@ from .dynamics import (
     sinusoidal_rates,
     validate_cpt,
 )
-from .errors import OrthogonalPair, PositivityFailure
-from .measure import TraceDistanceTrajectory, backflow, trajectory_from_states
+from .measure import SCORE_POINTS, _rise
 from .statespace import (
     TOL_ORTH,
     TOL_PSD,
@@ -59,21 +56,10 @@ from .statespace import (
     _rescaled_pairs,
     _streams,
     _trace_distances,
-    make_density_matrix,
     pure_state,
-    rescale_pair,
     rng_stream,
-    sample_orthogonal_mixed_pair,
-    sample_random_state,
-    trace_distance,
 )
-from .translation import (
-    build_shift_operator,
-    epsilon_upper_bound,
-    is_jointly_translatable,
-    jointly_translate,
-    quadratic_bound,
-)
+from .translation import _translatable, _translations, epsilon_upper_bound, quadratic_bound
 
 
 @dataclass
@@ -173,30 +159,43 @@ def _block_sizes(count: int, dim: int) -> list[int]:
 
 
 def _random_states(
-    dim: int, rngs: Iterable[np.random.Generator], count: int, blocks: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each stream's ``count`` ranks in 1..N, then one (blocks, 2, N, N)
-    normal block, blocks >= count. The first ``count`` Ginibre parts of each
-    block become states of those ranks, as in :func:`sample_random_state`.
-    Returns the (n, count, N, N) states, built and validated as one stack,
-    and the (n, blocks, 2, N, N) normals."""
-    draws = [(rng.integers(1, dim + 1, count), rng.standard_normal((blocks, 2, dim, dim))) for rng in rngs]
-    normals = np.array([block for _, block in draws])
-    ranks = np.concatenate([ranks for ranks, _ in draws])
-    states = _random_state_stack(ranks, normals[:, :count].reshape(-1, 2, dim, dim))
-    return states.reshape(len(draws), count, dim, dim), normals
+    dim: int, rngs: Iterable[np.random.Generator], count: int, tail: Callable = lambda rng, dim: None
+) -> tuple[np.ndarray, list]:
+    """Each stream's ``count`` ranks in 1..N, then a (count, 2, N, N) normal
+    block, whose Ginibre parts become states of those ranks as in
+    :func:`sample_random_state`, then ``tail(rng, N)``. Returns the (n,
+    count, N, N) states, built and validated as one stack, and the tails."""
+    ranks, normals, tails = zip(
+        *[(rng.integers(1, dim + 1, count), rng.standard_normal((count, 2, dim, dim)), tail(rng, dim)) for rng in rngs]
+    )
+    states = _random_state_stack(np.concatenate(ranks), np.concatenate(normals))
+    return states.reshape(len(tails), count, dim, dim), list(tails)
 
 
-def _random_nonorthogonal_pair(
-    dim: int, rng: np.random.Generator
-) -> tuple[DensityMatrix, DensityMatrix, float]:
-    """Random pair that is neither orthogonal nor (nearly) equal, with its trace distance."""
-    for _ in range(100):
-        rho1, rho2 = (DensityMatrix(state) for state in _random_states(dim, [rng], 2, 2)[0][0])
-        d = trace_distance(rho1, rho2)
-        if _accepted(d):
-            return rho1, rho2, d
-    raise RuntimeError("failed to sample a non-orthogonal pair")  # pragma: no cover
+def _pair_blocks(seed: int, tag: int, dims, trials: int, tail: Callable) -> Iterator[tuple]:
+    """The trials of the suite with stream tag ``tag`` in blocks of
+    :func:`_block_sizes`, dimension by dimension: each block's dimension,
+    its streams' random pairs, each drawn again from its stream until
+    :func:`_accepted`, as a (2, n, N, N) stack, their (n,) trace distances,
+    and the ``tail(rng, dim)`` each stream reads after its accepted pair."""
+    for dim in dims:
+        start = 0
+        for n in _block_sizes(trials, dim):
+            states, tails = _random_states(dim, _streams(seed, (tag, dim), start, start + n), 2, tail)
+            pairs = states.swapaxes(0, 1).copy()
+            dist = _trace_distances(pairs[0] - pairs[1])
+            for j in np.flatnonzero(~_accepted(dist)):  # about 1e-8 a trial
+                rng = rng_stream(seed, tag, dim, start + j)
+                for _ in range(100):
+                    pairs[:, j] = _random_states(dim, [rng], 2)[0][0]
+                    dist[j] = _trace_distances(pairs[:1, j] - pairs[1:, j])[0]
+                    if _accepted(dist[j]):
+                        break
+                else:
+                    raise RuntimeError("failed to sample a non-orthogonal pair")  # pragma: no cover
+                tails[j] = tail(rng, dim)
+            yield dim, pairs, dist, tails
+            start += n
 
 
 def _accepted(distances: np.ndarray | float) -> np.ndarray | bool:
@@ -218,23 +217,29 @@ def depolarize_stack(grid: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (1.0 - w) * m + w * uniform
 
 
-def _trajectory(coeffs: MapCoefficients, m1: np.ndarray, m2: np.ndarray) -> TraceDistanceTrajectory:
-    """Trace-distance trajectory of two equal-trace matrices under the
-    dim-appropriate map, on the coefficients' grid.
+def _trajectory(
+    coeffs: MapCoefficients, contraction: np.ndarray | None, pairs: np.ndarray, reduce: Callable
+) -> np.ndarray:
+    """``reduce`` of the (n, k, grid) trace-distance trajectories of a
+    (2, n, k, N, N) stack of equal-trace pairs, k for each of n instances,
+    built and reduced max(1, SCORE_POINTS // (k * grid size)) instances at a
+    time, so memory does not grow with n.
 
     Dimension 3 applies the three-level map to each matrix at every grid
-    point. Elsewhere the depolarizer maps D = m1 - m2 to (1 - w(t)) D,
-    because the uniform parts cancel when the traces are equal. The factor
-    lies in [0.2, 1], so by homogeneity of the trace norm the distance at t
-    is that factor times the initial distance: one trace distance gives the
-    whole trajectory. Every caller passes two states or two jointly
-    translated states, whose traces are equal.
+    point. Elsewhere the depolarizer maps D = m1 - m2 to (1 - w(t)) D, as
+    the uniform parts cancel at equal traces, so by homogeneity of the trace
+    norm the distance at t is ``contraction`` = 1 - w(t), in [0.2, 1], times
+    the initial distance.
     """
-    grid = coeffs.grid
-    if m1.shape[0] == 3:
-        return trajectory_from_states(grid, *apply_map_to_grid(coeffs, np.stack([m1, m2])))
-    distances = (1.0 - depolarizing_weights(grid)) * _clipped_distances(m1 - m2)
-    return TraceDistanceTrajectory(grid=grid, distances=distances)
+    size = max(1, SCORE_POINTS // (pairs.shape[2] * coeffs.grid.size))
+    reduced = []
+    for block in np.split(pairs, range(size, pairs.shape[1], size), axis=1):
+        if pairs.shape[-1] == 3:
+            distances = _clipped_distances(np.subtract(*apply_map_to_grid(coeffs, block)))
+        else:
+            distances = contraction * _clipped_distances(block[0] - block[1])[..., None]
+        reduced.append(reduce(distances))
+    return np.concatenate(reduced)
 
 
 def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[PropertyCheck]:
@@ -252,12 +257,12 @@ def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[Property
 
 def _metric_block(worst: _Worst, dim: int, rngs: Iterable[np.random.Generator]) -> None:
     """Check one triple per stream: three random states and a Haar rotation
-    from its fourth Ginibre block, built and compared as a stack, each
+    from the Ginibre block after them, built and compared as a stack, each
     bit-identical to handling its triple alone."""
-    states, normals = _random_states(dim, rngs, 3, 4)
+    states, tails = _random_states(dim, rngs, 3, lambda rng, dim: rng.standard_normal((2, dim, dim)))
     a, b, c = states.swapaxes(0, 1)
     n = len(states)
-    u = _haar_from_ginibre(normals[:, 3])
+    u = _haar_from_ginibre(np.array(tails))
     u_adjoint = u.conj().swapaxes(-1, -2)
     ua, ub = _density_stack(np.concatenate([u @ a @ u_adjoint, u @ b @ u_adjoint])).reshape(2, n, dim, dim)
     deltas = np.stack([a - b, b - a, a - a, a - c, b - c, ua - ub], axis=1)
@@ -270,55 +275,41 @@ def _metric_block(worst: _Worst, dim: int, rngs: Iterable[np.random.Generator]) 
 
 def jordan_hahn_suite(seed: int, dims=(2, 3, 4), trials: int = 100) -> list[PropertyCheck]:
     """Split/rescale identities and the orthogonality-distance equivalence,
-    in blocks of :func:`_block_sizes`."""
+    as stacks: each trial's non-orthogonal pair, then two full-rank states
+    and a mixed pair."""
     worst = _Worst()
-    for dim in dims:
-        start = 0
-        for n in _block_sizes(trials, dim):
-            _jordan_hahn_block(worst, seed, dim, start, start + n)
-            start += n
+    for dim, pairs, dist, tails in _pair_blocks(
+        seed, 20, dims, trials, lambda rng, dim: rng.standard_normal((3, 2, dim, dim))
+    ):
+        normals = np.array(tails)
+        delta = pairs[0] - pairs[1]
+        parts, weights = _jordan_hahn_stack(delta)
+        p1, p2 = parts
+        worst.see("jordan-hahn-reconstruction", *np.abs(delta - (p1 - p2)).max(axis=(1, 2)))
+        worst.see("jordan-hahn-traces-equal-distance", *np.abs(parts.trace(axis1=2, axis2=3).real - dist).ravel())
+        # the worst value starts at 0.0, so a positive part reads 0
+        worst.see("jordan-hahn-parts-positive", *-np.linalg.eigvalsh(parts)[..., 0].ravel())
+        worst.see("jordan-hahn-parts-orthogonal", *np.linalg.norm(p1 @ p2, 2, axis=(1, 2)))
+
+        (sigma1, sigma2), lam = _rescaled_pairs(pairs, parts, weights)
+        worst.see("rescale-unit-distance", *np.abs(_trace_distances(sigma1 - sigma2) - 1.0))
+        worst.see("rescale-difference-law", *np.abs((sigma1 - sigma2) - delta / lam[:, None, None]).max(axis=(1, 2)))
+
+        # full-rank pairs have overlapping supports by construction
+        full = _random_state_stack([dim] * 2 * len(delta), normals[:, :2].reshape(-1, 2, dim, dim))
+        worst.see("overlapping-pairs-below-unit-distance", *_trace_distances(full[::2] - full[1::2]))
+        orth = _mixed_pairs_from_ginibre(normals[:, 2])
+        orth_dist = _trace_distances(orth[0] - orth[1])
+        worst.see("orthogonal-pairs-unit-distance", *np.abs(orth_dist - 1.0))
+        # the pairs is_orthogonal passes, by their smallest eigenvalues
+        boundary = np.linalg.eigvalsh(orth[:, orth_dist >= 1.0 - TOL_ORTH])[..., 0]
+        worst.see("orthogonal-pairs-on-boundary", *boundary.ravel())
     return worst.checks(
         "jordan-hahn-reconstruction jordan-hahn-traces-equal-distance jordan-hahn-parts-positive"
         " jordan-hahn-parts-orthogonal rescale-unit-distance rescale-difference-law"
         " overlapping-pairs-below-unit-distance orthogonal-pairs-unit-distance orthogonal-pairs-on-boundary",
         len(dims) * trials,
     )
-
-
-def _jordan_hahn_block(worst: _Worst, seed: int, dim: int, start: int, stop: int) -> None:
-    """Check trials start..stop-1 as stacks: a non-orthogonal pair, redrawn
-    from its stream if rejected, two full-rank states and a mixed pair."""
-    states, normals = _random_states(dim, _streams(seed, (20, dim), start, stop), 2, 5)
-    dist = _trace_distances(states[:, 0] - states[:, 1])
-    for j in np.flatnonzero(~_accepted(dist)):  # about 1e-8 a trial
-        rng = rng_stream(seed, 20, dim, start + j)
-        rho1, rho2, dist[j] = _random_nonorthogonal_pair(dim, rng)
-        states = states.copy()
-        states[j] = rho1.entries, rho2.entries
-        normals[j, 2:] = rng.standard_normal((3, 2, dim, dim))
-    pairs = states.swapaxes(0, 1)
-    delta = pairs[0] - pairs[1]
-    parts, weights = _jordan_hahn_stack(delta)
-    p1, p2 = parts
-    worst.see("jordan-hahn-reconstruction", *np.abs(delta - (p1 - p2)).max(axis=(1, 2)))
-    worst.see("jordan-hahn-traces-equal-distance", *np.abs(parts.trace(axis1=2, axis2=3).real - dist).ravel())
-    # the worst value starts at 0.0, so a positive part reads 0
-    worst.see("jordan-hahn-parts-positive", *-np.linalg.eigvalsh(parts)[..., 0].ravel())
-    worst.see("jordan-hahn-parts-orthogonal", *np.linalg.norm(p1 @ p2, 2, axis=(1, 2)))
-
-    (sigma1, sigma2), lam = _rescaled_pairs(pairs, parts, weights)
-    worst.see("rescale-unit-distance", *np.abs(_trace_distances(sigma1 - sigma2) - 1.0))
-    worst.see("rescale-difference-law", *np.abs((sigma1 - sigma2) - delta / lam[:, None, None]).max(axis=(1, 2)))
-
-    # full-rank pairs have overlapping supports by construction
-    full = _random_state_stack([dim] * 2 * len(delta), normals[:, 2:4].reshape(-1, 2, dim, dim))
-    worst.see("overlapping-pairs-below-unit-distance", *_trace_distances(full[::2] - full[1::2]))
-    orth = _mixed_pairs_from_ginibre(normals[:, 4])
-    orth_dist = _trace_distances(orth[0] - orth[1])
-    worst.see("orthogonal-pairs-unit-distance", *np.abs(orth_dist - 1.0))
-    # the pairs is_orthogonal passes, by their smallest eigenvalues
-    boundary = np.linalg.eigvalsh(orth[:, orth_dist >= 1.0 - TOL_ORTH])[..., 0]
-    worst.see("orthogonal-pairs-on-boundary", *boundary.ravel())
 
 
 def translation_suite(
@@ -328,62 +319,44 @@ def translation_suite(
     trials: int = 100,
     inject_fault: str | None = None,
 ) -> list[PropertyCheck]:
-    """Joint-translation guarantees for non-orthogonal pairs.
+    """Joint-translation guarantees for non-orthogonal pairs, as stacks: each
+    trial's non-orthogonal pair, jointly translated, then a mixed pair,
+    which must be rejected.
 
     ``inject_fault='shift-sign'`` flips the sign of the shift operator
     before applying it, which must make the interior check fail — a
     self-test that the suite can actually detect broken constructions.
     """
-    flip = -1.0 if inject_fault == "shift-sign" else 1.0
-
     worst = _Worst()
+    contraction = 1.0 - depolarizing_weights(coeffs.grid)
     accepted = 0  # orthogonal pairs wrongly accepted for translation
-    for dim in dims:
-        for rng in _streams(seed, (30, dim), 0, trials):
-            rho1, rho2, _ = _random_nonorthogonal_pair(dim, rng)
-            translated = None
-            if flip > 0:
-                # exercise the real API; failures surface as non-interior
-                try:
-                    translated = jointly_translate(rho1, rho2, 0.5)
-                except PositivityFailure:
-                    pass  # subtract the shift by hand; the interior check records it
-            if translated is None:
-                construction = build_shift_operator(rho1, rho2, 0.5)
-                shift = flip * construction.shift.entries
-                m1, m2 = rho1.entries - shift, rho2.entries - shift
-            else:
-                hat1, hat2, construction = translated
-                m1, m2 = hat1.entries, hat2.entries
-            worst.see("translate-strictly-interior", np.linalg.eigvalsh(m1)[0], np.linalg.eigvalsh(m2)[0])
-            worst.see("translate-difference-preserved", np.abs((m1 - m2) - (rho1.entries - rho2.entries)).max())
-            base = _trajectory(coeffs, rho1.entries, rho2.entries).distances
-            moved = _trajectory(coeffs, m1, m2).distances
-            worst.see("translate-trajectory-invariance", np.abs(base - moved).max())
+    for dim, pairs, _, tails in _pair_blocks(
+        seed, 30, dims, trials, lambda rng, dim: rng.standard_normal((2, dim, dim))
+    ):
+        selection, eps_max, shifts, translated, _ = _translations(pairs, 0.5)
+        # a pair that is not strictly interior stays as it is, and so does
+        # each pair under the fault; the interior check records them
+        moved = pairs + shifts if inject_fault == "shift-sign" else translated
+        worst.see("translate-strictly-interior", *np.linalg.eigvalsh(moved)[..., 0].ravel())
+        drift = np.abs((moved[0] - moved[1]) - (pairs[0] - pairs[1])).max(axis=(1, 2))
+        worst.see("translate-difference-preserved", *drift)
+        stacked = np.stack([pairs, moved], axis=2)
+        invariance = _trajectory(coeffs, contraction, stacked, lambda d: np.abs(d[:, 0] - d[:, 1]).max(axis=-1))
+        worst.see("translate-trajectory-invariance", *invariance)
 
-            a = construction.shift.entries
-            worst.see("shift-traceless", abs(np.trace(a).real), abs(np.trace(a).imag))
-            worst.see("shift-hermitian", np.abs(a - a.conj().T).max())
-            worst.see("shift-nonzero", np.linalg.norm(a, 2))
+        traces = shifts.trace(axis1=1, axis2=2)
+        worst.see("shift-traceless", *np.abs(traces.real), *np.abs(traces.imag))
+        worst.see("shift-hermitian", *np.abs(shifts - shifts.conj().swapaxes(1, 2)).max(axis=(1, 2)))
+        worst.see("shift-nonzero", *np.linalg.norm(shifts, 2, axis=(1, 2)))
 
-            sel = construction.selection
-            eps = 0.99 * construction.epsilon_max
-            for weight in (sel.weight1, sel.weight2):
-                # exact minimum over [0, 1]: the parabola vertex or an endpoint
-                vertex = min(max(eps / (weight * (1.0 + sel.overlap)), 0.0), 1.0)
-                worst.see(
-                    "quadratic-bound-positive",
-                    *(quadratic_bound(weight, sel.overlap, dim, eps, x) for x in (0.0, vertex, 1.0)),
-                )
+        eps = 0.99 * eps_max
+        for weight in (selection.weight1, selection.weight2):
+            # exact minimum over [0, 1]: the parabola vertex or an endpoint
+            vertex = np.clip(eps / (weight * (1.0 + selection.overlap)), 0.0, 1.0)
+            for x in (0.0, vertex, 1.0):
+                worst.see("quadratic-bound-positive", *quadratic_bound(weight, selection.overlap, dim, eps, x))
 
-            orth = sample_orthogonal_mixed_pair(dim, rng)
-            if is_jointly_translatable(*orth):
-                accepted += 1
-            try:
-                jointly_translate(*orth)
-                accepted += 1
-            except OrthogonalPair:
-                pass
+        accepted += np.count_nonzero(_translatable(_mixed_pairs_from_ginibre(np.array(tails))))
     worst.see("orthogonal-pairs-rejected", accepted)
 
     # closed-form monotonicity of the admissible shift bound
@@ -400,15 +373,15 @@ def translation_suite(
     ) + worst.checks("epsilon-bound-monotone", len(weights))
 
 
-def _max_admissible_stretch(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Largest s with rho2 + s*(rho2 - rho1) still positive (rho2 interior)."""
-    values, vectors = np.linalg.eigh(rho2.entries)
-    inv_sqrt = (vectors / np.sqrt(values)) @ vectors.conj().T
-    pencil = inv_sqrt @ (rho2.entries - rho1.entries) @ inv_sqrt
-    top = float(np.linalg.eigvalsh(pencil)[0])  # most negative direction
-    if top >= 0.0:
-        return np.inf
-    return 1.0 / (-top)
+def _max_admissible_stretch(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """Largest s with rho2 + s*(rho2 - rho1) still positive (rho2 interior),
+    for (n, N, N) stacks of states."""
+    values, vectors = np.linalg.eigh(rho2)
+    inv_sqrt = (vectors / np.sqrt(values)[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+    pencil = inv_sqrt @ (rho2 - rho1) @ inv_sqrt
+    top = np.linalg.eigvalsh(pencil)[:, 0]  # most negative direction
+    with np.errstate(divide="ignore"):
+        return np.where(top >= 0.0, np.inf, -1.0 / top)
 
 
 def backflow_scaling_suite(
@@ -417,26 +390,35 @@ def backflow_scaling_suite(
     dims=(2, 3),
     trials: int = 100,
 ) -> list[PropertyCheck]:
-    """Backflow scaling laws under rescaling and convex stretching."""
+    """Backflow scaling laws under rescaling and convex stretching, as
+    stacks: each trial's non-orthogonal pair against its rescaled pair, then
+    a full-rank state and a state of random rank against their stretched
+    pair."""
     worst = _Worst()
-    for dim in dims:
-        for rng in _streams(seed, (40, dim), 0, trials):
-            rho1, rho2, _ = _random_nonorthogonal_pair(dim, rng)
-            sigma1, sigma2, lam = rescale_pair(rho1, rho2)
-            bf = backflow(_trajectory(coeffs, rho1.entries, rho2.entries))
-            bf_rescaled = backflow(_trajectory(coeffs, sigma1.entries, sigma2.entries))
-            worst.see("rescaled-backflow-law", abs(bf_rescaled - bf / lam))
-
-            interior = sample_random_state(dim, dim, rng)
-            other = sample_random_state(dim, int(rng.integers(1, dim + 1)), rng)
-            stretch_max = _max_admissible_stretch(other, interior)
-            lam_stretch = 1.0 + 0.5 * min(stretch_max, 20.0)
-            mixed = make_density_matrix(
-                (1.0 - lam_stretch) * other.entries + lam_stretch * interior.entries
-            )
-            bf_base = backflow(_trajectory(coeffs, other.entries, interior.entries))
-            bf_stretched = backflow(_trajectory(coeffs, other.entries, mixed.entries))
-            worst.see("stretched-backflow-law", abs(bf_stretched - lam_stretch * bf_base))
+    contraction = 1.0 - depolarizing_weights(coeffs.grid)
+    for dim, pairs, _, tails in _pair_blocks(
+        seed,
+        40,
+        dims,
+        trials,
+        lambda rng, dim: (
+            rng.standard_normal((2, dim, dim)),
+            rng.integers(1, dim + 1),
+            rng.standard_normal((2, dim, dim)),
+        ),
+    ):
+        parts, weights = _jordan_hahn_stack(pairs[0] - pairs[1])
+        rescaled, lam = _rescaled_pairs(pairs, parts, weights)
+        full, ranks, ginibre = map(np.array, zip(*tails))
+        interior, other = _random_state_stack([dim] * len(ranks), full), _random_state_stack(ranks, ginibre)
+        stretch = (1.0 + 0.5 * np.minimum(_max_admissible_stretch(other, interior), 20.0))[:, None, None]
+        mixed = _density_stack((1.0 - stretch) * other + stretch * interior)
+        stacked = np.concatenate([pairs, rescaled, [other, interior], [other, mixed]], axis=1)[:, :, None]
+        bf, bf_rescaled, bf_base, bf_stretched = _trajectory(
+            coeffs, contraction, stacked, lambda d: _rise(d, 0.0)
+        ).reshape(4, -1)
+        worst.see("rescaled-backflow-law", *np.abs(bf_rescaled - bf / lam))
+        worst.see("stretched-backflow-law", *np.abs(bf_stretched - stretch[:, 0, 0] * bf_base))
     return worst.checks("rescaled-backflow-law stretched-backflow-law", len(dims) * trials)
 
 
@@ -483,13 +465,13 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
     worst.see("closed-form-feeding", np.abs(quadrature.g1 - g_exact).max(), np.abs(quadrature.g2 - g_exact).max())
     worst.see("closed-form-coherence-decay", np.abs(np.abs(quadrature.f) - np.exp(-d_exact)).max())
 
-    # the pairs are drawn a block at a time, but their full-grid trajectories
-    # (three (grid, 3, 3) stacks, about 0.9 MB a pair) are held one at a time
+    # the pairs are drawn a block at a time, and their full-grid trajectories
+    # (about 0.9 MB a pair) are held as :func:`_trajectory` bounds them
     streams = _streams(seed, (50, 3), 0, contraction_pairs)
     for n in _block_sizes(contraction_pairs, 3):
-        for rho1, rho2 in _random_states(3, islice(streams, n), 2, 2)[0]:
-            d = _trajectory(coeffs, rho1, rho2).distances
-            worst.see("distance-contraction-bound", (d - d[0]).max())
+        pairs = _random_states(3, islice(streams, n), 2)[0].swapaxes(0, 1)[:, :, None]
+        rises = _trajectory(coeffs, None, pairs, lambda d: (d - d[..., :1]).max(axis=-1))
+        worst.see("distance-contraction-bound", *rises.ravel())
 
     # freed before the basis evolution below; this quadrature sets the peak
     # memory (3.5 MB traced by tracemalloc, against 3.3 MB for the evolution)

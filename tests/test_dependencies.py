@@ -155,7 +155,8 @@ UNCALLED_ON_PURPOSE = {
 EIGVALSH_FUNCTIONS = {
     "statespace.py": {"_clipped_distances", "_density_stack"},
     "dynamics.py": {"_check_block"},
-    "verify.py": {"_jordan_hahn_block", "translation_suite", "_max_admissible_stretch"},
+    "translation.py": {"_translated"},
+    "verify.py": {"jordan_hahn_suite", "translation_suite", "_max_admissible_stretch"},
 }
 
 # The functions that may call eigh: the one split by sign, which the

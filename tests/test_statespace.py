@@ -35,6 +35,7 @@ from backflow.statespace import (
     sample_orthogonal_mixed_pair,
     sample_pure_orthogonal_pair,
     sample_random_state,
+    spectral_decomposition,
     trace_distance,
 )
 
@@ -300,6 +301,24 @@ class TestTraceNormKernel:
         assert _clipped_distances(deltas).tobytes() == eigvalsh_distances(deltas).tobytes()
         for delta in deltas.reshape(-1, dim, dim):
             assert _clipped_distances(delta).tobytes() == eigvalsh_distances(delta).tobytes()
+
+
+class TestSpectralDecomposition:
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_a_stack_is_each_matrix_alone(self, dim):
+        # descending eigenvalues, and each column's first component above
+        # 1e-12 made real positive, in one eigh for the stack
+        rng = rng_stream(23, dim)
+        states = [sample_random_state(dim, rank, rng).entries for rank in range(1, dim + 1) for _ in range(4)]
+        stack = np.array(states + [np.eye(dim) / dim])
+        values, vectors = spectral_decomposition(stack)
+        for k, matrix in enumerate(stack):
+            one_values, one_vectors = spectral_decomposition(matrix)
+            assert np.array_equal(values[k], one_values) and np.array_equal(vectors[k], one_vectors)
+            assert np.all(np.diff(one_values) <= 0.0)
+            pivots = one_vectors[(np.abs(one_vectors) > 1e-12).argmax(axis=0), np.arange(dim)]
+            assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real > 0.0)
+            np.testing.assert_allclose((one_vectors * one_values) @ one_vectors.conj().T, matrix, rtol=0, atol=1e-14)
 
 
 class TestJordanHahn:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backflow import translation
 from backflow.errors import DomainError, OrthogonalPair, PositivityFailure
 from backflow.statespace import (
     TOL_PSD,
@@ -12,6 +13,7 @@ from backflow.statespace import (
     rng_stream,
     sample_pure_orthogonal_pair,
     sample_random_state,
+    spectral_decomposition,
     trace_distance,
 )
 from backflow.translation import (
@@ -174,6 +176,16 @@ class TestJointlyTranslate:
         with pytest.raises(OrthogonalPair):
             jointly_translate(pure_state([1, 0]), pure_state([0, 1]))
 
+    def test_translated_states_are_validated(self):
+        # each output is the validated state of its input less the shift
+        rng = rng_stream(9, 4)
+        for dim in (2, 3, 4):
+            rho1, rho2 = nonorthogonal_pair(dim, rng)
+            hat1, hat2, construction = jointly_translate(rho1, rho2)
+            for hat, rho in ((hat1, rho1), (hat2, rho2)):
+                expected = make_density_matrix(rho.entries - construction.shift.entries).entries
+                assert np.array_equal(hat.entries, expected) and not hat.entries.flags.writeable
+
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, dim=st.sampled_from([2, 3, 4]))
     def test_translation_properties(self, seed, dim):
@@ -209,7 +221,7 @@ class TestJointlyTranslate:
         def broken(entries):
             raise TypeError("not a validation failure")
 
-        monkeypatch.setattr(translation, "make_density_matrix", broken)
+        monkeypatch.setattr(translation, "_density_stack", broken)
         with pytest.raises(TypeError, match="not a validation failure"):
             jointly_translate(pure_state([1, 0]), pure_state([1, 1]))
 
@@ -246,3 +258,89 @@ class TestEpsilonBound:
             epsilon_upper_bound(0.5, 1, 0.5)
         with pytest.raises(DomainError):
             epsilon_upper_bound(0.5, 3, 0.0)
+
+
+def assert_one_pair_case(stack, k, rho1, rho2):
+    """Pair k of a stacked translation equals jointly_translate of that pair
+    alone, and its selection and shift equal overlap_selection's and
+    build_shift_operator's, field by field and bit for bit."""
+    selection, eps_max, shifts, translated, interior = stack
+    hat1, hat2, construction = jointly_translate(rho1, rho2, 0.5)
+    for one in (construction, build_shift_operator(rho1, rho2, 0.5)):
+        for name in ("vector1", "vector2"):
+            assert np.array_equal(getattr(selection, name)[k], getattr(one.selection, name))
+        for name in ("overlap", "weight1", "weight2"):
+            assert getattr(selection, name)[k] == getattr(one.selection, name)
+        assert eps_max[k] == one.epsilon_max
+        assert np.array_equal(shifts[k], one.shift.entries)
+    for name in ("vector1", "vector2", "overlap", "weight1", "weight2"):
+        assert np.array_equal(getattr(overlap_selection(rho1, rho2), name), getattr(construction.selection, name))
+    assert interior[:, k].all()
+    assert np.array_equal(translated[0, k], hat1.entries) and np.array_equal(translated[1, k], hat2.entries)
+
+
+def stacked_translations(pairs):
+    return translation._translations(np.array([[rho.entries for rho in pair] for pair in pairs]).swapaxes(0, 1), 0.5)
+
+
+class TestStackedTranslation:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_each_pair_is_its_one_pair_case(self, dim):
+        # random pairs of every rank combination: a rank-deficient state keeps
+        # only its support's eigenvector columns
+        rng = rng_stream(17, dim)
+        pairs = [
+            (sample_random_state(dim, r1, rng), sample_random_state(dim, r2, rng))
+            for r1 in range(1, dim + 1)
+            for r2 in range(1, dim + 1)
+            for _ in range(3)
+        ]
+        stack = stacked_translations(pairs)
+        for k, (rho1, rho2) in enumerate(pairs):
+            assert_one_pair_case(stack, k, rho1, rho2)
+            rank = int((spectral_decomposition(rho1.entries)[0] > TOL_PSD).sum())
+            support = spectral_decomposition(rho1.entries)[1][:, :rank]
+            assert any(np.array_equal(stack[0].vector1[k], column) for column in support.T)
+
+    def test_degenerate_spectrum_keeps_the_eigh_order(self):
+        # tied eigenvalues keep the order eigh gives their eigenvectors, so the
+        # maximally mixed state selects eigh's first eigenvector; reversing the
+        # order would select another
+        rho = make_density_matrix(np.eye(2) / 2)
+        values, vectors = np.linalg.eigh(rho.entries)
+        first, last = vectors[:, 0], vectors[:, -1]
+        stack = stacked_translations([(rho, rho), (pure_state([1, 0]), pure_state([1, 1]))])
+        assert np.array_equal(stack[0].vector1[0], first) and not np.array_equal(first, last)
+        assert_one_pair_case(stack, 0, rho, rho)
+        assert_one_pair_case(stack, 1, pure_state([1, 0]), pure_state([1, 1]))
+
+    def test_aligned_pairs_have_no_minus_projector(self):
+        # overlap 1: the minus superposition vanishes, the ratio is 0 and the
+        # shift is epsilon (P_plus - 1/N)
+        pairs = [(make_density_matrix(np.eye(2) / 2),) * 2, (pure_state([0, 1, 0]),) * 2]
+        for pair in pairs:
+            construction = build_shift_operator(*pair)
+            assert construction.selection.overlap == 1.0 and construction.norm_ratio == 0.0
+            v = construction.selection.vector1
+            dim = len(v)
+            expected = construction.epsilon * (np.outer(v, v.conj()) - np.eye(dim) / dim)
+            np.testing.assert_allclose(construction.shift.entries, expected, rtol=0, atol=1e-15)
+        for pair in pairs:
+            assert_one_pair_case(stacked_translations([pair]), 0, *pair)
+
+    def test_a_pair_that_is_not_interior_is_returned_as_it_is(self, monkeypatch):
+        # the stack raises on no pair: an inadmissible epsilon for the first
+        # pair (overlap 0.71) leaves its shifted matrices unvalidated, and the
+        # second pair (overlap 0.45) in the same stack is its one-pair case
+        real = translation.epsilon_upper_bound
+        monkeypatch.setattr(
+            translation, "epsilon_upper_bound", lambda alpha, dim, w: 100.0 if alpha > 0.6 else real(alpha, dim, w)
+        )
+        bad, good = (pure_state([1, 0]), pure_state([1, 1])), (pure_state([1, 0]), pure_state([1, 2]))
+        stack = stacked_translations([bad, good])
+        _, _, shifts, translated, interior = stack
+        assert interior.tolist() == [[False, True], [False, True]]
+        assert np.array_equal(translated[:, 0], np.array([rho.entries for rho in bad]) - shifts[0])
+        with pytest.raises(PositivityFailure):
+            jointly_translate(*bad)
+        assert_one_pair_case(stack, 1, *good)

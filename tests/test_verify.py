@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from backflow import statespace, verify
-from backflow.dynamics import lambda_map_coefficients, make_grid, sinusoidal_rates
-from backflow.measure import backflow, trajectory_from_states
+from backflow.dynamics import apply_map_to_grid, lambda_map_coefficients, make_grid, sinusoidal_rates
+from backflow.measure import TraceDistanceTrajectory, backflow, trajectory_from_states
+from backflow.errors import PositivityFailure
 from backflow.statespace import (
     TOL_ORTH,
+    _clipped_distances,
     haar_unitary,
     is_orthogonal,
     jordan_hahn,
@@ -21,7 +23,13 @@ from backflow.statespace import (
     sample_random_state,
     trace_distance,
 )
-from backflow.translation import jointly_translate
+from backflow.translation import (
+    build_shift_operator,
+    epsilon_upper_bound,
+    is_jointly_translatable,
+    jointly_translate,
+    quadratic_bound,
+)
 from backflow.verify import (
     _CHECKS,
     _block_sizes,
@@ -29,6 +37,7 @@ from backflow.verify import (
     _Worst,
     backflow_scaling_suite,
     depolarize_stack,
+    depolarizing_weights,
     dynamics_suite,
     jordan_hahn_suite,
     metric_suite,
@@ -73,7 +82,7 @@ def test_jordan_hahn_suite_splits_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(statespace, "_signed_parts", counted)
     monkeypatch.setattr(statespace, "jordan_hahn", one_pair)
-    monkeypatch.setattr(verify, "rescale_pair", one_pair)
+    monkeypatch.setattr(statespace, "rescale_pair", one_pair)
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 3 * 9)
     jordan_hahn_suite(7, dims=(2, 3), trials=5)
     assert calls == [(5, 2, 2)] * 2 + [(3, 3, 3)] * 2 + [(2, 3, 3)] * 2
@@ -94,11 +103,22 @@ def test_non_orthogonal_mixed_pairs_fail_their_check(monkeypatch):
     assert checks["orthogonal-pairs-on-boundary"].worst == 0.0
 
 
+def test_translatable_mixed_pairs_fail_the_rejection_check(monkeypatch, preset_coeffs):
+    # a broken mixed-pair sampler whose pairs overlap is counted, pair by pair
+    def maximally_mixed(ginibre):
+        n, _, dim, _ = ginibre.shape
+        return np.broadcast_to(np.eye(dim) / dim, (2, n, dim, dim))
+
+    monkeypatch.setattr(verify, "_mixed_pairs_from_ginibre", maximally_mixed)
+    checks = {c.name: c for c in translation_suite(7, preset_coeffs, (2, 3), 3)}
+    assert [name for name, c in checks.items() if not c.passed] == ["orthogonal-pairs-rejected"]
+    assert checks["orthogonal-pairs-rejected"].worst == 6
+
+
 def test_checks_do_not_depend_on_the_mixed_pair_draws(monkeypatch, preset_coeffs):
     # each trial draws from its own stream and its orthogonal mixed pair
-    # last, so other numbers for that pair move no other check: the
-    # translation suite's sampler reads one more number, and the stacked
-    # Jordan-Hahn suite builds each pair from its normals shifted by one
+    # last, so other numbers for that pair move no other check: both stacked
+    # suites build each mixed pair from its normals shifted by one
     def suites():
         return {
             c.name: c.worst
@@ -109,20 +129,14 @@ def test_checks_do_not_depend_on_the_mixed_pair_draws(monkeypatch, preset_coeffs
     calls = []
     build = verify._mixed_pairs_from_ginibre
 
-    def one_more_normal(dim, rng):
-        calls.append(dim)
-        rng.standard_normal()
-        return sample_orthogonal_mixed_pair(dim, rng)
-
     def shifted_by_one(ginibre):
         calls.append(len(ginibre))
         flat = ginibre.reshape(len(ginibre), -1)
         return build(np.roll(flat, -1, axis=1).reshape(ginibre.shape))
 
-    monkeypatch.setattr(verify, "sample_orthogonal_mixed_pair", one_more_normal)
     monkeypatch.setattr(verify, "_mixed_pairs_from_ginibre", shifted_by_one)
     after = suites()
-    assert calls == [10, 10, 10] + [2] * 10 + [3] * 10 + [4] * 10
+    assert calls == [10, 10, 10] * 2
     moved = {"orthogonal-pairs-unit-distance", "orthogonal-pairs-on-boundary"}
     assert {k: v for k, v in after.items() if k not in moved} == {k: v for k, v in before.items() if k not in moved}
 
@@ -241,13 +255,15 @@ def depolarizer_test_pairs(dim, seed=13):
 @pytest.mark.parametrize("dim", [2, 4, 5])
 def test_depolarizer_trajectory_matches_the_full_grid_map(preset_coeffs, dim):
     grid = preset_coeffs.grid
-    for rho1, rho2 in depolarizer_test_pairs(dim):
-        fast = _trajectory(preset_coeffs, rho1.entries, rho2.entries)
+    pairs = depolarizer_test_pairs(dim)
+    stack = np.array([[rho.entries for rho in pair] for pair in pairs]).swapaxes(0, 1)[:, :, None]
+    fast = _trajectory(preset_coeffs, 1.0 - depolarizing_weights(grid), stack, lambda d: d)[:, 0]
+    for (rho1, rho2), distances in zip(pairs, fast):
         reference = trajectory_from_states(
             grid, depolarize_stack(grid, rho1.entries), depolarize_stack(grid, rho2.entries)
         )
-        np.testing.assert_allclose(fast.distances, reference.distances, rtol=0, atol=1e-14)
-        assert abs(backflow(fast) - backflow(reference)) <= 1e-14
+        np.testing.assert_allclose(distances, reference.distances, rtol=0, atol=1e-14)
+        assert abs(backflow(TraceDistanceTrajectory(grid, distances)) - backflow(reference)) <= 1e-14
 
 
 def test_translation_suite_takes_no_full_grid_eigensolve(monkeypatch, preset_coeffs):
@@ -408,6 +424,177 @@ def test_jordan_hahn_block_memory_is_bounded():
     assert peaks[1] <= 1.1 * peaks[0]  # ten times the trials, the same blocks
 
 
+def one_pair_trajectory(coeffs, m1, m2):
+    """The trace-distance trajectory of one pair, as verify maps it: the
+    three-level map at dimension 3, the depolarizer's factor times one
+    distance elsewhere."""
+    grid = coeffs.grid
+    if m1.shape[0] == 3:
+        return trajectory_from_states(grid, *apply_map_to_grid(coeffs, np.stack([m1, m2]))).distances
+    return (1.0 - depolarizing_weights(grid)) * _clipped_distances(m1 - m2)
+
+
+def accepted_pair(dim, rng, accepted):
+    """The stream's first random pair that ``accepted`` takes by its distance."""
+    while True:
+        rho1, rho2 = (sample_random_state(dim, int(rank), rng) for rank in rng.integers(1, dim + 1, 2))
+        if accepted(trace_distance(rho1, rho2)):
+            return rho1, rho2
+
+
+def accepts(distance):
+    return 1e-6 < distance < 1.0 - TOL_ORTH
+
+
+def reference_translation_suite(seed, coeffs, dims, trials, accepted=accepts, worst=None):
+    """The translation suite one trial at a time through the public functions:
+    trial i reads its stream's pair, redrawn until ``accepted``, translates
+    it, or subtracts its shift where the translation is not strictly
+    interior, then reads an orthogonal mixed pair."""
+    worst = worst or _Worst()
+    translatable = 0
+    for dim in dims:
+        for i in range(trials):
+            rng = rng_stream(seed, 30, dim, i)
+            rho1, rho2 = accepted_pair(dim, rng, accepted)
+            try:
+                hat1, hat2, construction = jointly_translate(rho1, rho2, 0.5)
+                m1, m2 = hat1.entries, hat2.entries
+            except PositivityFailure:
+                construction = build_shift_operator(rho1, rho2, 0.5)
+                m1, m2 = (rho.entries - construction.shift.entries for rho in (rho1, rho2))
+            worst.see("translate-strictly-interior", np.linalg.eigvalsh(m1)[0], np.linalg.eigvalsh(m2)[0])
+            worst.see("translate-difference-preserved", np.abs((m1 - m2) - (rho1.entries - rho2.entries)).max())
+            base = one_pair_trajectory(coeffs, rho1.entries, rho2.entries)
+            worst.see("translate-trajectory-invariance", np.abs(base - one_pair_trajectory(coeffs, m1, m2)).max())
+            a = construction.shift.entries
+            worst.see("shift-traceless", abs(np.trace(a).real), abs(np.trace(a).imag))
+            worst.see("shift-hermitian", np.abs(a - a.conj().T).max())
+            worst.see("shift-nonzero", np.linalg.norm(a, 2))
+            sel = construction.selection
+            eps = 0.99 * construction.epsilon_max
+            for weight in (sel.weight1, sel.weight2):
+                vertex = min(max(eps / (weight * (1.0 + sel.overlap)), 0.0), 1.0)
+                worst.see(
+                    "quadratic-bound-positive",
+                    *(quadratic_bound(weight, sel.overlap, dim, eps, x) for x in (0.0, vertex, 1.0)),
+                )
+            translatable += is_jointly_translatable(*sample_orthogonal_mixed_pair(dim, rng))
+    worst.see("orthogonal-pairs-rejected", translatable)
+    weights = np.linspace(0.05, 1.0, 40)
+    for alpha in (0.2, 0.6, 0.95):
+        for dim in dims:
+            worst.see("epsilon-bound-monotone", np.diff([epsilon_upper_bound(alpha, dim, w) for w in weights]).min())
+    return worst.checks(
+        "translate-strictly-interior translate-difference-preserved translate-trajectory-invariance"
+        " shift-traceless shift-hermitian shift-nonzero orthogonal-pairs-rejected quadratic-bound-positive",
+        len(dims) * trials,
+    ) + worst.checks("epsilon-bound-monotone", len(weights))
+
+
+def one_pair_stretch(rho1, rho2):
+    """Largest s with rho2 + s (rho2 - rho1) positive, for one pair of states."""
+    values, vectors = np.linalg.eigh(rho2.entries)
+    inv_sqrt = (vectors / np.sqrt(values)) @ vectors.conj().T
+    top = float(np.linalg.eigvalsh(inv_sqrt @ (rho2.entries - rho1.entries) @ inv_sqrt)[0])
+    return np.inf if top >= 0.0 else 1.0 / -top
+
+
+def reference_backflow_scaling_suite(seed, coeffs, dims, trials, accepted=accepts, worst=None):
+    """The backflow-scaling suite one trial at a time through the public
+    functions: trial i reads its stream's pair, redrawn until ``accepted``,
+    then a full-rank state, a rank and a state of that rank."""
+    worst = worst or _Worst()
+
+    def backflow_of(rho1, rho2):
+        return backflow(TraceDistanceTrajectory(coeffs.grid, one_pair_trajectory(coeffs, rho1.entries, rho2.entries)))
+
+    for dim in dims:
+        for i in range(trials):
+            rng = rng_stream(seed, 40, dim, i)
+            rho1, rho2 = accepted_pair(dim, rng, accepted)
+            sigma1, sigma2, lam = rescale_pair(rho1, rho2)
+            worst.see("rescaled-backflow-law", abs(backflow_of(sigma1, sigma2) - backflow_of(rho1, rho2) / lam))
+            interior = sample_random_state(dim, dim, rng)
+            other = sample_random_state(dim, int(rng.integers(1, dim + 1)), rng)
+            stretch = 1.0 + 0.5 * min(one_pair_stretch(other, interior), 20.0)
+            mixed = make_density_matrix((1.0 - stretch) * other.entries + stretch * interior.entries)
+            worst.see(
+                "stretched-backflow-law", abs(backflow_of(other, mixed) - stretch * backflow_of(other, interior))
+            )
+    return worst.checks("rescaled-backflow-law stretched-backflow-law", len(dims) * trials)
+
+
+STACKED_SUITES = {
+    "translation": (30, translation_suite, reference_translation_suite),
+    "backflow-scaling": (40, backflow_scaling_suite, reference_backflow_scaling_suite),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("seed", [1, 7, 201])
+@pytest.mark.parametrize("suite", list(STACKED_SUITES))
+def test_stacked_suites_match_one_trial_at_a_time(monkeypatch, preset_coeffs, suite, seed, block):
+    _, stacked, reference = STACKED_SUITES[suite]
+    for dim in (2, 3, 4, 5):
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", (block or 12) * dim * dim)
+        assert stacked(seed, preset_coeffs, (dim,), 12) == reference(seed, preset_coeffs, (dim,), 12)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 7, 201])
+@pytest.mark.parametrize("suite", list(STACKED_SUITES))
+def test_rejected_first_pairs_of_the_stacked_suites_redraw(monkeypatch, preset_coeffs, suite, seed, dim, block):
+    # as for the Jordan-Hahn suite: trial 3's first pair, rejected by its
+    # distance, is redrawn from its own stream, and each value seen is the
+    # one-trial reference's
+    tag, stacked, reference = STACKED_SUITES[suite]
+    rng = rng_stream(seed, tag, dim, 3)
+    rejected = trace_distance(*(sample_random_state(dim, int(rank), rng) for rank in rng.integers(1, dim + 1, 2)))
+    original = verify._accepted
+    redraws = []
+
+    def accepted(distances):
+        redraws.append(np.count_nonzero(np.asarray(distances) == rejected))
+        return original(distances) & (distances != rejected)
+
+    monkeypatch.setattr(verify, "_accepted", accepted)
+    recorded = []
+
+    def recording():
+        recorded.append(_EveryValue())
+        return recorded[-1]
+
+    monkeypatch.setattr(verify, "_Worst", recording)
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", (block or 12) * dim * dim)
+    stacked(seed, preset_coeffs, (dim,), 12)
+    assert sum(redraws) == 2  # the stacked draw and the redraw's first pair
+    forced = _EveryValue()
+    reference(seed, preset_coeffs, (dim,), 12, lambda d: accepts(d) and d != rejected, forced)
+    [values] = [{name: sorted(seen) for name, seen in worst.seen.items()} for worst in recorded]
+    assert values == {name: sorted(seen) for name, seen in forced.seen.items()}
+
+
+@pytest.mark.parametrize("suite", [translation_suite, backflow_scaling_suite])
+def test_trajectory_block_memory_is_bounded(monkeypatch, preset_coeffs, suite):
+    # the dimension-3 trajectories of a block are built and reduced a few
+    # pairs at a time, so a block of ten trials holds about two pairs' full
+    # grids, and ten times the trials, in ten blocks, hold no more
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 10 * 9)
+    suite(1, preset_coeffs, (3,), 2)  # first-call allocations are not the suite's
+    peaks = []
+    for trials in (10, 100):
+        tracemalloc.start()
+        try:
+            suite(1, preset_coeffs, (3,), trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 3e6
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 SUITE_STREAMS = {
     "metric": (lambda seed, coeffs: metric_suite(seed, (2, 3), 4), 10, (2, 3)),
     "jordan-hahn": (lambda seed, coeffs: jordan_hahn_suite(seed, (2, 3), 4), 20, (2, 3)),
@@ -445,7 +632,7 @@ def test_contraction_pairs_do_not_depend_on_the_block_size(monkeypatch, preset_c
         rng = rng_stream(12, 50, 3, i)
         r1, r2 = rng.integers(1, 4, 2)
         rho1, rho2 = sample_random_state(3, int(r1), rng), sample_random_state(3, int(r2), rng)
-        d = _trajectory(preset_coeffs, rho1.entries, rho2.entries).distances
+        d = one_pair_trajectory(preset_coeffs, rho1.entries, rho2.entries)
         worst = max(worst, float((d - d[0]).max()))
     for block in (1, 2, 5):
         monkeypatch.setattr(verify, "_BLOCK_ENTRIES", block * 9)
@@ -485,7 +672,7 @@ RUN_ALL_SEED7_WORST = {
     "translate-strictly-interior": 0.002968211725917839,
     "translate-difference-preserved": 2.220446049250313e-16,
     "translate-trajectory-invariance": 6.661338147750939e-16,
-    "shift-traceless": 6.591949208711867e-17,
+    "shift-traceless": 6.245004513516506e-17,
     "shift-hermitian": 0.0,
     "shift-nonzero": 0.009772717508358965,
     "orthogonal-pairs-rejected": 0.0,
