@@ -123,7 +123,7 @@ MAX_SAMPLES = 10**7
 MAX_BINS = 10**6
 # verify draws N x N complex matrices for every dimension N
 MAX_DIM = 64
-# verify repeats each suite this often per dimension, about 0.0045 s a trial at dims 2,3,4: 45 s at the cap
+# verify repeats each suite this often per dimension, about 0.0022 s a trial at dims 2,3,4: 22 s at the cap
 MAX_TRIALS = 10**4
 # np.gradient divides by products of two grid steps, so their square must stay a normal float
 MIN_GRID_STEP = float(np.sqrt(np.finfo(float).tiny))

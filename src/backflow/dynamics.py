@@ -29,7 +29,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .statespace import TOL_PSD, DensityMatrix
+from .statespace import TOL_PSD, DensityMatrix, _certified_above
 
 TOL_CPT = 1e-8
 # Quadrature of tabulated rates splits every grid interval this many ways;
@@ -510,12 +510,20 @@ def _check_block(states: np.ndarray, times: np.ndarray) -> None:
     not positive; ``states`` is (n, steps, 3, 3) and ``times`` the steps' end times.
 
     Within a step, non-finite entries are reported before positivity, and
-    only steps before the first non-finite one are eigensolved.
+    only steps before the first non-finite one are checked. States that
+    :func:`_certified_above` clears count as 0.0 in their step's minimum
+    eigenvalue and the rest are eigensolved, which moves neither the lost
+    step nor its minimum.
     """
     finite = np.isfinite(states).all(axis=(0, 2, 3))
     bad = int(np.argmin(finite)) if not finite.all() else finite.size
     if bad:
-        min_eig = np.linalg.eigvalsh(states[:, :bad])[..., 0].min(axis=0)
+        head = states[:, :bad]
+        min_eig = np.zeros(head.shape[:2])
+        doubt = ~_certified_above(head, POSITIVITY_DRIFT)
+        if doubt.any():
+            min_eig[doubt] = np.linalg.eigvalsh(head[doubt])[:, 0]
+        min_eig = min_eig.min(axis=0)
         lost = np.flatnonzero(min_eig < -POSITIVITY_DRIFT)
         if lost.size:
             k = int(lost[0])
@@ -540,10 +548,9 @@ def lindblad_integrate(
     matrix alone with its propagator. After each block, its states are
     re-symmetrized and their traces renormalized at once, so every
     returned state is exactly Hermitian, and the next block starts from
-    the block's last state; then one ``isfinite`` and one stacked
-    eigensolve check every step's states, and the first step that is
-    non-finite or has an eigenvalue below the allowed band is reported,
-    never clipped.
+    the block's last state; then :func:`_check_block` checks every step's
+    states at once, and the first step that is non-finite or has an
+    eigenvalue below the allowed band is reported, never clipped.
     """
     for state in states:
         _check_dim3(state.entries)

@@ -40,9 +40,10 @@ from .dynamics import (
     lindblad_integrate,
     make_grid,
     sinusoidal_rates,
+    stretch_ends,
     validate_cpt,
 )
-from .measure import SCORE_POINTS, _rise
+from .measure import SCORE_POINTS, _rise, _streamed_backflows
 from .statespace import (
     TOL_ORTH,
     TOL_PSD,
@@ -393,8 +394,10 @@ def backflow_scaling_suite(
     """Backflow scaling laws under rescaling and convex stretching, as
     stacks: each trial's non-orthogonal pair against its rescaled pair, then
     a full-rank state and a state of random rank against their stretched
-    pair."""
+    pair. Dimension 3 scores backflows as ``measure`` does, at the stretch
+    ends."""
     worst = _Worst()
+    ends = stretch_ends(coeffs)
     contraction = 1.0 - depolarizing_weights(coeffs.grid)
     for dim, pairs, _, tails in _pair_blocks(
         seed,
@@ -413,10 +416,12 @@ def backflow_scaling_suite(
         interior, other = _random_state_stack([dim] * len(ranks), full), _random_state_stack(ranks, ginibre)
         stretch = (1.0 + 0.5 * np.minimum(_max_admissible_stretch(other, interior), 20.0))[:, None, None]
         mixed = _density_stack((1.0 - stretch) * other + stretch * interior)
-        stacked = np.concatenate([pairs, rescaled, [other, interior], [other, mixed]], axis=1)[:, :, None]
-        bf, bf_rescaled, bf_base, bf_stretched = _trajectory(
-            coeffs, contraction, stacked, lambda d: _rise(d, 0.0)
-        ).reshape(4, -1)
+        stacked = np.concatenate([pairs, rescaled, [other, interior], [other, mixed]], axis=1)
+        if dim == 3:
+            scores = _streamed_backflows(ends, lambda start, stop: stacked[:, start:stop], stacked.shape[1], 0.0)
+        else:
+            scores = _trajectory(coeffs, contraction, stacked[:, :, None], lambda d: _rise(d, 0.0))
+        bf, bf_rescaled, bf_base, bf_stretched = scores.reshape(4, -1)
         worst.see("rescaled-backflow-law", *np.abs(bf_rescaled - bf / lam))
         worst.see("stretched-backflow-law", *np.abs(bf_stretched - stretch[:, 0, 0] * bf_base))
     return worst.checks("rescaled-backflow-law stretched-backflow-law", len(dims) * trials)

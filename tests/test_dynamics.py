@@ -716,6 +716,35 @@ class TestRk4Propagators:
         assert grid[STEP_BLOCK] < t
         assert _failure_time(raised.value) == _failure_time(reference.value)
 
+    @pytest.mark.parametrize("gamma", [-1.0, 1e3, 1e6])
+    def test_one_lost_state_is_reported_as_if_every_state_were_eigensolved(self, monkeypatch, gamma):
+        # ground states stay put under any rates, so the one state with an
+        # excited population is the stack's one state that loses positivity;
+        # clearing the others by the certificate moves neither the step nor
+        # the minimum reported
+        rates = _switched_on_rates(gamma, 2.5)
+        grid = make_grid(2 * np.pi, 200)
+        states = [pure_state(v) for v in ([0, 1, 0], [0, 0, 1], [0, 1, 1], [0, 1, 1j], [1, 1, 0])]
+        with pytest.raises(PositivityLost) as raised:
+            lindblad_integrate(rates, states, grid)
+        monkeypatch.setattr(dynamics, "_certified_above", lambda m, tol: np.zeros(m.shape[:-2], dtype=bool))
+        with pytest.raises(PositivityLost) as eigensolved:
+            lindblad_integrate(rates, states, grid)
+        assert grid[STEP_BLOCK] < float(_failure_time(raised.value))
+        assert str(raised.value) == str(eigensolved.value)
+
+    def test_valid_states_take_no_eigensolve(self, monkeypatch):
+        matrices = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        lindblad_integrate(sinusoidal_rates(), spanning_states(), make_grid(2 * np.pi, 2000))
+        assert sum(matrices) == 0
+
     def test_peak_memory_is_the_output_and_a_fixed_margin(self):
         # numpy reports its buffers to tracemalloc; propagators built for
         # every step at once would take 1.3 kB per step and array

@@ -388,6 +388,21 @@ class TestHistogram:
         ] + [0] * 24
         assert hist.max_sampled == 0.05769773321146576
 
+    def test_pure_pairs_take_no_eigensolve(self, monkeypatch, preset_coeffs):
+        # every sampled pure state, and the reference pair, is cleared by the
+        # positivity certificate, and 3x3 distances have a closed form
+        matrices = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        hist = histogram_backflow(preset_coeffs, n_samples=2000, bins=50, seed=7)
+        assert hist.counts.sum() == 2000
+        assert sum(matrices) == 0
+
     def test_input_validation(self, preset_coeffs):
         with pytest.raises(DomainError):
             histogram_backflow(preset_coeffs, n_samples=0, bins=10, seed=1)

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backflow import statespace
+from backflow.dynamics import POSITIVITY_DRIFT
 from backflow.errors import (
     BadDimension,
     BadTrace,
@@ -18,6 +21,7 @@ from backflow.statespace import (
     TOL_PSD,
     HermitianOperator,
     _canonical_sign,
+    _certified_above,
     _clipped_distances,
     _density_stack,
     _mixed_pair_stacks,
@@ -719,3 +723,51 @@ class TestStreams:
         streams = [rng_stream(5, *prefix, i) for i in range(start, stop)]
         alone = [(int(rng.integers(0, 1000)), rng.random()) for rng in streams]
         assert batched == alone
+
+
+def placed_minimum(dim, count, minimum, scale, rng):
+    """``count`` Hermitian dim x dim matrices U diag(minimum, rest) U^dagger
+    with Haar U and rest a random state's spectrum of random rank times
+    ``scale``, so a zero may sit next to the placed minimum."""
+    ranks = rng.integers(1, dim, count)
+    rest = np.linalg.eigvalsh(_random_state_stack(ranks, rng.standard_normal((count, 2, dim - 1, dim - 1))))
+    values = np.concatenate([np.full((count, 1), minimum), scale * np.clip(rest, 0.0, None)], axis=1)
+    u = statespace._haar_stack(dim, [rng] * count)
+    m = (u * values[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+class TestPositivityCertificate:
+    """The LDL certificate that lets state checks skip eigvalsh, against eigvalsh."""
+
+    @pytest.mark.parametrize("tol", [TOL_PSD, POSITIVITY_DRIFT], ids=["TOL_PSD", "POSITIVITY_DRIFT"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_clears_every_state_and_nothing_below_tol(self, dim, tol):
+        rng = rng_stream(41, dim)
+        ranks = np.repeat(np.arange(1, dim + 1), 400)
+        states = _random_state_stack(ranks, rng.standard_normal((len(ranks), 2, dim, dim)))
+        for scale in (1e-3, 1.0, 1e2):
+            assert _certified_above(scale * states, tol).all()
+            for factor in (0.25, 0.5, 1.0, 1.5, 2.0):
+                m = placed_minimum(dim, 400, -factor * tol, scale, rng)
+                below = np.linalg.eigvalsh(m)[:, 0] < -tol
+                assert not np.any(_certified_above(m, tol) & below)
+                if factor > 1.0:
+                    assert below.all()
+
+    @pytest.mark.parametrize("factor", [1.5, 2.0, 1e6])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_bad_matrix_raises_its_eigensolved_minimum(self, monkeypatch, dim, factor):
+        rng = rng_stream(42, dim)
+        stack = np.array(_random_state_stack([dim] * 40, rng.standard_normal((40, 2, dim, dim))))
+        bad = placed_minimum(dim, 1, -factor * TOL_PSD, 1.0, rng)[0]
+        stack[17] = bad / np.trace(bad).real
+        m = (stack + stack.conj().swapaxes(-1, -2)) / 2
+        expected = float(np.linalg.eigvalsh(m / m.trace(axis1=1, axis2=2).real[:, None, None])[:, 0].min())
+        message = f"minimum eigenvalue {expected:.3e} below -{TOL_PSD:.1e}"
+        with pytest.raises(NotPositive, match=re.escape(message)):
+            _density_stack(stack)
+        # as if nothing were cleared: every matrix eigensolved
+        monkeypatch.setattr(statespace, "_certified_above", lambda m, tol: np.zeros(m.shape[:-2], dtype=bool))
+        with pytest.raises(NotPositive, match=re.escape(message)):
+            _density_stack(stack)

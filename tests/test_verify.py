@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from backflow import statespace, verify
-from backflow.dynamics import apply_map_to_grid, lambda_map_coefficients, make_grid, sinusoidal_rates
-from backflow.measure import TraceDistanceTrajectory, backflow, trajectory_from_states
+from backflow import measure, statespace, verify
+from backflow.dynamics import apply_map_to_grid, lambda_map_coefficients, make_grid, sinusoidal_rates, stretch_ends
+from backflow.measure import TraceDistanceTrajectory, _batched_backflows, _rise, backflow, trajectory_from_states
 from backflow.errors import PositivityFailure
 from backflow.statespace import (
     TOL_ORTH,
@@ -281,6 +281,58 @@ def test_translation_suite_takes_no_full_grid_eigensolve(monkeypatch, preset_coe
     assert matrices and max(matrices) < preset_coeffs.grid.size
 
 
+def test_only_the_pointwise_checks_map_the_full_grid(monkeypatch, preset_coeffs):
+    # the scaling laws are scored at the stretch ends, as measure scores; the
+    # trajectory invariance and the contraction bound, which stretch_ends
+    # itself assumes, still map their pairs over every grid point
+    mapped = []
+    for module in (verify, measure):
+        original = module.apply_map_to_grid
+
+        def recording(coeffs, matrices, original=original):
+            mapped.append((coeffs.grid.size, int(np.prod(np.shape(matrices)[:-2]))))
+            return original(coeffs, matrices)
+
+        monkeypatch.setattr(module, "apply_map_to_grid", recording)
+    full, ends = preset_coeffs.grid.size, stretch_ends(preset_coeffs).grid.size
+    assert ends < full
+    assert_all_pass(backflow_scaling_suite(5, preset_coeffs, (2, 3), 10))
+    assert mapped == [(ends, 4 * 10)]
+    mapped.clear()
+    # each pair and its translate, a pair at a time
+    assert_all_pass(translation_suite(5, preset_coeffs, (3,), 10))
+    assert mapped == [(full, 2 * 2)] * 10
+    mapped.clear()
+    # the contraction pairs two at a time, then the basis state by state
+    assert_all_pass(dynamics_suite(5, preset_coeffs, contraction_pairs=4))
+    assert mapped == [(full, 2 * 2)] * 2 + [(full, 1)] * len(spanning_states())
+
+
+@pytest.mark.parametrize("seed", [1, 7, 201, 12345])
+def test_stretch_end_scores_equal_the_full_grid_rise(monkeypatch, preset_coeffs, seed):
+    # on the scaling suite's own dimension-3 pairs, rescaled pairs and
+    # stretched pairs, the rises at the stretch ends are the whole grid's
+    scored = []
+    original = verify._streamed_backflows
+
+    def recording(ends, source, n, rise_tolerance):
+        scores = original(ends, source, n, rise_tolerance)
+        scored.append((source(0, n), scores))
+        return scores
+
+    monkeypatch.setattr(verify, "_streamed_backflows", recording)
+    backflow_scaling_suite(seed, preset_coeffs, (3,), 100)
+    pairs = np.concatenate([pair for pair, _ in scored], axis=1)
+    assert pairs.shape == (2, 4 * 100, 3, 3)
+    full = np.concatenate(
+        [
+            _rise(_clipped_distances(np.subtract(*apply_map_to_grid(preset_coeffs, block))), 0.0)
+            for block in np.split(pairs, range(20, pairs.shape[1], 20), axis=1)
+        ]
+    )
+    np.testing.assert_allclose(np.concatenate([scores for _, scores in scored]), full, rtol=0, atol=1e-13)
+
+
 def reference_metric_suite(seed, dims, triples):
     """The metric suite one triple at a time through the public samplers: triple
     i reads its stream's three ranks, then three states and a Haar rotation."""
@@ -503,10 +555,14 @@ def one_pair_stretch(rho1, rho2):
 def reference_backflow_scaling_suite(seed, coeffs, dims, trials, accepted=accepts, worst=None):
     """The backflow-scaling suite one trial at a time through the public
     functions: trial i reads its stream's pair, redrawn until ``accepted``,
-    then a full-rank state, a rank and a state of that rank."""
+    then a full-rank state, a rank and a state of that rank. A dimension-3
+    pair is scored as measure scores a candidate, at the stretch ends."""
     worst = worst or _Worst()
+    ends = stretch_ends(coeffs)
 
     def backflow_of(rho1, rho2):
+        if rho1.dim == 3:
+            return float(_batched_backflows(ends, (rho1.entries - rho2.entries)[None], 0.0)[0])
         return backflow(TraceDistanceTrajectory(coeffs.grid, one_pair_trajectory(coeffs, rho1.entries, rho2.entries)))
 
     for dim in dims:
@@ -580,7 +636,8 @@ def test_rejected_first_pairs_of_the_stacked_suites_redraw(monkeypatch, preset_c
 def test_trajectory_block_memory_is_bounded(monkeypatch, preset_coeffs, suite):
     # the dimension-3 trajectories of a block are built and reduced a few
     # pairs at a time, so a block of ten trials holds about two pairs' full
-    # grids, and ten times the trials, in ten blocks, hold no more
+    # grids, and ten times the trials, in ten blocks, hold no more; the
+    # scaling suite's pairs are scored at the stretch ends, within that bound
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 10 * 9)
     suite(1, preset_coeffs, (3,), 2)  # first-call allocations are not the suite's
     peaks = []
@@ -678,7 +735,7 @@ RUN_ALL_SEED7_WORST = {
     "orthogonal-pairs-rejected": 0.0,
     "quadratic-bound-positive": 6.966931307153101e-05,
     "epsilon-bound-monotone": 0.0029230769230769033,
-    "rescaled-backflow-law": 7.216449660063518e-16,
+    "rescaled-backflow-law": 4.996003610813204e-16,
     "stretched-backflow-law": 3.95516952522712e-16,
     "cpt-identity": 2.220446049250313e-16,
     "cpt-g-nonnegative": -1.7638935453291527e-17,
