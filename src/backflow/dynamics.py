@@ -338,6 +338,14 @@ def _quadrature(rates: RateFunctions, grid: np.ndarray) -> tuple[np.ndarray, ...
     return tuple(values[::REFINE].copy() for values in (d1, d2, phase, spread))
 
 
+def _check_grid(grid: np.ndarray) -> np.ndarray:
+    """The grid as floats, or DomainError for a time that is not finite."""
+    grid = np.array(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("grid times must be finite")
+    return grid
+
+
 def lambda_map_coefficients(rates: RateFunctions, grid: np.ndarray) -> MapCoefficients:
     """The map coefficients at every grid point.
 
@@ -353,7 +361,7 @@ def lambda_map_coefficients(rates: RateFunctions, grid: np.ndarray) -> MapCoeffi
     grid point. Raises if the result is not finite or violates the
     validity conditions.
     """
-    grid = np.array(grid, dtype=float)
+    grid = _check_grid(grid)
     if grid.ndim != 1 or grid.size < 2:
         raise DomainError("grid must contain at least two times")
     if grid[0] != 0.0:
@@ -472,20 +480,42 @@ def _master_equation_rhs(
     return drho
 
 
-# Integration steps whose propagators are built, applied and checked together.
-STEP_BLOCK = 32
+# Integration steps whose propagators are built, multiplied and checked together.
+STEP_BLOCK = 64
+
+# A Hermitian 3x3 matrix has 9 real coordinates x: the diagonal, then the
+# real and imaginary parts of the upper entries (0, 1), (0, 2), (1, 2). The
+# matrix is sum_j x_j _UNITS[j], over these Hermitian unit matrices.
+_ROWS, _COLS = [0, 1, 2, 0, 0, 1, 0, 0, 1], [0, 1, 2, 1, 2, 2, 1, 2, 2]
+_UNITS = np.zeros((9, 3, 3), dtype=complex)
+_UNITS[range(9), _ROWS, _COLS] = [1, 1, 1, 1, 1, 1, 1j, 1j, 1j]
+_UNITS[range(9), _COLS, _ROWS] = [1, 1, 1, 1, 1, 1, -1j, -1j, -1j]
+_UNITS.setflags(write=False)
+
+
+def _to_coordinates(m: np.ndarray) -> np.ndarray:
+    """The (..., 9) real coordinates of a Hermitian (..., 3, 3) stack."""
+    entries = m[..., _ROWS, _COLS]
+    return np.concatenate([entries[..., :6].real, entries[..., 6:].imag], axis=-1)
+
+
+def _from_coordinates(x: np.ndarray) -> np.ndarray:
+    """The Hermitian (..., 3, 3) stack of (..., 9) real coordinates: each
+    part of an entry is one coordinate times +-1 plus zeros, so it is exact."""
+    parts = x @ _UNITS.view(float).reshape(9, 18)
+    return parts.view(complex).reshape(x.shape[:-1] + (3, 3))
 
 
 def _rhs_generators() -> np.ndarray:
-    """The master equation as four 9x9 matrices, one per rate in argument order.
+    """The master equation as four real 9x9 matrices, one per rate in argument order.
 
-    The right-hand side is linear in rho and in (g1, g2, s1, s2), so
-    row j of generator i is the flattened right-hand side of the j-th unit
-    matrix with rate i set to 1 and the others to 0. A flattened stack
-    ``rho`` then evolves as ``rho @ sum(r_i G_i)``.
+    The right-hand side is linear in rho and in (g1, g2, s1, s2), and it
+    keeps a matrix Hermitian, so row j of generator i is the coordinates
+    of the right-hand side of the unit matrix ``_UNITS[j]`` with rate i set
+    to 1 and the others to 0. A stack of coordinate rows ``x`` then evolves
+    as ``x @ sum(r_i G_i)``.
     """
-    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    return np.stack([_master_equation_rhs(*np.eye(4)[i], units).reshape(9, 9) for i in range(4)])
+    return np.stack([_to_coordinates(_master_equation_rhs(*np.eye(4)[i], _UNITS)) for i in range(4)])
 
 
 def _rk4_propagators(h: np.ndarray, nodes: np.ndarray, middle: np.ndarray) -> np.ndarray:
@@ -540,21 +570,21 @@ def lindblad_integrate(
     """Classical fourth-order integration of the master equation for a stack of states.
 
     Returns the layout of :func:`apply_map_to_grid`, (len(states), grid, 3, 3).
-    The equation is linear, so each RK4 step is one 9x9 propagator built
-    from the master equation's generators at the step's nodes and midpoint
-    (:func:`_rk4_propagators`). Propagators are built a block of
-    ``STEP_BLOCK`` (32) steps at a time, so the memory beyond the output
-    does not grow with the block count. A step is one product of each
-    matrix alone with its propagator. After each block, its states are
-    re-symmetrized and their traces renormalized at once, so every
-    returned state is exactly Hermitian, and the next block starts from
-    the block's last state; then :func:`_check_block` checks every step's
-    states at once, and the first step that is non-finite or has an
-    eigenvalue below the allowed band is reported, never clipped.
+    The equation is linear, so each RK4 step is one real 9x9 propagator
+    (:func:`_rk4_propagators`) acting on a state's 9 real coordinates, in
+    which every state is exactly Hermitian. Propagators are built a block
+    of ``STEP_BLOCK`` steps at a time, so the memory beyond the output
+    does not grow with the block count, and a doubling scan turns them
+    into running products from the block's start: a block is one product
+    of each state's row alone with all of them. After each block, its
+    traces are renormalized at once and the next block starts from its
+    last state; then :func:`_check_block` checks every step's states at
+    once, and the first step that is non-finite or has an eigenvalue
+    below the allowed band is reported, never clipped.
     """
     for state in states:
         _check_dim3(state.entries)
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise DomainError("grid must contain at least two strictly increasing times")
     if not states:
@@ -569,25 +599,29 @@ def lindblad_integrate(
     def generator(rate_rows: np.ndarray) -> np.ndarray:
         return (rate_rows @ generators).reshape(-1, 9, 9)
 
-    n = len(states)
-    out = np.empty((n, grid.size, 3, 3), dtype=complex)
+    out = np.empty((len(states), grid.size, 3, 3), dtype=complex)
     out[:, 0] = np.stack([state.entries for state in states])
-    # (n, grid, 1, 9): each step's states as a stack of one-row products, so
-    # each state's product is computed alone and does not depend on the
-    # states integrated with it
-    rows = out.reshape(n, grid.size, 1, 9)
+    # (n, 1, 9): each state's coordinates as a one-row matrix, so its
+    # products do not depend on the states integrated with it
+    start = _to_coordinates(out[:, :1])
     # divergence is detected from the states below, so numpy's warnings
     # would only repeat it before the IntegratorDiverged
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for first in range(0, grid.size - 1, STEP_BLOCK):
             last = min(first + STEP_BLOCK, grid.size - 1)
-            propagators = _rk4_propagators(
+            products = _rk4_propagators(
                 np.diff(grid[first : last + 1]), generator(at_nodes[first : last + 1]), generator(at_mids[first:last])
             )
-            for k in range(first, last):
-                np.matmul(rows[:, k], propagators[k - first], out=rows[:, k + 1])
-            block = out[:, first + 1 : last + 1]
-            block = (block + block.conj().swapaxes(-1, -2)) / 2.0
-            out[:, first + 1 : last + 1] = block / np.trace(block, axis1=-2, axis2=-1).real[..., None, None]
+            # running products by doubling: entry k becomes the product of entries 0..k
+            shift = 1
+            while shift < last - first:
+                products[shift:] = products[:-shift] @ products[shift:]
+                shift *= 2
+            # (9, steps * 9): the running products side by side, so a state's
+            # row takes the whole block in one product
+            block = (start @ products.transpose(1, 0, 2).reshape(9, -1)).reshape(len(states), -1, 9)
+            block /= (block[..., 0] + block[..., 1] + block[..., 2])[..., None]
+            start = block[:, -1:]
+            out[:, first + 1 : last + 1] = _from_coordinates(block)
             _check_block(out[:, first + 1 : last + 1], grid[first + 1 : last + 1])
     return out

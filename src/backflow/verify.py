@@ -479,7 +479,8 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
         worst.see("distance-contraction-bound", *rises.ravel())
 
     # freed before the basis evolution below; this quadrature sets the peak
-    # memory (3.5 MB traced by tracemalloc, against 3.3 MB for the evolution)
+    # memory (3.5 MB traced by tracemalloc; the evolution and its closed-form
+    # comparison below peak at 3.3 MB)
     halved = lambda_map_coefficients(integrated, make_grid(grid[-1], 2 * (grid.size - 1)))
     worst.see(
         "quadrature-step-halving",

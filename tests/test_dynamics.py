@@ -15,8 +15,11 @@ from backflow.dynamics import (
     MapCoefficients,
     RateFunctions,
     _cumulative_trapezoid,
+    _from_coordinates,
     _master_equation_rhs,
     _refined_grid,
+    _rhs_generators,
+    _to_coordinates,
     _without_integrals,
     apply_map_to_grid,
     constant_rates,
@@ -153,6 +156,24 @@ class TestMapCoefficients:
             lambda_map_coefficients(rates, np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             lambda_map_coefficients(rates, np.array([0.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "evolve",
+        [
+            lambda grid: lambda_map_coefficients(sinusoidal_rates(), grid),
+            lambda grid: lindblad_integrate(sinusoidal_rates(), [pure_state([1, 0, 0])], grid),
+        ],
+        ids=["coefficients", "integrator"],
+    )
+    @pytest.mark.parametrize(
+        "times", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [np.nan, 1.0]], ids=["nan-inside", "inf-last", "nan-first"]
+    )
+    def test_non_finite_grid_times_are_an_input_error(self, evolve, times):
+        # NaN passes the strictly-increasing test, and an infinite time
+        # would reach the rates; under warnings-as-errors a RuntimeWarning
+        # from either would fail here too
+        with pytest.raises(DomainError, match="grid times must be finite"):
+            evolve(np.array(times))
 
 
 # presets drawn over their parameters, negative values included; the
@@ -633,9 +654,38 @@ class TestLindbladIntegrate:
             lindblad_integrate(constant_rates(gamma=1e3), [pure_state([1, 0, 0])], make_grid(2 * np.pi, 200))
 
 
+class TestCoordinates:
+    """The 9 real coordinates in which the integrator carries Hermitian 3x3 matrices."""
+
+    def test_round_trip_is_exact(self):
+        rng = rng_stream(25)
+        states = np.stack([sample_random_state(3, rank, rng).entries for rank in (1, 2, 3) for _ in range(20)])
+        for stack in (states, states[:30] - states[30:], states[:, None]):
+            coordinates = _to_coordinates(stack)
+            assert coordinates.dtype == float and coordinates.shape == stack.shape[:-2] + (9,)
+            assert np.array_equal(_from_coordinates(coordinates), stack)
+            assert np.array_equal(_to_coordinates(_from_coordinates(coordinates)), coordinates)
+
+    def test_generators_match_the_master_equation(self):
+        # random Hermitian matrices, not states, at rates of either sign
+        rng = rng_stream(26)
+        generators = _rhs_generators()
+        assert generators.dtype == float and generators.shape == (4, 9, 9)
+        for _ in range(50):
+            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            matrix = (g + g.conj().T) * 10.0 ** rng.uniform(-3, 3)
+            rates = rng.uniform(-1.0, 1.0, 4) * 10.0 ** rng.uniform(-3, 3, 4)
+            evolved = _from_coordinates(_to_coordinates(matrix) @ np.tensordot(rates, generators, 1))
+            # a few roundings of terms no larger than the rates times the entries
+            scale = np.abs(rates).max() * np.abs(matrix).max()
+            np.testing.assert_allclose(
+                evolved, _master_equation_rhs(*rates, matrix), rtol=0, atol=16 * np.finfo(float).eps * scale
+            )
+
+
 def _reference_integrate(rates, states, grid):
     """The per-step RK4 loop that the propagators replace: four right-hand
-    sides per step, then the same symmetrization, renormalization and checks."""
+    sides per step, then symmetrization, renormalization and the checks."""
     mid = (grid[:-1] + grid[1:]) / 2.0
     fns = (rates.gamma1, rates.gamma2, rates.lambda1, rates.lambda2)
     at_nodes = [np.asarray(fn(grid), dtype=float) for fn in fns]
@@ -686,8 +736,19 @@ class TestRk4Propagators:
             # every step length differs, and the steps grow along the grid
             (sinusoidal_rates(0.5, 3.0), 2 * np.pi * np.linspace(0.0, 1.0, 241) ** 1.5),
             (_unequal_rates(), make_grid(2 * np.pi, 2 * STEP_BLOCK + 5)),
+            # a last block of one step, where the running products take no doubling
+            (_unequal_rates(), make_grid(2 * np.pi / 200, 1)),
+            (_unequal_rates(), make_grid(2 * np.pi, STEP_BLOCK + 1)),
+            (_unequal_rates(), make_grid(2 * np.pi, 2 * STEP_BLOCK + 1)),
         ],
-        ids=["unequal-rates", "non-uniform-grid", "partial-last-block"],
+        ids=[
+            "unequal-rates",
+            "non-uniform-grid",
+            "partial-last-block",
+            "one-step",
+            "one-block-and-a-step",
+            "two-blocks-and-a-step",
+        ],
     )
     def test_matches_per_step_reference(self, rates, grid):
         rng = rng_stream(16)
