@@ -8,18 +8,17 @@ draw seeded random instances; ``dynamics_suite`` checks the preset's map
 coefficients on the whole time grid and the linear map on a spanning basis,
 and draws only its distance-contraction pairs. Instance i of dimension N
 draws from its own stream ``rng_stream(seed, tag, N, i)``, with tag 10
-(metric), 20 (Jordan-Hahn), 30 (translation) or 40 (backflow scaling);
+(metric), 20 (Jordan-Hahn), 30 (translation) or 40 (backflow scaling, N = 3);
 contraction pair i draws from ``(seed, 50, 3, i)``. So an instance's values
 depend on its key alone, not on the block it is drawn in or on how many
 numbers another instance or check reads. Random states follow the induced
 law of :func:`sample_random_state`. The suites back the ``verify`` CLI
 command and the acceptance tests.
 
-Dimension-3 checks run under the closed-form three-level map; other
-dimensions use a time-dependent depolarizing map (linear and trace
-preserving, with a non-monotone noise weight so backflow is nontrivial),
-since the structural laws hold for any linear map family;
-:func:`depolarize_stack` applies it and is the reference for :func:`_trajectory`.
+The state-space suites (metric, Jordan-Hahn, translation) run at the
+requested dimensions and map no state. The Λ-map suites (backflow scaling,
+dynamics) run at dimension 3, where the paper's closed-form three-level map
+exists, whatever dimensions are requested.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .dynamics import (
     stretch_ends,
     validate_cpt,
 )
-from .measure import SCORE_POINTS, _rise, _streamed_backflows
+from .measure import SCORE_POINTS, _streamed_backflows
 from .statespace import (
     TOL_ORTH,
     TOL_PSD,
@@ -95,7 +94,6 @@ _CHECKS: dict[str, tuple[str, float]] = {
     # translation_suite
     "translate-strictly-interior": (">", TOL_PSD),  # minimum eigenvalue across translated states
     "translate-difference-preserved": ("<=", 1e-12),
-    "translate-trajectory-invariance": ("<=", 1e-10),
     "shift-traceless": ("<=", 1e-12),
     "shift-hermitian": ("<=", 1e-12),
     "shift-nonzero": (">", 0.0),  # smallest shift operator norm
@@ -105,6 +103,7 @@ _CHECKS: dict[str, tuple[str, float]] = {
     # backflow_scaling_suite
     "rescaled-backflow-law": ("<=", 1e-8),
     "stretched-backflow-law": ("<=", 1e-8),
+    "translate-trajectory-invariance": ("<=", 1e-10),
     # dynamics_suite
     "cpt-identity": ("<=", 1e-8),
     "cpt-g-nonnegative": (">=", -1e-10),  # minimum feeding coefficient
@@ -204,43 +203,15 @@ def _accepted(distances: np.ndarray | float) -> np.ndarray | bool:
     return (1e-6 < distances) & (distances < 1.0 - TOL_ORTH)
 
 
-def depolarizing_weights(grid: np.ndarray) -> np.ndarray:
-    """Noise weight 0.4*(1 - cos t): rises then returns, producing backflow."""
-    return 0.4 * (1.0 - np.cos(grid))
-
-
-def depolarize_stack(grid: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply the time-dependent depolarizer to one matrix over the grid."""
-    m = np.asarray(matrix, dtype=complex)
-    dim = m.shape[0]
-    w = depolarizing_weights(grid)[:, None, None]
-    uniform = np.trace(m) * np.eye(dim) / dim
-    return (1.0 - w) * m + w * uniform
-
-
-def _trajectory(
-    coeffs: MapCoefficients, contraction: np.ndarray | None, pairs: np.ndarray, reduce: Callable
-) -> np.ndarray:
+def _trajectory(coeffs: MapCoefficients, pairs: np.ndarray, reduce: Callable) -> np.ndarray:
     """``reduce`` of the (n, k, grid) trace-distance trajectories of a
-    (2, n, k, N, N) stack of equal-trace pairs, k for each of n instances,
-    built and reduced max(1, SCORE_POINTS // (k * grid size)) instances at a
-    time, so memory does not grow with n.
-
-    Dimension 3 applies the three-level map to each matrix at every grid
-    point. Elsewhere the depolarizer maps D = m1 - m2 to (1 - w(t)) D, as
-    the uniform parts cancel at equal traces, so by homogeneity of the trace
-    norm the distance at t is ``contraction`` = 1 - w(t), in [0.2, 1], times
-    the initial distance.
-    """
+    (2, n, k, 3, 3) stack of pairs under the three-level map, applied to each
+    matrix at every grid point, k for each of n instances, built and reduced
+    max(1, SCORE_POINTS // (k * grid size)) instances at a time, so memory
+    does not grow with n."""
     size = max(1, SCORE_POINTS // (pairs.shape[2] * coeffs.grid.size))
-    reduced = []
-    for block in np.split(pairs, range(size, pairs.shape[1], size), axis=1):
-        if pairs.shape[-1] == 3:
-            distances = _clipped_distances(np.subtract(*apply_map_to_grid(coeffs, block)))
-        else:
-            distances = contraction * _clipped_distances(block[0] - block[1])[..., None]
-        reduced.append(reduce(distances))
-    return np.concatenate(reduced)
+    blocks = np.split(pairs, range(size, pairs.shape[1], size), axis=1)
+    return np.concatenate([reduce(_clipped_distances(np.subtract(*apply_map_to_grid(coeffs, b)))) for b in blocks])
 
 
 def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[PropertyCheck]:
@@ -314,22 +285,19 @@ def jordan_hahn_suite(seed: int, dims=(2, 3, 4), trials: int = 100) -> list[Prop
 
 
 def translation_suite(
-    seed: int,
-    coeffs: MapCoefficients,
-    dims=(2, 3, 4),
-    trials: int = 100,
-    inject_fault: str | None = None,
+    seed: int, dims=(2, 3, 4), trials: int = 100, inject_fault: str | None = None
 ) -> list[PropertyCheck]:
     """Joint-translation guarantees for non-orthogonal pairs, as stacks: each
     trial's non-orthogonal pair, jointly translated, then a mixed pair,
-    which must be rejected.
+    which must be rejected. No state is mapped here; a translate's
+    trajectory is checked by :func:`backflow_scaling_suite`, under the
+    three-level map.
 
     ``inject_fault='shift-sign'`` flips the sign of the shift operator
     before applying it, which must make the interior check fail — a
     self-test that the suite can actually detect broken constructions.
     """
     worst = _Worst()
-    contraction = 1.0 - depolarizing_weights(coeffs.grid)
     accepted = 0  # orthogonal pairs wrongly accepted for translation
     for dim, pairs, _, tails in _pair_blocks(
         seed, 30, dims, trials, lambda rng, dim: rng.standard_normal((2, dim, dim))
@@ -341,9 +309,6 @@ def translation_suite(
         worst.see("translate-strictly-interior", *np.linalg.eigvalsh(moved)[..., 0].ravel())
         drift = np.abs((moved[0] - moved[1]) - (pairs[0] - pairs[1])).max(axis=(1, 2))
         worst.see("translate-difference-preserved", *drift)
-        stacked = np.stack([pairs, moved], axis=2)
-        invariance = _trajectory(coeffs, contraction, stacked, lambda d: np.abs(d[:, 0] - d[:, 1]).max(axis=-1))
-        worst.see("translate-trajectory-invariance", *invariance)
 
         traces = shifts.trace(axis1=1, axis2=2)
         worst.see("shift-traceless", *np.abs(traces.real), *np.abs(traces.imag))
@@ -368,8 +333,8 @@ def translation_suite(
             worst.see("epsilon-bound-monotone", np.diff(bounds).min())
 
     return worst.checks(
-        "translate-strictly-interior translate-difference-preserved translate-trajectory-invariance"
-        " shift-traceless shift-hermitian shift-nonzero orthogonal-pairs-rejected quadratic-bound-positive",
+        "translate-strictly-interior translate-difference-preserved shift-traceless shift-hermitian shift-nonzero"
+        " orthogonal-pairs-rejected quadratic-bound-positive",
         len(dims) * trials,
     ) + worst.checks("epsilon-bound-monotone", len(weights))
 
@@ -385,24 +350,20 @@ def _max_admissible_stretch(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
         return np.where(top >= 0.0, np.inf, -1.0 / top)
 
 
-def backflow_scaling_suite(
-    seed: int,
-    coeffs: MapCoefficients,
-    dims=(2, 3),
-    trials: int = 100,
-) -> list[PropertyCheck]:
-    """Backflow scaling laws under rescaling and convex stretching, as
-    stacks: each trial's non-orthogonal pair against its rescaled pair, then
-    a full-rank state and a state of random rank against their stretched
-    pair. Dimension 3 scores backflows as ``measure`` does, at the stretch
-    ends."""
+def backflow_scaling_suite(seed: int, coeffs: MapCoefficients, trials: int = 100) -> list[PropertyCheck]:
+    """Backflow scaling laws under rescaling and convex stretching, and the
+    trajectory's invariance under joint translation, for dimension-3 pairs
+    under the three-level map, as stacks: each trial's non-orthogonal pair
+    against its rescaled pair and its joint translate, then a full-rank state
+    and a state of random rank against their stretched pair. Backflows are
+    scored as ``measure`` scores them, at the stretch ends; a pair and its
+    translate are compared point by point over the whole grid."""
     worst = _Worst()
     ends = stretch_ends(coeffs)
-    contraction = 1.0 - depolarizing_weights(coeffs.grid)
     for dim, pairs, _, tails in _pair_blocks(
         seed,
         40,
-        dims,
+        (3,),
         trials,
         lambda rng, dim: (
             rng.standard_normal((2, dim, dim)),
@@ -417,14 +378,16 @@ def backflow_scaling_suite(
         stretch = (1.0 + 0.5 * np.minimum(_max_admissible_stretch(other, interior), 20.0))[:, None, None]
         mixed = _density_stack((1.0 - stretch) * other + stretch * interior)
         stacked = np.concatenate([pairs, rescaled, [other, interior], [other, mixed]], axis=1)
-        if dim == 3:
-            scores = _streamed_backflows(ends, lambda start, stop: stacked[:, start:stop], stacked.shape[1], 0.0)
-        else:
-            scores = _trajectory(coeffs, contraction, stacked[:, :, None], lambda d: _rise(d, 0.0))
+        scores = _streamed_backflows(ends, lambda start, stop: stacked[:, start:stop], stacked.shape[1], 0.0)
         bf, bf_rescaled, bf_base, bf_stretched = scores.reshape(4, -1)
         worst.see("rescaled-backflow-law", *np.abs(bf_rescaled - bf / lam))
         worst.see("stretched-backflow-law", *np.abs(bf_stretched - stretch[:, 0, 0] * bf_base))
-    return worst.checks("rescaled-backflow-law stretched-backflow-law", len(dims) * trials)
+        translated = _translations(pairs, 0.5)[3]
+        invariance = _trajectory(
+            coeffs, np.stack([pairs, translated], axis=2), lambda d: np.abs(d[:, 0] - d[:, 1]).max(axis=-1)
+        )
+        worst.see("translate-trajectory-invariance", *invariance)
+    return worst.checks("rescaled-backflow-law stretched-backflow-law translate-trajectory-invariance", trials)
 
 
 def spanning_states() -> list[DensityMatrix]:
@@ -475,7 +438,7 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
     streams = _streams(seed, (50, 3), 0, contraction_pairs)
     for n in _block_sizes(contraction_pairs, 3):
         pairs = _random_states(3, islice(streams, n), 2)[0].swapaxes(0, 1)[:, :, None]
-        rises = _trajectory(coeffs, None, pairs, lambda d: (d - d[..., :1]).max(axis=-1))
+        rises = _trajectory(coeffs, pairs, lambda d: (d - d[..., :1]).max(axis=-1))
         worst.see("distance-contraction-bound", *rises.ravel())
 
     # freed before the basis evolution below; this quadrature sets the peak
@@ -514,12 +477,13 @@ def run_all(
     trials: int = 100,
     inject_fault: str | None = None,
 ) -> list[PropertyCheck]:
-    """Every suite in order; dimension-3 dynamics shared across them."""
+    """Every suite in order: the state-space suites at ``dims``, the Λ-map
+    suites at dimension 3, sharing one dimension-3 map."""
     coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 2000))
     checks: list[PropertyCheck] = []
     checks += metric_suite(seed, dims, max(2 * trials, 200))
     checks += jordan_hahn_suite(seed, dims, trials)
-    checks += translation_suite(seed, coeffs, dims, trials, inject_fault)
-    checks += backflow_scaling_suite(seed, coeffs, tuple(d for d in dims if d <= 3) or (2, 3), trials)
+    checks += translation_suite(seed, dims, trials, inject_fault)
+    checks += backflow_scaling_suite(seed, coeffs, trials)
     checks += dynamics_suite(seed, coeffs)
     return checks

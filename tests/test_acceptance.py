@@ -36,7 +36,6 @@ from backflow.statespace import (
     trace_distance,
 )
 from backflow.translation import jointly_translate
-from backflow.verify import depolarize_stack
 
 SEED = 20260809
 GRID = make_grid(2 * np.pi, 2000)
@@ -61,17 +60,45 @@ def random_nonorthogonal_pair(dim, rng):
             return r1, r2
 
 
+def depolarizing_weights(grid):
+    """Noise weight 0.4*(1 - cos t): rises then returns, producing backflow."""
+    return 0.4 * (1.0 - np.cos(grid))
+
+
+def depolarize_stack(grid, matrix):
+    """A time-dependent depolarizer applied to one matrix over the grid: a
+    linear, trace-preserving map family with backflow in every dimension,
+    under which criteria 6 and 7 are checked away from dimension 3."""
+    m = np.asarray(matrix, dtype=complex)
+    dim = m.shape[0]
+    w = depolarizing_weights(grid)[:, None, None]
+    uniform = np.trace(m) * np.eye(dim) / dim
+    return (1.0 - w) * m + w * uniform
+
+
 def distances_under_map(coeffs, m1, m2):
     """Dimension-3 pairs evolve under the closed-form map, others depolarize."""
     if m1.shape[0] == 3:
-        from backflow.dynamics import apply_map_to_grid
-
         return trajectory_from_states(
             GRID, apply_map_to_grid(coeffs, m1), apply_map_to_grid(coeffs, m2)
         )
     return trajectory_from_states(
         GRID, depolarize_stack(GRID, m1), depolarize_stack(GRID, m2)
     )
+
+
+def test_depolarizer_is_linear_and_trace_preserving():
+    grid = make_grid(2 * np.pi, 100)
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = (a + a.conj().T) / 2
+    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    b = (b + b.conj().T) / 2
+    combined = depolarize_stack(grid, 0.3 * a + 0.7 * b)
+    split = 0.3 * depolarize_stack(grid, a) + 0.7 * depolarize_stack(grid, b)
+    np.testing.assert_allclose(combined, split, rtol=0, atol=1e-12)
+    traces = np.trace(depolarize_stack(grid, a), axis1=1, axis2=2)
+    np.testing.assert_allclose(traces, np.trace(a), rtol=0, atol=1e-12)
 
 
 def test_criterion_01_cpt_validity(preset_coeffs):

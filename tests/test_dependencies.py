@@ -145,7 +145,6 @@ def callers_outside_the_tests() -> set[str]:
 UNCALLED_ON_PURPOSE = {
     "haar_unitary": "the documented Haar sampler; the package draws its unitaries as stacks",
     "is_boundary": "the paper's claim that optimal pairs lie on the boundary, which ROADMAP item 2 gates on",
-    "depolarize_stack": "the depolarizing map itself, the reference the tests check verify._trajectory against",
 }
 
 

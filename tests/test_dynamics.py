@@ -613,9 +613,10 @@ class TestLindbladIntegrate:
 
     @pytest.mark.parametrize("rates", [sinusoidal_rates(), _unequal_rates()], ids=["preset", "unequal"])
     def test_every_step_is_hermitian_with_unit_trace(self, rates):
-        # a block's states are symmetrized and renormalized together after
-        # the block; every returned step must still be exactly Hermitian,
-        # with a trace within one unit in the last place of 1
+        # states are Hermitian by construction of their real coordinates, and
+        # a block's states are renormalized together after the block; every
+        # returned step must be exactly Hermitian, with a trace within one
+        # unit in the last place of 1
         rng = rng_stream(24)
         states = spanning_states() + [sample_random_state(3, rank, rng) for rank in (1, 2, 3) for _ in range(2)]
         stack = lindblad_integrate(rates, states, GRID)

@@ -8,7 +8,7 @@ import pytest
 
 from backflow import measure, statespace, verify
 from backflow.dynamics import apply_map_to_grid, lambda_map_coefficients, make_grid, sinusoidal_rates, stretch_ends
-from backflow.measure import TraceDistanceTrajectory, _batched_backflows, _rise, backflow, trajectory_from_states
+from backflow.measure import _batched_backflows, _rise, trajectory_from_states
 from backflow.errors import PositivityFailure
 from backflow.statespace import (
     TOL_ORTH,
@@ -33,11 +33,8 @@ from backflow.translation import (
 from backflow.verify import (
     _CHECKS,
     _block_sizes,
-    _trajectory,
     _Worst,
     backflow_scaling_suite,
-    depolarize_stack,
-    depolarizing_weights,
     dynamics_suite,
     jordan_hahn_suite,
     metric_suite,
@@ -103,26 +100,26 @@ def test_non_orthogonal_mixed_pairs_fail_their_check(monkeypatch):
     assert checks["orthogonal-pairs-on-boundary"].worst == 0.0
 
 
-def test_translatable_mixed_pairs_fail_the_rejection_check(monkeypatch, preset_coeffs):
+def test_translatable_mixed_pairs_fail_the_rejection_check(monkeypatch):
     # a broken mixed-pair sampler whose pairs overlap is counted, pair by pair
     def maximally_mixed(ginibre):
         n, _, dim, _ = ginibre.shape
         return np.broadcast_to(np.eye(dim) / dim, (2, n, dim, dim))
 
     monkeypatch.setattr(verify, "_mixed_pairs_from_ginibre", maximally_mixed)
-    checks = {c.name: c for c in translation_suite(7, preset_coeffs, (2, 3), 3)}
+    checks = {c.name: c for c in translation_suite(7, (2, 3), 3)}
     assert [name for name, c in checks.items() if not c.passed] == ["orthogonal-pairs-rejected"]
     assert checks["orthogonal-pairs-rejected"].worst == 6
 
 
-def test_checks_do_not_depend_on_the_mixed_pair_draws(monkeypatch, preset_coeffs):
+def test_checks_do_not_depend_on_the_mixed_pair_draws(monkeypatch):
     # each trial draws from its own stream and its orthogonal mixed pair
     # last, so other numbers for that pair move no other check: both stacked
     # suites build each mixed pair from its normals shifted by one
     def suites():
         return {
             c.name: c.worst
-            for c in jordan_hahn_suite(7, (2, 3, 4), 10) + translation_suite(7, preset_coeffs, (2, 3, 4), 10)
+            for c in jordan_hahn_suite(7, (2, 3, 4), 10) + translation_suite(7, (2, 3, 4), 10)
         }
 
     before = suites()
@@ -141,14 +138,20 @@ def test_checks_do_not_depend_on_the_mixed_pair_draws(monkeypatch, preset_coeffs
     assert {k: v for k, v in after.items() if k not in moved} == {k: v for k, v in before.items() if k not in moved}
 
 
-def test_translation_suite(preset_coeffs, seed=103):
-    assert_all_pass(translation_suite(seed, dims=(2, 3, 4), trials=15, coeffs=preset_coeffs))
+def test_translation_suite(seed=103):
+    assert_all_pass(translation_suite(seed, dims=(2, 3, 4), trials=15))
 
 
 def test_backflow_scaling_suite(preset_coeffs, seed=104):
-    # covers both the rescaling law and the convex-stretch law
-    checks = backflow_scaling_suite(seed, dims=(2, 3), trials=15, coeffs=preset_coeffs)
-    assert {c.name for c in checks} == {"rescaled-backflow-law", "stretched-backflow-law"}
+    # covers the rescaling law, the convex-stretch law and the trajectory's
+    # invariance under joint translation
+    checks = backflow_scaling_suite(seed, trials=15, coeffs=preset_coeffs)
+    assert [c.name for c in checks] == [
+        "rescaled-backflow-law",
+        "stretched-backflow-law",
+        "translate-trajectory-invariance",
+    ]
+    assert all(c.trials == 15 for c in checks)
     assert_all_pass(checks)
 
 
@@ -176,12 +179,10 @@ def test_integrator_agreement_detects_a_different_map(seed=108):
     assert by_name["integrator-agreement"].worst > 1e-4
 
 
-def test_fault_injection_fails_interior_check(preset_coeffs, seed=106):
-    # each dimension alone, so every map's fault path must fail on its own
+def test_fault_injection_fails_interior_check(seed=106):
+    # each dimension alone, so the fault must fail at every dimension on its own
     for dim in (2, 3, 4):
-        checks = translation_suite(
-            seed, dims=(dim,), trials=5, coeffs=preset_coeffs, inject_fault="shift-sign"
-        )
+        checks = translation_suite(seed, dims=(dim,), trials=5, inject_fault="shift-sign")
         by_name = {c.name: c for c in checks}
         assert not by_name["translate-strictly-interior"].passed
         assert by_name["translate-strictly-interior"].worst < 0.0
@@ -192,6 +193,23 @@ def test_run_all_covers_every_suite(seed=107):
     assert [c.name for c in checks] == list(_CHECKS)
     assert len(checks) == 33
     assert_all_pass(checks)
+
+
+def test_lambda_map_suites_run_at_dimension_3_whatever_the_dims(seed=109, trials=4):
+    # the backflow-scaling and dynamics suites apply the paper's three-level
+    # map, so the requested dimensions move none of their checks: each
+    # scaling law reports the trials once, at dimension 3
+    lambda_map = list(_CHECKS)[list(_CHECKS).index("rescaled-backflow-law") :]
+    runs = [
+        [c for c in run_all(seed, dims, trials) if c.name in lambda_map] for dims in ((2,), (4,), (2, 3, 4))
+    ]
+    assert [[c.name for c in run] for run in runs] == [lambda_map] * 3
+    assert runs[0] == runs[1] == runs[2]
+    assert [(c.name, c.trials) for c in runs[0][:3]] == [
+        ("rescaled-backflow-law", trials),
+        ("stretched-backflow-law", trials),
+        ("translate-trajectory-invariance", trials),
+    ]
 
 
 @pytest.mark.parametrize("relation, passes", [("<=", True), (">=", True), ("<", False), (">", False)])
@@ -222,69 +240,11 @@ def test_readme_cites_only_declared_checks():
         assert fnmatch.filter(_CHECKS, name), f"README cites {name!r}, which verify does not declare"
 
 
-def test_depolarizer_is_linear_and_trace_preserving():
-    grid = make_grid(2 * np.pi, 100)
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    a = (a + a.conj().T) / 2
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = (b + b.conj().T) / 2
-    combined = depolarize_stack(grid, 0.3 * a + 0.7 * b)
-    split = 0.3 * depolarize_stack(grid, a) + 0.7 * depolarize_stack(grid, b)
-    np.testing.assert_allclose(combined, split, rtol=0, atol=1e-12)
-    traces = np.trace(depolarize_stack(grid, a), axis1=1, axis2=2)
-    np.testing.assert_allclose(traces, np.trace(a), rtol=0, atol=1e-12)
-
-
-def depolarizer_test_pairs(dim, seed=13):
-    """Random pairs of every rank pair, orthogonal mixed pairs, and each random
-    pair rescaled into an orthogonal pair and jointly translated into the interior."""
-    rng = rng_stream(seed, dim)
-    pairs = [
-        (sample_random_state(dim, r1, rng), sample_random_state(dim, r2, rng))
-        for r1 in range(1, dim + 1)
-        for r2 in range(1, dim + 1)
-    ]
-    overlapping = list(pairs)
-    pairs += [sample_orthogonal_mixed_pair(dim, rng) for _ in range(5)]
-    pairs += [rescale_pair(rho1, rho2)[:2] for rho1, rho2 in overlapping]
-    pairs += [jointly_translate(rho1, rho2)[:2] for rho1, rho2 in overlapping]
-    return pairs
-
-
-@pytest.mark.parametrize("dim", [2, 4, 5])
-def test_depolarizer_trajectory_matches_the_full_grid_map(preset_coeffs, dim):
-    grid = preset_coeffs.grid
-    pairs = depolarizer_test_pairs(dim)
-    stack = np.array([[rho.entries for rho in pair] for pair in pairs]).swapaxes(0, 1)[:, :, None]
-    fast = _trajectory(preset_coeffs, 1.0 - depolarizing_weights(grid), stack, lambda d: d)[:, 0]
-    for (rho1, rho2), distances in zip(pairs, fast):
-        reference = trajectory_from_states(
-            grid, depolarize_stack(grid, rho1.entries), depolarize_stack(grid, rho2.entries)
-        )
-        np.testing.assert_allclose(distances, reference.distances, rtol=0, atol=1e-14)
-        assert abs(backflow(TraceDistanceTrajectory(grid, distances)) - backflow(reference)) <= 1e-14
-
-
-def test_translation_suite_takes_no_full_grid_eigensolve(monkeypatch, preset_coeffs):
-    # the dim-4 trajectories scale one trace distance; no eigvalsh call may
-    # get the grid's stack of evolved differences
-    matrices = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        matrices.append(int(np.prod(np.shape(a)[:-2])))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    assert_all_pass(translation_suite(5, preset_coeffs, dims=(4,), trials=2))
-    assert matrices and max(matrices) < preset_coeffs.grid.size
-
-
 def test_only_the_pointwise_checks_map_the_full_grid(monkeypatch, preset_coeffs):
     # the scaling laws are scored at the stretch ends, as measure scores; the
     # trajectory invariance and the contraction bound, which stretch_ends
-    # itself assumes, still map their pairs over every grid point
+    # itself assumes, still map their pairs over every grid point, and the
+    # translation suite maps nothing
     mapped = []
     for module in (verify, measure):
         original = module.apply_map_to_grid
@@ -296,13 +256,12 @@ def test_only_the_pointwise_checks_map_the_full_grid(monkeypatch, preset_coeffs)
         monkeypatch.setattr(module, "apply_map_to_grid", recording)
     full, ends = preset_coeffs.grid.size, stretch_ends(preset_coeffs).grid.size
     assert ends < full
-    assert_all_pass(backflow_scaling_suite(5, preset_coeffs, (2, 3), 10))
-    assert mapped == [(ends, 4 * 10)]
+    # the scores, then each pair and its translate, a pair at a time
+    assert_all_pass(backflow_scaling_suite(5, preset_coeffs, 10))
+    assert mapped == [(ends, 4 * 10)] + [(full, 2 * 2)] * 10
     mapped.clear()
-    # each pair and its translate, a pair at a time
-    assert_all_pass(translation_suite(5, preset_coeffs, (3,), 10))
-    assert mapped == [(full, 2 * 2)] * 10
-    mapped.clear()
+    assert_all_pass(translation_suite(5, (2, 3, 4), 10))
+    assert mapped == []
     # the contraction pairs two at a time, then the basis state by state
     assert_all_pass(dynamics_suite(5, preset_coeffs, contraction_pairs=4))
     assert mapped == [(full, 2 * 2)] * 2 + [(full, 1)] * len(spanning_states())
@@ -321,7 +280,7 @@ def test_stretch_end_scores_equal_the_full_grid_rise(monkeypatch, preset_coeffs,
         return scores
 
     monkeypatch.setattr(verify, "_streamed_backflows", recording)
-    backflow_scaling_suite(seed, preset_coeffs, (3,), 100)
+    backflow_scaling_suite(seed, preset_coeffs, 100)
     pairs = np.concatenate([pair for pair, _ in scored], axis=1)
     assert pairs.shape == (2, 4 * 100, 3, 3)
     full = np.concatenate(
@@ -477,13 +436,9 @@ def test_jordan_hahn_block_memory_is_bounded():
 
 
 def one_pair_trajectory(coeffs, m1, m2):
-    """The trace-distance trajectory of one pair, as verify maps it: the
-    three-level map at dimension 3, the depolarizer's factor times one
-    distance elsewhere."""
-    grid = coeffs.grid
-    if m1.shape[0] == 3:
-        return trajectory_from_states(grid, *apply_map_to_grid(coeffs, np.stack([m1, m2]))).distances
-    return (1.0 - depolarizing_weights(grid)) * _clipped_distances(m1 - m2)
+    """The trace-distance trajectory of one dimension-3 pair under the
+    three-level map."""
+    return trajectory_from_states(coeffs.grid, *apply_map_to_grid(coeffs, np.stack([m1, m2]))).distances
 
 
 def accepted_pair(dim, rng, accepted):
@@ -498,7 +453,18 @@ def accepts(distance):
     return 1e-6 < distance < 1.0 - TOL_ORTH
 
 
-def reference_translation_suite(seed, coeffs, dims, trials, accepted=accepts, worst=None):
+def translate_or_shift(rho1, rho2):
+    """The pair jointly translated, or less its shift where the translation
+    is not strictly interior, and the construction."""
+    try:
+        hat1, hat2, construction = jointly_translate(rho1, rho2, 0.5)
+        return hat1.entries, hat2.entries, construction
+    except PositivityFailure:
+        construction = build_shift_operator(rho1, rho2, 0.5)
+        return *(rho.entries - construction.shift.entries for rho in (rho1, rho2)), construction
+
+
+def reference_translation_suite(seed, dims, trials, accepted=accepts, worst=None):
     """The translation suite one trial at a time through the public functions:
     trial i reads its stream's pair, redrawn until ``accepted``, translates
     it, or subtracts its shift where the translation is not strictly
@@ -509,16 +475,9 @@ def reference_translation_suite(seed, coeffs, dims, trials, accepted=accepts, wo
         for i in range(trials):
             rng = rng_stream(seed, 30, dim, i)
             rho1, rho2 = accepted_pair(dim, rng, accepted)
-            try:
-                hat1, hat2, construction = jointly_translate(rho1, rho2, 0.5)
-                m1, m2 = hat1.entries, hat2.entries
-            except PositivityFailure:
-                construction = build_shift_operator(rho1, rho2, 0.5)
-                m1, m2 = (rho.entries - construction.shift.entries for rho in (rho1, rho2))
+            m1, m2, construction = translate_or_shift(rho1, rho2)
             worst.see("translate-strictly-interior", np.linalg.eigvalsh(m1)[0], np.linalg.eigvalsh(m2)[0])
             worst.see("translate-difference-preserved", np.abs((m1 - m2) - (rho1.entries - rho2.entries)).max())
-            base = one_pair_trajectory(coeffs, rho1.entries, rho2.entries)
-            worst.see("translate-trajectory-invariance", np.abs(base - one_pair_trajectory(coeffs, m1, m2)).max())
             a = construction.shift.entries
             worst.see("shift-traceless", abs(np.trace(a).real), abs(np.trace(a).imag))
             worst.see("shift-hermitian", np.abs(a - a.conj().T).max())
@@ -538,8 +497,8 @@ def reference_translation_suite(seed, coeffs, dims, trials, accepted=accepts, wo
         for dim in dims:
             worst.see("epsilon-bound-monotone", np.diff([epsilon_upper_bound(alpha, dim, w) for w in weights]).min())
     return worst.checks(
-        "translate-strictly-interior translate-difference-preserved translate-trajectory-invariance"
-        " shift-traceless shift-hermitian shift-nonzero orthogonal-pairs-rejected quadratic-bound-positive",
+        "translate-strictly-interior translate-difference-preserved shift-traceless shift-hermitian shift-nonzero"
+        " orthogonal-pairs-rejected quadratic-bound-positive",
         len(dims) * trials,
     ) + worst.checks("epsilon-bound-monotone", len(weights))
 
@@ -552,38 +511,49 @@ def one_pair_stretch(rho1, rho2):
     return np.inf if top >= 0.0 else 1.0 / -top
 
 
-def reference_backflow_scaling_suite(seed, coeffs, dims, trials, accepted=accepts, worst=None):
+def reference_backflow_scaling_suite(seed, coeffs, trials, accepted=accepts, worst=None):
     """The backflow-scaling suite one trial at a time through the public
-    functions: trial i reads its stream's pair, redrawn until ``accepted``,
-    then a full-rank state, a rank and a state of that rank. A dimension-3
-    pair is scored as measure scores a candidate, at the stretch ends."""
+    functions: trial i reads its dimension-3 stream's pair, redrawn until
+    ``accepted``, then a full-rank state, a rank and a state of that rank.
+    A pair is scored as measure scores a candidate, at the stretch ends, and
+    compared with its translate over the whole grid."""
     worst = worst or _Worst()
     ends = stretch_ends(coeffs)
 
     def backflow_of(rho1, rho2):
-        if rho1.dim == 3:
-            return float(_batched_backflows(ends, (rho1.entries - rho2.entries)[None], 0.0)[0])
-        return backflow(TraceDistanceTrajectory(coeffs.grid, one_pair_trajectory(coeffs, rho1.entries, rho2.entries)))
+        return float(_batched_backflows(ends, (rho1.entries - rho2.entries)[None], 0.0)[0])
 
-    for dim in dims:
-        for i in range(trials):
-            rng = rng_stream(seed, 40, dim, i)
-            rho1, rho2 = accepted_pair(dim, rng, accepted)
-            sigma1, sigma2, lam = rescale_pair(rho1, rho2)
-            worst.see("rescaled-backflow-law", abs(backflow_of(sigma1, sigma2) - backflow_of(rho1, rho2) / lam))
-            interior = sample_random_state(dim, dim, rng)
-            other = sample_random_state(dim, int(rng.integers(1, dim + 1)), rng)
-            stretch = 1.0 + 0.5 * min(one_pair_stretch(other, interior), 20.0)
-            mixed = make_density_matrix((1.0 - stretch) * other.entries + stretch * interior.entries)
-            worst.see(
-                "stretched-backflow-law", abs(backflow_of(other, mixed) - stretch * backflow_of(other, interior))
-            )
-    return worst.checks("rescaled-backflow-law stretched-backflow-law", len(dims) * trials)
+    for i in range(trials):
+        rng = rng_stream(seed, 40, 3, i)
+        rho1, rho2 = accepted_pair(3, rng, accepted)
+        sigma1, sigma2, lam = rescale_pair(rho1, rho2)
+        worst.see("rescaled-backflow-law", abs(backflow_of(sigma1, sigma2) - backflow_of(rho1, rho2) / lam))
+        interior = sample_random_state(3, 3, rng)
+        other = sample_random_state(3, int(rng.integers(1, 4)), rng)
+        stretch = 1.0 + 0.5 * min(one_pair_stretch(other, interior), 20.0)
+        mixed = make_density_matrix((1.0 - stretch) * other.entries + stretch * interior.entries)
+        worst.see("stretched-backflow-law", abs(backflow_of(other, mixed) - stretch * backflow_of(other, interior)))
+        m1, m2, _ = translate_or_shift(rho1, rho2)
+        base = one_pair_trajectory(coeffs, rho1.entries, rho2.entries)
+        worst.see("translate-trajectory-invariance", np.abs(base - one_pair_trajectory(coeffs, m1, m2)).max())
+    return worst.checks("rescaled-backflow-law stretched-backflow-law translate-trajectory-invariance", trials)
 
 
+# name -> (stream tag, dimensions, the stacked suite and its one-trial
+# reference, each run as (seed, coeffs, dim, trials, *reference options))
 STACKED_SUITES = {
-    "translation": (30, translation_suite, reference_translation_suite),
-    "backflow-scaling": (40, backflow_scaling_suite, reference_backflow_scaling_suite),
+    "translation": (
+        30,
+        (2, 3, 4, 5),
+        lambda seed, coeffs, dim, trials: translation_suite(seed, (dim,), trials),
+        lambda seed, coeffs, dim, trials, *options: reference_translation_suite(seed, (dim,), trials, *options),
+    ),
+    "backflow-scaling": (
+        40,
+        (3,),
+        lambda seed, coeffs, dim, trials: backflow_scaling_suite(seed, coeffs, trials),
+        lambda seed, coeffs, dim, trials, *options: reference_backflow_scaling_suite(seed, coeffs, trials, *options),
+    ),
 }
 
 
@@ -591,21 +561,22 @@ STACKED_SUITES = {
 @pytest.mark.parametrize("seed", [1, 7, 201])
 @pytest.mark.parametrize("suite", list(STACKED_SUITES))
 def test_stacked_suites_match_one_trial_at_a_time(monkeypatch, preset_coeffs, suite, seed, block):
-    _, stacked, reference = STACKED_SUITES[suite]
-    for dim in (2, 3, 4, 5):
+    _, dims, stacked, reference = STACKED_SUITES[suite]
+    for dim in dims:
         monkeypatch.setattr(verify, "_BLOCK_ENTRIES", (block or 12) * dim * dim)
-        assert stacked(seed, preset_coeffs, (dim,), 12) == reference(seed, preset_coeffs, (dim,), 12)
+        assert stacked(seed, preset_coeffs, dim, 12) == reference(seed, preset_coeffs, dim, 12)
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
-@pytest.mark.parametrize("dim", [2, 3, 4, 5])
-@pytest.mark.parametrize("seed", [1, 7, 201])
-@pytest.mark.parametrize("suite", list(STACKED_SUITES))
+@pytest.mark.parametrize(
+    "suite, seed, dim",
+    [(name, seed, dim) for name, (_, dims, *_) in STACKED_SUITES.items() for seed in (1, 7, 201) for dim in dims],
+)
 def test_rejected_first_pairs_of_the_stacked_suites_redraw(monkeypatch, preset_coeffs, suite, seed, dim, block):
     # as for the Jordan-Hahn suite: trial 3's first pair, rejected by its
     # distance, is redrawn from its own stream, and each value seen is the
     # one-trial reference's
-    tag, stacked, reference = STACKED_SUITES[suite]
+    tag, _, stacked, reference = STACKED_SUITES[suite]
     rng = rng_stream(seed, tag, dim, 3)
     rejected = trace_distance(*(sample_random_state(dim, int(rank), rng) for rank in rng.integers(1, dim + 1, 2)))
     original = verify._accepted
@@ -624,27 +595,26 @@ def test_rejected_first_pairs_of_the_stacked_suites_redraw(monkeypatch, preset_c
 
     monkeypatch.setattr(verify, "_Worst", recording)
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", (block or 12) * dim * dim)
-    stacked(seed, preset_coeffs, (dim,), 12)
+    stacked(seed, preset_coeffs, dim, 12)
     assert sum(redraws) == 2  # the stacked draw and the redraw's first pair
     forced = _EveryValue()
-    reference(seed, preset_coeffs, (dim,), 12, lambda d: accepts(d) and d != rejected, forced)
+    reference(seed, preset_coeffs, dim, 12, lambda d: accepts(d) and d != rejected, forced)
     [values] = [{name: sorted(seen) for name, seen in worst.seen.items()} for worst in recorded]
     assert values == {name: sorted(seen) for name, seen in forced.seen.items()}
 
 
-@pytest.mark.parametrize("suite", [translation_suite, backflow_scaling_suite])
-def test_trajectory_block_memory_is_bounded(monkeypatch, preset_coeffs, suite):
-    # the dimension-3 trajectories of a block are built and reduced a few
-    # pairs at a time, so a block of ten trials holds about two pairs' full
-    # grids, and ten times the trials, in ten blocks, hold no more; the
-    # scaling suite's pairs are scored at the stretch ends, within that bound
+def test_trajectory_block_memory_is_bounded(monkeypatch, preset_coeffs):
+    # the trajectories of a block, each pair's with its translate's, are
+    # built and reduced a pair at a time, so a block of ten trials holds
+    # about two pairs' full grids, and ten times the trials, in ten blocks,
+    # hold no more; the pairs are scored at the stretch ends, within that bound
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 10 * 9)
-    suite(1, preset_coeffs, (3,), 2)  # first-call allocations are not the suite's
+    backflow_scaling_suite(1, preset_coeffs, 2)  # first-call allocations are not the suite's
     peaks = []
     for trials in (10, 100):
         tracemalloc.start()
         try:
-            suite(1, preset_coeffs, (3,), trials)
+            backflow_scaling_suite(1, preset_coeffs, trials)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -655,8 +625,8 @@ def test_trajectory_block_memory_is_bounded(monkeypatch, preset_coeffs, suite):
 SUITE_STREAMS = {
     "metric": (lambda seed, coeffs: metric_suite(seed, (2, 3), 4), 10, (2, 3)),
     "jordan-hahn": (lambda seed, coeffs: jordan_hahn_suite(seed, (2, 3), 4), 20, (2, 3)),
-    "translation": (lambda seed, coeffs: translation_suite(seed, coeffs, (2, 3), 4), 30, (2, 3)),
-    "backflow-scaling": (lambda seed, coeffs: backflow_scaling_suite(seed, coeffs, (2, 3), 4), 40, (2, 3)),
+    "translation": (lambda seed, coeffs: translation_suite(seed, (2, 3), 4), 30, (2, 3)),
+    "backflow-scaling": (lambda seed, coeffs: backflow_scaling_suite(seed, coeffs, 4), 40, (3,)),
     "contraction": (lambda seed, coeffs: dynamics_suite(seed, coeffs, 4), 50, (3,)),
 }
 
@@ -728,7 +698,6 @@ RUN_ALL_SEED7_WORST = {
     "orthogonal-pairs-on-boundary": 1.2141142072176856e-16,
     "translate-strictly-interior": 0.002968211725917839,
     "translate-difference-preserved": 2.220446049250313e-16,
-    "translate-trajectory-invariance": 6.661338147750939e-16,
     "shift-traceless": 6.245004513516506e-17,
     "shift-hermitian": 0.0,
     "shift-nonzero": 0.009772717508358965,
@@ -737,6 +706,7 @@ RUN_ALL_SEED7_WORST = {
     "epsilon-bound-monotone": 0.0029230769230769033,
     "rescaled-backflow-law": 4.996003610813204e-16,
     "stretched-backflow-law": 3.95516952522712e-16,
+    "translate-trajectory-invariance": 6.661338147750939e-16,
     "cpt-identity": 2.220446049250313e-16,
     "cpt-g-nonnegative": -1.7638935453291527e-17,
     "closed-form-rate-integrals": 7.710627553114691e-10,
