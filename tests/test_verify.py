@@ -187,6 +187,24 @@ def test_fault_injection_fails_interior_check(seed=106):
         assert not by_name["translate-strictly-interior"].passed
         assert by_name["translate-strictly-interior"].worst < 0.0
 
+
+def test_a_one_sided_translate_fails_the_trajectory_invariance(monkeypatch, preset_coeffs, seed=110):
+    # translating the first state alone changes the pair's difference, so
+    # its trajectory under the map must move: the check compares the pair's
+    # and the translate's distances, not either one with itself
+    original = verify._translations
+
+    def one_sided(pairs, fraction):
+        *head, translated, interior = original(pairs, fraction)
+        return (*head, np.stack([translated[0], pairs[1]]), interior)
+
+    monkeypatch.setattr(verify, "_translations", one_sided)
+    by_name = {c.name: c for c in backflow_scaling_suite(seed, preset_coeffs, 5)}
+    assert by_name["rescaled-backflow-law"].passed and by_name["stretched-backflow-law"].passed
+    assert not by_name["translate-trajectory-invariance"].passed
+    assert by_name["translate-trajectory-invariance"].worst > 1e-3
+
+
 def test_run_all_covers_every_suite(seed=107):
     # every declared check, once and in declared order, at the default dims
     checks = run_all(seed, trials=5)
@@ -576,8 +594,23 @@ def test_rejected_first_pairs_of_the_stacked_suites_redraw(monkeypatch, preset_c
     # as for the Jordan-Hahn suite: trial 3's first pair, rejected by its
     # distance, is redrawn from its own stream, and each value seen is the
     # one-trial reference's
+    assert_rejected_first_pair_redraws(monkeypatch, preset_coeffs, suite, seed, dim, block, 3)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("seed", [1, 7, 201])
+@pytest.mark.parametrize("trial", [0, 6, 7, 11])
+def test_a_rejected_first_pair_redraws_at_any_trial_of_the_scaling_suite(monkeypatch, preset_coeffs, trial, seed, block):
+    # the scaling suite runs at dimension 3 alone, so its redraw is also
+    # checked at the first and last trial and on both sides of a block edge
+    # (trials 6 and 7 in blocks of 7): a redrawn pair's rescaled pair and
+    # translate are the redrawn pair's, as in the one-trial reference
+    assert_rejected_first_pair_redraws(monkeypatch, preset_coeffs, "backflow-scaling", seed, 3, block, trial)
+
+
+def assert_rejected_first_pair_redraws(monkeypatch, coeffs, suite, seed, dim, block, trial):
     tag, _, stacked, reference = STACKED_SUITES[suite]
-    rng = rng_stream(seed, tag, dim, 3)
+    rng = rng_stream(seed, tag, dim, trial)
     rejected = trace_distance(*(sample_random_state(dim, int(rank), rng) for rank in rng.integers(1, dim + 1, 2)))
     original = verify._accepted
     redraws = []
@@ -595,10 +628,10 @@ def test_rejected_first_pairs_of_the_stacked_suites_redraw(monkeypatch, preset_c
 
     monkeypatch.setattr(verify, "_Worst", recording)
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", (block or 12) * dim * dim)
-    stacked(seed, preset_coeffs, dim, 12)
+    stacked(seed, coeffs, dim, 12)
     assert sum(redraws) == 2  # the stacked draw and the redraw's first pair
     forced = _EveryValue()
-    reference(seed, preset_coeffs, dim, 12, lambda d: accepts(d) and d != rejected, forced)
+    reference(seed, coeffs, dim, 12, lambda d: accepts(d) and d != rejected, forced)
     [values] = [{name: sorted(seen) for name, seen in worst.seen.items()} for worst in recorded]
     assert values == {name: sorted(seen) for name, seen in forced.seen.items()}
 
