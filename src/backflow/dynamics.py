@@ -29,7 +29,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .statespace import TOL_PSD, DensityMatrix, _certified_above
+from .statespace import TOL_PSD, DensityMatrix, _certified_above, _half_trace_norms_from_invariants, _invariants_3
 
 TOL_CPT = 1e-8
 # Quadrature of tabulated rates splits every grid interval this many ways;
@@ -319,21 +319,30 @@ def _without_integrals(rates: RateFunctions) -> RateFunctions:
 
 def _quadrature(rates: RateFunctions, grid: np.ndarray) -> tuple[np.ndarray, ...]:
     """(d1, d2, phase, g1 - g2) on ``grid`` by cumulative trapezoids on the
-    refined grid, where g1 - g2 is the integral of (gamma1 - gamma2) exp(-D)."""
+    refined grid, where g1 - g2 is the integral of (gamma1 - gamma2) exp(-D).
+
+    A function that serves several rates is sampled and integrated once;
+    where both decay channels share one, gamma1 - gamma2 is exactly 0, and
+    so is g1 - g2. The results are those of integrating every rate apart.
+    """
     fine = _refined_grid(grid)
-    gamma1 = np.asarray(rates.gamma1(fine), dtype=float)
-    gamma2 = np.asarray(rates.gamma2(fine), dtype=float)
-    shift1 = np.asarray(rates.lambda1(fine), dtype=float)
-    shift2 = np.asarray(rates.lambda2(fine), dtype=float)
-    for name, values in (("gamma1", gamma1), ("gamma2", gamma2), ("lambda1", shift1), ("lambda2", shift2)):
-        if values.shape != fine.shape or not np.all(np.isfinite(values)):
-            raise QuadratureFailure(f"rate {name} is not finite on the whole grid")
-    d1 = _cumulative_trapezoid(gamma1, fine)
-    d2 = _cumulative_trapezoid(gamma2, fine)
+    samples: dict[int, np.ndarray] = {}
+    for field in fields(rates):
+        fn = getattr(rates, field.name)
+        if id(fn) not in samples:
+            values = np.asarray(fn(fine), dtype=float)
+            if values.shape != fine.shape or not np.all(np.isfinite(values)):
+                raise QuadratureFailure(f"rate {field.name} is not finite on the whole grid")
+            samples[id(fn)] = values
+    integrals = {key: _cumulative_trapezoid(values, fine) for key, values in samples.items()}
+    d1, d2, phase1, phase2 = (integrals[id(fn)] for fn in (rates.gamma1, rates.gamma2, rates.lambda1, rates.lambda2))
     decay = d1 + d2
-    phase = _cumulative_trapezoid(shift1, fine) + _cumulative_trapezoid(shift2, fine)
+    phase = phase1 + phase2
     _check_integrals(decay, phase)
-    spread = _cumulative_trapezoid((gamma1 - gamma2) * np.exp(-decay), fine)
+    if rates.gamma1 is rates.gamma2:
+        spread = np.zeros(fine.size)
+    else:
+        spread = _cumulative_trapezoid((samples[id(rates.gamma1)] - samples[id(rates.gamma2)]) * np.exp(-decay), fine)
     # copies, so the fine-grid arrays are freed on return
     return tuple(values[::REFINE].copy() for values in (d1, d2, phase, spread))
 
@@ -427,6 +436,33 @@ def apply_map_to_grid(coeffs: MapCoefficients, matrices: np.ndarray) -> np.ndarr
     out[..., 1, 1] += coeffs.g1 * excited
     out[..., 2, 2] += coeffs.g2 * excited
     return out
+
+
+def _mapped_distances(coeffs: MapCoefficients, deltas: np.ndarray) -> np.ndarray:
+    """Half the trace norms of Hermitian (..., 3, 3) differences of states,
+    mapped to every point of ``coeffs`` and clipped to [0, 1]: shape (..., grid).
+
+    The map scales the excited population, |u|^2, |v|^2 and Re(u w v*) of
+    a difference by F = |f|^2, feeds g_i of the excited population into
+    ground level i and keeps |w|^2, so the distances come from each
+    difference's seven :func:`~backflow.statespace._invariants_3` and the
+    per-point F, g1, g2, through the closed form that ``_clipped_distances``
+    takes for 3x3 matrices, without building the mapped matrices. Each value
+    depends on its own difference alone, so a stacked call is bitwise equal
+    to one-difference calls.
+    """
+    m = np.asarray(deltas, dtype=complex)
+    _check_dim3(m)
+    if m.ndim == 2:
+        # numpy's scalar complex product rounds unlike its array loop, so one
+        # matrix is a stack of one
+        return _mapped_distances(coeffs, m[None])[0]
+    d0, d1, d2, uu, vv, ww, cross = (x[..., None] for x in _invariants_3(m))
+    kept = np.abs(coeffs.f) ** 2
+    half = _half_trace_norms_from_invariants(
+        kept * d0, d1 + coeffs.g1 * d0, d2 + coeffs.g2 * d0, kept * uu, kept * vv, ww, kept * cross
+    )
+    return np.clip(half, 0.0, 1.0)
 
 
 def stretch_ends(coeffs: MapCoefficients) -> MapCoefficients:

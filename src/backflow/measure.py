@@ -18,7 +18,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import MapCoefficients, RateFunctions, apply_map_to_grid, lindblad_integrate, stretch_ends
+from .dynamics import (
+    MapCoefficients,
+    RateFunctions,
+    _mapped_distances,
+    apply_map_to_grid,
+    lindblad_integrate,
+    stretch_ends,
+)
 from .errors import BadDimension, DimensionMismatch, DomainError, ValidationError
 from .statespace import (
     DensityMatrix,
@@ -118,23 +125,27 @@ def _rise(distances: np.ndarray, rise_tolerance: float) -> np.ndarray:
 
 def _batched_backflows(coeffs: MapCoefficients, deltas: np.ndarray, rise_tolerance: float) -> np.ndarray:
     """Backflows of many (N, 3, 3) difference matrices at once (map is linear),
-    from their distances at the points of ``coeffs``.
+    from their distances at the points of ``coeffs``, which
+    :func:`~backflow.dynamics._mapped_distances` takes from each difference's
+    invariants without mapping a matrix.
 
     Scorers pass ``stretch_ends(coeffs)``, whose points give the same rises
     as the whole grid, so ``rise_tolerance`` applies to each stretch's rise.
     """
-    return _rise(_clipped_distances(apply_map_to_grid(coeffs, deltas)), rise_tolerance)
+    return _rise(_mapped_distances(coeffs, deltas), rise_tolerance)
 
 
 # Candidates scored per batched call: max(1, SCORE_POINTS // kept points), so
-# a call holds at most max(SCORE_POINTS, kept points) evolved 3x3 differences,
-# about 0.3-0.4 kB each with the map's and the distance kernel's temporaries.
+# a call holds at most max(SCORE_POINTS, kept points) distances of evolved 3x3
+# differences, about 0.15 kB each with the distance kernel's temporaries.
 # A default-model class (3 points, 1365 a batch) is one stacked pass; a grid
 # keeping over 2048 points scores one candidate a call. Scoring peaks
 # (tracemalloc) at the 10^4-step cap: 2.7 MB for 1365 pure and 2.9 MB for 1365
-# mixed candidates on the default model, 1.4 MB for 64 candidates with
-# tabulated rates 0.05 sin t + 0.02 and 0.03 sin 2t + 0.01 (4465 points), and
-# 3.1-3.9 MB on a grid whose steps are nearly all mixed (9843 points).
+# mixed candidates on the default model, where drawing the pairs sets the
+# peak, and 0.7 MB for 64 candidates with tabulated rates 0.05 sin t + 0.02
+# and 0.03 sin 2t + 0.01 (4465 points). Scoring mapped matrices took 0.26 kB
+# a point and peaked at 1.2 MB there, and at 3.1-3.9 MB on a grid whose steps
+# are nearly all mixed (9843 points).
 SCORE_POINTS = 1 << 12
 
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .dynamics import (
     MapCoefficients,
+    _mapped_distances,
     _without_integrals,
     apply_map_to_grid,
     lambda_map_coefficients,
@@ -47,7 +48,6 @@ from .statespace import (
     TOL_ORTH,
     TOL_PSD,
     DensityMatrix,
-    _clipped_distances,
     _density_stack,
     _haar_from_ginibre,
     _jordan_hahn_stack,
@@ -205,13 +205,15 @@ def _accepted(distances: np.ndarray | float) -> np.ndarray | bool:
 
 def _trajectory(coeffs: MapCoefficients, pairs: np.ndarray, reduce: Callable) -> np.ndarray:
     """``reduce`` of the (n, k, grid) trace-distance trajectories of a
-    (2, n, k, 3, 3) stack of pairs under the three-level map, applied to each
-    matrix at every grid point, k for each of n instances, built and reduced
-    max(1, SCORE_POINTS // (k * grid size)) instances at a time, so memory
-    does not grow with n."""
+    (2, n, k, 3, 3) stack of pairs under the three-level map, k for each of
+    n instances: each pair's difference is mapped once, to every grid point,
+    by :func:`~backflow.dynamics._mapped_distances`, and the trajectories are
+    built and reduced max(1, SCORE_POINTS // (k * grid size)) instances at a
+    time, so memory does not grow with n."""
     size = max(1, SCORE_POINTS // (pairs.shape[2] * coeffs.grid.size))
-    blocks = np.split(pairs, range(size, pairs.shape[1], size), axis=1)
-    return np.concatenate([reduce(_clipped_distances(np.subtract(*apply_map_to_grid(coeffs, b)))) for b in blocks])
+    deltas = pairs[0] - pairs[1]
+    blocks = np.split(deltas, range(size, len(deltas), size))
+    return np.concatenate([reduce(_mapped_distances(coeffs, b)) for b in blocks])
 
 
 def metric_suite(seed: int, dims=(2, 3, 4), triples: int = 200) -> list[PropertyCheck]:
@@ -434,7 +436,7 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
     worst.see("closed-form-coherence-decay", np.abs(np.abs(quadrature.f) - np.exp(-d_exact)).max())
 
     # the pairs are drawn a block at a time, and their full-grid trajectories
-    # (about 0.9 MB a pair) are held as :func:`_trajectory` bounds them
+    # (about 0.3 MB a pair) are held as :func:`_trajectory` bounds them
     streams = _streams(seed, (50, 3), 0, contraction_pairs)
     for n in _block_sizes(contraction_pairs, 3):
         pairs = _random_states(3, islice(streams, n), 2)[0].swapaxes(0, 1)[:, :, None]

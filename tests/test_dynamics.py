@@ -16,6 +16,7 @@ from backflow.dynamics import (
     RateFunctions,
     _cumulative_trapezoid,
     _from_coordinates,
+    _mapped_distances,
     _master_equation_rhs,
     _refined_grid,
     _rhs_generators,
@@ -278,6 +279,62 @@ class TestClosedForm:
         assert moved <= {600: 1e-9, 2000: 1e-10}[steps]
 
 
+def _wrapped(rates):
+    """The same rates, each behind a wrapper of its own, so no two share a function object."""
+    return RateFunctions(*(lambda t, fn=getattr(rates, f.name): fn(t) for f in dataclasses.fields(rates)))
+
+
+def _shared_tabulated_rates(directory):
+    """A tabulated gamma = 0.05 sin t + 0.02 that serves both decay channels,
+    and the shared zero function of the missing shifts."""
+    t = np.linspace(0.0, 2 * np.pi, 2001)
+    path = directory / "gamma.csv"
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), (0.05 * np.sin(t) + 0.02).tolist())))
+    rates = tabulated_rates(gamma1=str(path))
+    return dataclasses.replace(rates, gamma2=rates.gamma1)
+
+
+class TestSharedRates:
+    """The quadrature samples and integrates a function that serves several rates once."""
+
+    @pytest.mark.parametrize("model", ["sinusoidal", "tabulated", "two-tables"])
+    @pytest.mark.parametrize("steps", [51, 2000])
+    def test_shared_functions_change_no_coefficient(self, tmp_path, model, steps):
+        rates = {
+            "sinusoidal": lambda: _without_integrals(sinusoidal_rates()),
+            "tabulated": lambda: _shared_tabulated_rates(tmp_path),
+            "two-tables": lambda: _tabulated_two_rates(tmp_path),
+        }[model]()
+        grid = make_grid(2 * np.pi, steps)
+        shared, apart = lambda_map_coefficients(rates, grid), lambda_map_coefficients(_wrapped(rates), grid)
+        for field in dataclasses.fields(shared):
+            assert np.array_equal(getattr(shared, field.name), getattr(apart, field.name)), field.name
+        if model != "two-tables":
+            assert np.all(shared.g1 == shared.g2)
+
+    def test_each_function_is_sampled_once(self, monkeypatch):
+        calls = []
+        rate = _without_integrals(sinusoidal_rates()).gamma1
+
+        def counted(t):
+            calls.append("gamma")
+            return rate(t)
+
+        def zero(t):
+            calls.append("zero")
+            return np.zeros(np.shape(t))
+
+        lambda_map_coefficients(RateFunctions(counted, counted, zero, zero), GRID)
+        assert calls == ["gamma", "zero"]
+
+    def test_a_non_finite_shared_rate_names_gamma1(self):
+        def bad(t):
+            return np.full(np.shape(t), np.nan)
+
+        with pytest.raises(QuadratureFailure, match="rate gamma1 is not finite"):
+            lambda_map_coefficients(RateFunctions(bad, bad, bad, bad), GRID)
+
+
 class TestValidateCpt:
     def test_preset_valid(self, preset_coeffs):
         report = validate_cpt(preset_coeffs)
@@ -522,6 +579,45 @@ class TestMapInvariants:
     def test_wrong_dimension(self, preset_coeffs):
         with pytest.raises(BadDimension):
             _batched_backflows(stretch_ends(preset_coeffs), np.zeros((4, 2, 2)), 0.0)
+        with pytest.raises(BadDimension):
+            _mapped_distances(preset_coeffs, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize(
+        "rates, steps",
+        [
+            (sinusoidal_rates(), 2000),
+            (sinusoidal_rates(), 200),
+            (constant_rates(gamma=0.03, shift=0.5), 400),
+            (_unequal_rates(), 300),
+        ],
+        ids=["default-2000", "default-200", "shifted", "unequal"],
+    )
+    def test_mapped_distances_match_eigvalsh(self, rates, steps):
+        # the distances from a difference's invariants against an eigensolve
+        # of the mapped difference at every grid point; the shifted model has
+        # a complex f and the unequal one g1 != g2
+        coeffs = lambda_map_coefficients(rates, make_grid(2 * np.pi, steps))
+        rng = rng_stream(16)
+        pairs = [
+            (sample_random_state(3, r1, rng), sample_random_state(3, r2, rng))
+            for r1 in (1, 2, 3)
+            for r2 in (1, 2, 3)
+            for _ in range(4)
+        ]
+        pairs += [sample_pure_orthogonal_pair(3, rng) for _ in range(8)]
+        pairs += [sample_orthogonal_mixed_pair(3, rng) for _ in range(8)]
+        # the mixed reference pair has a double eigenvalue at t = 0
+        pairs.append(mixed_reference_pair())
+        deltas = np.stack([r1.entries - r2.entries for r1, r2 in pairs] + [np.zeros((3, 3))])
+        expected = np.clip(0.5 * np.abs(np.linalg.eigvalsh(apply_map_to_grid(coeffs, deltas))).sum(axis=-1), 0.0, 1.0)
+        distances = _mapped_distances(coeffs, deltas)
+        assert distances.shape == (len(deltas), coeffs.grid.size)
+        np.testing.assert_allclose(distances, expected, rtol=0, atol=1e-14)
+        assert np.all(distances[-1] == 0.0)
+        # each difference's distances depend on it alone
+        for delta, row in zip(deltas, distances):
+            assert np.array_equal(_mapped_distances(coeffs, delta), row)
+        assert np.array_equal(_mapped_distances(coeffs, deltas.reshape(3, -1, 3, 3)), distances.reshape(3, -1, steps + 1))
 
 
 class TestStretchEnds:

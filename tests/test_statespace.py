@@ -19,6 +19,7 @@ from backflow.errors import (
 from backflow.statespace import (
     TOL_HERM,
     TOL_PSD,
+    _CERTIFY_MAX_DIM,
     HermitianOperator,
     _canonical_sign,
     _certified_above,
@@ -741,10 +742,11 @@ class TestPositivityCertificate:
     """The LDL certificate that lets state checks skip eigvalsh, against eigvalsh."""
 
     @pytest.mark.parametrize("tol", [TOL_PSD, POSITIVITY_DRIFT], ids=["TOL_PSD", "POSITIVITY_DRIFT"])
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, _CERTIFY_MAX_DIM])
     def test_clears_every_state_and_nothing_below_tol(self, dim, tol):
         rng = rng_stream(41, dim)
-        ranks = np.repeat(np.arange(1, dim + 1), 400)
+        # 400 states of each rank, fewer where the ranks are many
+        ranks = np.repeat(np.arange(1, dim + 1), min(400, 4000 // dim))
         states = _random_state_stack(ranks, rng.standard_normal((len(ranks), 2, dim, dim)))
         for scale in (1e-3, 1.0, 1e2):
             assert _certified_above(scale * states, tol).all()
@@ -756,7 +758,7 @@ class TestPositivityCertificate:
                     assert below.all()
 
     @pytest.mark.parametrize("factor", [1.5, 2.0, 1e6])
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, _CERTIFY_MAX_DIM])
     def test_one_bad_matrix_raises_its_eigensolved_minimum(self, monkeypatch, dim, factor):
         rng = rng_stream(42, dim)
         stack = np.array(_random_state_stack([dim] * 40, rng.standard_normal((40, 2, dim, dim))))
@@ -771,3 +773,23 @@ class TestPositivityCertificate:
         monkeypatch.setattr(statespace, "_certified_above", lambda m, tol: np.zeros(m.shape[:-2], dtype=bool))
         with pytest.raises(NotPositive, match=re.escape(message)):
             _density_stack(stack)
+
+    @pytest.mark.parametrize(
+        "dim, eigensolved", [(2, 0), (3, 0), (4, 0), (5, 0), (_CERTIFY_MAX_DIM, 0), (_CERTIFY_MAX_DIM + 1, 60)]
+    )
+    def test_valid_states_take_no_eigensolve_up_to_the_bound(self, monkeypatch, dim, eigensolved):
+        # every valid state up to the bound is cleared by the certificate, so
+        # validating a stack sends no matrix to eigvalsh; above it, all go
+        rng = rng_stream(43, dim)
+        ranks = rng.integers(1, dim + 1, 60)
+        stack = _random_state_stack(ranks, rng.standard_normal((60, 2, dim, dim)))
+        matrices = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        _density_stack(stack)
+        assert sum(matrices) == eigensolved
