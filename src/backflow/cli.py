@@ -288,17 +288,28 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 # --- output ---------------------------------------------------------------
 
 
-def _fmt(x) -> str:
+def _spec(x) -> str:
+    """The printf format of a value by its type: text as is, an integer in
+    decimal, anything else as a float to 9 significant digits."""
     if isinstance(x, str):
-        return x
+        return "%s"
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".9g")
+        return "%d"
+    return "%.9g"
+
+
+def _fmt(x) -> str:
+    return _spec(x) % (x,)
 
 
 def render_csv(header, rows, footer=()) -> str:
+    """CSV text of the rows, each column formatted by the type of its first
+    cell, which every cell of a column shares."""
     lines = [",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    rows = list(rows)
+    if rows:
+        template = ",".join(_spec(cell) for cell in rows[0])
+        lines += [template % tuple(row) for row in rows]
     lines += list(footer)
     return "\n".join(lines) + "\n"
 

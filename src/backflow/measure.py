@@ -171,9 +171,9 @@ def _streamed_backflows(ends: MapCoefficients, source: PairSource, n: int, rise_
 
     The pairs are drawn in chunks of whole batches, about SCORE_POINTS // 8
     (512) pairs where the batch is smaller, so a grid keeping many points
-    does not pay a stream move, a stacked QR and a validation eigensolve per
-    few candidates. The floor is where a sweep levels off: a 10^4-sample
-    histogram on tabulated rates (897 kept points) took 1.7 s unchunked,
+    does not pay a stream move and a stacked build per few candidates.
+    The floor is where a sweep levels off: a 10^4-sample histogram on
+    tabulated rates (897 kept points) took 1.7 s unchunked,
     1.2 s at 64, 1.1 s at 512 and 1024, while its traced peak grew from
     1.2 to 1.3 MB at 512, 1.6 MB at 1024 and 2.9 MB at 2048.
     """
@@ -283,9 +283,14 @@ def sampled_backflows(
     Sample i draws from the stream keyed (seed, i), so the output does not
     depend on how the samples are split into batches.
     """
+    return _pure_backflows(stretch_ends(coeffs), n_samples, seed, rise_tolerance)
+
+
+def _pure_backflows(ends: MapCoefficients, n_samples: int, seed: int, rise_tolerance: float) -> np.ndarray:
+    """:func:`sampled_backflows` scored at the stretch ends ``ends``."""
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    return _streamed_backflows(stretch_ends(coeffs), _sampled(_pure_pair_stacks, seed), n_samples, rise_tolerance)
+    return _streamed_backflows(ends, _sampled(_pure_pair_stacks, seed), n_samples, rise_tolerance)
 
 
 def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed: int) -> BackflowHistogram:
@@ -298,8 +303,9 @@ def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed:
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
-    reference = float(_streamed_backflows(stretch_ends(coeffs), _given([mixed_reference_pair()]), 1, RISE_TOLERANCE)[0])
-    values = sampled_backflows(coeffs, n_samples, seed, rise_tolerance=RISE_TOLERANCE)
+    ends = stretch_ends(coeffs)
+    reference = float(_streamed_backflows(ends, _given([mixed_reference_pair()]), 1, RISE_TOLERANCE)[0])
+    values = _pure_backflows(ends, n_samples, seed, RISE_TOLERANCE)
     max_sampled = float(values.max())
     upper = max(max_sampled, reference)
     if upper <= 0.0:

@@ -505,7 +505,16 @@ def _haar_from_ginibre(ginibre: np.ndarray) -> np.ndarray:
 def sample_pure_orthogonal_pair(
     dim: int, rng: np.random.Generator
 ) -> tuple[DensityMatrix, DensityMatrix]:
-    """Projectors onto the first two columns of a Haar random unitary."""
+    """Projectors onto the first two columns of a Haar random unitary.
+
+    The stream is read once, for the (2, N, N) real and imaginary parts of
+    a complex Ginibre G, as :func:`haar_unitary` reads it. The first two
+    columns of G, orthonormalized by Gram-Schmidt, are the first two
+    columns of the Haar unitary that G's QR gives, up to phases that the
+    projectors drop (Mezzadri, Notices AMS 54, 592, 2007), so no QR is
+    taken. The projectors are Hermitian, positive and of unit trace to
+    rounding by construction, so they are not validated again.
+    """
     if dim < 2:
         raise BadDimension(f"orthogonal pair needs dimension >= 2, got {dim}")
     return tuple(DensityMatrix(states[0]) for states in _pure_pair_stacks(dim, [rng]))
@@ -513,8 +522,29 @@ def sample_pure_orthogonal_pair(
 
 def _pure_pair_stacks(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
     """:func:`sample_pure_orthogonal_pair` for one stream each, as a (2, n, N, N) stack."""
-    u = _haar_stack(dim, rngs)
-    return _density_stack(_projectors(np.concatenate([u[:, :, 0], u[:, :, 1]]))).reshape(2, len(u), dim, dim)
+    return _pure_pairs_from_ginibre(np.array([rng.standard_normal((2, dim, dim)) for rng in rngs]))
+
+
+def _pure_pairs_from_ginibre(ginibre: np.ndarray) -> np.ndarray:
+    """Orthogonal pure pairs from an (n, 2, N, N) stack of real and imaginary
+    Ginibre parts, as a read-only (2, n, N, N) stack: the exactly Hermitian
+    projectors onto the Gram-Schmidt orthonormalization of each G's first
+    two columns. The second column is orthogonalized twice, since one pass
+    leaves nearly parallel columns far from orthogonal. Each pair is
+    bit-identical to building it alone."""
+    a = ginibre[:, 0, :, 0] + 1j * ginibre[:, 1, :, 0]
+    b = ginibre[:, 0, :, 1] + 1j * ginibre[:, 1, :, 1]
+    a = a / np.sqrt((a.real * a.real + a.imag * a.imag).sum(axis=-1))[:, None]
+    for _ in range(2):
+        b = b - a * (a.conj() * b).sum(axis=-1)[:, None]
+    # the complex products of the outer product leave rounding-level
+    # non-Hermitian parts, which (P + P^dagger) / 2 removes exactly
+    p = _projectors(np.concatenate([a, b]))
+    p += p.conj().swapaxes(-1, -2)
+    p *= 0.5
+    p = p.reshape(2, len(a), *p.shape[1:])
+    p.setflags(write=False)
+    return p
 
 
 def sample_random_state(dim: int, rank: int, rng: np.random.Generator) -> DensityMatrix:

@@ -616,3 +616,58 @@ class TestReportContract:
         first = out.read_bytes()
         main(args)
         assert out.read_bytes() == first
+
+
+def old_fmt(x) -> str:
+    """A CSV cell as it was formatted before columns were typed once: by its own type."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".9g")
+
+
+def old_render_csv(header, rows, footer=()) -> str:
+    lines = [",".join(header)] + [",".join(old_fmt(cell) for cell in row) for row in rows]
+    return "\n".join(lines + list(footer)) + "\n"
+
+
+class TestCsvRendering:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["histogram", "--samples", "300", "--seed", "6"],
+            ["histogram", "--samples", "40", "--seed", "6", "--config", "constant.json"],
+            ["trajectory", "--pair", "mpair", "--engine", "closed_form"],
+            ["trajectory", "--pair", "pure-a-plus", "--engine", "integrator"],
+        ],
+        ids=["histogram", "histogram-constant", "trajectory-closed-form", "trajectory-integrator"],
+    )
+    def test_typed_columns_render_the_same_bytes(self, tmp_path, monkeypatch, args):
+        # each table is rendered both ways from the rows the command made, and
+        # the file the command writes is the new way's text
+        write_json(tmp_path / "constant.json", {"model": {"preset": "constant", "gamma": 0.03}})
+        monkeypatch.chdir(tmp_path)
+        rendered = []
+        render = cli.render_csv
+
+        def both(header, rows, footer=()):
+            rows = list(rows)
+            rendered.append((render(header, rows, footer), old_render_csv(header, rows, footer)))
+            return rendered[-1][0]
+
+        monkeypatch.setattr(cli, "render_csv", both)
+        assert main(args + ["--output", "out.csv"]) == 0
+        [(new, old)] = rendered
+        assert new == old
+        assert (tmp_path / "out.csv").read_text() == new
+
+    @pytest.mark.parametrize(
+        "cell", [0, 7, -3, np.int64(12), True, 0.0, -0.0, 1.5, 1e-300, np.float64(0.1), np.nan, -np.inf, "mpair"]
+    )
+    def test_cells_format_as_before(self, cell):
+        assert cli._fmt(cell) == old_fmt(cell)
+        assert cli.render_csv(["a", "b"], [(cell, cell)] * 2) == old_render_csv(["a", "b"], [(cell, cell)] * 2)
+
+    def test_no_rows(self):
+        assert cli.render_csv(["a", "b"], [], ["# n,0"]) == "a,b\n# n,0\n"

@@ -386,11 +386,29 @@ class TestHistogram:
             2, 11, 17, 16, 22, 46, 42, 48, 41, 71, 80, 62, 77, 118, 98, 116, 118, 137, 132, 173,
             160, 163, 129, 90, 26, 5,
         ] + [0] * 24
-        assert hist.max_sampled == 0.05769773321146576
+        # 0.05769773321146576 when pairs were a QR's columns; Gram-Schmidt moves it by rounding
+        assert hist.max_sampled == 0.05769773321146532
+        assert abs(hist.max_sampled - 0.05769773321146576) <= 1e-15
+
+    def test_stretch_ends_are_found_once(self, monkeypatch, preset_coeffs):
+        # the reference pair and the samples are scored at the same stretch
+        # ends, as sampled_backflows scores the samples alone
+        found = []
+
+        def counted(coeffs):
+            found.append(coeffs.grid.size)
+            return stretch_ends(coeffs)
+
+        monkeypatch.setattr(measure, "stretch_ends", counted)
+        hist = histogram_backflow(preset_coeffs, n_samples=300, bins=30, seed=10)
+        assert found == [preset_coeffs.grid.size]
+        values = sampled_backflows(preset_coeffs, 300, seed=10, rise_tolerance=RISE_TOLERANCE)
+        assert hist.max_sampled == values.max()
+        assert hist.counts.tolist() == np.histogram(values, bins=hist.bin_edges)[0].tolist()
 
     def test_pure_pairs_take_no_eigensolve(self, monkeypatch, preset_coeffs):
-        # every sampled pure state, and the reference pair, is cleared by the
-        # positivity certificate, and 3x3 distances have a closed form
+        # sampled pure states are not validated, the reference pair is cleared
+        # by the positivity certificate, and 3x3 distances have a closed form
         matrices = []
         eigvalsh = np.linalg.eigvalsh
 

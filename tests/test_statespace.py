@@ -18,8 +18,10 @@ from backflow.errors import (
 )
 from backflow.statespace import (
     TOL_HERM,
+    TOL_ORTH,
     TOL_PSD,
     _CERTIFY_MAX_DIM,
+    DensityMatrix,
     HermitianOperator,
     _canonical_sign,
     _certified_above,
@@ -27,6 +29,7 @@ from backflow.statespace import (
     _density_stack,
     _mixed_pair_stacks,
     _pure_pair_stacks,
+    _pure_pairs_from_ginibre,
     _random_state_stack,
     _streams,
     haar_unitary,
@@ -570,6 +573,24 @@ def reference_random_state(dim, rank, rng):
 
 
 def reference_pure_pair(dim, rng):
+    """Gram-Schmidt, twice, on the first two columns of one complex Ginibre
+    matrix, and the projectors onto the results made exactly Hermitian."""
+    z = rng.standard_normal((2, dim, dim))
+    a, b = (z[0][:, j] + 1j * z[1][:, j] for j in (0, 1))
+    a = a / np.sqrt((a.real * a.real + a.imag * a.imag).sum())
+    for _ in range(2):
+        b = b - a * (a.conj() * b).sum()
+    pair = []
+    for v in (a, b):
+        v = v / np.linalg.norm(v)
+        p = np.outer(v, v.conj())
+        pair.append((p + p.conj().T) / 2)
+    return pair
+
+
+def qr_pure_pair(dim, rng):
+    """The projectors onto the first two columns of the Haar unitary that
+    the QR of the stream's Ginibre matrix gives."""
     u = reference_haar(dim, rng)
     vectors = [u[:, j] / np.linalg.norm(u[:, j]) for j in (0, 1)]
     return [reference_density(np.outer(v, v.conj())) for v in vectors]
@@ -601,6 +622,17 @@ class TestStackedSampling:
             for got, alone, ref in zip((first[i], second[i]), one, expected):
                 assert np.array_equal(got, ref)
                 assert np.array_equal(alone.entries, ref)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_pure_pairs_match_the_qr_construction(self, dim):
+        # the first two columns of a Ginibre QR are the Gram-Schmidt
+        # orthonormalization of its first two columns up to phases, which
+        # projectors drop, so the law is that of Haar unitaries
+        first, second = _pure_pair_stacks(dim, [rng_stream(37, dim, i) for i in range(300)])
+        for i in range(300):
+            expected = qr_pure_pair(dim, rng_stream(37, dim, i))
+            for got, ref in zip((first[i], second[i]), expected):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_mixed_pairs_match_one_stream_at_a_time(self, dim):
@@ -666,6 +698,61 @@ class TestStackedSampling:
         with pytest.raises(error):
             _density_stack(stack)
         _density_stack(np.delete(stack, 2, axis=0))  # the rest of the stack is valid
+
+
+class TestPurePairsValidByConstruction:
+    """Sampled pure pairs are states and orthogonal without a validation pass."""
+
+    @staticmethod
+    def nearly_parallel(dim, count, gap, rng):
+        """Ginibre parts whose second column is a random phase times the
+        first, plus ``gap`` times fresh normals."""
+        g = rng.standard_normal((count, 2, dim, dim))
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+        column = (g[:, 0, :, 0] + 1j * g[:, 1, :, 0]) * phase[:, None]
+        g[:, 0, :, 1] = column.real + gap * g[:, 0, :, 1]
+        g[:, 1, :, 1] = column.imag + gap * g[:, 1, :, 1]
+        return g
+
+    @staticmethod
+    def one_pass_distances(ginibre):
+        """Trace distances of the projectors that one Gram-Schmidt pass gives."""
+        a = ginibre[:, 0, :, 0] + 1j * ginibre[:, 1, :, 0]
+        b = ginibre[:, 0, :, 1] + 1j * ginibre[:, 1, :, 1]
+        a = a / np.linalg.norm(a, axis=-1)[:, None]
+        b = b - a * (a.conj() * b).sum(axis=-1)[:, None]
+        b = b / np.linalg.norm(b, axis=-1)[:, None]
+        return np.sqrt(1.0 - np.abs((a.conj() * b).sum(axis=-1)) ** 2)
+
+    def assert_valid(self, pairs):
+        eps = np.finfo(float).eps
+        states = pairs.reshape(-1, *pairs.shape[2:])
+        assert np.array_equal(states, states.conj().swapaxes(-1, -2))
+        assert np.abs(states.trace(axis1=1, axis2=2) - 1.0).max() <= 8 * eps
+        _density_stack(states)
+        for rho1, rho2 in zip(*pairs):
+            assert is_orthogonal(DensityMatrix(rho1), DensityMatrix(rho2))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_sampled_pairs_are_orthogonal_states(self, dim):
+        self.assert_valid(_pure_pair_stacks(dim, [rng_stream(38, dim, i) for i in range(200)]))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_nearly_parallel_columns_are_orthogonalized(self, dim):
+        ginibre = self.nearly_parallel(dim, 200, 1e-14, rng_stream(51, dim))
+        # one pass leaves every one of these pairs short of orthogonal
+        assert (self.one_pass_distances(ginibre) < 1.0 - TOL_ORTH).all()
+        self.assert_valid(_pure_pairs_from_ginibre(ginibre))
+
+    def test_no_qr_and_no_validation_pass(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(np.linalg, "qr", refused)
+        monkeypatch.setattr(statespace, "_density_stack", refused)
+        pairs = _pure_pair_stacks(3, [rng_stream(39, i) for i in range(20)])
+        one = sample_pure_orthogonal_pair(3, rng_stream(39, 7))
+        assert np.array_equal(pairs[:, 7], [rho.entries for rho in one])
 
 
 class TestStreams:
