@@ -8,6 +8,11 @@ mixed ones (the rescaled Jordan-Hahn split of a random traceless matrix,
 so both states lie on the boundary, as optimal pairs do), and
 user-supplied pairs. Sampled estimates are lower bounds on the true
 maximum.
+
+The measure's random classes are drawn a block at a time: candidate i of
+class c is the (i mod SAMPLE_BLOCK)-th (2, 3, 3) normal read of the stream
+(seed, c, i // SAMPLE_BLOCK), which is what repeated public sampler calls
+on that stream read. Histogram sample i keeps its own stream (seed, i).
 """
 
 from __future__ import annotations
@@ -30,12 +35,14 @@ from .errors import BadDimension, DimensionMismatch, DomainError, ValidationErro
 from .statespace import (
     DensityMatrix,
     _clipped_distances,
-    _mixed_pair_stacks,
+    _mixed_pairs_from_ginibre,
     _pure_pair_stacks,
+    _pure_pairs_from_ginibre,
     _streams,
     is_orthogonal,
     make_density_matrix,
     pure_state,
+    rng_stream,
 )
 
 StatePair = tuple[DensityMatrix, DensityMatrix]
@@ -156,8 +163,44 @@ PairSource = Callable[[int, int], np.ndarray]
 
 def _sampled(pair_stacks: Callable, seed: int, *key: int) -> PairSource:
     """The pairs drawn by ``pair_stacks`` from the streams (seed, *key, i),
-    one generator per batch."""
+    one generator per batch.
+
+    Histogram samples are drawn this way, one stream each, because the
+    benchmark's eigvalsh oracle rebuilds sample i as
+    ``sample_pure_orthogonal_pair(3, rng_stream(seed, i))``.
+    """
     return lambda start, stop: pair_stacks(3, _streams(seed, key, start, stop))
+
+
+# Candidates of a measure class drawn from one stream: block b of class c is
+# rng_stream(seed, c, b), read in one standard_normal((SAMPLE_BLOCK, 2, 3, 3))
+# call, 37 kB of normals. estimate_measure on the default model at 2000 steps
+# (in-process, two sweeps of medians, 2-vCPU Xeon) took 2.4-2.7 ms at 200
+# samples whatever the size from 64 to 2048; at 1000 samples 8.6-8.8 ms at 64,
+# 8.3-8.5 ms at 256 and 8.6-8.7 ms at 1024; at 10^4 samples 80-81 ms at 64,
+# 76-78 ms at 256 and 74-77 ms at 1024. Past 256 the gain is within noise.
+SAMPLE_BLOCK = 256
+
+
+def _blocked(from_ginibre: Callable, seed: int, tag: int) -> PairSource:
+    """The pairs built by ``from_ginibre`` from class ``tag``'s blocks: pair i
+    from the (i mod SAMPLE_BLOCK)-th (2, 3, 3) normal read of the stream
+    (seed, tag, i // SAMPLE_BLOCK).
+
+    A block is read only up to the last pair asked for, a prefix of its
+    full read, so rebuilding one pair opens one generator.
+    """
+
+    def source(start: int, stop: int) -> np.ndarray:
+        block = SAMPLE_BLOCK
+        first = start // block
+        ginibre = [
+            rng_stream(seed, tag, b).standard_normal((min(block, stop - b * block), 2, 3, 3))
+            for b in range(first, -(-stop // block))
+        ]
+        return from_ginibre(np.concatenate(ginibre)[start - first * block :])
+
+    return source
 
 
 def _given(pairs: Sequence[StatePair]) -> PairSource:
@@ -165,7 +208,9 @@ def _given(pairs: Sequence[StatePair]) -> PairSource:
     return lambda start, stop: np.stack([[rho.entries for rho in pair] for pair in pairs[start:stop]], axis=1)
 
 
-def _streamed_backflows(ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float) -> np.ndarray:
+def _streamed_backflows(
+    ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float, block: int = 1
+) -> np.ndarray:
     """Backflows of the pairs 0..n-1 of ``source`` at the stretch ends ``ends``,
     scored ``max(1, SCORE_POINTS // kept points)`` at a time.
 
@@ -176,16 +221,19 @@ def _streamed_backflows(ends: MapCoefficients, source: PairSource, n: int, rise_
     tabulated rates (897 kept points) took 1.7 s unchunked,
     1.2 s at 64, 1.1 s at 512 and 1024, while its traced peak grew from
     1.2 to 1.3 MB at 512, 1.6 MB at 1024 and 2.9 MB at 2048.
+
+    A source drawn ``block`` pairs a stream is drawn in chunks of whole
+    blocks, rounded down but at least one, so each block is drawn once.
     """
     batch = max(1, SCORE_POINTS // ends.grid.size)
     chunk = batch * max(1, SCORE_POINTS // 8 // batch)
+    chunk = max(block, chunk // block * block)
     values = np.empty(n)
     for first in range(0, n, chunk):
         deltas = np.subtract(*source(first, min(first + chunk, n)))
         for start in range(0, len(deltas), batch):
-            values[first + start : first + start + batch] = _batched_backflows(
-                ends, deltas[start : start + batch], rise_tolerance
-            )
+            part = deltas[start : start + batch]
+            values[first + start : first + start + len(part)] = _batched_backflows(ends, part, rise_tolerance)
     return values
 
 
@@ -217,6 +265,9 @@ def estimate_measure(
     Candidate classes: ``samples`` random pure orthogonal pairs, as many
     random mixed orthogonal pairs, and the explicit pairs (validated
     orthogonal), so ``2 * samples + len(explicit_pairs)`` candidates in all.
+    Random candidate i of class c (0 pure, 1 mixed) is the
+    (i mod SAMPLE_BLOCK)-th pair that the public sampler draws from the
+    stream (seed, c, i // SAMPLE_BLOCK).
     The returned estimate is the largest backflow found, the first maximum
     over the classes in that order, and a lower bound on the true maximum.
     """
@@ -232,14 +283,14 @@ def estimate_measure(
     breakdown: dict[str, float] = {}
     # each class is scored in stacked batches; its first maximum is rebuilt
     # from its source, so no candidate list is kept
-    for label, source, n in (
-        ("pure", _sampled(_pure_pair_stacks, seed, 0), samples),
-        ("mixed", _sampled(_mixed_pair_stacks, seed, 1), samples),
-        ("explicit", _given(explicit_pairs), len(explicit_pairs)),
+    for label, source, n, block in (
+        ("pure", _blocked(_pure_pairs_from_ginibre, seed, 0), samples, SAMPLE_BLOCK),
+        ("mixed", _blocked(_mixed_pairs_from_ginibre, seed, 1), samples, SAMPLE_BLOCK),
+        ("explicit", _given(explicit_pairs), len(explicit_pairs), 1),
     ):
         if n == 0:
             continue
-        values = _streamed_backflows(ends, source, n, RISE_TOLERANCE)
+        values = _streamed_backflows(ends, source, n, RISE_TOLERANCE, block)
         first_max = int(np.argmax(values))
         breakdown[label] = float(values[first_max])
         if breakdown[label] > best_value:

@@ -164,7 +164,12 @@ def _random_states(
     """Each stream's ``count`` ranks in 1..N, then a (count, 2, N, N) normal
     block, whose Ginibre parts become states of those ranks as in
     :func:`sample_random_state`, then ``tail(rng, N)``. Returns the (n,
-    count, N, N) states, built and validated as one stack, and the tails."""
+    count, N, N) states, built and validated as one stack, and the tails.
+
+    Each instance keeps a stream of its own, not a row of a block drawn in
+    one call as measure's candidates are: its ranks, normals and tail are
+    read interleaved, as the one-trial references read them through the
+    public samplers."""
     ranks, normals, tails = zip(
         *[(rng.integers(1, dim + 1, count), rng.standard_normal((count, 2, dim, dim)), tail(rng, dim)) for rng in rngs]
     )

@@ -16,8 +16,10 @@ from backflow.dynamics import (
 from backflow.errors import BadDimension, DomainError, ValidationError
 from backflow.measure import (
     RISE_TOLERANCE,
+    SAMPLE_BLOCK,
     TraceDistanceTrajectory,
     _batched_backflows,
+    _blocked,
     _sampled,
     _streamed_backflows,
     backflow,
@@ -31,6 +33,9 @@ from backflow.measure import (
 )
 from backflow.statespace import (
     _mixed_pair_stacks,
+    _mixed_pairs_from_ginibre,
+    _pure_pair_stacks,
+    _pure_pairs_from_ginibre,
     is_orthogonal,
     make_density_matrix,
     pure_state,
@@ -71,9 +76,47 @@ def scored_rows(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def scored_deltas(monkeypatch):
+    """The differences passed to every scoring call, in call order."""
+    calls = []
+    score = measure._batched_backflows
+
+    def spy(coeffs, deltas, rise_tolerance):
+        calls.append(deltas)
+        return score(coeffs, deltas, rise_tolerance)
+
+    monkeypatch.setattr(measure, "_batched_backflows", spy)
+    return calls
+
+
 def chunks(n, size):
     """The batch sizes that split n candidates ``size`` at a time."""
     return [min(size, n - start) for start in range(0, n, size)]
+
+
+def block_candidates(sampler, seed, tag, n, block=SAMPLE_BLOCK):
+    """Candidates 0..n-1 of measure's class ``tag``, drawn by the public
+    sampler in order from each block's stream (seed, tag, b)."""
+    pairs = []
+    for b in range(-(-n // block)):
+        rng = rng_stream(seed, tag, b)
+        pairs += [sampler(3, rng) for _ in range(min(block, n - b * block))]
+    return pairs
+
+
+def differences(pairs):
+    """The (n, 3, 3) stack of the pairs' state differences."""
+    return np.array([rho1.entries - rho2.entries for rho1, rho2 in pairs])
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical distribution functions of ``a`` and ``b``."""
+    a, b = np.sort(a), np.sort(b)
+    points = np.concatenate([a, b])
+    gaps = np.searchsorted(a, points, "right") / a.size - np.searchsorted(b, points, "right") / b.size
+    return float(np.abs(gaps).max())
 
 
 def mpair_distance(t):
@@ -316,8 +359,8 @@ class TestEstimateMeasure:
             return float(_batched_backflows(stretch_ends(coeffs), delta, RISE_TOLERANCE)[0])
 
         classes = {
-            "pure": [sample_pure_orthogonal_pair(3, rng_stream(16, 0, i)) for i in range(n)],
-            "mixed": [sample_orthogonal_mixed_pair(3, rng_stream(16, 1, i)) for i in range(n)],
+            "pure": block_candidates(sample_pure_orthogonal_pair, 16, 0, n),
+            "mixed": block_candidates(sample_orthogonal_mixed_pair, 16, 1, n),
             "explicit": list(explicit),
         }
         best_value, best_pair = -1.0, None
@@ -341,11 +384,89 @@ class TestEstimateMeasure:
         named = (pure_ab_pair(), mixed_reference_pair(), pure_a_plus_pair())
         result = estimate_measure(preset_coeffs, 300, seed=7, explicit_pairs=named)
         assert result.candidate_breakdown == {
-            "pure": 0.05587062246296837,
-            "mixed": 0.10624969199575152,
+            "pure": 0.05482324168926167,
+            "mixed": 0.10912184588010476,
             "explicit": 0.1130795632828423,
         }
         assert result.estimate == 0.1130795632828423
+
+
+class TestBlockStreams:
+    # candidate i of measure's class c is the (i mod SAMPLE_BLOCK)-th read of
+    # the stream (seed, c, i // SAMPLE_BLOCK); histogram samples keep (seed, i)
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "block, n", [(7, 30), (SAMPLE_BLOCK, SAMPLE_BLOCK + 44)], ids=["block-7", "default-block"]
+    )
+    def test_candidates_are_the_public_samplers_block_reads(self, monkeypatch, scored_deltas, block, n, batch):
+        # chunks of whole blocks (7 or 63 candidates at block 7), batches
+        # across block edges and a partial last block change no candidate
+        coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
+        monkeypatch.setattr(measure, "SAMPLE_BLOCK", block)
+        monkeypatch.setattr(measure, "SCORE_POINTS", batch * stretch_ends(coeffs).grid.size)
+        result = estimate_measure(coeffs, n, seed=12)
+        assert max(map(len, scored_deltas)) <= batch
+        drawn = np.concatenate(scored_deltas)
+        samplers = (sample_pure_orthogonal_pair, sample_orthogonal_mixed_pair)
+        classes = [block_candidates(sampler, 12, tag, n, block) for tag, sampler in enumerate(samplers)]
+        for tag, pairs in enumerate(classes):
+            assert np.array_equal(drawn[tag * n : (tag + 1) * n], differences(pairs))
+        values = _batched_backflows(stretch_ends(coeffs), drawn, RISE_TOLERANCE)
+        winner = int(np.argmax(values))
+        best = classes[winner // n][winner % n]
+        for got, expected in zip(result.best_pair, best):
+            assert np.array_equal(got.entries, expected.entries)
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize(
+        "block, n", [(7, 30), (SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 1)], ids=["block-7", "default-block"]
+    )
+    def test_a_class_opens_one_generator_per_block(self, monkeypatch, block, n, batch):
+        # chunks cover whole blocks, so each block is drawn once, and the
+        # winner's rebuild opens one generator for its own block
+        coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
+        monkeypatch.setattr(measure, "SAMPLE_BLOCK", block)
+        monkeypatch.setattr(measure, "SCORE_POINTS", batch * stretch_ends(coeffs).grid.size)
+        opened = []
+
+        def counted(seed, *key):
+            opened.append(key)
+            return rng_stream(seed, *key)
+
+        monkeypatch.setattr(measure, "rng_stream", counted)
+        estimate_measure(coeffs, n, seed=4)
+        blocks = -(-n // block)
+        for tag in (0, 1):
+            keys = [key for key in opened if key[0] == tag]
+            assert len(keys) == blocks + 1
+            assert sorted(set(keys[:-1])) == [(tag, b) for b in range(blocks)]
+        assert len(opened) == 2 * (blocks + 1)
+
+    @pytest.mark.parametrize("seed", [7, 201])
+    def test_histogram_samples_keep_their_own_streams(self, scored_deltas, preset_coeffs, seed):
+        # the benchmark's eigvalsh oracle rebuilds histogram sample i as the
+        # public sampler's pair from the stream (seed, i)
+        histogram_backflow(preset_coeffs, n_samples=8, bins=5, seed=seed)
+        reference, samples = scored_deltas
+        assert len(reference) == 1
+        expected = [sample_pure_orthogonal_pair(3, rng_stream(seed, i)) for i in range(8)]
+        assert np.array_equal(samples, differences(expected))
+
+    @pytest.mark.parametrize(
+        "tag, from_ginibre, stacks",
+        [(0, _pure_pairs_from_ginibre, _pure_pair_stacks), (1, _mixed_pairs_from_ginibre, _mixed_pair_stacks)],
+        ids=["pure", "mixed"],
+    )
+    def test_block_layout_keeps_the_law(self, tag, from_ginibre, stacks):
+        # two-sample Kolmogorov-Smirnov test at level 0.001 (D < 1.95 sqrt(2/n))
+        # of 2 * 10^4 block-layout backflows against as many drawn one stream
+        # each, from a disjoint seed
+        ends = stretch_ends(lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400)))
+        n = 20_000
+        blocked = _streamed_backflows(ends, _blocked(from_ginibre, 1, tag), n, RISE_TOLERANCE, SAMPLE_BLOCK)
+        streamed = _streamed_backflows(ends, _sampled(stacks, 2, tag), n, RISE_TOLERANCE)
+        assert ks_statistic(blocked, streamed) < 1.95 * np.sqrt(2.0 / n)
 
 
 class TestHistogram:
@@ -465,8 +586,8 @@ class TestBatchRule:
     def test_many_kept_points_share_the_budget(self, scored_rows, steps, kept, rows):
         ends = stretch_ends(tabulated_coeffs(steps))
         assert ends.grid.size == kept
-        source = _sampled(_mixed_pair_stacks, 7, 1)
-        peak = tracemalloc_peak(lambda: _streamed_backflows(ends, source, 64, RISE_TOLERANCE))
+        source = _blocked(_mixed_pairs_from_ginibre, 7, 1)
+        peak = tracemalloc_peak(lambda: _streamed_backflows(ends, source, 64, RISE_TOLERANCE, SAMPLE_BLOCK))
         assert scored_rows == rows
         assert peak <= 2e6  # at most 4465 evolved differences a call; measured 1.4 MB at the cap
 
