@@ -9,10 +9,12 @@ so both states lie on the boundary, as optimal pairs do), and
 user-supplied pairs. Sampled estimates are lower bounds on the true
 maximum.
 
-The measure's random classes are drawn a block at a time: candidate i of
-class c is the (i mod SAMPLE_BLOCK)-th (2, 3, 3) normal read of the stream
-(seed, c, i // SAMPLE_BLOCK), which is what repeated public sampler calls
-on that stream read. Histogram sample i keeps its own stream (seed, i).
+Every sampled pair is drawn a block at a time: pair i of a class is row
+i mod B of a (B, 2, 3, 3) normal read of the stream (seed, *prefix, i // B),
+which is what repeated public sampler calls on that stream read. The
+measure's pure and mixed classes use the prefixes (0,) and (1,) and
+B = SAMPLE_BLOCK; histogram samples use no prefix and B = 1, so sample i
+is the stream (seed, i).
 """
 
 from __future__ import annotations
@@ -36,13 +38,11 @@ from .statespace import (
     DensityMatrix,
     _clipped_distances,
     _mixed_pairs_from_ginibre,
-    _pure_pair_stacks,
     _pure_pairs_from_ginibre,
     _streams,
     is_orthogonal,
     make_density_matrix,
     pure_state,
-    rng_stream,
 )
 
 StatePair = tuple[DensityMatrix, DensityMatrix]
@@ -161,44 +161,37 @@ SCORE_POINTS = 1 << 12
 PairSource = Callable[[int, int], np.ndarray]
 
 
-def _sampled(pair_stacks: Callable, seed: int, *key: int) -> PairSource:
-    """The pairs drawn by ``pair_stacks`` from the streams (seed, *key, i),
-    one generator per batch.
-
-    Histogram samples are drawn this way, one stream each, because the
-    benchmark's eigvalsh oracle rebuilds sample i as
-    ``sample_pure_orthogonal_pair(3, rng_stream(seed, i))``.
-    """
-    return lambda start, stop: pair_stacks(3, _streams(seed, key, start, stop))
-
-
-# Candidates of a measure class drawn from one stream: block b of class c is
-# rng_stream(seed, c, b), read in one standard_normal((SAMPLE_BLOCK, 2, 3, 3))
+# Pairs of a measure class read from one stream: block b of class c is the
+# stream (seed, c, b), read in one standard_normal((SAMPLE_BLOCK, 2, 3, 3))
 # call, 37 kB of normals. estimate_measure on the default model at 2000 steps
 # (in-process, two sweeps of medians, 2-vCPU Xeon) took 2.4-2.7 ms at 200
 # samples whatever the size from 64 to 2048; at 1000 samples 8.6-8.8 ms at 64,
 # 8.3-8.5 ms at 256 and 8.6-8.7 ms at 1024; at 10^4 samples 80-81 ms at 64,
 # 76-78 ms at 256 and 74-77 ms at 1024. Past 256 the gain is within noise.
+# Histogram samples are read one row a stream, because the benchmark's
+# eigvalsh oracle rebuilds sample i as the public sampler's pair from the
+# stream (seed, i).
 SAMPLE_BLOCK = 256
 
 
-def _blocked(from_ginibre: Callable, seed: int, tag: int) -> PairSource:
-    """The pairs built by ``from_ginibre`` from class ``tag``'s blocks: pair i
-    from the (i mod SAMPLE_BLOCK)-th (2, 3, 3) normal read of the stream
-    (seed, tag, i // SAMPLE_BLOCK).
+def _blocked(from_ginibre: Callable, seed: int, prefix: tuple[int, ...], block: int) -> PairSource:
+    """The pairs built by ``from_ginibre`` from ``block``-row reads: pair i
+    from row i mod ``block`` of the (block, 2, 3, 3) normal read of the
+    stream (seed, *prefix, i // block).
 
-    A block is read only up to the last pair asked for, a prefix of its
-    full read, so rebuilding one pair opens one generator.
+    The blocks are read into one array through one generator moved from
+    stream to stream, so a call opens one generator whatever its size. The
+    last block is read only up to the last pair asked for, a prefix of its
+    full read, so rebuilding one pair does not read the rest of its block.
     """
 
     def source(start: int, stop: int) -> np.ndarray:
-        block = SAMPLE_BLOCK
         first = start // block
-        ginibre = [
-            rng_stream(seed, tag, b).standard_normal((min(block, stop - b * block), 2, 3, 3))
-            for b in range(first, -(-stop // block))
-        ]
-        return from_ginibre(np.concatenate(ginibre)[start - first * block :])
+        ginibre = np.empty((stop - first * block, 2, 3, 3))
+        rows = range(0, len(ginibre), block)
+        for rng, row in zip(_streams(seed, prefix, first, first + len(rows)), rows):
+            rng.standard_normal(out=ginibre[row : row + block])
+        return from_ginibre(ginibre[start - first * block :])
 
     return source
 
@@ -265,9 +258,10 @@ def estimate_measure(
     Candidate classes: ``samples`` random pure orthogonal pairs, as many
     random mixed orthogonal pairs, and the explicit pairs (validated
     orthogonal), so ``2 * samples + len(explicit_pairs)`` candidates in all.
-    Random candidate i of class c (0 pure, 1 mixed) is the
-    (i mod SAMPLE_BLOCK)-th pair that the public sampler draws from the
-    stream (seed, c, i // SAMPLE_BLOCK).
+    Random candidate i of class c (0 pure, 1 mixed) is row i mod B of the
+    stream (seed, c, i // B), B = SAMPLE_BLOCK: the (i mod B)-th pair that
+    the public sampler draws from that stream. Histogram samples follow the
+    same rule with no class tag and B = 1.
     The returned estimate is the largest backflow found, the first maximum
     over the classes in that order, and a lower bound on the true maximum.
     """
@@ -284,8 +278,8 @@ def estimate_measure(
     # each class is scored in stacked batches; its first maximum is rebuilt
     # from its source, so no candidate list is kept
     for label, source, n, block in (
-        ("pure", _blocked(_pure_pairs_from_ginibre, seed, 0), samples, SAMPLE_BLOCK),
-        ("mixed", _blocked(_mixed_pairs_from_ginibre, seed, 1), samples, SAMPLE_BLOCK),
+        ("pure", _blocked(_pure_pairs_from_ginibre, seed, (0,), SAMPLE_BLOCK), samples, SAMPLE_BLOCK),
+        ("mixed", _blocked(_mixed_pairs_from_ginibre, seed, (1,), SAMPLE_BLOCK), samples, SAMPLE_BLOCK),
         ("explicit", _given(explicit_pairs), len(explicit_pairs), 1),
     ):
         if n == 0:
@@ -331,8 +325,10 @@ def sampled_backflows(
 ) -> np.ndarray:
     """Backflow of n pure orthogonal pairs, one private stream per sample.
 
-    Sample i draws from the stream keyed (seed, i), so the output does not
-    depend on how the samples are split into batches.
+    Sample i is the pair the public sampler draws from the stream keyed
+    (seed, i): the block rule of :func:`estimate_measure`'s classes with no
+    class tag and B = 1. So the output does not depend on how the samples
+    are split into batches.
     """
     return _pure_backflows(stretch_ends(coeffs), n_samples, seed, rise_tolerance)
 
@@ -341,7 +337,7 @@ def _pure_backflows(ends: MapCoefficients, n_samples: int, seed: int, rise_toler
     """:func:`sampled_backflows` scored at the stretch ends ``ends``."""
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    return _streamed_backflows(ends, _sampled(_pure_pair_stacks, seed), n_samples, rise_tolerance)
+    return _streamed_backflows(ends, _blocked(_pure_pairs_from_ginibre, seed, (), 1), n_samples, rise_tolerance)
 
 
 def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed: int) -> BackflowHistogram:

@@ -7,9 +7,10 @@ All operations are pure functions; sampling takes an explicit numpy
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -47,9 +48,13 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     differ are independent, and the same (seed, key) always reproduces the
     same draws regardless of how many other streams exist — the basis of
     the batch-size-independent sampling contract. Seed and key elements
-    are integers in [0, 2^64).
+    are integers in [0, 2^64), Python or numpy; a float is refused, not
+    truncated.
     """
-    words = [int(seed), *map(int, key)]
+    try:
+        words = [operator.index(word) for word in (seed, *key)]
+    except TypeError:
+        raise DomainError(f"stream seed and key must be integers in [0, 2^64), got {(seed, *key)}") from None
     if len(key) > _STREAM_KEY_WORDS:
         raise DomainError(f"a stream takes at most {_STREAM_KEY_WORDS} key elements, got {len(key)}")
     if not all(0 <= word < 2**64 for word in words):
@@ -487,12 +492,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """
     if dim < 1:
         raise BadDimension(f"dimension must be positive, got {dim}")
-    return _haar_stack(dim, [rng])[0]
-
-
-def _haar_stack(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """:func:`haar_unitary` for one stream each, in one stacked QR."""
-    return _haar_from_ginibre(np.array([rng.standard_normal((2, dim, dim)) for rng in rngs]))
+    return _haar_from_ginibre(rng.standard_normal((1, 2, dim, dim)))[0]
 
 
 def _haar_from_ginibre(ginibre: np.ndarray) -> np.ndarray:
@@ -517,12 +517,8 @@ def sample_pure_orthogonal_pair(
     """
     if dim < 2:
         raise BadDimension(f"orthogonal pair needs dimension >= 2, got {dim}")
-    return tuple(DensityMatrix(states[0]) for states in _pure_pair_stacks(dim, [rng]))
-
-
-def _pure_pair_stacks(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """:func:`sample_pure_orthogonal_pair` for one stream each, as a (2, n, N, N) stack."""
-    return _pure_pairs_from_ginibre(np.array([rng.standard_normal((2, dim, dim)) for rng in rngs]))
+    first, second = _pure_pairs_from_ginibre(rng.standard_normal((1, 2, dim, dim)))
+    return DensityMatrix(first[0]), DensityMatrix(second[0])
 
 
 def _pure_pairs_from_ginibre(ginibre: np.ndarray) -> np.ndarray:
@@ -584,16 +580,8 @@ def sample_orthogonal_mixed_pair(
     """
     if dim < 2:
         raise BadDimension(f"orthogonal pair needs dimension >= 2, got {dim}")
-    return tuple(DensityMatrix(states[0]) for states in _mixed_pair_stacks(dim, [rng]))
-
-
-def _mixed_pair_stacks(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """:func:`sample_orthogonal_mixed_pair` for one stream each, as a (2, n, N, N) stack.
-
-    Each stream is read once, for the (2, N, N) real and imaginary parts of
-    its Ginibre matrix.
-    """
-    return _mixed_pairs_from_ginibre(np.array([rng.standard_normal((2, dim, dim)) for rng in rngs]))
+    first, second = _mixed_pairs_from_ginibre(rng.standard_normal((1, 2, dim, dim)))
+    return DensityMatrix(first[0]), DensityMatrix(second[0])
 
 
 def _mixed_pairs_from_ginibre(ginibre: np.ndarray) -> np.ndarray:

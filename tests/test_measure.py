@@ -20,7 +20,6 @@ from backflow.measure import (
     TraceDistanceTrajectory,
     _batched_backflows,
     _blocked,
-    _sampled,
     _streamed_backflows,
     backflow,
     estimate_measure,
@@ -32,9 +31,7 @@ from backflow.measure import (
     trace_distance_trajectory,
 )
 from backflow.statespace import (
-    _mixed_pair_stacks,
     _mixed_pairs_from_ginibre,
-    _pure_pair_stacks,
     _pure_pairs_from_ginibre,
     is_orthogonal,
     make_density_matrix,
@@ -87,6 +84,29 @@ def scored_deltas(monkeypatch):
         return score(coeffs, deltas, rise_tolerance)
 
     monkeypatch.setattr(measure, "_batched_backflows", spy)
+    return calls
+
+
+@pytest.fixture
+def streams_read(monkeypatch):
+    """The stream keys of every call to measure's ``_streams``, one list a
+    call, each stream checked to start as a fresh ``rng_stream`` does."""
+    calls = []
+    original = measure._streams
+
+    def recording(seed, prefix, start, stop):
+        keys = []
+        calls.append(keys)
+        for i, rng in zip(range(start, stop), original(seed, prefix, start, stop)):
+            fresh = rng_stream(seed, *prefix, i).bit_generator.state
+            state = rng.bit_generator.state
+            for word in ("counter", "key"):
+                assert np.array_equal(state["state"][word], fresh["state"][word])
+            assert (state["buffer_pos"], state["has_uint32"]) == (fresh["buffer_pos"], fresh["has_uint32"])
+            keys.append((seed, *prefix, i))
+            yield rng
+
+    monkeypatch.setattr(measure, "_streams", recording)
     return calls
 
 
@@ -393,7 +413,8 @@ class TestEstimateMeasure:
 
 class TestBlockStreams:
     # candidate i of measure's class c is the (i mod SAMPLE_BLOCK)-th read of
-    # the stream (seed, c, i // SAMPLE_BLOCK); histogram samples keep (seed, i)
+    # the stream (seed, c, i // SAMPLE_BLOCK); histogram sample i follows the
+    # same rule with no class and blocks of 1, so it is the stream (seed, i)
 
     @pytest.mark.parametrize("batch", [1, 7, 64])
     @pytest.mark.parametrize(
@@ -422,26 +443,29 @@ class TestBlockStreams:
     @pytest.mark.parametrize(
         "block, n", [(7, 30), (SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 1)], ids=["block-7", "default-block"]
     )
-    def test_a_class_opens_one_generator_per_block(self, monkeypatch, block, n, batch):
+    def test_a_class_reads_each_block_once(self, monkeypatch, streams_read, block, n, batch):
         # chunks cover whole blocks, so each block is drawn once, and the
-        # winner's rebuild opens one generator for its own block
+        # winner's rebuild reads its own block again, up to the winner
         coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
         monkeypatch.setattr(measure, "SAMPLE_BLOCK", block)
         monkeypatch.setattr(measure, "SCORE_POINTS", batch * stretch_ends(coeffs).grid.size)
-        opened = []
-
-        def counted(seed, *key):
-            opened.append(key)
-            return rng_stream(seed, *key)
-
-        monkeypatch.setattr(measure, "rng_stream", counted)
         estimate_measure(coeffs, n, seed=4)
+        opened = [key for keys in streams_read for key in keys]
         blocks = -(-n // block)
         for tag in (0, 1):
-            keys = [key for key in opened if key[0] == tag]
+            keys = [key for key in opened if key[1] == tag]
             assert len(keys) == blocks + 1
-            assert sorted(set(keys[:-1])) == [(tag, b) for b in range(blocks)]
+            assert sorted(keys[:-1]) == [(4, tag, b) for b in range(blocks)]
+            assert [keys[-1]] in streams_read  # the rebuild reads one block, in a call of its own
         assert len(opened) == 2 * (blocks + 1)
+
+    def test_histogram_moves_one_generator_a_chunk(self, streams_read, preset_coeffs):
+        # sample i is the stream (seed, i), reached by moving one generator
+        # through the streams of a drawn chunk (1365 samples on the default
+        # model), not by opening a generator a sample
+        histogram_backflow(preset_coeffs, n_samples=3000, bins=20, seed=7)
+        assert [len(keys) for keys in streams_read] == chunks(3000, 1365)
+        assert [key for keys in streams_read for key in keys] == [(7, i) for i in range(3000)]
 
     @pytest.mark.parametrize("seed", [7, 201])
     def test_histogram_samples_keep_their_own_streams(self, scored_deltas, preset_coeffs, seed):
@@ -454,18 +478,17 @@ class TestBlockStreams:
         assert np.array_equal(samples, differences(expected))
 
     @pytest.mark.parametrize(
-        "tag, from_ginibre, stacks",
-        [(0, _pure_pairs_from_ginibre, _pure_pair_stacks), (1, _mixed_pairs_from_ginibre, _mixed_pair_stacks)],
-        ids=["pure", "mixed"],
+        "tag, from_ginibre", [(0, _pure_pairs_from_ginibre), (1, _mixed_pairs_from_ginibre)], ids=["pure", "mixed"]
     )
-    def test_block_layout_keeps_the_law(self, tag, from_ginibre, stacks):
+    def test_block_layout_keeps_the_law(self, tag, from_ginibre):
         # two-sample Kolmogorov-Smirnov test at level 0.001 (D < 1.95 sqrt(2/n))
         # of 2 * 10^4 block-layout backflows against as many drawn one stream
         # each, from a disjoint seed
         ends = stretch_ends(lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400)))
         n = 20_000
-        blocked = _streamed_backflows(ends, _blocked(from_ginibre, 1, tag), n, RISE_TOLERANCE, SAMPLE_BLOCK)
-        streamed = _streamed_backflows(ends, _sampled(stacks, 2, tag), n, RISE_TOLERANCE)
+        in_blocks = _blocked(from_ginibre, 1, (tag,), SAMPLE_BLOCK)
+        blocked = _streamed_backflows(ends, in_blocks, n, RISE_TOLERANCE, SAMPLE_BLOCK)
+        streamed = _streamed_backflows(ends, _blocked(from_ginibre, 2, (tag,), 1), n, RISE_TOLERANCE)
         assert ks_statistic(blocked, streamed) < 1.95 * np.sqrt(2.0 / n)
 
 
@@ -586,7 +609,7 @@ class TestBatchRule:
     def test_many_kept_points_share_the_budget(self, scored_rows, steps, kept, rows):
         ends = stretch_ends(tabulated_coeffs(steps))
         assert ends.grid.size == kept
-        source = _blocked(_mixed_pairs_from_ginibre, 7, 1)
+        source = _blocked(_mixed_pairs_from_ginibre, 7, (1,), SAMPLE_BLOCK)
         peak = tracemalloc_peak(lambda: _streamed_backflows(ends, source, 64, RISE_TOLERANCE, SAMPLE_BLOCK))
         assert scored_rows == rows
         assert peak <= 2e6  # at most 4465 evolved differences a call; measured 1.4 MB at the cap
@@ -596,19 +619,18 @@ class TestBatchRule:
         # 512 a call, and the values are those of drawing each batch alone
         coeffs = tabulated_coeffs(2000)
         ends = stretch_ends(coeffs)
-        draw = measure._pure_pair_stacks
+        draw = measure._pure_pairs_from_ginibre
         drawn = []
 
-        def counted(dim, rngs):
-            pairs = draw(dim, rngs)
-            drawn.append(pairs.shape[1])
-            return pairs
+        def counted(ginibre):
+            drawn.append(len(ginibre))
+            return draw(ginibre)
 
-        monkeypatch.setattr(measure, "_pure_pair_stacks", counted)
+        monkeypatch.setattr(measure, "_pure_pairs_from_ginibre", counted)
         values = sampled_backflows(coeffs, 1200, seed=5)
         assert drawn == [512, 512, 176]
         assert scored_rows == [4] * 300
-        source = _sampled(draw, 5)
+        source = _blocked(draw, 5, (), 1)
         one_batch_a_draw = [
             _batched_backflows(ends, np.subtract(*source(start, min(start + 4, 1200))), 0.0)
             for start in range(0, 1200, 4)

@@ -27,8 +27,8 @@ from backflow.statespace import (
     _certified_above,
     _clipped_distances,
     _density_stack,
-    _mixed_pair_stacks,
-    _pure_pair_stacks,
+    _haar_from_ginibre,
+    _mixed_pairs_from_ginibre,
     _pure_pairs_from_ginibre,
     _random_state_stack,
     _streams,
@@ -542,6 +542,15 @@ class TestSampling:
         u = haar_unitary(4, rng_stream(3))
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("dim", range(1, 6))
+    def test_haar_unitary_is_the_one_matrix_qr(self, dim):
+        # the one-row stacked kernel gives the bits of one 2-D QR with its
+        # R diagonal phases absorbed into Q
+        for i in range(20):
+            got = haar_unitary(dim, rng_stream(44, dim, i))
+            assert got.shape == (dim, dim)
+            assert got.tobytes() == reference_haar(dim, rng_stream(44, dim, i)).tobytes()
+
 
 # One-matrix reference implementations of the samplers: each matrix is
 # built and validated on its own, with 2-D operations only.
@@ -554,6 +563,12 @@ def reference_density(m):
     m = m / float(np.trace(m).real)
     assert np.linalg.eigvalsh(m)[0] >= -TOL_PSD
     return m
+
+
+def normal_reads(dim, rngs):
+    """The (n, 2, N, N) stack of one (2, N, N) normal read of each stream,
+    the read of a public sampler call."""
+    return np.array([rng.standard_normal((2, dim, dim)) for rng in rngs])
 
 
 def reference_haar(dim, rng):
@@ -614,7 +629,7 @@ class TestStackedSampling:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_pure_pairs_match_one_stream_at_a_time(self, dim):
-        first, second = _pure_pair_stacks(dim, [rng_stream(31, i) for i in range(self.N)])
+        first, second = _pure_pairs_from_ginibre(normal_reads(dim, [rng_stream(31, i) for i in range(self.N)]))
         assert first.shape == second.shape == (self.N, dim, dim)
         for i in range(self.N):
             expected = reference_pure_pair(dim, rng_stream(31, i))
@@ -628,7 +643,7 @@ class TestStackedSampling:
         # the first two columns of a Ginibre QR are the Gram-Schmidt
         # orthonormalization of its first two columns up to phases, which
         # projectors drop, so the law is that of Haar unitaries
-        first, second = _pure_pair_stacks(dim, [rng_stream(37, dim, i) for i in range(300)])
+        first, second = _pure_pairs_from_ginibre(normal_reads(dim, [rng_stream(37, dim, i) for i in range(300)]))
         for i in range(300):
             expected = qr_pure_pair(dim, rng_stream(37, dim, i))
             for got, ref in zip((first[i], second[i]), expected):
@@ -637,7 +652,7 @@ class TestStackedSampling:
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_mixed_pairs_match_one_stream_at_a_time(self, dim):
         rngs = [rng_stream(32, i) for i in range(self.N)]
-        first, second = _mixed_pair_stacks(dim, rngs)
+        first, second = _mixed_pairs_from_ginibre(normal_reads(dim, rngs))
         assert first.shape == second.shape == (self.N, dim, dim)
         for i in range(self.N):
             reference = rng_stream(32, i)
@@ -675,7 +690,7 @@ class TestStackedSampling:
             assert np.array_equal(states[i], reference_random_state(dim, rank, rng_stream(36, i)))
 
     def test_stacks_are_read_only(self):
-        first, second = _pure_pair_stacks(3, [rng_stream(34, i) for i in range(3)])
+        first, second = _pure_pairs_from_ginibre(normal_reads(3, [rng_stream(34, i) for i in range(3)]))
         with pytest.raises(ValueError):
             first[0, 0, 0] = 1.0
 
@@ -690,7 +705,7 @@ class TestStackedSampling:
         ids=["non-hermitian", "bad-trace", "not-positive", "non-finite"],
     )
     def test_stacked_validator_rejects_one_bad_matrix(self, bad, error):
-        first, _ = _pure_pair_stacks(3, [rng_stream(35, i) for i in range(5)])
+        first, _ = _pure_pairs_from_ginibre(normal_reads(3, [rng_stream(35, i) for i in range(5)]))
         stack = np.array(first)
         stack[2] = bad
         with pytest.raises(error):
@@ -735,7 +750,7 @@ class TestPurePairsValidByConstruction:
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_sampled_pairs_are_orthogonal_states(self, dim):
-        self.assert_valid(_pure_pair_stacks(dim, [rng_stream(38, dim, i) for i in range(200)]))
+        self.assert_valid(_pure_pairs_from_ginibre(normal_reads(dim, [rng_stream(38, dim, i) for i in range(200)])))
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_nearly_parallel_columns_are_orthogonalized(self, dim):
@@ -750,7 +765,7 @@ class TestPurePairsValidByConstruction:
 
         monkeypatch.setattr(np.linalg, "qr", refused)
         monkeypatch.setattr(statespace, "_density_stack", refused)
-        pairs = _pure_pair_stacks(3, [rng_stream(39, i) for i in range(20)])
+        pairs = _pure_pairs_from_ginibre(normal_reads(3, [rng_stream(39, i) for i in range(20)]))
         one = sample_pure_orthogonal_pair(3, rng_stream(39, 7))
         assert np.array_equal(pairs[:, 7], [rho.entries for rho in one])
 
@@ -780,12 +795,26 @@ class TestStreams:
 
     @pytest.mark.parametrize(
         "args",
-        [(0, 1, 2, 3, 4), (-1,), (2**64,), (0, -1), (0, 2**64), (5, 1, 2**64, 0)],
-        ids=["fourth-key-element", "negative-seed", "seed-2^64", "negative-key", "key-2^64", "last-key-2^64"],
+        [(0, 1, 2, 3, 4), (-1,), (2**64,), (0, -1), (0, 2**64), (5, 1, 2**64, 0), (7.5,), (7, 2.9)],
+        ids=[
+            "fourth-key-element",
+            "negative-seed",
+            "seed-2^64",
+            "negative-key",
+            "key-2^64",
+            "last-key-2^64",
+            "float-seed",
+            "float-key",
+        ],
     )
     def test_out_of_range_keys_are_domain_errors(self, args):
         with pytest.raises(DomainError):
             rng_stream(*args)
+
+    def test_numpy_integer_keys_name_the_python_integer_stream(self):
+        # verify keys its redraws with numpy integers from np.flatnonzero
+        for numpy_key, key in (((np.uint64(7),), (7,)), ((7, np.int64(2), np.uint8(3)), (7, 2, 3))):
+            assert rng_stream(*numpy_key).random(4).tolist() == rng_stream(*key).random(4).tolist()
 
     @pytest.mark.parametrize("prefix", [(), (1,)], ids=["no-prefix", "prefix-1"])
     @pytest.mark.parametrize("start", [0, 37])
@@ -795,9 +824,9 @@ class TestStreams:
         # both samplers read only normals; a cached 32-bit half is covered by
         # test_moving_on_drops_a_cached_32_bit_half
         stop = start + 6
-        for stacks in (_pure_pair_stacks, _mixed_pair_stacks):
-            batched = stacks(dim, _streams(seed, prefix, start, stop))
-            alone = stacks(dim, [rng_stream(seed, *prefix, i) for i in range(start, stop)])
+        for from_ginibre in (_pure_pairs_from_ginibre, _mixed_pairs_from_ginibre):
+            batched = from_ginibre(normal_reads(dim, _streams(seed, prefix, start, stop)))
+            alone = from_ginibre(normal_reads(dim, [rng_stream(seed, *prefix, i) for i in range(start, stop)]))
             assert batched.shape == (2, stop - start, dim, dim)
             assert np.array_equal(batched, alone)
 
@@ -820,7 +849,7 @@ def placed_minimum(dim, count, minimum, scale, rng):
     ranks = rng.integers(1, dim, count)
     rest = np.linalg.eigvalsh(_random_state_stack(ranks, rng.standard_normal((count, 2, dim - 1, dim - 1))))
     values = np.concatenate([np.full((count, 1), minimum), scale * np.clip(rest, 0.0, None)], axis=1)
-    u = statespace._haar_stack(dim, [rng] * count)
+    u = _haar_from_ginibre(rng.standard_normal((count, 2, dim, dim)))
     m = (u * values[:, None, :]) @ u.conj().swapaxes(-1, -2)
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
