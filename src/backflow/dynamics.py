@@ -1,11 +1,12 @@
 """Three-level (Lambda) system dynamics with time-dependent decay rates.
 
 One excited level ``a`` decays into two ground levels ``b`` and ``c`` at
-rates gamma_1(t), gamma_2(t), with optional level-shift frequencies
-lambda_1(t), lambda_2(t). The solution is a closed-form dynamical map
-whose coefficients come from cumulative integrals of the rates; a direct
-fourth-order integration of the master equation is provided for
-cross-validation. Basis order is (a, b, c) = indices (0, 1, 2).
+rates gamma_1(t), gamma_2(t). A level shift of ``a`` would act on every
+state as one unitary that commutes with both decay channels, so it moves
+no trace distance, and the model has none. The solution is a closed-form
+dynamical map whose coefficients come from cumulative integrals of the
+rates; a direct fourth-order integration of the master equation is
+provided for cross-validation. Basis order is (a, b, c) = indices (0, 1, 2).
 """
 
 from __future__ import annotations
@@ -45,25 +46,23 @@ RateFunction = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class RateFunctions:
-    """Decay rates gamma_i(t) and level shifts lambda_i(t), vectorized in t.
+    """Decay rates gamma_i(t) into ground level i, vectorized in t.
 
     A rate may be a :class:`ClosedFormRate`, which also gives its integral.
     """
 
     gamma1: RateFunction
     gamma2: RateFunction
-    lambda1: RateFunction
-    lambda2: RateFunction
 
 
 @dataclass(frozen=True)
 class ClosedFormRate:
     """A rate function that carries its integral from 0, both vectorized in t.
 
-    :func:`lambda_map_coefficients` takes the integrals in place of
-    quadrature when every rate of a model is one of these and both decay
-    channels share one rate, as in every preset. A rate replaced by a plain
-    function drops its integral with it.
+    :func:`lambda_map_coefficients` takes the integral in place of
+    quadrature when both decay channels share one rate of this kind, as in
+    every preset. A rate replaced by a plain function drops its integral
+    with it.
     """
 
     rate: RateFunction
@@ -81,7 +80,7 @@ _ZERO_RATE = ClosedFormRate(_zero, _zero)
 
 
 def sinusoidal_rates(amplitude: float = 0.03, frequency: float = 1.0) -> RateFunctions:
-    """Equal oscillating decay rates amplitude*sin(frequency*t), no level shifts."""
+    """Equal oscillating decay rates amplitude*sin(frequency*t)."""
 
     def rate(t):
         return amplitude * np.sin(frequency * np.asarray(t, dtype=float))
@@ -94,37 +93,42 @@ def sinusoidal_rates(amplitude: float = 0.03, frequency: float = 1.0) -> RateFun
         return 2.0 * amplitude * np.sin(frequency * np.asarray(t, dtype=float) / 2.0) ** 2 / frequency
 
     gamma = ClosedFormRate(rate, integral)
-    return RateFunctions(gamma, gamma, _ZERO_RATE, _ZERO_RATE)
+    return RateFunctions(gamma, gamma)
 
 
-def constant_rates(gamma: float = 0.03, shift: float = 0.0) -> RateFunctions:
+def constant_rates(gamma: float = 0.03) -> RateFunctions:
     """Time-independent rates: a Markovian semigroup generator."""
-
-    def constant(value: float) -> ClosedFormRate:
-        return ClosedFormRate(lambda t: np.full(np.shape(t), value), lambda t: value * np.asarray(t, dtype=float))
-
-    g, s = constant(gamma), constant(shift)
-    return RateFunctions(g, g, s, s)
+    rate = ClosedFormRate(lambda t: np.full(np.shape(t), gamma), lambda t: gamma * np.asarray(t, dtype=float))
+    return RateFunctions(rate, rate)
 
 
 def zero_rates() -> RateFunctions:
     """Trivial dynamics: the map stays the identity."""
-    return RateFunctions(_ZERO_RATE, _ZERO_RATE, _ZERO_RATE, _ZERO_RATE)
+    return RateFunctions(_ZERO_RATE, _ZERO_RATE)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _load_rate_table(path: str) -> RateFunction:
     """Two-column CSV (time, value) -> linearly interpolated rate function."""
     times, values = [], []
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = [(number, row) for number, row in enumerate(csv.reader(handle), start=1) if row and row[0].strip()]
+        # utf-8-sig drops a byte-order mark, which would hide row 1's time
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = [(number, row) for number, row in enumerate(csv.reader(handle), start=1) if any(map(str.strip, row))]
     except (OSError, ValueError, csv.Error) as exc:
         raise ValidationError(f"cannot read rate table {path!r}: {exc}") from exc
     for index, (number, row) in enumerate(rows):
         try:
             t, v = float(row[0]), float(row[1])
         except (ValueError, IndexError):
-            if index == 0:  # only the first row may be a header
+            if index == 0 and not _is_number(row[0]):  # only a first row without a time is a header
                 continue
             raise ValidationError(f"rate table {path} row {number}: time and value must be numbers, got {row!r}")
         if any(cell.strip() for cell in row[2:]):
@@ -147,17 +151,9 @@ def _load_rate_table(path: str) -> RateFunction:
     return rate
 
 
-def tabulated_rates(
-    gamma1: str | None = None,
-    gamma2: str | None = None,
-    lambda1: str | None = None,
-    lambda2: str | None = None,
-) -> RateFunctions:
-    """Rates from CSV tables; missing entries default to zero."""
-    parts = [
-        _load_rate_table(p) if p else _zero for p in (gamma1, gamma2, lambda1, lambda2)
-    ]
-    return RateFunctions(*parts)
+def tabulated_rates(gamma1: str | None = None, gamma2: str | None = None) -> RateFunctions:
+    """Rates from CSV tables; a missing one defaults to zero."""
+    return RateFunctions(*(_load_rate_table(p) if p else _zero for p in (gamma1, gamma2)))
 
 
 def _instance(types: tuple, what: str):
@@ -294,21 +290,18 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def _check_integrals(decay: np.ndarray, phase: np.ndarray) -> None:
-    """Raise unless the decay integral D and the phase are finite and exp(-D) is a double."""
-    if not (np.all(np.isfinite(decay)) and np.all(np.isfinite(phase))) or decay.min() < -_MAX_EXPONENT:
+def _check_integrals(decay: np.ndarray) -> None:
+    """Raise unless the decay integral D is finite and exp(-D) is a double."""
+    if not np.all(np.isfinite(decay)) or decay.min() < -_MAX_EXPONENT:
         raise QuadratureFailure("rate integrals are not finite or overflow the exponential")
 
 
-def _closed_form(rates: RateFunctions, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(d, phase) on ``grid`` from the rates' own integrals, where d = d1 = d2;
-    None unless every rate carries one and both decay channels share one rate."""
-    if rates.gamma1 is not rates.gamma2:
+def _closed_form(rates: RateFunctions, grid: np.ndarray) -> np.ndarray | None:
+    """d = d1 = d2 on ``grid`` from the rate's own integral; None unless both
+    decay channels share one rate and it carries its integral."""
+    if rates.gamma1 is not rates.gamma2 or not isinstance(rates.gamma1, ClosedFormRate):
         return None
-    gamma, shift1, shift2 = rates.gamma1, rates.lambda1, rates.lambda2
-    if not all(isinstance(fn, ClosedFormRate) for fn in (gamma, shift1, shift2)):
-        return None
-    return np.array(gamma.integral(grid), dtype=float), shift1.integral(grid) + shift2.integral(grid)
+    return np.array(rates.gamma1.integral(grid), dtype=float)
 
 
 def _without_integrals(rates: RateFunctions) -> RateFunctions:
@@ -318,12 +311,12 @@ def _without_integrals(rates: RateFunctions) -> RateFunctions:
 
 
 def _quadrature(rates: RateFunctions, grid: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(d1, d2, phase, g1 - g2) on ``grid`` by cumulative trapezoids on the
-    refined grid, where g1 - g2 is the integral of (gamma1 - gamma2) exp(-D).
+    """(d1, d2, g1 - g2) on ``grid`` by cumulative trapezoids on the refined
+    grid, where g1 - g2 is the integral of (gamma1 - gamma2) exp(-D).
 
-    A function that serves several rates is sampled and integrated once;
-    where both decay channels share one, gamma1 - gamma2 is exactly 0, and
-    so is g1 - g2. The results are those of integrating every rate apart.
+    A function that serves both rates is sampled and integrated once, and
+    then gamma1 - gamma2 is exactly 0, and so is g1 - g2. The results are
+    those of integrating each rate apart.
     """
     fine = _refined_grid(grid)
     samples: dict[int, np.ndarray] = {}
@@ -335,16 +328,15 @@ def _quadrature(rates: RateFunctions, grid: np.ndarray) -> tuple[np.ndarray, ...
                 raise QuadratureFailure(f"rate {field.name} is not finite on the whole grid")
             samples[id(fn)] = values
     integrals = {key: _cumulative_trapezoid(values, fine) for key, values in samples.items()}
-    d1, d2, phase1, phase2 = (integrals[id(fn)] for fn in (rates.gamma1, rates.gamma2, rates.lambda1, rates.lambda2))
+    d1, d2 = (integrals[id(fn)] for fn in (rates.gamma1, rates.gamma2))
     decay = d1 + d2
-    phase = phase1 + phase2
-    _check_integrals(decay, phase)
+    _check_integrals(decay)
     if rates.gamma1 is rates.gamma2:
         spread = np.zeros(fine.size)
     else:
         spread = _cumulative_trapezoid((samples[id(rates.gamma1)] - samples[id(rates.gamma2)]) * np.exp(-decay), fine)
     # copies, so the fine-grid arrays are freed on return
-    return tuple(values[::REFINE].copy() for values in (d1, d2, phase, spread))
+    return tuple(values[::REFINE].copy() for values in (d1, d2, spread))
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
@@ -383,14 +375,14 @@ def lambda_map_coefficients(rates: RateFunctions, grid: np.ndarray) -> MapCoeffi
     with np.errstate(over="ignore", invalid="ignore"):
         closed = _closed_form(rates, grid)
         if closed is None:
-            d1, d2, phase, spread = _quadrature(rates, grid)
+            d1, d2, spread = _quadrature(rates, grid)
         else:
-            d1, phase = closed
-            d2, spread = d1, 0.0
+            d1 = d2 = closed
+            spread = 0.0
         decay = d1 + d2
-        _check_integrals(decay, phase)
+        _check_integrals(decay)
         total = -np.expm1(-decay)
-        f = np.exp(-decay / 2.0) * np.exp(-1j * phase)
+        f = np.exp(-decay / 2.0)
 
     coeffs = MapCoefficients(
         grid=grid,
@@ -496,16 +488,9 @@ def evolve(coeffs: MapCoefficients, rho0: DensityMatrix) -> np.ndarray:
     return apply_map_to_grid(coeffs, rho0.entries)
 
 
-def _master_equation_rhs(
-    g1: float, g2: float, s1: float, s2: float, rho: np.ndarray
-) -> np.ndarray:
+def _master_equation_rhs(g1: float, g2: float, rho: np.ndarray) -> np.ndarray:
     """Right-hand side of the master equation for the Lambda system, on a (..., 3, 3) stack."""
     drho = np.zeros_like(rho)
-    # commutator with |a><a| (both shift terms carry the same projector)
-    comm = np.zeros_like(rho)
-    comm[..., 0, :] = rho[..., 0, :]
-    comm[..., :, 0] -= rho[..., :, 0]
-    drho += -1j * (s1 + s2) * comm
     # dissipators: |b><a| and |c><a| jumps share the anticommutator term
     anti = np.zeros_like(rho)
     anti[..., 0, :] = rho[..., 0, :]
@@ -543,15 +528,15 @@ def _from_coordinates(x: np.ndarray) -> np.ndarray:
 
 
 def _rhs_generators() -> np.ndarray:
-    """The master equation as four real 9x9 matrices, one per rate in argument order.
+    """The master equation as two real 9x9 matrices, one per decay rate.
 
-    The right-hand side is linear in rho and in (g1, g2, s1, s2), and it
+    The right-hand side is linear in rho and in (g1, g2), and it
     keeps a matrix Hermitian, so row j of generator i is the coordinates
     of the right-hand side of the unit matrix ``_UNITS[j]`` with rate i set
     to 1 and the others to 0. A stack of coordinate rows ``x`` then evolves
     as ``x @ sum(r_i G_i)``.
     """
-    return np.stack([_to_coordinates(_master_equation_rhs(*np.eye(4)[i], _UNITS)) for i in range(4)])
+    return np.stack([_to_coordinates(_master_equation_rhs(*rates, _UNITS)) for rates in np.eye(2)])
 
 
 def _rk4_propagators(h: np.ndarray, nodes: np.ndarray, middle: np.ndarray) -> np.ndarray:
@@ -626,11 +611,11 @@ def lindblad_integrate(
     if not states:
         return np.empty((0, grid.size, 3, 3), dtype=complex)
     mid = (grid[:-1] + grid[1:]) / 2.0
-    rate_fns = (rates.gamma1, rates.gamma2, rates.lambda1, rates.lambda2)
+    rate_fns = (rates.gamma1, rates.gamma2)
     # rate samples at nodes and interval midpoints, one row per step
     at_nodes = np.stack([np.asarray(fn(grid), dtype=float) for fn in rate_fns], axis=-1)
     at_mids = np.stack([np.asarray(fn(mid), dtype=float) for fn in rate_fns], axis=-1)
-    generators = _rhs_generators().reshape(4, 81)
+    generators = _rhs_generators().reshape(2, 81)
 
     def generator(rate_rows: np.ndarray) -> np.ndarray:
         return (rate_rows @ generators).reshape(-1, 9, 9)

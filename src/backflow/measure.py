@@ -330,14 +330,10 @@ def sampled_backflows(
     class tag and B = 1. So the output does not depend on how the samples
     are split into batches.
     """
-    return _pure_backflows(stretch_ends(coeffs), n_samples, seed, rise_tolerance)
-
-
-def _pure_backflows(ends: MapCoefficients, n_samples: int, seed: int, rise_tolerance: float) -> np.ndarray:
-    """:func:`sampled_backflows` scored at the stretch ends ``ends``."""
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    return _streamed_backflows(ends, _blocked(_pure_pairs_from_ginibre, seed, (), 1), n_samples, rise_tolerance)
+    pairs = _blocked(_pure_pairs_from_ginibre, seed, (), 1)
+    return _streamed_backflows(stretch_ends(coeffs), pairs, n_samples, rise_tolerance)
 
 
 def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed: int) -> BackflowHistogram:
@@ -352,7 +348,9 @@ def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed:
         raise DomainError(f"bins must be >= 1, got {bins}")
     ends = stretch_ends(coeffs)
     reference = float(_streamed_backflows(ends, _given([mixed_reference_pair()]), 1, RISE_TOLERANCE)[0])
-    values = _pure_backflows(ends, n_samples, seed, RISE_TOLERANCE)
+    # the stretch ends of the stretch ends are the same points, so the
+    # samples are scored on them without a second search of the full grid
+    values = sampled_backflows(ends, n_samples, seed, rise_tolerance=RISE_TOLERANCE)
     max_sampled = float(values.max())
     upper = max(max_sampled, reference)
     if upper <= 0.0:

@@ -133,6 +133,10 @@ BAD_CONFIG_VALUES = [
     ({"dims": [2, 2]}, "dims"),
     # a state check names the matrix, once
     ({"candidate_pairs": [[[[1, 0], [0, 0]], [[2, 0], [0, 0]]]]}, "candidate_pairs[0][1]: trace deviates"),
+    # level shifts move no trace distance, so the model takes none
+    ({"model": {"preset": "constant", "shift": 0.5}}, "model.shift"),
+    ({"model": {"preset": "tabulated", "lambda1": "lambda1.csv"}}, "model.lambda1"),
+    ({"model": {"preset": "tabulated", "lambda2": "lambda2.csv"}}, "model.lambda2"),
 ]
 
 
@@ -271,7 +275,7 @@ def test_any_config_value_parses_or_raises_backflow_error(tmp_path_factory, name
         pass
 
 
-MODEL_KEYS = ["preset", "amplitude", "frequency", "gamma", "shift", "gamma1", "gamma2", "lambda1", "lambda2"]
+MODEL_KEYS = ["preset", "amplitude", "frequency", "gamma", "gamma1", "gamma2"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -182,7 +182,7 @@ class TestMapCoefficients:
 # |amplitude * frequency| stays within 1.5
 PRESETS = st.one_of(
     st.builds(sinusoidal_rates, amplitude=st.floats(-0.5, 0.5), frequency=st.floats(-3.0, 3.0)),
-    st.builds(constant_rates, gamma=st.floats(-0.5, 0.5), shift=st.floats(-5.0, 5.0)),
+    st.builds(constant_rates, gamma=st.floats(-0.5, 0.5)),
     st.just(zero_rates()),
 )
 
@@ -234,8 +234,8 @@ class TestClosedForm:
 
     @pytest.mark.parametrize(
         "rates",
-        [sinusoidal_rates(), sinusoidal_rates(0.5, 3.0), constant_rates(), constant_rates(0.03, 0.5), zero_rates()],
-        ids=["default", "fast-sinusoidal", "constant", "shifted", "zero"],
+        [sinusoidal_rates(), sinusoidal_rates(0.5, 3.0), constant_rates(), constant_rates(0.5), zero_rates()],
+        ids=["default", "fast-sinusoidal", "constant", "fast-constant", "zero"],
     )
     @pytest.mark.parametrize("steps", [10, 51, 2000, 10**4])
     def test_presets_meet_the_identity_without_quadrature(self, monkeypatch, rates, steps):
@@ -285,8 +285,7 @@ def _wrapped(rates):
 
 
 def _shared_tabulated_rates(directory):
-    """A tabulated gamma = 0.05 sin t + 0.02 that serves both decay channels,
-    and the shared zero function of the missing shifts."""
+    """A tabulated gamma = 0.05 sin t + 0.02 that serves both decay channels."""
     t = np.linspace(0.0, 2 * np.pi, 2001)
     path = directory / "gamma.csv"
     path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), (0.05 * np.sin(t) + 0.02).tolist())))
@@ -320,19 +319,15 @@ class TestSharedRates:
             calls.append("gamma")
             return rate(t)
 
-        def zero(t):
-            calls.append("zero")
-            return np.zeros(np.shape(t))
-
-        lambda_map_coefficients(RateFunctions(counted, counted, zero, zero), GRID)
-        assert calls == ["gamma", "zero"]
+        lambda_map_coefficients(RateFunctions(counted, counted), GRID)
+        assert calls == ["gamma"]
 
     def test_a_non_finite_shared_rate_names_gamma1(self):
         def bad(t):
             return np.full(np.shape(t), np.nan)
 
         with pytest.raises(QuadratureFailure, match="rate gamma1 is not finite"):
-            lambda_map_coefficients(RateFunctions(bad, bad, bad, bad), GRID)
+            lambda_map_coefficients(RateFunctions(bad, bad), GRID)
 
 
 class TestValidateCpt:
@@ -403,10 +398,13 @@ class TestApplyLambdaMap:
             out[..., 2, 2] += coeffs.g2 * m[..., None, 0, 0]
             return out
 
-        shifted = lambda_map_coefficients(_unequal_rates(), GRID)
+        # g1 != g2, and coefficients built with a complex f, which the
+        # public MapCoefficients still takes
+        unequal = lambda_map_coefficients(_unequal_rates(), GRID)
+        complex_f = dataclasses.replace(unequal, f=unequal.f * np.exp(-0.5j * GRID))
         rng = rng_stream(23)
         states = np.stack([sample_random_state(3, r, rng).entries for r in (1, 2, 3)])
-        for coeffs in (preset_coeffs, shifted, stretch_ends(shifted)):
+        for coeffs in (preset_coeffs, unequal, stretch_ends(unequal), complex_f):
             for matrices in (states[0], states, states[:, None] - states[None]):
                 assert np.array_equal(apply_map_to_grid(coeffs, matrices), per_call(coeffs, matrices))
 
@@ -458,12 +456,14 @@ class TestEvolve:
             k2[2, 0] = np.sqrt(g2)
             return sum(k @ m @ k.conj().T for k in (k0, k1, k2))
 
-        # level shifts make f complex, so its conjugate is exercised too
-        shifted = lambda_map_coefficients(constant_rates(gamma=0.03, shift=0.5), GRID)
+        # unequal rates feed g1 != g2, and a complex f, which the public
+        # MapCoefficients still takes, exercises its conjugate too
+        unequal = lambda_map_coefficients(_unequal_rates(), GRID)
+        complex_f = dataclasses.replace(unequal, f=unequal.f * np.exp(-0.5j * GRID))
         rng = rng_stream(4)
         rho = sample_random_state(3, 3, rng)
         states = np.stack([sample_random_state(3, r, rng).entries for r in (1, 2, 3, 3)])
-        for coeffs in (preset_coeffs, shifted):
+        for coeffs in (preset_coeffs, unequal, complex_f):
             stack = apply_map_to_grid(coeffs, rho.entries)
             stacks = apply_map_to_grid(coeffs, states)
             assert stacks.shape == (4, GRID.size, 3, 3)
@@ -476,13 +476,8 @@ class TestEvolve:
 
 
 def _unequal_rates():
-    """Two different decay channels with level shifts: g1 != g2 and complex f."""
-    return RateFunctions(
-        lambda t: 0.03 * np.sin(t),
-        lambda t: 0.05 * np.sin(t) + 0.01,
-        lambda t: 0.2 * np.cos(t),
-        lambda t: np.full(np.shape(t), 0.1),
-    )
+    """Two different decay channels: g1 != g2."""
+    return RateFunctions(lambda t: 0.03 * np.sin(t), lambda t: 0.05 * np.sin(t) + 0.01)
 
 
 def _tabulated_two_rates(directory):
@@ -529,10 +524,10 @@ class TestMapInvariants:
         [
             (sinusoidal_rates(), 2000),
             (sinusoidal_rates(), 200),
-            (constant_rates(gamma=0.03, shift=0.5), 400),
+            (constant_rates(gamma=0.03), 400),
             (_unequal_rates(), 300),
         ],
-        ids=["default-2000", "default-200", "shifted", "unequal"],
+        ids=["default-2000", "default-200", "constant", "unequal"],
     )
     def test_closed_form_matches_eigvalsh(self, rates, steps):
         coeffs = lambda_map_coefficients(rates, make_grid(2 * np.pi, steps))
@@ -587,15 +582,15 @@ class TestMapInvariants:
         [
             (sinusoidal_rates(), 2000),
             (sinusoidal_rates(), 200),
-            (constant_rates(gamma=0.03, shift=0.5), 400),
+            (constant_rates(gamma=0.03), 400),
             (_unequal_rates(), 300),
         ],
-        ids=["default-2000", "default-200", "shifted", "unequal"],
+        ids=["default-2000", "default-200", "constant", "unequal"],
     )
     def test_mapped_distances_match_eigvalsh(self, rates, steps):
         # the distances from a difference's invariants against an eigensolve
-        # of the mapped difference at every grid point; the shifted model has
-        # a complex f and the unequal one g1 != g2
+        # of the mapped difference at every grid point; the unequal model
+        # has g1 != g2
         coeffs = lambda_map_coefficients(rates, make_grid(2 * np.pi, steps))
         rng = rng_stream(16)
         pairs = [
@@ -631,7 +626,7 @@ class TestStretchEnds:
     def test_constant_rates_keep_the_ends(self):
         # a semigroup contracts on every step, so no pair can score a rise
         grid = make_grid(2 * np.pi, 400)
-        coeffs = lambda_map_coefficients(constant_rates(gamma=0.03, shift=0.5), grid)
+        coeffs = lambda_map_coefficients(constant_rates(gamma=0.03), grid)
         ends = _assert_stretch_ends_match_full_grid(coeffs, _sampled_deltas(16), (0.0, RISE_TOLERANCE))
         np.testing.assert_array_equal(ends.grid, grid[[0, -1]])
         assert np.all(_batched_backflows(ends, _sampled_deltas(16), RISE_TOLERANCE) == 0.0)
@@ -669,6 +664,52 @@ class TestStretchEnds:
         coeffs = MapCoefficients(grid, f, g[:, 0], g[:, 1], np.zeros(301), np.zeros(301))
         ends = _assert_stretch_ends_match_full_grid(coeffs, _sampled_deltas(20, 64), (0.0, RISE_TOLERANCE))
         assert 3 < ends.grid.size < grid.size
+
+    @pytest.mark.parametrize(
+        "model, steps, kept",
+        [("default", 2000, 3), ("constant", 2000, 2), ("two-tables", 2000, 897), ("two-tables", 10**4, 4465)],
+    )
+    def test_stretch_ends_keep_every_point_of_their_own(self, tmp_path, model, steps, kept):
+        # a run of same-kind steps has that kind's sign pattern overall and
+        # each mixed step keeps both ends, so the kept points are kept again;
+        # histogram_backflow scores its samples on its stretch ends for this
+        rates = {
+            "default": sinusoidal_rates,
+            "constant": constant_rates,
+            "two-tables": lambda: _tabulated_two_rates(tmp_path),
+        }[model]()
+        ends = stretch_ends(lambda_map_coefficients(rates, make_grid(2 * np.pi, steps)))
+        again = stretch_ends(ends)
+        assert ends.grid.size == kept
+        for field in dataclasses.fields(ends):
+            assert np.array_equal(getattr(again, field.name), getattr(ends, field.name)), field.name
+
+
+class TestNoLevelShifts:
+    """A level shift of ``a`` would evolve every state by U = diag(e^{i phi}, 1, 1),
+    which commutes with the map, so it moves no trace distance; the model has none."""
+
+    @pytest.mark.parametrize("model", ["default", "two-tables"])
+    def test_a_joint_phase_moves_no_distance(self, tmp_path, model):
+        rates = sinusoidal_rates() if model == "default" else _tabulated_two_rates(tmp_path)
+        coeffs = lambda_map_coefficients(rates, GRID)
+        rng = rng_stream(27)
+        for _ in range(8):
+            rho1, rho2 = (sample_random_state(3, int(rng.integers(1, 4)), rng) for _ in range(2))
+            u = np.diag([np.exp(1j * rng.uniform(0.0, 2 * np.pi)), 1.0, 1.0])
+            states = np.stack([rho1.entries, rho2.entries])
+            turned = u @ states @ u.conj().T
+            delta, turned_delta = states[0] - states[1], turned[0] - turned[1]
+            np.testing.assert_allclose(
+                _mapped_distances(coeffs, turned_delta), _mapped_distances(coeffs, delta), rtol=0, atol=1e-15
+            )
+            mapped = apply_map_to_grid(coeffs, states)
+            np.testing.assert_allclose(apply_map_to_grid(coeffs, turned), u @ mapped @ u.conj().T, rtol=0, atol=1e-15)
+
+    def test_a_model_is_its_two_decay_rates(self):
+        # the config keys shift, lambda1 and lambda2 are refused in test_cli
+        assert [field.name for field in dataclasses.fields(RateFunctions)] == ["gamma1", "gamma2"]
+        assert np.isrealobj(lambda_map_coefficients(sinusoidal_rates(), GRID).f)
 
 
 class TestLindbladIntegrate:
@@ -767,11 +808,11 @@ class TestCoordinates:
         # random Hermitian matrices, not states, at rates of either sign
         rng = rng_stream(26)
         generators = _rhs_generators()
-        assert generators.dtype == float and generators.shape == (4, 9, 9)
+        assert generators.dtype == float and generators.shape == (2, 9, 9)
         for _ in range(50):
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             matrix = (g + g.conj().T) * 10.0 ** rng.uniform(-3, 3)
-            rates = rng.uniform(-1.0, 1.0, 4) * 10.0 ** rng.uniform(-3, 3, 4)
+            rates = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-3, 3, 2)
             evolved = _from_coordinates(_to_coordinates(matrix) @ np.tensordot(rates, generators, 1))
             # a few roundings of terms no larger than the rates times the entries
             scale = np.abs(rates).max() * np.abs(matrix).max()
@@ -784,7 +825,7 @@ def _reference_integrate(rates, states, grid):
     """The per-step RK4 loop that the propagators replace: four right-hand
     sides per step, then symmetrization, renormalization and the checks."""
     mid = (grid[:-1] + grid[1:]) / 2.0
-    fns = (rates.gamma1, rates.gamma2, rates.lambda1, rates.lambda2)
+    fns = (rates.gamma1, rates.gamma2)
     at_nodes = [np.asarray(fn(grid), dtype=float) for fn in fns]
     at_mids = [np.asarray(fn(mid), dtype=float) for fn in fns]
     rho = np.stack([state.entries for state in states])
@@ -966,3 +1007,26 @@ class TestRatePresets:
         trailing = tmp_path / "trailing.csv"
         trailing.write_text("time,value,\n0.0,0.0,\n1.0,0.1, \n")
         assert tabulated_rates(gamma1=str(trailing)).gamma1(0.5) == pytest.approx(0.05)
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [("0\n1,0.02\n6.3,0.03\n", 1), ("0,x\n1,0.02\n6.3,0.03\n", 1), ("0,0.0\n,0.5\n1,0.1\n", 2)],
+        ids=["one-cell", "bad-value", "blank-time"],
+    )
+    def test_a_row_with_a_value_or_a_time_is_data(self, tmp_path, text, row):
+        # each was once skipped, as a header or as a blank row, so rate(0)
+        # read 0.02 in the first two tables and rate(0.5) 0.05 in the third
+        table = tmp_path / "gamma.csv"
+        table.write_text(text)
+        message = f"rate table {table} row {row}: time and value must be numbers"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            tabulated_rates(gamma1=str(table))
+
+    @pytest.mark.parametrize("header", ["", "time,value\n"], ids=["data", "header"])
+    def test_a_byte_order_mark_is_not_part_of_the_first_cell(self, tmp_path, header):
+        # float("\ufeff0") fails, which once skipped the row as a header
+        table = tmp_path / "gamma.csv"
+        table.write_text(f"\ufeff{header}0,0.0\n1,0.02\n6.3,0.03\n", encoding="utf-8")
+        rate = tabulated_rates(gamma1=str(table)).gamma1
+        assert rate(0.0) == 0.0
+        assert rate(1.0) == 0.02
