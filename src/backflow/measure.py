@@ -164,10 +164,11 @@ PairSource = Callable[[int, int], np.ndarray]
 # Pairs of a measure class read from one stream: block b of class c is the
 # stream (seed, c, b), read in one standard_normal((SAMPLE_BLOCK, 2, 3, 3))
 # call, 37 kB of normals. estimate_measure on the default model at 2000 steps
-# (in-process, two sweeps of medians, 2-vCPU Xeon) took 2.4-2.7 ms at 200
-# samples whatever the size from 64 to 2048; at 1000 samples 8.6-8.8 ms at 64,
-# 8.3-8.5 ms at 256 and 8.6-8.7 ms at 1024; at 10^4 samples 80-81 ms at 64,
-# 76-78 ms at 256 and 74-77 ms at 1024. Past 256 the gain is within noise.
+# (in-process, two sweeps of medians, 2-vCPU Xeon, mixed pairs in closed
+# form) took 1.4-1.5 ms at 200 samples whatever the size from 64 to 2048; at
+# 1000 samples 4.6-4.8 ms at 64, 4.6-4.7 ms at 256 and 4.6-4.9 ms at 1024; at
+# 10^4 samples 41-44 ms at 64, 40-46 ms at 256 and 41-44 ms at 1024. Past 64
+# the size is within noise; 256 keeps the payloads drawn so far.
 # Histogram samples are read one row a stream, because the benchmark's
 # eigvalsh oracle rebuilds sample i as the public sampler's pair from the
 # stream (seed, i).

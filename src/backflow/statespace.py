@@ -211,7 +211,8 @@ def _density_stack(stack: np.ndarray) -> np.ndarray:
     """:func:`make_density_matrix` on an (n, N, N) stack; each read-only result
     is bit-identical to validating its matrix alone. One ``eigvalsh`` takes
     the matrices that :func:`_certified_above` does not clear, all of them
-    above N = ``_CERTIFY_MAX_DIM``."""
+    above N = ``_CERTIFY_MAX_DIM``, and a lone matrix above N =
+    ``_CERTIFY_ALONE_MAX_DIM``."""
     m = _hermitian_parts(stack, "state entries (matrix, row, column)")
     tr = m.trace(axis1=1, axis2=2).real
     # the worst cases are found on python floats, which for the one-matrix
@@ -220,7 +221,11 @@ def _density_stack(stack: np.ndarray) -> np.ndarray:
     if off > TOL_TRACE:
         raise BadTrace(f"trace deviates from 1 by {off:.3e}, beyond {TOL_TRACE:.1e}")
     m = m / tr[:, None, None]
-    doubt = m if m.shape[-1] > _CERTIFY_MAX_DIM else m[~_certified_above(m, TOL_PSD)]
+    dim = m.shape[-1]
+    if dim > _CERTIFY_MAX_DIM or (len(m) == 1 and dim > _CERTIFY_ALONE_MAX_DIM):
+        doubt = m
+    else:
+        doubt = m[~_certified_above(m, TOL_PSD)]
     if len(doubt):
         min_eig = min(np.linalg.eigvalsh(doubt)[:, 0].tolist())
         if min_eig < -TOL_PSD:
@@ -233,8 +238,15 @@ def _density_stack(stack: np.ndarray) -> np.ndarray:
 # Its N - 1 pivot steps cost, per state of a stack of 20, 1000 valid states
 # (one BLAS thread, Xeon): 1.3, 0.2 us against eigvalsh's 1.8, 1.6 us at
 # N = 4; 11, 9 us against 15, 15 us at N = 16; 55, 82 us against 55, 56 us
-# at N = 32. A one-state stack pays 20 us against 6 us at N = 4.
+# at N = 32.
 _CERTIFY_MAX_DIM = 16
+# Largest N whose lone states, one-matrix stacks, go through the certificate.
+# On one state it costs 21 us against eigvalsh's 6 us at N = 4 and 102 us
+# against 20 us at N = 16 (timeit, 2-vCPU Xeon, one BLAS thread), so above
+# N = 3 a lone state is eigensolved at once. At N <= 3 it keeps the
+# certificate, 15 us against 5 us at N = 3, so that named 3x3 states, such as
+# a histogram's reference pair, take no eigensolve.
+_CERTIFY_ALONE_MAX_DIM = 3
 
 
 def _certified_above(m: np.ndarray, tol: float) -> np.ndarray:
@@ -372,13 +384,25 @@ def _half_trace_norms_from_invariants(d0, d1, d2, uu, vv, ww, cross) -> np.ndarr
     (d0, d1, d2), squared upper moduli uu, vv, ww and cross = Re(u w v*), as
     :func:`_invariants_3` gives them; the arrays broadcast together.
 
-    With q = tr M / 3 and B = M - q, p = sqrt(tr B^2 / 6) and r = det B / (2 p^3)
-    clipped to [-1, 1], the eigenvalues are q + 2p cos(arccos(r)/3 + 2 pi k/3)
-    for k = 0, 1, 2. Where two of them nearly meet, arccos costs sqrt(eps)
-    relative accuracy in each of the two, but not in their sum or in the
-    third. For a traceless M the two share a sign, so half the absolute sum
-    is the third's |lambda|, the largest, and keeps full accuracy.
+    The eigenvalues are q + 2p cos(angle + 2 pi k/3) for k = 0, 1, 2, with
+    the terms of :func:`_trigonometric_spectra_3`. Where two of them nearly
+    meet, arccos costs sqrt(eps) relative accuracy in each of the two, but
+    not in their sum or in the third. For a traceless M the two share a
+    sign, so half the absolute sum is the third's |lambda|, the largest, and
+    keeps full accuracy.
     """
+    q, _, _, two_p, angle = _trigonometric_spectra_3(d0, d1, d2, uu, vv, ww, cross)
+    # half the sum of |q + 2p cos(angle + 2 pi k/3)| over the three eigenvalues
+    terms = (np.abs(two_p * np.cos(angle + 2.0 * np.pi * k / 3.0) + q) for k in range(3))
+    return sum(terms) * 0.5
+
+
+def _trigonometric_spectra_3(d0, d1, d2, uu, vv, ww, cross) -> tuple[np.ndarray, ...]:
+    """The package's one 3x3 spectral formula, from the invariants of
+    :func:`_invariants_3`: q = tr M / 3, det B and tr B^2 for B = M - q, then
+    2p = sqrt(4 tr B^2 / 6) and angle = arccos(r) / 3 with r = 4 det B / (2p)^3
+    clipped to [-1, 1]. The eigenvalues of M are q + 2p cos(angle + 2 pi k/3)
+    for k = 0, 1, 2: k = 0 gives the largest and k = 1 the smallest."""
     q = (d0 + d1 + d2) / 3.0
     a, b, c = d0 - q, d1 - q, d2 - q
     # For the diagonal (a, b, c) of B:
@@ -386,13 +410,10 @@ def _half_trace_norms_from_invariants(d0, d1, d2, uu, vv, ww, cross) -> np.ndarr
     #   tr B^2 = a^2 + b^2 + c^2 + 2 (|u|^2 + |v|^2 + |w|^2)
     det = 2.0 * cross - ww * a - vv * b - uu * c + a * b * c
     square = ww + ww + a * a + vv + vv + b * b + uu + uu + c * c
-    # 2p = sqrt(4 tr B^2 / 6) and r = 4 det B / (2p)^3
     two_p = np.sqrt(square * (4.0 / 6.0))
     cube = np.maximum(two_p * two_p * two_p, np.finfo(float).tiny)  # tr B^2 = 0 only where det B = 0
     angle = np.arccos(np.clip(det * 4.0 / cube, -1.0, 1.0)) / 3.0
-    # half the sum of |q + 2p cos(angle + 2 pi k/3)| over the three eigenvalues
-    terms = (np.abs(two_p * np.cos(angle + 2.0 * np.pi * k / 3.0) + q) for k in range(3))
-    return sum(terms) * 0.5
+    return q, det, square, two_p, angle
 
 
 def jordan_hahn(rho1: DensityMatrix, rho2: DensityMatrix) -> JordanHahnParts:
@@ -430,7 +451,10 @@ def _signed_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     negative parts, and the (2, n, N) eigenvalue weights they are built
     from: the eigenvalues clipped at zero, and the negated eigenvalues
     clipped at zero, so each part's trace is its weights' sum. Each split
-    is bit-identical to splitting its matrix alone.
+    is bit-identical to splitting its matrix alone. :func:`jordan_hahn`
+    splits through it at every N, the mixed-pair sampler at N != 3 only:
+    at N = 3 :func:`_lone_sign_pairs` gives the sampler's rescaled splits
+    without an eigensolve.
     """
     values, vectors = np.linalg.eigh(h)
     weights = np.stack([np.clip(values, 0.0, None), np.clip(-values, 0.0, None)])
@@ -586,12 +610,54 @@ def sample_orthogonal_mixed_pair(
 
 def _mixed_pairs_from_ginibre(ginibre: np.ndarray) -> np.ndarray:
     """Orthogonal mixed pairs from an (n, 2, N, N) stack of real and imaginary
-    Ginibre parts, as a (2, n, N, N) stack: one stacked split and one
-    validation build every pair."""
+    Ginibre parts, as a (2, n, N, N) stack: the closed form of
+    :func:`_lone_sign_pairs` at N = 3, else one stacked split, and one
+    validation build every pair. Each pair is bit-identical to building it
+    alone."""
     dim = ginibre.shape[-1]
     g = ginibre[:, 0] + 1j * ginibre[:, 1]
     h = g + g.conj().swapaxes(-1, -2)
     h -= (h.trace(axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
-    parts, weights = _signed_parts(h)
-    parts /= weights.sum(axis=-1)[:, :, None, None]
-    return _density_stack(parts.reshape(-1, dim, dim)).reshape(2, len(h), dim, dim)
+    # an all-zero H has no split, and its 0/0 parts fail validation as
+    # non-finite entries
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if dim == 3:
+            pairs = _lone_sign_pairs(h)
+        else:
+            parts, weights = _signed_parts(h)
+            pairs = parts / weights.sum(axis=-1)[:, :, None, None]
+    return _density_stack(pairs.reshape(-1, dim, dim)).reshape(2, len(h), dim, dim)
+
+
+def _lone_sign_pairs(h: np.ndarray) -> np.ndarray:
+    """The rescaled Jordan-Hahn splits of an (n, 3, 3) stack of traceless
+    Hermitian matrices H, as a (2, n, 3, 3) stack, without an eigensolve.
+
+    The lone eigenvalue lambda is the one whose sign no other eigenvalue
+    shares: the largest where det H >= 0, else the smallest, as
+    :func:`_trigonometric_spectra_3` gives them. It has the largest modulus,
+    so it keeps full accuracy where the other two nearly meet. Its
+    projector is the adjugate of lambda - H over the characteristic
+    polynomial's derivative, P = (H^2 + lambda H + (lambda^2 - s) 1) /
+    (3 lambda^2 - s) with s = tr H^2 / 2, whose denominator is at least
+    2 lambda^2. The other two eigenvalues are those of H - lambda P, whose
+    trace is -lambda, so the other state is P - H / lambda whatever the
+    sign of lambda. The pair is (P, P - H/lambda) for lambda > 0 and
+    (P - H/lambda, P) for lambda < 0: the positive and the negated negative
+    part, each over its trace, as :func:`_signed_parts` gives them to
+    rounding.
+    """
+    _, det, square, two_p, angle = _trigonometric_spectra_3(*_invariants_3(h))
+    lone = two_p * np.cos(np.where(det >= 0.0, angle, angle + 2.0 * np.pi / 3.0))
+    s = square * 0.5
+    # by_entry[i, j] is the row of entries (i, j) over the stack: numpy's
+    # loops over such rows are faster than over many 3x3 matrices
+    by_entry = np.ascontiguousarray(h.transpose(1, 2, 0))
+    square_h = by_entry[:, :1] * by_entry[0] + by_entry[:, 1:2] * by_entry[1] + by_entry[:, 2:] * by_entry[2]
+    adjugate = square_h + lone * by_entry
+    adjugate.reshape(9, -1)[::4] += lone * lone - s
+    p = adjugate * (1.0 / (3.0 * lone * lone - s))
+    rest = p - by_entry * (1.0 / lone)
+    positive = lone > 0.0
+    pairs = np.stack([np.where(positive, p, rest), np.where(positive, rest, p)])
+    return pairs.transpose(0, 3, 1, 2)

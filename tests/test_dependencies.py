@@ -159,8 +159,9 @@ EIGVALSH_FUNCTIONS = {
 }
 
 # The functions that may call eigh: the one split by sign, which the
-# Jordan-Hahn split and the mixed-pair sampler share, the eigenvectors of a
-# state, and the inverse square root of verify's stretch bound.
+# Jordan-Hahn split and the mixed-pair sampler share (the sampler at N != 3;
+# at N = 3 it builds each pair in closed form), the eigenvectors of a state,
+# and the inverse square root of verify's stretch bound.
 EIGH_FUNCTIONS = {
     "statespace.py": {"_signed_parts", "spectral_decomposition"},
     "verify.py": {"_max_admissible_stretch"},

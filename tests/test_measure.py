@@ -409,6 +409,25 @@ class TestEstimateMeasure:
         }
         assert result.estimate == 0.1130795632828423
 
+    def test_sampled_classes_take_no_eigensolve(self, monkeypatch, preset_coeffs):
+        # 3x3 mixed pairs are built in closed form and cleared by the
+        # positivity certificate, pure pairs are not validated, and 3x3
+        # distances have a closed form
+        matrices = []
+
+        def counting(solver):
+            def counted(a, *args, **kwargs):
+                matrices.append(int(np.prod(np.shape(a)[:-2])))
+                return solver(a, *args, **kwargs)
+
+            return counted
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        result = estimate_measure(preset_coeffs, 300, seed=7)
+        assert set(result.candidate_breakdown) == {"pure", "mixed"}
+        assert matrices == []
+
 
 class TestBlockStreams:
     # candidate i of measure's class c is the (i mod SAMPLE_BLOCK)-th read of

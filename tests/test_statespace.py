@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from backflow import statespace
@@ -660,8 +660,11 @@ class TestStackedSampling:
             assert rngs[i].random() == reference.random()  # both read the same 2N^2 normals
             one = sample_orthogonal_mixed_pair(dim, rng_stream(32, i))
             for got, alone, ref in zip((first[i], second[i]), one, expected):
-                assert np.array_equal(got, ref)
-                assert np.array_equal(alone.entries, ref)
+                assert np.array_equal(alone.entries, got)
+                if dim == 3:  # the closed form of _lone_sign_pairs, not eigh
+                    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+                else:
+                    assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_random_state_matches_one_matrix_reference(self, dim):
@@ -713,6 +716,127 @@ class TestStackedSampling:
         with pytest.raises(error):
             _density_stack(stack)
         _density_stack(np.delete(stack, 2, axis=0))  # the rest of the stack is valid
+
+
+def ginibre_of(h):
+    """Ginibre parts (n, 2, N, N) from which the mixed-pair sampler builds the
+    Hermitian stack h: G = h / 2, so G + G^dagger is h exactly."""
+    return np.stack([h.real, h.imag], axis=-3) / 2.0
+
+
+def signed_parts_pairs(h):
+    """The reference for the mixed-pair sampler at N = 3: each H of an
+    (n, 3, 3) stack made traceless as the sampler makes it, split by
+    ``_signed_parts``' stacked eigh and each part divided by its trace; and
+    the (2, n) counts of positive and of negative eigenvalues, the ranks of
+    the pair."""
+    h = h - (h.trace(axis1=1, axis2=2) / 3)[:, None, None] * np.eye(3)
+    parts, weights = statespace._signed_parts(h)
+    return parts / weights.sum(axis=-1)[:, :, None, None], (weights > 0.0).sum(axis=-1)
+
+
+def hermitian(m):
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+class TestLoneSignPairs:
+    """The N = 3 closed form of the mixed-pair sampler against the eigh split."""
+
+    def test_gue_draws_match_the_eigh_split(self):
+        ginibre = rng_stream(71).standard_normal((20000, 2, 3, 3))
+        pairs = _mixed_pairs_from_ginibre(ginibre)
+        g = ginibre[:, 0] + 1j * ginibre[:, 1]
+        expected, ranks = signed_parts_pairs(g + g.conj().swapaxes(-1, -2))
+        np.testing.assert_allclose(pairs, expected, rtol=0, atol=1e-14)
+        assert np.array_equal((np.linalg.eigvalsh(pairs) > TOL_PSD).sum(axis=-1), ranks)
+        assert sorted(set(zip(*ranks.tolist()))) == [(1, 2), (2, 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-1000, 1000), min_size=9, max_size=9), st.integers(-6, 6))
+    def test_traceless_hermitian_matrices_match_the_eigh_split(self, entries, exponent):
+        # integer entries reach exact zeros, exact ties and det = 0
+        d0, d1, d2, u, v, w, iu, iv, iw = entries
+        h = np.array([[d0, u + 1j * iu, v + 1j * iv], [0, d1, w + 1j * iw], [0, 0, d2]]) * 10.0**exponent
+        h = np.triu(h) + np.triu(h, 1).conj().T
+        assume(not (d0 == d1 == d2 and u == v == w == iu == iv == iw == 0))
+        expected, _ = signed_parts_pairs(h[None])
+        np.testing.assert_allclose(_mixed_pairs_from_ginibre(ginibre_of(h[None])), expected, rtol=0, atol=1e-14)
+
+    @staticmethod
+    def built(case, rng):
+        """Eight Hermitian 3x3 matrices of one kind, at unit scale."""
+        if case == "det-zero":
+            # diag(a, 0, -a), a 2x2 block with a zero row and column, and
+            # i times a real antisymmetric matrix: their invariants give
+            # det H = 0 exactly
+            i, j, k = rng.uniform(-1.0, 1.0, (3, 8))
+            stack = [np.diag([a, 0.0, -a]) for a in i]
+            stack += [np.array([[0, a + 1j * b, 0], [a - 1j * b, 0, 0], [0, 0, 0]]) for a, b in zip(j, k)]
+            stack += [1j * np.array([[0, a, b], [-a, 0, c], [-b, -c, 0]]) for a, b, c in zip(i, j, k)]
+            return np.array(stack)
+        if case == "diagonal":
+            return np.array([np.diag(d) for d in rng.uniform(-1.0, 1.0, (8, 3))])
+        if case == "imaginary-off-diagonal":
+            m = 1j * rng.uniform(-1.0, 1.0, (8, 3, 3))
+            return hermitian(m - m.swapaxes(-1, -2)) + np.array([np.diag(d) for d in rng.uniform(-1.0, 1.0, (8, 3))])
+        spectrum = {
+            "double-below": (1.0, -0.5, -0.5),
+            "double-above": (-1.0, 0.5, 0.5),
+            "middle-1e-12-above": (1.0, 1e-12, -1.0 - 1e-12),
+            "middle-1e-12-below": (1.0, -1e-12, -1.0 + 1e-12),
+        }[case]
+        return np.array([hermitian(conjugated(spectrum, rng)) for _ in range(8)])
+
+    CASES = [
+        "det-zero",
+        "diagonal",
+        "imaginary-off-diagonal",
+        "double-below",
+        "double-above",
+        "middle-1e-12-above",
+        "middle-1e-12-below",
+    ]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("case", CASES)
+    def test_built_spectra_match_the_eigh_split(self, case, scale):
+        h = scale * self.built(case, rng_stream(72, self.CASES.index(case)))
+        expected, ranks = signed_parts_pairs(h)
+        pairs = _mixed_pairs_from_ginibre(ginibre_of(h))
+        np.testing.assert_allclose(pairs, expected, rtol=0, atol=1e-14)
+        if case.startswith("middle"):
+            # the middle eigenvalue of +-1e-12 joins the state of its sign,
+            # whose spectrum is then (1 - 1e-12, 1e-12, 0) to 1e-24; the
+            # other's is (1, 0, 0)
+            values = np.linalg.eigvalsh(pairs)[..., ::-1]
+            side = 0 if case.endswith("above") else 1
+            assert ranks[side].tolist() == [2] * 8 and ranks[1 - side].tolist() == [1] * 8
+            np.testing.assert_allclose(values[side], [[1.0 - 1e-12, 1e-12, 0.0]] * 8, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(values[1 - side], [[1.0, 0.0, 0.0]] * 8, rtol=0, atol=1e-14)
+
+    def test_stacked_calls_equal_one_row_sampler_calls(self):
+        rngs = [rng_stream(73, i) for i in range(300)]
+        ginibre = normal_reads(3, rngs)
+        pairs = _mixed_pairs_from_ginibre(ginibre)
+        for i in range(300):
+            one = sample_orthogonal_mixed_pair(3, rng_stream(73, i))
+            assert all(np.array_equal(rho.entries, pairs[k, i]) for k, rho in enumerate(one))
+        for start, stop in [(0, 1), (1, 3), (3, 10), (10, 74), (74, 300)]:
+            assert np.array_equal(_mixed_pairs_from_ginibre(ginibre[start:stop]), pairs[:, start:stop])
+
+    @pytest.mark.parametrize(
+        "dim, fill", [(3, 0.0), (3, np.nan), (2, 0.0), (4, 0.0)], ids=["3-zero", "3-nan", "2-zero", "4-zero"]
+    )
+    def test_a_zero_or_nan_draw_is_a_domain_error(self, dim, fill):
+        # a zero H has no split, and its 0/0 parts, like the closed form's
+        # parts of a NaN draw, fail validation as non-finite state entries,
+        # with no warning
+        ginibre = normal_reads(dim, [rng_stream(74, i) for i in range(5)])
+        ginibre[2] = fill
+        shown = ", ".join(str((2, *index)) for index in list(np.ndindex(dim, dim))[:4])
+        message = f"{2 * dim * dim} non-finite state entries (matrix, row, column), at {shown}, ..."
+        with pytest.raises(DomainError, match=re.escape(message)):
+            _mixed_pairs_from_ginibre(ginibre)
 
 
 class TestPurePairsValidByConstruction:
@@ -909,3 +1033,46 @@ class TestPositivityCertificate:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         _density_stack(stack)
         assert sum(matrices) == eigensolved
+
+    @pytest.mark.parametrize(
+        "dim, count, expected",
+        [(2, 1, ["certificate"]), (3, 1, ["certificate"]), (4, 1, [1]), (5, 1, [1]), (_CERTIFY_MAX_DIM, 1, [1])]
+        + [(_CERTIFY_MAX_DIM + 1, 1, [1]), (4, 2, ["certificate"]), (_CERTIFY_MAX_DIM, 2, ["certificate"])],
+    )
+    def test_a_lone_state_above_n_3_is_eigensolved_at_once(self, monkeypatch, dim, count, expected):
+        # on one state one eigvalsh costs less than the certificate above
+        # N = 3; a stack of two or more is still certified up to the bound
+        rng = rng_stream(44, dim, count)
+        stack = _random_state_stack(rng.integers(1, dim + 1, count), rng.standard_normal((count, 2, dim, dim)))
+        calls = []
+        eigvalsh, certified_above = np.linalg.eigvalsh, statespace._certified_above
+
+        def counting(a, *args, **kwargs):
+            calls.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a, *args, **kwargs)
+
+        def certifying(m, tol):
+            calls.append("certificate")
+            return certified_above(m, tol)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(statespace, "_certified_above", certifying)
+        if count == 1:
+            make_density_matrix(stack[0])
+        else:
+            _density_stack(stack)
+        assert calls == expected
+
+    @pytest.mark.parametrize("factor", [1.5, 1e6])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, _CERTIFY_MAX_DIM])
+    def test_a_lone_bad_state_raises_the_same_message_on_either_path(self, monkeypatch, dim, factor):
+        bad = placed_minimum(dim, 1, -factor * TOL_PSD, 1.0, rng_stream(45, dim))[0]
+        bad = bad / np.trace(bad).real
+        expected = float(np.linalg.eigvalsh(hermitian(bad) / np.trace(hermitian(bad)).real)[0])
+        message = f"minimum eigenvalue {expected:.3e} below -{TOL_PSD:.1e}"
+        with pytest.raises(NotPositive, match=re.escape(message)):
+            make_density_matrix(bad)
+        # the same through the certificate, the path of stacked states
+        monkeypatch.setattr(statespace, "_CERTIFY_ALONE_MAX_DIM", _CERTIFY_MAX_DIM)
+        with pytest.raises(NotPositive, match=re.escape(message)):
+            make_density_matrix(bad)
