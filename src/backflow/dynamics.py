@@ -30,7 +30,7 @@ from .errors import (
     QuadratureFailure,
     ValidationError,
 )
-from .statespace import TOL_PSD, DensityMatrix, _certified_above, _half_trace_norms_from_invariants, _invariants_3
+from .statespace import TOL_PSD, DensityMatrix, _half_trace_norms_from_invariants, _invariants_3, _lowest_eigenvalues
 
 TOL_CPT = 1e-8
 # Quadrature of tabulated rates splits every grid interval this many ways;
@@ -561,20 +561,13 @@ def _check_block(states: np.ndarray, times: np.ndarray) -> None:
     not positive; ``states`` is (n, steps, 3, 3) and ``times`` the steps' end times.
 
     Within a step, non-finite entries are reported before positivity, and
-    only steps before the first non-finite one are checked. States that
-    :func:`_certified_above` clears count as 0.0 in their step's minimum
-    eigenvalue and the rest are eigensolved, which moves neither the lost
-    step nor its minimum.
+    only steps before the first non-finite one are checked, each step by its
+    states' minimum from :func:`_lowest_eigenvalues`.
     """
     finite = np.isfinite(states).all(axis=(0, 2, 3))
     bad = int(np.argmin(finite)) if not finite.all() else finite.size
     if bad:
-        head = states[:, :bad]
-        min_eig = np.zeros(head.shape[:2])
-        doubt = ~_certified_above(head, POSITIVITY_DRIFT)
-        if doubt.any():
-            min_eig[doubt] = np.linalg.eigvalsh(head[doubt])[:, 0]
-        min_eig = min_eig.min(axis=0)
+        min_eig = _lowest_eigenvalues(states[:, :bad], POSITIVITY_DRIFT).min(axis=0)
         lost = np.flatnonzero(min_eig < -POSITIVITY_DRIFT)
         if lost.size:
             k = int(lost[0])

@@ -209,10 +209,8 @@ def _hermitian_parts(stack: np.ndarray, what: str) -> np.ndarray:
 
 def _density_stack(stack: np.ndarray) -> np.ndarray:
     """:func:`make_density_matrix` on an (n, N, N) stack; each read-only result
-    is bit-identical to validating its matrix alone. One ``eigvalsh`` takes
-    the matrices that :func:`_certified_above` does not clear, all of them
-    above N = ``_CERTIFY_MAX_DIM``, and a lone matrix above N =
-    ``_CERTIFY_ALONE_MAX_DIM``."""
+    is bit-identical to validating its matrix alone, and a rejection names
+    the stack's minimum eigenvalue from :func:`_lowest_eigenvalues`."""
     m = _hermitian_parts(stack, "state entries (matrix, row, column)")
     tr = m.trace(axis1=1, axis2=2).real
     # the worst cases are found on python floats, which for the one-matrix
@@ -221,32 +219,26 @@ def _density_stack(stack: np.ndarray) -> np.ndarray:
     if off > TOL_TRACE:
         raise BadTrace(f"trace deviates from 1 by {off:.3e}, beyond {TOL_TRACE:.1e}")
     m = m / tr[:, None, None]
-    dim = m.shape[-1]
-    if dim > _CERTIFY_MAX_DIM or (len(m) == 1 and dim > _CERTIFY_ALONE_MAX_DIM):
-        doubt = m
-    else:
-        doubt = m[~_certified_above(m, TOL_PSD)]
-    if len(doubt):
-        min_eig = min(np.linalg.eigvalsh(doubt)[:, 0].tolist())
-        if min_eig < -TOL_PSD:
-            raise NotPositive(f"minimum eigenvalue {min_eig:.3e} below -{TOL_PSD:.1e}")
+    min_eig = min(_lowest_eigenvalues(m, TOL_PSD).tolist())
+    if min_eig < -TOL_PSD:
+        raise NotPositive(f"minimum eigenvalue {min_eig:.3e} below -{TOL_PSD:.1e}")
     m.setflags(write=False)
     return m
 
 
-# Largest N whose states go through the certificate before any eigensolve.
-# Its N - 1 pivot steps cost, per state of a stack of 20, 1000 valid states
-# (one BLAS thread, Xeon): 1.3, 0.2 us against eigvalsh's 1.8, 1.6 us at
-# N = 4; 11, 9 us against 15, 15 us at N = 16; 55, 82 us against 55, 56 us
-# at N = 32.
-_CERTIFY_MAX_DIM = 16
-# Largest N whose lone states, one-matrix stacks, go through the certificate.
-# On one state it costs 21 us against eigvalsh's 6 us at N = 4 and 102 us
-# against 20 us at N = 16 (timeit, 2-vCPU Xeon, one BLAS thread), so above
-# N = 3 a lone state is eigensolved at once. At N <= 3 it keeps the
-# certificate, 15 us against 5 us at N = 3, so that named 3x3 states, such as
-# a histogram's reference pair, take no eigensolve.
-_CERTIFY_ALONE_MAX_DIM = 3
+def _lowest_eigenvalues(m: np.ndarray, tol: float) -> np.ndarray:
+    """The package's one positivity rule, for a finite unit-trace Hermitian
+    (..., N, N) stack at any N: 0.0 for each matrix that
+    :func:`_certified_above` clears, which has no eigenvalue below -tol, and
+    the smallest eigenvalue from one ``eigvalsh`` of the rest. Every matrix
+    with an eigenvalue below -tol is eigensolved, so the minimum over a
+    stack, whenever it is below -tol, is the one eigensolving every matrix
+    would give."""
+    lowest = np.zeros(m.shape[:-2])
+    doubt = ~_certified_above(m, tol)
+    if doubt.any():
+        lowest[doubt] = np.linalg.eigvalsh(m[doubt])[..., 0]
+    return lowest
 
 
 def _certified_above(m: np.ndarray, tol: float) -> np.ndarray:
@@ -613,7 +605,9 @@ def _mixed_pairs_from_ginibre(ginibre: np.ndarray) -> np.ndarray:
     Ginibre parts, as a (2, n, N, N) stack: the closed form of
     :func:`_lone_sign_pairs` at N = 3, else one stacked split, and one
     validation build every pair. Each pair is bit-identical to building it
-    alone."""
+    alone. Non-finite draws are refused first, before any arithmetic could
+    warn on them or the split's ``eigh`` fail to converge."""
+    _check_finite(ginibre, "Ginibre draws (pair, part, row, column)")
     dim = ginibre.shape[-1]
     g = ginibre[:, 0] + 1j * ginibre[:, 1]
     h = g + g.conj().swapaxes(-1, -2)

@@ -152,8 +152,7 @@ UNCALLED_ON_PURPOSE = {
 # and the checks that need a minimum eigenvalue to its full accuracy, which
 # the kernel's closed forms do not give near a zero eigenvalue.
 EIGVALSH_FUNCTIONS = {
-    "statespace.py": {"_clipped_distances", "_density_stack"},
-    "dynamics.py": {"_check_block"},
+    "statespace.py": {"_clipped_distances", "_lowest_eigenvalues"},
     "translation.py": {"_translated"},
     "verify.py": {"jordan_hahn_suite", "translation_suite", "_max_admissible_stretch"},
 }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backflow import dynamics
+from backflow import dynamics, statespace
 from backflow.dynamics import (
     POSITIVITY_DRIFT,
     REFINE,
@@ -926,7 +926,7 @@ class TestRk4Propagators:
         states = [pure_state(v) for v in ([0, 1, 0], [0, 0, 1], [0, 1, 1], [0, 1, 1j], [1, 1, 0])]
         with pytest.raises(PositivityLost) as raised:
             lindblad_integrate(rates, states, grid)
-        monkeypatch.setattr(dynamics, "_certified_above", lambda m, tol: np.zeros(m.shape[:-2], dtype=bool))
+        monkeypatch.setattr(statespace, "_certified_above", lambda m, tol: np.zeros(m.shape[:-2], dtype=bool))
         with pytest.raises(PositivityLost) as eigensolved:
             lindblad_integrate(rates, states, grid)
         assert grid[STEP_BLOCK] < float(_failure_time(raised.value))
