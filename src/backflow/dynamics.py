@@ -218,35 +218,34 @@ def make_grid(t_max: float, steps: int) -> np.ndarray:
 class MapCoefficients:
     """Closed-form map coefficients sampled on a time grid.
 
-    f multiplies excited-state coherences, g_i feed the excited population
-    into ground level i; d_i are the underlying cumulative decay-rate
-    integrals. Valid coefficients satisfy g1 + g2 + |f|^2 = 1 and g_i >= 0.
-    Every field is kept as a read-only copy, so the map scale built from
-    them once cannot go stale.
+    f = exp(-D/2), with D the integral of gamma1 + gamma2, multiplies the
+    excited coherences, and g_i feed the excited population into ground
+    level i. Valid coefficients satisfy g1 + g2 + f^2 = 1 and g_i >= 0.
+    Every field is kept as a read-only float64 copy, so the map scale built
+    from them once cannot go stale; a complex field raises ValidationError.
     """
 
     grid: np.ndarray
     f: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            values = np.array(getattr(self, field.name))
+            if np.iscomplexobj(getattr(self, field.name)):
+                raise ValidationError(f"map coefficient {field.name} must be real")
+            values = np.array(getattr(self, field.name), dtype=float)
             values.setflags(write=False)
             object.__setattr__(self, field.name, values)
 
     @cached_property
     def _scale(self) -> np.ndarray:
         """The (grid, 3, 3) factors by which the map multiplies a matrix's
-        entries: |f|^2 on the excited population, f and its conjugate on
-        the excited coherences, 1 on the (b, c) block."""
+        entries: f^2 on the excited population, f on the excited
+        coherences, 1 on the (b, c) block; complex, so no product casts."""
         scale = np.ones((self.f.size, 3, 3), dtype=complex)
-        scale[:, 0, 0] = np.abs(self.f) ** 2
-        scale[:, 0, 1:] = self.f[:, None]
-        scale[:, 1:, 0] = np.conj(self.f)[:, None]
+        scale[:, 0, 0] = self.f**2
+        scale[:, 0, 1:] = scale[:, 1:, 0] = self.f[:, None]
         scale.setflags(write=False)
         return scale
 
@@ -263,8 +262,10 @@ class CptReport:
 
 
 def validate_cpt(coeffs: MapCoefficients) -> CptReport:
-    """Check g1 + g2 + |f|^2 = 1 and g_i >= 0 on the whole grid."""
-    identity = np.abs(coeffs.g1 + coeffs.g2 + np.abs(coeffs.f) ** 2 - 1.0)
+    """Check g1 + g2 + f^2 = 1 and g_i >= 0 on the whole grid. The identity
+    holds by construction in :func:`lambda_map_coefficients`, so there
+    ``worst_identity`` measures rounding (2.2e-16 on the default model)."""
+    identity = np.abs(coeffs.g1 + coeffs.g2 + coeffs.f**2 - 1.0)
     k_id = int(np.argmax(identity))
     g_min = np.minimum(coeffs.g1, coeffs.g2)
     k_g = int(np.argmin(g_min))
@@ -297,11 +298,12 @@ def _check_integrals(decay: np.ndarray) -> None:
 
 
 def _closed_form(rates: RateFunctions, grid: np.ndarray) -> np.ndarray | None:
-    """d = d1 = d2 on ``grid`` from the rate's own integral; None unless both
-    decay channels share one rate and it carries its integral."""
+    """D = d + d on ``grid`` from the integral d of the rate both decay
+    channels share, when it carries one (then g1 = g2); else None."""
     if rates.gamma1 is not rates.gamma2 or not isinstance(rates.gamma1, ClosedFormRate):
         return None
-    return np.array(rates.gamma1.integral(grid), dtype=float)
+    d = np.array(rates.gamma1.integral(grid), dtype=float)
+    return d + d
 
 
 def _without_integrals(rates: RateFunctions) -> RateFunctions:
@@ -310,9 +312,10 @@ def _without_integrals(rates: RateFunctions) -> RateFunctions:
     return RateFunctions(*(fn.rate if isinstance(fn, ClosedFormRate) else fn for fn in rate_fns))
 
 
-def _quadrature(rates: RateFunctions, grid: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(d1, d2, g1 - g2) on ``grid`` by cumulative trapezoids on the refined
-    grid, where g1 - g2 is the integral of (gamma1 - gamma2) exp(-D).
+def _quadrature(rates: RateFunctions, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, g1 - g2) on ``grid`` by cumulative trapezoids on the refined
+    grid, where D is the integral of gamma1 + gamma2 and g1 - g2 that of
+    (gamma1 - gamma2) exp(-D).
 
     A function that serves both rates is sampled and integrated once, and
     then gamma1 - gamma2 is exactly 0, and so is g1 - g2. The results are
@@ -328,58 +331,50 @@ def _quadrature(rates: RateFunctions, grid: np.ndarray) -> tuple[np.ndarray, ...
                 raise QuadratureFailure(f"rate {field.name} is not finite on the whole grid")
             samples[id(fn)] = values
     integrals = {key: _cumulative_trapezoid(values, fine) for key, values in samples.items()}
-    d1, d2 = (integrals[id(fn)] for fn in (rates.gamma1, rates.gamma2))
-    decay = d1 + d2
+    decay = integrals[id(rates.gamma1)] + integrals[id(rates.gamma2)]
     _check_integrals(decay)
     if rates.gamma1 is rates.gamma2:
         spread = np.zeros(fine.size)
     else:
         spread = _cumulative_trapezoid((samples[id(rates.gamma1)] - samples[id(rates.gamma2)]) * np.exp(-decay), fine)
     # copies, so the fine-grid arrays are freed on return
-    return tuple(values[::REFINE].copy() for values in (d1, d2, spread))
+    return decay[::REFINE].copy(), spread[::REFINE].copy()
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
-    """The grid as floats, or DomainError for a time that is not finite."""
+    """The grid as floats; DomainError unless it has at least two finite, strictly increasing times."""
     grid = np.array(grid, dtype=float)
     if not np.all(np.isfinite(grid)):
         raise DomainError("grid times must be finite")
+    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise DomainError("grid must contain at least two strictly increasing times")
     return grid
 
 
 def lambda_map_coefficients(rates: RateFunctions, grid: np.ndarray) -> MapCoefficients:
     """The map coefficients at every grid point.
 
-    With D = d1 + d2, g1 + g2 = 1 - exp(-D) holds exactly for any rates, so
-    the identity g1 + g2 + |f|^2 = 1 holds by construction, and g1 - g2 is
-    the integral of (gamma1 - gamma2) exp(-D). The presets' rates carry
-    their integrals (:class:`ClosedFormRate`) and share one decay rate, so
-    g1 = g2 and nothing is integrated. Other rates are integrated by
-    cumulative trapezoids on an internally refined grid (each interval
-    split ``REFINE`` ways) and downsampled, which buys several extra digits
-    of accuracy at the published 2000-step default without changing the
-    grid contract. Every field is an array of its own with one entry per
-    grid point. Raises if the result is not finite or violates the
-    validity conditions.
+    With D the integral of gamma1 + gamma2, f = exp(-D/2) and g1 + g2 =
+    1 - exp(-D) for any rates, so g1 + g2 + f^2 = 1 holds by construction,
+    and g1 - g2 is the integral of (gamma1 - gamma2) exp(-D). The presets'
+    rates carry their integrals (:class:`ClosedFormRate`) and share one
+    decay rate, so g1 = g2 and nothing is integrated. Other rates are
+    integrated by cumulative trapezoids on an internally refined grid (each
+    interval split ``REFINE`` ways) and downsampled, which buys several
+    extra digits of accuracy at the published 2000-step default without
+    changing the grid contract. Every field is an array of its own with one
+    entry per grid point. Raises if the result is not finite or violates
+    the validity conditions.
     """
     grid = _check_grid(grid)
-    if grid.ndim != 1 or grid.size < 2:
-        raise DomainError("grid must contain at least two times")
     if grid[0] != 0.0:
         raise DomainError(f"grid must start at 0, got {grid[0]}")
-    if np.any(np.diff(grid) <= 0):
-        raise DomainError("grid times must be strictly increasing")
 
     # Overflow is detected from the results below, so numpy's warnings
     # would only repeat it before the QuadratureFailure.
     with np.errstate(over="ignore", invalid="ignore"):
         closed = _closed_form(rates, grid)
-        if closed is None:
-            d1, d2, spread = _quadrature(rates, grid)
-        else:
-            d1 = d2 = closed
-            spread = 0.0
-        decay = d1 + d2
+        decay, spread = _quadrature(rates, grid) if closed is None else (closed, 0.0)
         _check_integrals(decay)
         total = -np.expm1(-decay)
         f = np.exp(-decay / 2.0)
@@ -389,8 +384,6 @@ def lambda_map_coefficients(rates: RateFunctions, grid: np.ndarray) -> MapCoeffi
         f=f,
         g1=(total + spread) / 2.0,
         g2=(total - spread) / 2.0,
-        d1=d1,
-        d2=d2,
     )
     if not np.all(np.isfinite(coeffs.f)) or not np.all(np.isfinite(coeffs.g1 + coeffs.g2)):
         raise QuadratureFailure("map coefficients are not finite")
@@ -416,7 +409,7 @@ def apply_map_to_grid(coeffs: MapCoefficients, matrices: np.ndarray) -> np.ndarr
 
     The map is linear, so this applies equally to states and to Hermitian
     differences of states. It keeps the (b, c) block, scales the excited
-    population by |f|^2 and the excited coherences by f, and feeds g1, g2
+    population by f^2 and the excited coherences by f, and feeds g1, g2
     of the excited population into the ground levels. Takes shape
     (..., 3, 3) and returns shape (..., grid, 3, 3). The coefficients build
     their scale once, so a call only multiplies and adds the two feeds.
@@ -435,7 +428,7 @@ def _mapped_distances(coeffs: MapCoefficients, deltas: np.ndarray) -> np.ndarray
     mapped to every point of ``coeffs`` and clipped to [0, 1]: shape (..., grid).
 
     The map scales the excited population, |u|^2, |v|^2 and Re(u w v*) of
-    a difference by F = |f|^2, feeds g_i of the excited population into
+    a difference by F = f^2, feeds g_i of the excited population into
     ground level i and keeps |w|^2, so the distances come from each
     difference's seven :func:`~backflow.statespace._invariants_3` and the
     per-point F, g1, g2, through the closed form that ``_clipped_distances``
@@ -450,7 +443,7 @@ def _mapped_distances(coeffs: MapCoefficients, deltas: np.ndarray) -> np.ndarray
         # matrix is a stack of one
         return _mapped_distances(coeffs, m[None])[0]
     d0, d1, d2, uu, vv, ww, cross = (x[..., None] for x in _invariants_3(m))
-    kept = np.abs(coeffs.f) ** 2
+    kept = coeffs.f**2
     half = _half_trace_norms_from_invariants(
         kept * d0, d1 + coeffs.g1 * d0, d2 + coeffs.g2 * d0, kept * uu, kept * vv, ww, kept * cross
     )
@@ -461,7 +454,7 @@ def stretch_ends(coeffs: MapCoefficients) -> MapCoefficients:
     """The coefficients at the grid points where a trace distance can turn.
 
     The step map from t_k to t_k+1 has this model's form, with feeding
-    coefficients (g_i(t_k+1) - g_i(t_k)) / |f(t_k)|^2. A step is
+    coefficients (g_i(t_k+1) - g_i(t_k)) / f(t_k)^2. A step is
     *contracting* when both g increments are >= 0: its map is CPTP, so no
     trace distance rises over it. It is *expanding* when both are <= 0:
     the inverse step map is CPTP, so no trace distance falls. Otherwise it
@@ -599,8 +592,6 @@ def lindblad_integrate(
     for state in states:
         _check_dim3(state.entries)
     grid = _check_grid(grid)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must contain at least two strictly increasing times")
     if not states:
         return np.empty((0, grid.size, 3, 3), dtype=complex)
     mid = (grid[:-1] + grid[1:]) / 2.0

@@ -34,6 +34,7 @@ import numpy as np
 from .dynamics import (
     MapCoefficients,
     _mapped_distances,
+    _quadrature,
     _without_integrals,
     apply_map_to_grid,
     lambda_map_coefficients,
@@ -434,11 +435,10 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
     worst.see("cpt-g-nonnegative", report.min_g)
     d_exact = 0.03 * (1.0 - np.cos(grid))
     g_exact = 0.5 * (1.0 - np.exp(-2.0 * d_exact))
-    worst.see(
-        "closed-form-rate-integrals", np.abs(quadrature.d1 - d_exact).max(), np.abs(quadrature.d2 - d_exact).max()
-    )
+    decay, spread = _quadrature(integrated, grid)
+    worst.see("closed-form-rate-integrals", np.abs(decay - 2.0 * d_exact).max(), np.abs(spread).max())
     worst.see("closed-form-feeding", np.abs(quadrature.g1 - g_exact).max(), np.abs(quadrature.g2 - g_exact).max())
-    worst.see("closed-form-coherence-decay", np.abs(np.abs(quadrature.f) - np.exp(-d_exact)).max())
+    worst.see("closed-form-coherence-decay", np.abs(quadrature.f - np.exp(-d_exact)).max())
 
     # the pairs are drawn a block at a time, and their full-grid trajectories
     # (about 0.3 MB a pair) are held as :func:`_trajectory` bounds them
@@ -454,7 +454,7 @@ def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 
     halved = lambda_map_coefficients(integrated, make_grid(grid[-1], 2 * (grid.size - 1)))
     worst.see(
         "quadrature-step-halving",
-        *(abs(getattr(halved, k)[-1] - getattr(quadrature, k)[-1]) for k in ("g1", "g2", "d1", "d2")),
+        *(abs(getattr(halved, k)[-1] - getattr(quadrature, k)[-1]) for k in ("g1", "g2", "f")),
     )
     del halved, quadrature
 

@@ -18,6 +18,7 @@ from backflow.dynamics import (
     _from_coordinates,
     _mapped_distances,
     _master_equation_rhs,
+    _quadrature,
     _refined_grid,
     _rhs_generators,
     _to_coordinates,
@@ -43,7 +44,15 @@ from backflow.errors import (
     QuadratureFailure,
     ValidationError,
 )
-from backflow.measure import RISE_TOLERANCE, _batched_backflows, _rise, mixed_reference_pair
+from backflow.measure import (
+    RISE_TOLERANCE,
+    _batched_backflows,
+    _rise,
+    backflow,
+    mixed_reference_pair,
+    pure_ab_pair,
+    trace_distance_trajectory,
+)
 from backflow.statespace import (
     DensityMatrix,
     _clipped_distances,
@@ -78,18 +87,27 @@ def analytic_g(t):
     return 0.5 * (1.0 - np.exp(-2.0 * analytic_d(t)))
 
 
+# the map coefficients and the integrator, which check a grid alike
+_BOTH_EVOLUTIONS = pytest.mark.parametrize(
+    "evolve",
+    [
+        lambda grid: lambda_map_coefficients(sinusoidal_rates(), grid),
+        lambda grid: lindblad_integrate(sinusoidal_rates(), [pure_state([1, 0, 0])], grid),
+    ],
+    ids=["coefficients", "integrator"],
+)
+
+
 class TestMapCoefficients:
     def test_initial_values(self, preset_coeffs):
         assert preset_coeffs.f[0] == 1.0
         assert preset_coeffs.g1[0] == 0.0
         assert preset_coeffs.g2[0] == 0.0
-        assert preset_coeffs.d1[0] == 0.0
 
     def test_preset_at_half_period(self, preset_coeffs):
         k = 1000  # t = pi on the 2000-step grid
         assert GRID[k] == pytest.approx(np.pi, abs=1e-12)
-        assert preset_coeffs.d1[k] == pytest.approx(0.06, abs=1e-7)
-        assert abs(preset_coeffs.f[k]) == pytest.approx(np.exp(-0.06), abs=1e-7)
+        assert preset_coeffs.f[k] == pytest.approx(np.exp(-0.06), abs=1e-7)
         assert preset_coeffs.g1[k] == pytest.approx(0.5 * (1 - np.exp(-0.12)), abs=1e-7)
         assert preset_coeffs.g2[k] == pytest.approx(0.5 * (1 - np.exp(-0.12)), abs=1e-7)
 
@@ -99,16 +117,18 @@ class TestMapCoefficients:
         assert abs(preset_coeffs.g2[-1]) < 1e-6
 
     def test_matches_analytic_everywhere(self, quadrature_coeffs):
-        np.testing.assert_allclose(quadrature_coeffs.d1, analytic_d(GRID), rtol=0, atol=1e-7)
+        decay, spread = _quadrature(_without_integrals(sinusoidal_rates()), GRID)
+        np.testing.assert_allclose(decay / 2.0, analytic_d(GRID), rtol=0, atol=1e-7)
+        assert np.all(spread == 0.0)
         np.testing.assert_allclose(quadrature_coeffs.g1, analytic_g(GRID), rtol=0, atol=1e-7)
-        np.testing.assert_allclose(np.abs(quadrature_coeffs.f), np.exp(-analytic_d(GRID)), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(quadrature_coeffs.f, np.exp(-analytic_d(GRID)), rtol=0, atol=1e-7)
 
     def test_quadrature_convergence_under_step_halving(self):
         rates = _without_integrals(sinusoidal_rates())
         coarse = lambda_map_coefficients(rates, make_grid(2 * np.pi, 1000))
         fine = lambda_map_coefficients(rates, make_grid(2 * np.pi, 2000))
         assert abs(coarse.g1[-1] - fine.g1[-1]) < 1e-6
-        assert abs(coarse.d1[-1] - fine.d1[-1]) < 1e-6
+        assert abs(coarse.f[-1] - fine.f[-1]) < 1e-6
 
     def test_fields_own_one_entry_per_grid_point(self, preset_coeffs, quadrature_coeffs):
         # views into the refined quadrature arrays would keep them alive
@@ -132,15 +152,23 @@ class TestMapCoefficients:
 
     def test_replaced_coefficients_build_their_own_scale(self, preset_coeffs):
         before = apply_map_to_grid(preset_coeffs, pure_state([1, 1, 0]).entries)
-        shifted = preset_coeffs.f * np.exp(-0.5j * GRID)
+        shifted = preset_coeffs.f * np.cos(0.5 * GRID)
         coeffs = dataclasses.replace(preset_coeffs, f=shifted)
         assert coeffs._scale is not preset_coeffs._scale
-        assert np.array_equal(coeffs._scale[:, 0, 0], np.abs(shifted) ** 2)
+        assert np.array_equal(coeffs._scale[:, 0, 0], shifted**2)
         assert np.array_equal(coeffs._scale[:, 0, 1], shifted)
-        assert np.array_equal(coeffs._scale[:, 1, 0], np.conj(shifted))
+        assert np.array_equal(coeffs._scale[:, 1, 0], shifted)
         after = apply_map_to_grid(coeffs, pure_state([1, 1, 0]).entries)
         assert np.array_equal(after[:, 0, 1], shifted / 2)
         assert np.array_equal(apply_map_to_grid(preset_coeffs, pure_state([1, 1, 0]).entries), before)
+
+    @pytest.mark.parametrize("name", ["grid", "f", "g1", "g2"])
+    def test_a_complex_field_is_refused(self, preset_coeffs, name):
+        # the map is three real functions; level shifts, which a complex f
+        # would carry, move no trace distance
+        values = getattr(preset_coeffs, name) * np.exp(-0.5j * GRID)
+        with pytest.raises(ValidationError, match=f"map coefficient {name} must be real"):
+            dataclasses.replace(preset_coeffs, **{name: values})
 
     def test_negative_rates_rejected(self):
         with pytest.raises(CptViolation):
@@ -158,14 +186,7 @@ class TestMapCoefficients:
         with pytest.raises(DomainError):
             lambda_map_coefficients(rates, np.array([0.0, 2.0, 1.0]))
 
-    @pytest.mark.parametrize(
-        "evolve",
-        [
-            lambda grid: lambda_map_coefficients(sinusoidal_rates(), grid),
-            lambda grid: lindblad_integrate(sinusoidal_rates(), [pure_state([1, 0, 0])], grid),
-        ],
-        ids=["coefficients", "integrator"],
-    )
+    @_BOTH_EVOLUTIONS
     @pytest.mark.parametrize(
         "times", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [np.nan, 1.0]], ids=["nan-inside", "inf-last", "nan-first"]
     )
@@ -174,6 +195,14 @@ class TestMapCoefficients:
         # would reach the rates; under warnings-as-errors a RuntimeWarning
         # from either would fail here too
         with pytest.raises(DomainError, match="grid times must be finite"):
+            evolve(np.array(times))
+
+    @_BOTH_EVOLUTIONS
+    @pytest.mark.parametrize(
+        "times", [[0.0], [[0.0, 1.0]], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]], ids=["one-time", "2d", "repeat", "decrease"]
+    )
+    def test_both_evolutions_check_the_grid_alike(self, evolve, times):
+        with pytest.raises(DomainError, match="^grid must contain at least two strictly increasing times$"):
             evolve(np.array(times))
 
 
@@ -205,7 +234,7 @@ class TestClosedForm:
         if isinstance(closed, type) or isinstance(quadrature, type):
             assert closed == quadrature
             return
-        for name in ("f", "g1", "g2", "d1", "d2"):
+        for name in ("f", "g1", "g2"):
             np.testing.assert_allclose(getattr(closed, name), getattr(quadrature, name), rtol=0, atol=1e-7)
         assert validate_cpt(closed).worst_identity <= 1e-15
 
@@ -229,7 +258,7 @@ class TestClosedForm:
         # runs under the warnings-as-errors setting, so a 0/0 would fail here
         coeffs = lambda_map_coefficients(sinusoidal_rates(frequency=0.0), GRID)
         assert np.all(coeffs.f == 1.0)
-        for name in ("g1", "g2", "d1", "d2"):
+        for name in ("g1", "g2"):
             assert np.all(getattr(coeffs, name) == 0.0), name
 
     @pytest.mark.parametrize(
@@ -255,13 +284,13 @@ class TestClosedForm:
         rate = _switched_on_rates(0.03, 2.5).gamma1
         rates = dataclasses.replace(sinusoidal_rates(), gamma1=rate, gamma2=rate)
         coeffs = lambda_map_coefficients(rates, GRID)
-        np.testing.assert_allclose(coeffs.d1, np.maximum(GRID - 2.5, 0.0) * 0.03, rtol=0, atol=1e-4)
+        np.testing.assert_allclose(coeffs.f, np.exp(-np.maximum(GRID - 2.5, 0.0) * 0.03), rtol=0, atol=1e-4)
 
     @pytest.mark.parametrize("steps", [600, 2000])
     def test_tabulated_rates_move_only_by_the_feeding_sum(self, tmp_path, steps):
         # each g_i was its own trapezoid of gamma_i exp(-D), so g1 + g2 missed
         # 1 - exp(-D) by the quadrature error; now only g1 - g2 is integrated,
-        # d1, d2 and f are unchanged and each g_i moves by half that error
+        # D and f are unchanged and each g_i moves by half that error
         rates = _tabulated_two_rates(tmp_path)
         grid = make_grid(2 * np.pi, steps)
         coeffs = lambda_map_coefficients(rates, grid)
@@ -270,13 +299,28 @@ class TestClosedForm:
         d1, d2 = (_cumulative_trapezoid(gamma, fine) for gamma in gammas)
         decay = d1 + d2
         separate = [_cumulative_trapezoid(gamma * np.exp(-decay), fine)[::REFINE] for gamma in gammas]
-        np.testing.assert_array_equal(coeffs.d1, d1[::REFINE])
-        np.testing.assert_array_equal(coeffs.d2, d2[::REFINE])
+        np.testing.assert_array_equal(_quadrature(rates, grid)[0], decay[::REFINE])
         np.testing.assert_array_equal(coeffs.f, np.exp(-decay[::REFINE] / 2.0))
         sum_error = np.abs(separate[0] + separate[1] + np.expm1(-decay[::REFINE])).max()
         moved = max(np.abs(coeffs.g1 - separate[0]).max(), np.abs(coeffs.g2 - separate[1]).max())
         assert moved <= sum_error / 2.0 + 1e-15
         assert moved <= {600: 1e-9, 2000: 1e-10}[steps]
+
+    def test_tabulated_map_is_pinned(self, tmp_path):
+        # g1 != g2 through the quadrature: a change to how the coefficients
+        # are integrated, stored or applied that moves a byte shows here
+        coeffs = lambda_map_coefficients(_tabulated_two_rates(tmp_path), GRID)
+        points = [0, 1000, 2000]
+        assert coeffs.f[points].tolist() == [1.0, 0.9074436134794279, 0.9100572406760246]
+        assert coeffs.g1[points].tolist() == [0.0, 0.1453413034042552, 0.11550829315282178]
+        assert coeffs.g2[points].tolist() == [0.0, 0.03120478495114335, 0.056287525540318614]
+        assert backflow(trace_distance_trajectory(coeffs, *pure_ab_pair())) == 0.03652695383362259
+        rho1, rho2 = sample_orthogonal_mixed_pair(3, rng_stream(31))
+        distances = _mapped_distances(coeffs, rho1.entries - rho2.entries)
+        assert distances[[0, 500, 1000, 1500, 2000]].tolist() == [
+            1.0, 0.9616956702967693, 0.9416297024079936, 0.9358271112180934, 0.944414547995481,
+        ]
+        assert distances.sum() == 1906.517828301282
 
 
 def _wrapped(rates):
@@ -348,7 +392,7 @@ class TestValidateCpt:
 
     def test_forced_identity_violation_detected(self, preset_coeffs):
         f = preset_coeffs.f.copy()
-        # force g1 + g2 + |f|^2 = 0.9 at one grid point
+        # force g1 + g2 + f^2 = 0.9 at one grid point
         f[512] = np.sqrt(0.9 - preset_coeffs.g1[512] - preset_coeffs.g2[512])
         broken = dataclasses.replace(preset_coeffs, f=f)
         report = validate_cpt(broken)
@@ -398,13 +442,12 @@ class TestApplyLambdaMap:
             out[..., 2, 2] += coeffs.g2 * m[..., None, 0, 0]
             return out
 
-        # g1 != g2, and coefficients built with a complex f, which the
-        # public MapCoefficients still takes
+        # g1 != g2, and coefficients built with a replaced f that turns negative
         unequal = lambda_map_coefficients(_unequal_rates(), GRID)
-        complex_f = dataclasses.replace(unequal, f=unequal.f * np.exp(-0.5j * GRID))
+        replaced_f = dataclasses.replace(unequal, f=unequal.f * np.cos(0.5 * GRID))
         rng = rng_stream(23)
         states = np.stack([sample_random_state(3, r, rng).entries for r in (1, 2, 3)])
-        for coeffs in (preset_coeffs, unequal, stretch_ends(unequal), complex_f):
+        for coeffs in (preset_coeffs, unequal, stretch_ends(unequal), replaced_f):
             for matrices in (states[0], states, states[:, None] - states[None]):
                 assert np.array_equal(apply_map_to_grid(coeffs, matrices), per_call(coeffs, matrices))
 
@@ -456,14 +499,13 @@ class TestEvolve:
             k2[2, 0] = np.sqrt(g2)
             return sum(k @ m @ k.conj().T for k in (k0, k1, k2))
 
-        # unequal rates feed g1 != g2, and a complex f, which the public
-        # MapCoefficients still takes, exercises its conjugate too
+        # unequal rates feed g1 != g2, and a replaced f turns negative
         unequal = lambda_map_coefficients(_unequal_rates(), GRID)
-        complex_f = dataclasses.replace(unequal, f=unequal.f * np.exp(-0.5j * GRID))
+        replaced_f = dataclasses.replace(unequal, f=unequal.f * np.cos(0.5 * GRID))
         rng = rng_stream(4)
         rho = sample_random_state(3, 3, rng)
         states = np.stack([sample_random_state(3, r, rng).entries for r in (1, 2, 3, 3)])
-        for coeffs in (preset_coeffs, unequal, complex_f):
+        for coeffs in (preset_coeffs, unequal, replaced_f):
             stack = apply_map_to_grid(coeffs, rho.entries)
             stacks = apply_map_to_grid(coeffs, states)
             assert stacks.shape == (4, GRID.size, 3, 3)
@@ -620,7 +662,7 @@ class TestStretchEnds:
         ends = stretch_ends(preset_coeffs)
         np.testing.assert_array_equal(ends.grid, GRID[[0, 1000, 2000]])
         np.testing.assert_allclose(ends.grid, [0.0, np.pi, 2 * np.pi], rtol=0, atol=1e-15)
-        for name in ("f", "g1", "g2", "d1", "d2"):
+        for name in ("f", "g1", "g2"):
             np.testing.assert_array_equal(getattr(ends, name), getattr(preset_coeffs, name)[[0, 1000, 2000]])
 
     def test_constant_rates_keep_the_ends(self):
@@ -660,8 +702,7 @@ class TestStretchEnds:
         x = 1.0 - g.sum(axis=1)
         assert x.min() > 0.0
         grid = np.linspace(0.0, 3.0, 301)
-        f = np.sqrt(x) * np.exp(-1j * grid)
-        coeffs = MapCoefficients(grid, f, g[:, 0], g[:, 1], np.zeros(301), np.zeros(301))
+        coeffs = MapCoefficients(grid, np.sqrt(x), g[:, 0], g[:, 1])
         ends = _assert_stretch_ends_match_full_grid(coeffs, _sampled_deltas(20, 64), (0.0, RISE_TOLERANCE))
         assert 3 < ends.grid.size < grid.size
 
@@ -709,7 +750,23 @@ class TestNoLevelShifts:
     def test_a_model_is_its_two_decay_rates(self):
         # the config keys shift, lambda1 and lambda2 are refused in test_cli
         assert [field.name for field in dataclasses.fields(RateFunctions)] == ["gamma1", "gamma2"]
-        assert np.isrealobj(lambda_map_coefficients(sinusoidal_rates(), GRID).f)
+        assert [field.name for field in dataclasses.fields(MapCoefficients)] == ["grid", "f", "g1", "g2"]
+
+    @pytest.mark.parametrize("stretched", [False, True], ids=["grid", "stretch-ends"])
+    @pytest.mark.parametrize("model", ["sinusoidal", "constant", "zero", "tabulated", "quadrature"])
+    @pytest.mark.parametrize("name", ["grid", "f", "g1", "g2"])
+    def test_every_field_is_real(self, tmp_path, name, model, stretched):
+        rates = {
+            "sinusoidal": sinusoidal_rates,
+            "constant": constant_rates,
+            "zero": zero_rates,
+            "tabulated": lambda: _tabulated_two_rates(tmp_path),
+            "quadrature": lambda: _without_integrals(sinusoidal_rates()),
+        }[model]()
+        coeffs = lambda_map_coefficients(rates, GRID)
+        if stretched:
+            coeffs = stretch_ends(coeffs)
+        assert getattr(coeffs, name).dtype == np.float64
 
 
 class TestLindbladIntegrate:
@@ -719,11 +776,13 @@ class TestLindbladIntegrate:
         assert stack.shape == (1, 201, 3, 3)
         np.testing.assert_allclose(stack[0, -1], rho0.entries, rtol=0, atol=1e-12)
 
-    def test_agrees_with_closed_form(self, preset_coeffs):
-        rates = sinusoidal_rates()
+    @pytest.mark.parametrize("rates", [sinusoidal_rates(), _unequal_rates()], ids=["preset", "unequal"])
+    def test_agrees_with_closed_form(self, rates):
+        # the unequal rates reach the map through the quadrature, with g1 != g2
+        coeffs = lambda_map_coefficients(rates, GRID)
         rng = rng_stream(6)
         states = [sample_random_state(3, int(rng.integers(1, 4)), rng) for _ in range(3)]
-        closed = apply_map_to_grid(preset_coeffs, np.stack([rho.entries for rho in states]))
+        closed = apply_map_to_grid(coeffs, np.stack([rho.entries for rho in states]))
         integrated = lindblad_integrate(rates, states, GRID)
         assert integrated.shape == closed.shape == (3, GRID.size, 3, 3)
         assert np.abs(closed - integrated).max() < 1e-6

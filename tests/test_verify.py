@@ -752,12 +752,12 @@ RUN_ALL_SEED7_WORST = {
     "translate-trajectory-invariance": 6.661338147750939e-16,
     "cpt-identity": 2.220446049250313e-16,
     "cpt-g-nonnegative": -1.7638935453291527e-17,
-    "closed-form-rate-integrals": 7.710627553114691e-10,
+    "closed-form-rate-integrals": 1.5421255106229381e-09,
     "closed-form-feeding": 6.838713345613812e-10,
     "closed-form-coherence-decay": 7.261595769136875e-10,
     "distance-contraction-bound": 0.0,
     "period-return-identity": 8.998558695971145e-34,
-    "quadrature-step-halving": 3.9848511975165237e-16,
+    "quadrature-step-halving": 4.440892098500626e-16,
     "integrator-agreement": 3.6637359812630166e-15,
 }
 
