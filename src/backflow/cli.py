@@ -22,7 +22,8 @@ import numpy as np
 from .dynamics import _finite_number, _instance, lambda_map_coefficients, make_grid, rates_from_model
 from .errors import BackflowError, NumericalFailure, ParseError, ValidationError
 from .measure import (
-    _check_candidate,
+    _check_candidates,
+    _named_pairs,
     backflow,
     estimate_measure,
     histogram_backflow,
@@ -37,6 +38,7 @@ from .verify import run_all
 
 TAU = 2.0 * np.pi
 
+# the --pair presets; cmd_measure builds the same three, in this order, in one _named_pairs call
 _NAMED_PAIRS = {
     "mpair": mixed_reference_pair,
     "pure-ab": pure_ab_pair,
@@ -151,7 +153,7 @@ def _pairs(name: str, value) -> tuple:
     pairs = []
     for i, entry in enumerate(_instance((list, tuple), "a list of [rho1, rho2] pairs")(name, value)):
         pairs.append(_pair(f"{name}[{i}]", entry))
-        _check_candidate(pairs[-1], f"{name}[{i}]")
+        _check_candidates(pairs[-1:], lambda _: f"{name}[{i}]")
     return tuple(pairs)
 
 
@@ -398,7 +400,7 @@ def cmd_trajectory(config: RunConfig, pair_spec: str) -> tuple[RunReport, int]:
 def cmd_measure(config: RunConfig) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
     _, coeffs = _coefficients(config)
-    explicit = tuple(fn() for fn in _NAMED_PAIRS.values()) + tuple(config.candidate_pairs)
+    explicit = _named_pairs() + tuple(config.candidate_pairs)
     t1 = time.perf_counter()
     result = estimate_measure(coeffs, config.samples, config.seed, explicit)
     t2 = time.perf_counter()

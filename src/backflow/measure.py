@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,12 +37,12 @@ from .errors import BadDimension, DimensionMismatch, DomainError, ValidationErro
 from .statespace import (
     DensityMatrix,
     _clipped_distances,
+    _density_stack,
     _mixed_pairs_from_ginibre,
+    _orthogonal,
+    _projectors,
     _pure_pairs_from_ginibre,
     _streams,
-    is_orthogonal,
-    make_density_matrix,
-    pure_state,
 )
 
 StatePair = tuple[DensityMatrix, DensityMatrix]
@@ -53,22 +53,29 @@ StatePair = tuple[DensityMatrix, DensityMatrix]
 RISE_TOLERANCE = 1e-10
 
 
+def _named_pairs() -> tuple[StatePair, StatePair, StatePair]:
+    """The reference, a-b and a-plus pairs, from one validated stack of the
+    four named states |a>, |b>, (|b> + |c>)/sqrt(2) and diag(0, 1/2, 1/2),
+    each bit-identical to building it alone."""
+    vectors = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0] / np.sqrt(2.0)], dtype=complex)
+    mixture = np.diag([0.0, 0.5, 0.5]).astype(complex)
+    a, b, plus, mixed = map(DensityMatrix, _density_stack(np.concatenate([_projectors(vectors), mixture[None]])))
+    return (a, mixed), (a, b), (a, plus)
+
+
 def mixed_reference_pair() -> StatePair:
     """Excited state vs the uniform mixture of both ground states."""
-    rho1 = pure_state(np.array([1.0, 0.0, 0.0]))
-    rho2 = make_density_matrix(np.diag([0.0, 0.5, 0.5]).astype(complex))
-    return rho1, rho2
+    return _named_pairs()[0]
 
 
 def pure_ab_pair() -> StatePair:
     """Excited state vs first ground state."""
-    return pure_state(np.array([1.0, 0.0, 0.0])), pure_state(np.array([0.0, 1.0, 0.0]))
+    return _named_pairs()[1]
 
 
 def pure_a_plus_pair() -> StatePair:
     """Excited state vs the even ground-state superposition."""
-    plus = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
-    return pure_state(np.array([1.0, 0.0, 0.0])), pure_state(plus)
+    return _named_pairs()[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +190,8 @@ def _blocked(from_ginibre: Callable, seed: int, prefix: tuple[int, ...], block: 
     The blocks are read into one array through one generator moved from
     stream to stream, so a call opens one generator whatever its size. The
     last block is read only up to the last pair asked for, a prefix of its
-    full read, so rebuilding one pair does not read the rest of its block.
+    full read, so a class whose size is not a multiple of ``block`` does not
+    read the rest of its last block.
     """
 
     def source(start: int, stop: int) -> np.ndarray:
@@ -197,15 +205,16 @@ def _blocked(from_ginibre: Callable, seed: int, prefix: tuple[int, ...], block: 
     return source
 
 
-def _given(pairs: Sequence[StatePair]) -> PairSource:
-    """The given 3x3 pairs."""
-    return lambda start, stop: np.stack([[rho.entries for rho in pair] for pair in pairs[start:stop]], axis=1)
+def _given(states: np.ndarray) -> PairSource:
+    """The pairs of a (2, n, 3, 3) stack of first and second states."""
+    return lambda start, stop: states[:, start:stop]
 
 
-def _streamed_backflows(
+def _scored_chunks(
     ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float, block: int = 1
-) -> np.ndarray:
-    """Backflows of the pairs 0..n-1 of ``source`` at the stretch ends ``ends``,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs 0..n-1 of ``source`` a drawn chunk at a time, each chunk's
+    (2, m, 3, 3) states with their m backflows at the stretch ends ``ends``,
     scored ``max(1, SCORE_POINTS // kept points)`` at a time.
 
     The pairs are drawn in chunks of whole batches, about SCORE_POINTS // 8
@@ -222,22 +231,62 @@ def _streamed_backflows(
     batch = max(1, SCORE_POINTS // ends.grid.size)
     chunk = batch * max(1, SCORE_POINTS // 8 // batch)
     chunk = max(block, chunk // block * block)
-    values = np.empty(n)
     for first in range(0, n, chunk):
-        deltas = np.subtract(*source(first, min(first + chunk, n)))
+        states = source(first, min(first + chunk, n))
+        deltas = np.subtract(*states)
+        values = np.empty(len(deltas))
         for start in range(0, len(deltas), batch):
-            part = deltas[start : start + batch]
-            values[first + start : first + start + len(part)] = _batched_backflows(ends, part, rise_tolerance)
+            values[start : start + batch] = _batched_backflows(ends, deltas[start : start + batch], rise_tolerance)
+        yield states, values
+
+
+def _streamed_backflows(
+    ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float, block: int = 1
+) -> np.ndarray:
+    """Backflows of the pairs 0..n-1 of ``source``, scored as :func:`_scored_chunks` scores them."""
+    # filled in place, since concatenating the chunks would hold them and
+    # the result at once, two 80 MB copies at the histogram's sample cap
+    values = np.empty(n)
+    first = 0
+    for _, part in _scored_chunks(ends, source, n, rise_tolerance, block):
+        values[first : first + len(part)] = part
+        first += len(part)
     return values
 
 
-def _check_candidate(pair: StatePair, where: str) -> None:
-    """Reject a candidate the scorer cannot take: it must be two orthogonal 3x3 states."""
-    shapes = [rho.entries.shape for rho in pair]
-    if shapes != [(3, 3), (3, 3)]:
-        raise BadDimension(f"{where} is not a pair of 3x3 states, got shapes {shapes}")
-    if not is_orthogonal(*pair):
-        raise ValidationError(f"{where} is not orthogonal; the maximization is restricted to orthogonal pairs")
+def _first_maximum(chunks: Iterator[tuple[np.ndarray, np.ndarray]]) -> tuple[float, np.ndarray]:
+    """The largest backflow of a class scored in ``chunks`` and a read-only
+    (2, 3, 3) copy of its first maximizing pair: the first maximum of each
+    chunk, kept while no later chunk holds a strictly greater value."""
+    best_value, best = -np.inf, None
+    for states, values in chunks:
+        k = int(np.argmax(values))
+        if best is None or values[k] > best_value:
+            best_value, best = float(values[k]), states[:, k].copy()
+    best.setflags(write=False)
+    return best_value, best
+
+
+def _check_candidates(pairs: Sequence[StatePair], where: Callable[[int], str]) -> np.ndarray:
+    """Reject candidates the scorer cannot take, each of which must be two
+    orthogonal 3x3 states, naming the first faulty pair ``where(index)``;
+    returns the pairs as a (2, n, 3, 3) stack of first and second states.
+
+    The shapes are checked first, then the orthogonality of the pairs before
+    the first bad shape, through one stacked distance call, so the first
+    fault in input order is the one raised.
+    """
+    shapes = [[rho.entries.shape for rho in pair] for pair in pairs]
+    sized = next((idx for idx, shape in enumerate(shapes) if shape != [(3, 3), (3, 3)]), len(pairs))
+    states = np.array([[rho.entries for rho in pair] for pair in pairs[:sized]], dtype=complex).reshape(-1, 2, 3, 3)
+    states = states.swapaxes(0, 1)
+    apart = _orthogonal(np.subtract(*states))
+    if not apart.all():
+        idx = int(np.argmin(apart))
+        raise ValidationError(f"{where(idx)} is not orthogonal; the maximization is restricted to orthogonal pairs")
+    if sized < len(pairs):
+        raise BadDimension(f"{where(sized)} is not a pair of 3x3 states, got shapes {shapes[sized]}")
+    return states
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,35 +318,31 @@ def estimate_measure(
     if samples < 0:
         raise DomainError(f"samples must be non-negative, got {samples}")
 
-    for idx, pair in enumerate(explicit_pairs):
-        _check_candidate(pair, f"explicit candidate pair {idx}")
+    explicit = _check_candidates(explicit_pairs, lambda idx: f"explicit candidate pair {idx}")
 
     ends = stretch_ends(coeffs)
     best_value = -1.0
-    best_pair: StatePair | None = None
+    best_pair: np.ndarray | None = None
     breakdown: dict[str, float] = {}
-    # each class is scored in stacked batches; its first maximum is rebuilt
-    # from its source, so no candidate list is kept
+    # each class is scored in stacked chunks and keeps its first maximum as
+    # it goes, so no candidate list is kept and no candidate drawn twice
     for label, source, n, block in (
         ("pure", _blocked(_pure_pairs_from_ginibre, seed, (0,), SAMPLE_BLOCK), samples, SAMPLE_BLOCK),
         ("mixed", _blocked(_mixed_pairs_from_ginibre, seed, (1,), SAMPLE_BLOCK), samples, SAMPLE_BLOCK),
-        ("explicit", _given(explicit_pairs), len(explicit_pairs), 1),
+        ("explicit", _given(explicit), len(explicit_pairs), 1),
     ):
         if n == 0:
             continue
-        values = _streamed_backflows(ends, source, n, RISE_TOLERANCE, block)
-        first_max = int(np.argmax(values))
-        breakdown[label] = float(values[first_max])
+        breakdown[label], pair = _first_maximum(_scored_chunks(ends, source, n, RISE_TOLERANCE, block))
         if breakdown[label] > best_value:
-            best_value = breakdown[label]
-            best_pair = tuple(DensityMatrix(s[0]) for s in source(first_max, first_max + 1))
+            best_value, best_pair = breakdown[label], pair
 
     if best_pair is None:
         raise DomainError("no candidates were evaluated; give samples >= 1 or an explicit pair")
 
     return MeasureResult(
         estimate=best_value,
-        best_pair=best_pair,
+        best_pair=(DensityMatrix(best_pair[0]), DensityMatrix(best_pair[1])),
         samples_evaluated=2 * samples + len(explicit_pairs),
         candidate_breakdown=breakdown,
         seed=seed,
@@ -348,7 +393,8 @@ def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed:
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     ends = stretch_ends(coeffs)
-    reference = float(_streamed_backflows(ends, _given([mixed_reference_pair()]), 1, RISE_TOLERANCE)[0])
+    reference_pair = np.stack([rho.entries for rho in mixed_reference_pair()])[:, None]
+    reference = float(_streamed_backflows(ends, _given(reference_pair), 1, RISE_TOLERANCE)[0])
     # the stretch ends of the stretch ends are the same points, so the
     # samples are scored on them without a second search of the full grid
     values = sampled_backflows(ends, n_samples, seed, rise_tolerance=RISE_TOLERANCE)

@@ -456,7 +456,13 @@ def _signed_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def is_orthogonal(rho1: DensityMatrix, rho2: DensityMatrix) -> bool:
     """True iff the supports are orthogonal, tested as trace distance >= 1 - TOL_ORTH."""
     _check_same_dim(rho1, rho2)
-    return trace_distance(rho1, rho2) >= 1.0 - TOL_ORTH
+    return bool(_orthogonal(rho1.entries - rho2.entries))
+
+
+def _orthogonal(deltas: np.ndarray) -> np.ndarray:
+    """:func:`is_orthogonal` on an (..., N, N) stack of state differences, in
+    one :func:`_trace_distances` call."""
+    return _trace_distances(deltas) >= 1.0 - TOL_ORTH
 
 
 def is_boundary(rho: DensityMatrix) -> bool:

@@ -44,7 +44,7 @@ from .dynamics import (
     stretch_ends,
     validate_cpt,
 )
-from .measure import SCORE_POINTS, _streamed_backflows
+from .measure import SCORE_POINTS, _given, _streamed_backflows
 from .statespace import (
     TOL_ORTH,
     TOL_PSD,
@@ -53,11 +53,11 @@ from .statespace import (
     _haar_from_ginibre,
     _jordan_hahn_stack,
     _mixed_pairs_from_ginibre,
+    _projectors,
     _random_state_stack,
     _rescaled_pairs,
     _streams,
     _trace_distances,
-    pure_state,
     rng_stream,
 )
 from .translation import _translatable, _translations, epsilon_upper_bound, quadratic_bound
@@ -386,7 +386,7 @@ def backflow_scaling_suite(seed: int, coeffs: MapCoefficients, trials: int = 100
         stretch = (1.0 + 0.5 * np.minimum(_max_admissible_stretch(other, interior), 20.0))[:, None, None]
         mixed = _density_stack((1.0 - stretch) * other + stretch * interior)
         stacked = np.concatenate([pairs, rescaled, [other, interior], [other, mixed]], axis=1)
-        scores = _streamed_backflows(ends, lambda start, stop: stacked[:, start:stop], stacked.shape[1], 0.0)
+        scores = _streamed_backflows(ends, _given(stacked), stacked.shape[1], 0.0)
         bf, bf_rescaled, bf_base, bf_stretched = scores.reshape(4, -1)
         worst.see("rescaled-backflow-law", *np.abs(bf_rescaled - bf / lam))
         worst.see("stretched-backflow-law", *np.abs(bf_stretched - stretch[:, 0, 0] * bf_base))
@@ -410,7 +410,7 @@ def spanning_states() -> list[DensityMatrix]:
     vectors = list(eye)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         vectors += [eye[i] + eye[j], eye[i] + 1j * eye[j]]
-    return [pure_state(v) for v in vectors]
+    return [DensityMatrix(m) for m in _density_stack(_projectors(np.array(vectors, dtype=complex)))]
 
 
 def dynamics_suite(seed: int, coeffs: MapCoefficients, contraction_pairs: int = 20) -> list[PropertyCheck]:

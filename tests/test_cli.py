@@ -19,6 +19,8 @@ from backflow.cli import (
 )
 from backflow.dynamics import lambda_map_coefficients, make_grid, rates_from_model
 from backflow.errors import BackflowError, ParseError, ValidationError
+from backflow.measure import estimate_measure
+from backflow.statespace import is_orthogonal, make_density_matrix
 
 MPAIR_BACKFLOW = 1.0 - np.exp(-0.12)
 
@@ -199,6 +201,54 @@ def test_bad_candidate_pair_is_one_error_naming_it(tmp_path, capsys, pair, error
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error ({error}): candidate_pairs[0] {reason}")
+
+
+def lone_door_fault(pair, where):
+    """The candidate rule for one pair alone, as the door once checked each
+    pair in turn: its shapes, then is_orthogonal; None for a good pair."""
+    shapes = [rho.entries.shape for rho in pair]
+    if shapes != [(3, 3), (3, 3)]:
+        return errors.BadDimension, f"{where} is not a pair of 3x3 states, got shapes {shapes}"
+    if not is_orthogonal(*pair):
+        return ValidationError, f"{where} is not orthogonal; the maximization is restricted to orthogonal pairs"
+    return None
+
+
+DOOR_PAIRS = {
+    "good": [np.diag([1, 0, 0]).tolist(), np.diag([0, 1, 0]).tolist()],
+    "non-orthogonal": [np.diag([1, 0, 0]).tolist(), [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]]],
+    "2x2": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+    "3x3-2x2": [np.diag([1, 0, 0]).tolist(), [[0, 0], [0, 1]]],
+}
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("non-orthogonal", "2x2"),
+        ("2x2", "non-orthogonal"),
+        ("good", "non-orthogonal", "2x2"),
+        ("good", "2x2", "non-orthogonal"),
+        ("good", "good", "non-orthogonal"),
+        ("good", "3x3-2x2", "non-orthogonal"),
+    ],
+    ids="-then-".join,
+)
+def test_stacked_door_raises_the_first_fault_in_input_order(names):
+    # the door checks every pair in one stacked call, yet the first faulty
+    # pair in input order keeps the class and message of checking it alone
+    entries = [DOOR_PAIRS[name] for name in names]
+    pairs = [tuple(make_density_matrix(np.array(rho, dtype=complex)) for rho in pair) for pair in entries]
+    coeffs = lambda_map_coefficients(rates_from_model(cli._default_model()), make_grid(2 * np.pi, 100))
+    for run, where in (
+        (lambda: estimate_measure(coeffs, 1, explicit_pairs=tuple(pairs)), "explicit candidate pair {}"),
+        (lambda: parse_config(None, {"candidate_pairs": entries}), "candidate_pairs[{}]"),
+    ):
+        error, message = next(f for i, pair in enumerate(pairs) if (f := lone_door_fault(pair, where.format(i))))
+        with pytest.raises(BackflowError) as caught:
+            run()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 # each file content once ended in a UnicodeDecodeError, RecursionError or ValueError traceback

@@ -145,6 +145,8 @@ def callers_outside_the_tests() -> set[str]:
 UNCALLED_ON_PURPOSE = {
     "haar_unitary": "the documented Haar sampler; the package draws its unitaries as stacks",
     "is_boundary": "the paper's claim that optimal pairs lie on the boundary, which ROADMAP item 2 gates on",
+    "pure_state": "the documented pure-state constructor; the package builds its projectors as stacks",
+    "is_orthogonal": "the paper's claim that optimal pairs are orthogonal; measure's door applies its rule stacked",
 }
 
 

@@ -20,6 +20,9 @@ from backflow.measure import (
     TraceDistanceTrajectory,
     _batched_backflows,
     _blocked,
+    _first_maximum,
+    _given,
+    _scored_chunks,
     _streamed_backflows,
     backflow,
     estimate_measure,
@@ -128,6 +131,19 @@ def block_candidates(sampler, seed, tag, n, block=SAMPLE_BLOCK):
 def differences(pairs):
     """The (n, 3, 3) stack of the pairs' state differences."""
     return np.array([rho1.entries - rho2.entries for rho1, rho2 in pairs])
+
+
+def rebuilt_winner(ends, source, n, block):
+    """A class's largest backflow and first maximizing pair as scoring all
+    its candidates and then rebuilding that pair from its source gives them."""
+    values = _streamed_backflows(ends, source, n, RISE_TOLERANCE, block)
+    first = int(np.argmax(values))
+    return float(values[first]), source(first, first + 1)[:, 0]
+
+
+def stacked(pairs):
+    """The (2, n, 3, 3) stack of the pairs' first and second states."""
+    return np.stack([[rho.entries for rho in pair] for pair in pairs], axis=1)
 
 
 def ks_statistic(a, b):
@@ -346,8 +362,8 @@ class TestEstimateMeasure:
             estimate_measure(preset_coeffs, 1, explicit_pairs=(pure_ab_pair(), bad))
 
     def test_deterministic_across_batch_sizes(self, monkeypatch, scored_rows):
-        # every class is scored in batches and its winner rebuilt from its
-        # source, so the batch size must change nothing
+        # every class is scored in batches and keeps its winner as it
+        # scores, so the batch size must change nothing
         coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
         kept = stretch_ends(coeffs).grid.size
         explicit = (pure_ab_pair(), mixed_reference_pair(), pure_a_plus_pair()) * 30
@@ -429,6 +445,97 @@ class TestEstimateMeasure:
         assert matrices == []
 
 
+class TestKeptWinner:
+    # each class keeps its first maximum while it scores, which must be
+    # bitwise the pair that rebuilding the first maximum from its source gives
+
+    NAMED = (pure_ab_pair(), mixed_reference_pair(), pure_a_plus_pair())
+
+    @pytest.mark.parametrize("block, batch", [(SAMPLE_BLOCK, None), (7, 5), (2, 1)], ids=["default", "7-5", "2-1"])
+    @pytest.mark.parametrize("label", ["pure", "mixed", "explicit"])
+    def test_each_class_keeps_the_rebuilt_winner(self, monkeypatch, label, block, batch):
+        coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
+        ends = stretch_ends(coeffs)
+        if batch is not None:
+            monkeypatch.setattr(measure, "SCORE_POINTS", batch * ends.grid.size)
+        n = 30
+        source, block = {
+            "pure": (_blocked(_pure_pairs_from_ginibre, 11, (0,), block), block),
+            "mixed": (_blocked(_mixed_pairs_from_ginibre, 11, (1,), block), block),
+            "explicit": (_given(stacked(self.NAMED * 10)), 1),
+        }[label]
+        chunks = list(_scored_chunks(ends, source, n, RISE_TOLERANCE, block))
+        assert len(chunks) == (1 if batch is None else -(-n // max(block, batch)))
+        value, pair = _first_maximum(iter(chunks))
+        expected_value, expected_pair = rebuilt_winner(ends, source, n, block)
+        assert value == expected_value
+        assert pair.shape == (2, 3, 3) and not pair.flags.writeable
+        assert np.array_equal(pair, expected_pair)
+
+    def test_a_tie_keeps_the_first_maximum(self):
+        # argmax within a chunk, a strictly greater value across chunks
+        states = np.arange(5 * 18, dtype=float).reshape(2, 5, 3, 3)
+        chunks = [(states[:, :3], np.array([1.0, 3.0, 3.0])), (states[:, 3:], np.array([3.0, 2.0]))]
+        value, pair = _first_maximum(iter(chunks))
+        assert value == 3.0
+        assert np.array_equal(pair, states[:, 1])
+        chunks.append((states[:, :1], np.array([4.0])))
+        assert np.array_equal(_first_maximum(iter(chunks))[1], states[:, 0])
+
+    @pytest.mark.parametrize(
+        "samples, seed, named, block, batch, winner",
+        [
+            (3, 17, 0, SAMPLE_BLOCK, None, "pure"),
+            (8, 16, 0, 2, 2, "pure"),
+            (30, 4, 0, 7, 5, "mixed"),
+            (90, 17, 30, SAMPLE_BLOCK, 7, "explicit"),
+            (90, 17, 30, SAMPLE_BLOCK, None, "explicit"),
+        ],
+    )
+    def test_estimate_keeps_the_rebuilt_winner(self, monkeypatch, samples, seed, named, block, batch, winner):
+        # the (pure-ab, reference, pure-a-plus) * 30 explicit class ties its
+        # reference value at every third pair, across chunks at batch 7
+        coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
+        ends = stretch_ends(coeffs)
+        monkeypatch.setattr(measure, "SAMPLE_BLOCK", block)
+        if batch is not None:
+            monkeypatch.setattr(measure, "SCORE_POINTS", batch * ends.grid.size)
+        explicit = self.NAMED * named
+        result = estimate_measure(coeffs, samples, seed=seed, explicit_pairs=explicit)
+        classes = {
+            "pure": rebuilt_winner(ends, _blocked(_pure_pairs_from_ginibre, seed, (0,), block), samples, block),
+            "mixed": rebuilt_winner(ends, _blocked(_mixed_pairs_from_ginibre, seed, (1,), block), samples, block),
+        }
+        if explicit:
+            classes["explicit"] = rebuilt_winner(ends, _given(stacked(explicit)), len(explicit), 1)
+        assert result.candidate_breakdown == {label: value for label, (value, _) in classes.items()}
+        best = max(classes, key=lambda label: classes[label][0])  # the first of equal maxima
+        assert best == winner
+        assert result.estimate == classes[best][0]
+        for got, expected in zip(result.best_pair, classes[best][1]):
+            assert np.array_equal(got.entries, expected)
+
+
+class TestNamedPairs:
+    @pytest.mark.parametrize(
+        "build, vectors",
+        [
+            (pure_ab_pair, ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])),
+            (pure_a_plus_pair, ([1.0, 0.0, 0.0], np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0))),
+            (mixed_reference_pair, ([1.0, 0.0, 0.0], None)),
+        ],
+        ids=["pure-ab", "pure-a-plus", "mpair"],
+    )
+    def test_each_entry_is_its_lone_build(self, build, vectors):
+        # the four named states come from one stacked build, bitwise the
+        # pure_state and make_density_matrix builds of each alone
+        mixture = make_density_matrix(np.diag([0.0, 0.5, 0.5]).astype(complex))
+        lone = [pure_state(np.array(v)) if v is not None else mixture for v in vectors]
+        for got, expected in zip(build(), lone):
+            assert np.array_equal(got.entries, expected.entries)
+            assert not got.entries.flags.writeable
+
+
 class TestBlockStreams:
     # candidate i of measure's class c is the (i mod SAMPLE_BLOCK)-th read of
     # the stream (seed, c, i // SAMPLE_BLOCK); histogram sample i follows the
@@ -462,8 +569,8 @@ class TestBlockStreams:
         "block, n", [(7, 30), (SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 1)], ids=["block-7", "default-block"]
     )
     def test_a_class_reads_each_block_once(self, monkeypatch, streams_read, block, n, batch):
-        # chunks cover whole blocks, so each block is drawn once, and the
-        # winner's rebuild reads its own block again, up to the winner
+        # chunks cover whole blocks, so each block is drawn once, and each
+        # class keeps its winner as it scores, so no block is read again
         coeffs = lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400))
         monkeypatch.setattr(measure, "SAMPLE_BLOCK", block)
         monkeypatch.setattr(measure, "SCORE_POINTS", batch * stretch_ends(coeffs).grid.size)
@@ -472,10 +579,8 @@ class TestBlockStreams:
         blocks = -(-n // block)
         for tag in (0, 1):
             keys = [key for key in opened if key[1] == tag]
-            assert len(keys) == blocks + 1
-            assert sorted(keys[:-1]) == [(4, tag, b) for b in range(blocks)]
-            assert [keys[-1]] in streams_read  # the rebuild reads one block, in a call of its own
-        assert len(opened) == 2 * (blocks + 1)
+            assert keys == [(4, tag, b) for b in range(blocks)]
+        assert len(opened) == 2 * blocks
 
     def test_histogram_moves_one_generator_a_chunk(self, streams_read, preset_coeffs):
         # sample i is the stream (seed, i), reached by moving one generator

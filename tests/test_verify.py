@@ -24,6 +24,7 @@ from backflow.statespace import (
     is_orthogonal,
     jordan_hahn,
     make_density_matrix,
+    pure_state,
     rescale_pair,
     rng_stream,
     sample_orthogonal_mixed_pair,
@@ -176,6 +177,19 @@ def test_spanning_states_span_the_hermitian_matrices():
     flat = np.stack([np.concatenate([s.entries.real.ravel(), s.entries.imag.ravel()]) for s in spanning_states()])
     assert flat.shape == (9, 18)
     assert np.linalg.matrix_rank(flat) == 9
+
+
+def test_spanning_states_are_the_lone_pure_state_builds():
+    # one stacked build of the nine projectors is bitwise nine pure_state calls
+    eye = np.eye(3)
+    vectors = list(eye)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        vectors += [eye[i] + eye[j], eye[i] + 1j * eye[j]]
+    states = spanning_states()
+    assert len(states) == len(vectors)
+    for state, vector in zip(states, vectors):
+        assert np.array_equal(state.entries, pure_state(vector).entries)
+        assert not state.entries.flags.writeable
 
 
 def test_integrator_agreement_detects_a_different_map(seed=108):
