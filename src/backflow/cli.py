@@ -27,9 +27,6 @@ from .measure import (
     backflow,
     estimate_measure,
     histogram_backflow,
-    mixed_reference_pair,
-    pure_a_plus_pair,
-    pure_ab_pair,
     trace_distance_trajectory,
 )
 from .statespace import DensityMatrix, make_density_matrix, trace_distance
@@ -37,13 +34,6 @@ from .translation import jointly_translate
 from .verify import run_all
 
 TAU = 2.0 * np.pi
-
-# the --pair presets; cmd_measure builds the same three, in this order, in one _named_pairs call
-_NAMED_PAIRS = {
-    "mpair": mixed_reference_pair,
-    "pure-ab": pure_ab_pair,
-    "pure-a-plus": pure_a_plus_pair,
-}
 
 
 # --- matrix (de)serialization -------------------------------------------
@@ -88,8 +78,9 @@ def _read_json(path: str):
 
 def resolve_pair(spec: str) -> tuple[DensityMatrix, DensityMatrix]:
     """Named pair preset or path to a JSON file holding two matrices."""
-    if spec in _NAMED_PAIRS:
-        return _NAMED_PAIRS[spec]()
+    named = _named_pairs()
+    if spec in named:
+        return named[spec]
     try:
         data = _read_json(spec)
     except OSError as exc:
@@ -400,7 +391,7 @@ def cmd_trajectory(config: RunConfig, pair_spec: str) -> tuple[RunReport, int]:
 def cmd_measure(config: RunConfig) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
     _, coeffs = _coefficients(config)
-    explicit = _named_pairs() + tuple(config.candidate_pairs)
+    explicit = (*_named_pairs().values(), *config.candidate_pairs)
     t1 = time.perf_counter()
     result = estimate_measure(coeffs, config.samples, config.seed, explicit)
     t2 = time.perf_counter()

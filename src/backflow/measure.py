@@ -53,29 +53,30 @@ StatePair = tuple[DensityMatrix, DensityMatrix]
 RISE_TOLERANCE = 1e-10
 
 
-def _named_pairs() -> tuple[StatePair, StatePair, StatePair]:
-    """The reference, a-b and a-plus pairs, from one validated stack of the
-    four named states |a>, |b>, (|b> + |c>)/sqrt(2) and diag(0, 1/2, 1/2),
-    each bit-identical to building it alone."""
+def _named_pairs() -> dict[str, StatePair]:
+    """The named pairs in order, the reference ``mpair``, ``pure-ab`` and
+    ``pure-a-plus``, from one validated stack of the four named states |a>,
+    |b>, (|b> + |c>)/sqrt(2) and diag(0, 1/2, 1/2), each bit-identical to
+    building it alone."""
     vectors = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0] / np.sqrt(2.0)], dtype=complex)
     mixture = np.diag([0.0, 0.5, 0.5]).astype(complex)
     a, b, plus, mixed = map(DensityMatrix, _density_stack(np.concatenate([_projectors(vectors), mixture[None]])))
-    return (a, mixed), (a, b), (a, plus)
+    return {"mpair": (a, mixed), "pure-ab": (a, b), "pure-a-plus": (a, plus)}
 
 
 def mixed_reference_pair() -> StatePair:
     """Excited state vs the uniform mixture of both ground states."""
-    return _named_pairs()[0]
+    return _named_pairs()["mpair"]
 
 
 def pure_ab_pair() -> StatePair:
     """Excited state vs first ground state."""
-    return _named_pairs()[1]
+    return _named_pairs()["pure-ab"]
 
 
 def pure_a_plus_pair() -> StatePair:
     """Excited state vs the even ground-state superposition."""
-    return _named_pairs()[2]
+    return _named_pairs()["pure-a-plus"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +212,7 @@ def _given(states: np.ndarray) -> PairSource:
 
 
 def _scored_chunks(
-    ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float, block: int = 1
+    ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pairs 0..n-1 of ``source`` a drawn chunk at a time, each chunk's
     (2, m, 3, 3) states with their m backflows at the stretch ends ``ends``,
@@ -225,12 +226,12 @@ def _scored_chunks(
     1.2 s at 64, 1.1 s at 512 and 1024, while its traced peak grew from
     1.2 to 1.3 MB at 512, 1.6 MB at 1024 and 2.9 MB at 2048.
 
-    A source drawn ``block`` pairs a stream is drawn in chunks of whole
-    blocks, rounded down but at least one, so each block is drawn once.
+    Every source is drawn in chunks of whole SAMPLE_BLOCKs, rounded down but
+    at least one, so a measure class reads each of its blocks once.
     """
     batch = max(1, SCORE_POINTS // ends.grid.size)
     chunk = batch * max(1, SCORE_POINTS // 8 // batch)
-    chunk = max(block, chunk // block * block)
+    chunk = max(SAMPLE_BLOCK, chunk // SAMPLE_BLOCK * SAMPLE_BLOCK)
     for first in range(0, n, chunk):
         states = source(first, min(first + chunk, n))
         deltas = np.subtract(*states)
@@ -240,15 +241,13 @@ def _scored_chunks(
         yield states, values
 
 
-def _streamed_backflows(
-    ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float, block: int = 1
-) -> np.ndarray:
+def _streamed_backflows(ends: MapCoefficients, source: PairSource, n: int, rise_tolerance: float) -> np.ndarray:
     """Backflows of the pairs 0..n-1 of ``source``, scored as :func:`_scored_chunks` scores them."""
     # filled in place, since concatenating the chunks would hold them and
     # the result at once, two 80 MB copies at the histogram's sample cap
     values = np.empty(n)
     first = 0
-    for _, part in _scored_chunks(ends, source, n, rise_tolerance, block):
+    for _, part in _scored_chunks(ends, source, n, rise_tolerance):
         values[first : first + len(part)] = part
         first += len(part)
     return values
@@ -326,14 +325,14 @@ def estimate_measure(
     breakdown: dict[str, float] = {}
     # each class is scored in stacked chunks and keeps its first maximum as
     # it goes, so no candidate list is kept and no candidate drawn twice
-    for label, source, n, block in (
-        ("pure", _blocked(_pure_pairs_from_ginibre, seed, (0,), SAMPLE_BLOCK), samples, SAMPLE_BLOCK),
-        ("mixed", _blocked(_mixed_pairs_from_ginibre, seed, (1,), SAMPLE_BLOCK), samples, SAMPLE_BLOCK),
-        ("explicit", _given(explicit), len(explicit_pairs), 1),
+    for label, source, n in (
+        ("pure", _blocked(_pure_pairs_from_ginibre, seed, (0,), SAMPLE_BLOCK), samples),
+        ("mixed", _blocked(_mixed_pairs_from_ginibre, seed, (1,), SAMPLE_BLOCK), samples),
+        ("explicit", _given(explicit), len(explicit_pairs)),
     ):
         if n == 0:
             continue
-        breakdown[label], pair = _first_maximum(_scored_chunks(ends, source, n, RISE_TOLERANCE, block))
+        breakdown[label], pair = _first_maximum(_scored_chunks(ends, source, n, RISE_TOLERANCE))
         if breakdown[label] > best_value:
             best_value, best_pair = breakdown[label], pair
 
@@ -393,8 +392,8 @@ def histogram_backflow(coeffs: MapCoefficients, n_samples: int, bins: int, seed:
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     ends = stretch_ends(coeffs)
-    reference_pair = np.stack([rho.entries for rho in mixed_reference_pair()])[:, None]
-    reference = float(_streamed_backflows(ends, _given(reference_pair), 1, RISE_TOLERANCE)[0])
+    rho1, rho2 = mixed_reference_pair()
+    reference = float(_batched_backflows(ends, (rho1.entries - rho2.entries)[None], RISE_TOLERANCE)[0])
     # the stretch ends of the stretch ends are the same points, so the
     # samples are scored on them without a second search of the full grid
     values = sampled_backflows(ends, n_samples, seed, rise_tolerance=RISE_TOLERANCE)

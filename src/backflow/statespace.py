@@ -147,7 +147,8 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Hermitian observable-like operator; :meth:`from_matrix` can also check it is traceless."""
+    """Hermitian operator, checked by the stacked code that builds it: a
+    Jordan-Hahn part or a translation shift."""
 
     entries: np.ndarray
 
@@ -155,22 +156,15 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def from_matrix(cls, entries: np.ndarray, traceless: bool = False) -> "HermitianOperator":
-        m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-        return cls(_operator_stack(m[None], traceless)[0])
 
-
-def _operator_stack(stack: np.ndarray, traceless: bool) -> np.ndarray:
-    """:meth:`HermitianOperator.from_matrix` on an (n, N, N) stack; each
-    read-only result is bit-identical to checking its matrix alone."""
+def _operator_stack(stack: np.ndarray) -> np.ndarray:
+    """The Hermitian parts of an (n, N, N) stack of finite, nearly Hermitian
+    and traceless operators, read-only; each is bit-identical to checking
+    its matrix alone."""
     m = _hermitian_parts(stack, "operator entries (matrix, row, column)")
-    if traceless:
-        tr = float(np.abs(m.trace(axis1=1, axis2=2)).max())
-        if tr > TOL_TRACE:
-            raise BadTrace(f"|trace| = {tr:.3e} exceeds {TOL_TRACE:.1e} for traceless operator")
+    tr = float(np.abs(m.trace(axis1=1, axis2=2)).max())
+    if tr > TOL_TRACE:
+        raise BadTrace(f"|trace| = {tr:.3e} exceeds {TOL_TRACE:.1e} for traceless operator")
     m.setflags(write=False)
     return m
 
@@ -423,8 +417,8 @@ def jordan_hahn(rho1: DensityMatrix, rho2: DensityMatrix) -> JordanHahnParts:
 
 def _jordan_hahn_stack(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`jordan_hahn` on an (n, N, N) stack of state differences: the
-    read-only (2, n, N, N) stack of the parts P1 and P2, checked and made
-    Hermitian as :meth:`HermitianOperator.from_matrix` keeps them, and the
+    read-only (2, n, N, N) stack of the parts P1 and P2, checked finite and
+    nearly Hermitian and replaced by their Hermitian parts, and the
     (n,) weights. Each pair's split is bit-identical to splitting it alone."""
     parts, weights = _signed_parts(deltas)
     # the largest clipped weight is the largest |eigenvalue| of the difference
@@ -481,10 +475,9 @@ def rescale_pair(
     is at least 1 - TOL_ORTH as in :func:`is_orthogonal`, are already in this
     form and are returned unchanged with lam = 1.
     """
-    parts = jordan_hahn(rho1, rho2)
-    split = np.stack([parts.positive_part.entries, parts.negative_part.entries])[:, None]
+    _check_same_dim(rho1, rho2)
     pair = np.stack([rho1.entries, rho2.entries])[:, None]
-    (sigma1, sigma2), (lam,) = _rescaled_pairs(pair, split, np.array([parts.weight]))
+    (sigma1, sigma2), (lam,) = _rescaled_pairs(pair, *_jordan_hahn_stack(pair[0] - pair[1]))
     if lam == 1.0:  # a kept pair: any other weight is below 1 - TOL_ORTH
         return rho1, rho2, 1.0
     return DensityMatrix(sigma1[0]), DensityMatrix(sigma2[0]), float(lam)

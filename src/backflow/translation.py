@@ -7,35 +7,40 @@ construction works off a pair of overlapping support eigenvectors: their
 normalized sum/difference superpositions define rank-1 projectors whose
 weighted combination is the shift direction.
 
-Each step runs on a (2, n, N, N) stack of pairs, and each public function
-is its one-pair case; :func:`_translations` chains the steps over a stack
-without raising on a pair. Each pair's result is bit-identical to
-translating it alone.
+One chain runs on a (2, n, N, N) stack of pairs: :func:`_shifts` selects
+the eigenvectors and builds the shifts, and :func:`_translations` applies
+them, raising on no pair. Each public function is row 0 of that chain on
+the (2, 1, N, N) stack of its one pair, so ``translate`` runs exactly what
+``verify`` runs, and each pair's result is bit-identical to translating it
+alone. The shift is SHIFT_FRACTION of the admissible bound epsilon_max.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BackflowError, DomainError, OrthogonalPair, PositivityFailure
 from .statespace import (
-    TOL_ORTH,
     TOL_PSD,
     DensityMatrix,
     HermitianOperator,
-    _check_same_dim,
     _density_stack,
     _operator_stack,
+    _orthogonal,
     _projectors,
-    _trace_distances,
+    is_orthogonal,
     spectral_decomposition,
 )
 
 # Below this vector norm the difference superposition is treated as zero
 # (fully aligned eigenvectors, overlap 1).
 _DEGENERATE_NORM = 1e-12
+
+# The shift's share of epsilon_max: any value in (0, 1) keeps both
+# translated states strictly positive; the middle of the range is used.
+SHIFT_FRACTION = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +64,7 @@ class ShiftConstruction:
     """Shift operator data for one translatable pair.
 
     ``shift`` is epsilon times the direction of :func:`build_shift_operator`,
-    with epsilon strictly inside (0, epsilon_max); ``norm_ratio`` is the
+    with epsilon = SHIFT_FRACTION * epsilon_max; ``norm_ratio`` is the
     squared ratio of the superposition normalizations, (1 - overlap) / (1 + overlap).
     """
 
@@ -70,10 +75,20 @@ class ShiftConstruction:
     shift: HermitianOperator
 
 
-def _pair_stack(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """The (2, 1, N, N) stack of one pair."""
-    _check_same_dim(rho1, rho2)
+def _translatable_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """The (2, 1, N, N) stack of one pair, which must not be orthogonal."""
+    if is_orthogonal(rho1, rho2):
+        raise OrthogonalPair("supports are orthogonal; no overlapping eigenvector pair exists")
     return np.stack([rho1.entries, rho2.entries])[:, None]
+
+
+def _first(selection: OverlapSelection) -> OverlapSelection:
+    """Row 0 of a stacked selection, its scalars as floats."""
+    return OverlapSelection(
+        selection.vector1[0],
+        selection.vector2[0],
+        *(float(getattr(selection, name)[0]) for name in ("overlap", "weight1", "weight2")),
+    )
 
 
 def overlap_selection(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapSelection:
@@ -83,14 +98,7 @@ def overlap_selection(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapSelect
     participate; the winner maximizes |<psi_i|psi_j>|, which maximizes the
     admissible shift magnitude downstream.
     """
-    if not is_jointly_translatable(rho1, rho2):
-        raise OrthogonalPair("supports are orthogonal; no overlapping eigenvector pair exists")
-    selection = _overlap_selections(_pair_stack(rho1, rho2))
-    return OverlapSelection(
-        selection.vector1[0],
-        selection.vector2[0],
-        *(float(getattr(selection, name)[0]) for name in ("overlap", "weight1", "weight2")),
-    )
+    return _first(_overlap_selections(_translatable_pair(rho1, rho2)))
 
 
 def _overlap_selections(pairs: np.ndarray) -> OverlapSelection:
@@ -154,35 +162,25 @@ def epsilon_upper_bound(alpha: float, dim: int, min_weight: float) -> float:
     return alpha * 2.0 * (1.0 + alpha) * min_weight / dim
 
 
-def build_shift_operator(
-    rho1: DensityMatrix, rho2: DensityMatrix, epsilon_fraction: float = 0.5
-) -> ShiftConstruction:
-    """Construct the traceless shift for a non-orthogonal pair.
+def build_shift_operator(rho1: DensityMatrix, rho2: DensityMatrix) -> ShiftConstruction:
+    """Construct the traceless shift for a non-orthogonal pair: row 0 of
+    :func:`_shifts` on the pair's one-pair stack.
 
     The direction is P_plus - r*P_minus - (1 - r)/N * identity with
     r = (1 - alpha)/(1 + alpha); at alpha = 1 the minus superposition
     degenerates and its projector is replaced by zero, which the vanishing
-    coefficient makes seamless.
+    coefficient makes seamless. The shift is SHIFT_FRACTION (one half) of
+    epsilon_max times the direction.
     """
-    if not 0.0 < epsilon_fraction < 1.0:
-        raise DomainError(f"epsilon_fraction must be in (0, 1), got {epsilon_fraction}")
-    sel = overlap_selection(rho1, rho2)
-    stacked = OverlapSelection(*(np.asarray(getattr(sel, field.name))[None] for field in fields(sel)))
-    ratio, eps_max, directions = _shift_directions(stacked)
-    epsilon = epsilon_fraction * float(eps_max[0])
-    return ShiftConstruction(
-        selection=sel,
-        norm_ratio=float(ratio[0]),
-        epsilon_max=float(eps_max[0]),
-        epsilon=epsilon,
-        shift=HermitianOperator.from_matrix(epsilon * directions[0], traceless=True),
-    )
+    return _construction(*_shifts(_translatable_pair(rho1, rho2)))
 
 
-def _shift_directions(selection: OverlapSelection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (n,) ratios r, (n,) bounds epsilon_max and (n, N, N) unchecked
-    directions of :func:`build_shift_operator` for a stacked selection."""
-    dim = selection.vector1.shape[-1]
+def _shifts(pairs: np.ndarray) -> tuple[OverlapSelection, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`build_shift_operator` on a (2, n, N, N) stack of translatable
+    pairs: the stacked selection, the (n,) ratios r, the (n,) bounds
+    epsilon_max and the (n, N, N) checked, read-only shifts."""
+    selection = _overlap_selections(pairs)
+    dim = pairs.shape[-1]
     alpha = selection.overlap
     plus = selection.vector1 + selection.vector2
     minus = selection.vector1 - selection.vector2
@@ -195,27 +193,41 @@ def _shift_directions(selection: OverlapSelection) -> tuple[np.ndarray, np.ndarr
     directions = _projectors(plus) - factor * proj_minus - (1.0 - factor) * np.eye(dim) / dim
     min_weights = np.minimum(selection.weight1, selection.weight2)
     eps_max = np.array([epsilon_upper_bound(a, dim, w) for a, w in zip(alpha.tolist(), min_weights.tolist())])
-    return ratio, eps_max, directions
+    shifts = _operator_stack(SHIFT_FRACTION * eps_max[:, None, None] * directions)
+    return selection, ratio, eps_max, shifts
+
+
+def _construction(
+    selection: OverlapSelection, ratio: np.ndarray, eps_max: np.ndarray, shifts: np.ndarray
+) -> ShiftConstruction:
+    """Row 0 of :func:`_shifts` as the one pair's construction."""
+    return ShiftConstruction(
+        selection=_first(selection),
+        norm_ratio=float(ratio[0]),
+        epsilon_max=float(eps_max[0]),
+        epsilon=SHIFT_FRACTION * float(eps_max[0]),
+        shift=HermitianOperator(shifts[0]),
+    )
 
 
 def jointly_translate(
-    rho1: DensityMatrix, rho2: DensityMatrix, epsilon_fraction: float = 0.5
+    rho1: DensityMatrix, rho2: DensityMatrix
 ) -> tuple[DensityMatrix, DensityMatrix, ShiftConstruction]:
-    """Shift both states into the interior, preserving their difference.
+    """Shift both states into the interior, preserving their difference:
+    row 0 of :func:`_translations` on the pair's one-pair stack.
 
     Returns (rho1 - A, rho2 - A, construction); both outputs are validated
     states with strictly positive spectrum. A failure of that validation
     signals a numerical-tolerance problem, since the construction
     guarantees positivity for any epsilon inside the admissible interval.
     """
-    construction = build_shift_operator(rho1, rho2, epsilon_fraction)
-    translated, interior = _translated(_pair_stack(rho1, rho2), construction.shift.entries)
+    *shift_data, translated, interior = _translations(_translatable_pair(rho1, rho2))
     for k in (0, 1):
         if not interior[k, 0]:
             raise PositivityFailure(
                 f"translated state {k + 1} is not a state with every eigenvalue above {TOL_PSD:.1e}"
             )
-    return DensityMatrix(translated[0, 0]), DensityMatrix(translated[1, 0]), construction
+    return DensityMatrix(translated[0, 0]), DensityMatrix(translated[1, 0]), _construction(*shift_data)
 
 
 def _translated(pairs: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,24 +254,21 @@ def _translated(pairs: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _translations(
-    pairs: np.ndarray, epsilon_fraction: float
-) -> tuple[OverlapSelection, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    pairs: np.ndarray,
+) -> tuple[OverlapSelection, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`jointly_translate` on a (2, n, N, N) stack of translatable pairs,
-    without raising on a pair: the stacked selection, the (n,) bounds
-    epsilon_max, the (n, N, N) shifts, and the translated pairs and
-    interior mask of :func:`_translated`."""
-    selection = _overlap_selections(pairs)
-    _, eps_max, directions = _shift_directions(selection)
-    shifts = _operator_stack(epsilon_fraction * eps_max[:, None, None] * directions, traceless=True)
-    return selection, eps_max, shifts, *_translated(pairs, shifts)
+    without raising on a pair: the four results of :func:`_shifts`, then the
+    translated pairs and interior mask of :func:`_translated`."""
+    selection, ratio, eps_max, shifts = _shifts(pairs)
+    return selection, ratio, eps_max, shifts, *_translated(pairs, shifts)
 
 
 def is_jointly_translatable(rho1: DensityMatrix, rho2: DensityMatrix) -> bool:
     """Translatable if and only if the pair is not orthogonal."""
-    return bool(_translatable(_pair_stack(rho1, rho2))[0])
+    return not is_orthogonal(rho1, rho2)
 
 
 def _translatable(pairs: np.ndarray) -> np.ndarray:
-    """:func:`is_jointly_translatable` on a (2, n, N, N) stack of pairs: a
-    trace distance below 1 - TOL_ORTH, the test of ``is_orthogonal``."""
-    return _trace_distances(pairs[0] - pairs[1]) < 1.0 - TOL_ORTH
+    """:func:`is_jointly_translatable` on a (2, n, N, N) stack of pairs: not
+    orthogonal by the rule of ``is_orthogonal``."""
+    return ~_orthogonal(pairs[0] - pairs[1])

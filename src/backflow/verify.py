@@ -310,7 +310,7 @@ def translation_suite(
     for dim, pairs, _, tails in _pair_blocks(
         seed, 30, dims, trials, lambda rng, dim: rng.standard_normal((2, dim, dim))
     ):
-        selection, eps_max, shifts, translated, _ = _translations(pairs, 0.5)
+        selection, _, eps_max, shifts, translated, _ = _translations(pairs)
         # a pair that is not strictly interior stays as it is, and so does
         # each pair under the fault; the interior check records them
         moved = pairs + shifts if inject_fault == "shift-sign" else translated
@@ -390,7 +390,7 @@ def backflow_scaling_suite(seed: int, coeffs: MapCoefficients, trials: int = 100
         bf, bf_rescaled, bf_base, bf_stretched = scores.reshape(4, -1)
         worst.see("rescaled-backflow-law", *np.abs(bf_rescaled - bf / lam))
         worst.see("stretched-backflow-law", *np.abs(bf_stretched - stretch[:, 0, 0] * bf_base))
-        translated = _translations(pairs, 0.5)[3]
+        translated = _translations(pairs)[4]
         invariance = _trajectory(
             coeffs, np.stack([pairs, translated], axis=2), lambda d: np.abs(d[:, 0] - d[:, 1]).max(axis=-1)
         )

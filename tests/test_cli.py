@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields
 
@@ -519,6 +520,35 @@ class TestTranslateCommand:
         assert results["distance_preserved"] < 1e-10
         shift = matrix_from_json(results["shift"], "shift")
         assert abs(np.trace(shift)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "pair, digest",
+        [
+            (
+                [[[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]],
+                "4751207422fd9d27b51f26fb67cff36030c106a0090384092365aa4857a49626",
+            ),
+            (
+                [
+                    [[0.5, [0.1, 0.05], 0], [[0.1, -0.05], 0.3, 0.05], [0, 0.05, 0.2]],
+                    [[0.2, 0, 0.1], [0, 0.4, [0, 0.1]], [0.1, [0, -0.1], 0.4]],
+                ],
+                "48e97f79ba5ce858cca3280dd150c6078ea6573660b60f02060ab52949e09c72",
+            ),
+            (
+                [[[0.5, 0], [0, 0.5]], [[0.5, 0], [0, 0.5]]],
+                "5c915ec5716b3ce20dd388d686cdcc8efd97228df27d2f829fb725ac188c49e8",
+            ),
+        ],
+        ids=["zero-plus", "mixed-3x3", "aligned-overlap-1"],
+    )
+    def test_payload_bytes_are_pinned(self, tmp_path, monkeypatch, pair, digest):
+        # the whole payload, run with relative file names: a change to the
+        # selection, the shift or the translated pair changes these bytes
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "pair.json", pair)
+        assert main(["translate", "--pair", "pair.json", "--output", "translate.json"]) == 0
+        assert hashlib.sha256((tmp_path / "translate.json").read_bytes()).hexdigest() == digest
 
     def test_orthogonal_pair_exit_code(self, capsys):
         assert main(["translate", "--pair", "pure-ab"]) == 1

@@ -146,7 +146,10 @@ UNCALLED_ON_PURPOSE = {
     "haar_unitary": "the documented Haar sampler; the package draws its unitaries as stacks",
     "is_boundary": "the paper's claim that optimal pairs lie on the boundary, which ROADMAP item 2 gates on",
     "pure_state": "the documented pure-state constructor; the package builds its projectors as stacks",
-    "is_orthogonal": "the paper's claim that optimal pairs are orthogonal; measure's door applies its rule stacked",
+    "is_jointly_translatable": "the paper's theorem that a pair translates iff it is not orthogonal",
+    "overlap_selection": "the documented first step of the translation; the one-pair functions take it from the chain",
+    "pure_ab_pair": "a documented named pair; the CLI reads the named pairs from measure's one table",
+    "pure_a_plus_pair": "a documented named pair; the CLI reads the named pairs from measure's one table",
 }
 
 

@@ -133,10 +133,10 @@ def differences(pairs):
     return np.array([rho1.entries - rho2.entries for rho1, rho2 in pairs])
 
 
-def rebuilt_winner(ends, source, n, block):
+def rebuilt_winner(ends, source, n):
     """A class's largest backflow and first maximizing pair as scoring all
     its candidates and then rebuilding that pair from its source gives them."""
-    values = _streamed_backflows(ends, source, n, RISE_TOLERANCE, block)
+    values = _streamed_backflows(ends, source, n, RISE_TOLERANCE)
     first = int(np.argmax(values))
     return float(values[first]), source(first, first + 1)[:, 0]
 
@@ -458,16 +458,18 @@ class TestKeptWinner:
         ends = stretch_ends(coeffs)
         if batch is not None:
             monkeypatch.setattr(measure, "SCORE_POINTS", batch * ends.grid.size)
+        monkeypatch.setattr(measure, "SAMPLE_BLOCK", block)
         n = 30
-        source, block = {
-            "pure": (_blocked(_pure_pairs_from_ginibre, 11, (0,), block), block),
-            "mixed": (_blocked(_mixed_pairs_from_ginibre, 11, (1,), block), block),
-            "explicit": (_given(stacked(self.NAMED * 10)), 1),
+        source = {
+            "pure": _blocked(_pure_pairs_from_ginibre, 11, (0,), block),
+            "mixed": _blocked(_mixed_pairs_from_ginibre, 11, (1,), block),
+            "explicit": _given(stacked(self.NAMED * 10)),
         }[label]
-        chunks = list(_scored_chunks(ends, source, n, RISE_TOLERANCE, block))
+        chunks = list(_scored_chunks(ends, source, n, RISE_TOLERANCE))
+        # every source is drawn in chunks of whole blocks
         assert len(chunks) == (1 if batch is None else -(-n // max(block, batch)))
         value, pair = _first_maximum(iter(chunks))
-        expected_value, expected_pair = rebuilt_winner(ends, source, n, block)
+        expected_value, expected_pair = rebuilt_winner(ends, source, n)
         assert value == expected_value
         assert pair.shape == (2, 3, 3) and not pair.flags.writeable
         assert np.array_equal(pair, expected_pair)
@@ -503,11 +505,11 @@ class TestKeptWinner:
         explicit = self.NAMED * named
         result = estimate_measure(coeffs, samples, seed=seed, explicit_pairs=explicit)
         classes = {
-            "pure": rebuilt_winner(ends, _blocked(_pure_pairs_from_ginibre, seed, (0,), block), samples, block),
-            "mixed": rebuilt_winner(ends, _blocked(_mixed_pairs_from_ginibre, seed, (1,), block), samples, block),
+            "pure": rebuilt_winner(ends, _blocked(_pure_pairs_from_ginibre, seed, (0,), block), samples),
+            "mixed": rebuilt_winner(ends, _blocked(_mixed_pairs_from_ginibre, seed, (1,), block), samples),
         }
         if explicit:
-            classes["explicit"] = rebuilt_winner(ends, _given(stacked(explicit)), len(explicit), 1)
+            classes["explicit"] = rebuilt_winner(ends, _given(stacked(explicit)), len(explicit))
         assert result.candidate_breakdown == {label: value for label, (value, _) in classes.items()}
         best = max(classes, key=lambda label: classes[label][0])  # the first of equal maxima
         assert best == winner
@@ -584,10 +586,11 @@ class TestBlockStreams:
 
     def test_histogram_moves_one_generator_a_chunk(self, streams_read, preset_coeffs):
         # sample i is the stream (seed, i), reached by moving one generator
-        # through the streams of a drawn chunk (1365 samples on the default
-        # model), not by opening a generator a sample
+        # through the streams of a drawn chunk (on the default model 1365
+        # samples a call, drawn in whole blocks of SAMPLE_BLOCK: 1280), not
+        # by opening a generator a sample
         histogram_backflow(preset_coeffs, n_samples=3000, bins=20, seed=7)
-        assert [len(keys) for keys in streams_read] == chunks(3000, 1365)
+        assert [len(keys) for keys in streams_read] == chunks(3000, 1280)
         assert [key for keys in streams_read for key in keys] == [(7, i) for i in range(3000)]
 
     @pytest.mark.parametrize("seed", [7, 201])
@@ -610,7 +613,7 @@ class TestBlockStreams:
         ends = stretch_ends(lambda_map_coefficients(sinusoidal_rates(), make_grid(2 * np.pi, 400)))
         n = 20_000
         in_blocks = _blocked(from_ginibre, 1, (tag,), SAMPLE_BLOCK)
-        blocked = _streamed_backflows(ends, in_blocks, n, RISE_TOLERANCE, SAMPLE_BLOCK)
+        blocked = _streamed_backflows(ends, in_blocks, n, RISE_TOLERANCE)
         streamed = _streamed_backflows(ends, _blocked(from_ginibre, 2, (tag,), 1), n, RISE_TOLERANCE)
         assert ks_statistic(blocked, streamed) < 1.95 * np.sqrt(2.0 / n)
 
@@ -734,7 +737,7 @@ class TestBatchRule:
         ends = stretch_ends(tabulated_coeffs(steps))
         assert ends.grid.size == kept
         source = _blocked(_mixed_pairs_from_ginibre, 7, (1,), SAMPLE_BLOCK)
-        peak = tracemalloc_peak(lambda: _streamed_backflows(ends, source, 64, RISE_TOLERANCE, SAMPLE_BLOCK))
+        peak = tracemalloc_peak(lambda: _streamed_backflows(ends, source, 64, RISE_TOLERANCE))
         assert scored_rows == rows
         assert peak <= 2e6  # at most 4465 evolved differences a call; measured 1.4 MB at the cap
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backflow import translation
-from backflow.errors import DomainError, OrthogonalPair, PositivityFailure
+from backflow.errors import DimensionMismatch, DomainError, OrthogonalPair, PositivityFailure
 from backflow.statespace import (
     TOL_PSD,
     is_boundary,
@@ -123,7 +123,7 @@ class TestBuildShiftOperator:
 
     def test_aligned_maximally_mixed_pair(self):
         rho = make_density_matrix(np.eye(2) / 2)
-        construction = build_shift_operator(rho, rho, 0.5)
+        construction = build_shift_operator(rho, rho)
         assert construction.selection.overlap == pytest.approx(1.0, abs=1e-12)
         assert construction.epsilon_max == pytest.approx(1.0, abs=1e-12)
         assert construction.norm_ratio == pytest.approx(0.0, abs=1e-12)
@@ -138,12 +138,6 @@ class TestBuildShiftOperator:
         with pytest.raises(OrthogonalPair):
             build_shift_operator(pure_state([1, 0, 0]), pure_state([0, 1, 0]))
 
-    def test_bad_fraction(self):
-        pair = (pure_state([1, 0]), pure_state([1, 1]))
-        for fraction in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(DomainError):
-                build_shift_operator(*pair, fraction)
-
     def test_shift_contract(self):
         rng = rng_stream(7, 3)
         for dim in (2, 3, 4):
@@ -153,13 +147,13 @@ class TestBuildShiftOperator:
             assert abs(np.trace(a)) <= 1e-12
             assert np.abs(a - a.conj().T).max() <= 1e-12
             assert np.linalg.norm(a, 2) > 0.0
-            assert 0.0 < construction.epsilon < construction.epsilon_max
+            assert construction.epsilon == construction.epsilon_max / 2
             assert 0.0 <= construction.norm_ratio < 1.0
 
 
 class TestJointlyTranslate:
     def test_zero_plus_pair_interior(self):
-        hat1, hat2, _ = jointly_translate(pure_state([1, 0]), pure_state([1, 1]), 0.5)
+        hat1, hat2, _ = jointly_translate(pure_state([1, 0]), pure_state([1, 1]))
         assert hat1.min_eigenvalue > 0.0
         assert hat2.min_eigenvalue > 0.0
         assert not is_boundary(hat1) and not is_boundary(hat2)
@@ -199,10 +193,14 @@ class TestJointlyTranslate:
         )
         assert abs(np.trace(construction.shift.entries)) <= 1e-12
 
-    def test_oversized_epsilon_cannot_be_requested(self):
-        # fractions are confined to (0, 1), so the guaranteed range is never left
-        with pytest.raises(DomainError):
-            jointly_translate(pure_state([1, 0]), pure_state([1, 1]), 1.5)
+    def test_rejections_keep_their_class_and_message(self):
+        # the dimension check first, then the orthogonality rule, in every one-pair case
+        orthogonal = "^supports are orthogonal; no overlapping eigenvector pair exists$"
+        for one_pair_case in (overlap_selection, build_shift_operator, jointly_translate):
+            with pytest.raises(DimensionMismatch, match="^dimensions differ: 2 vs 3$"):
+                one_pair_case(pure_state([0, 1]), pure_state([0, 1, 0]))
+            with pytest.raises(OrthogonalPair, match=orthogonal):
+                one_pair_case(pure_state([1, 0]), pure_state([0, 1]))
 
     def test_positivity_failure_is_reported(self, monkeypatch):
         # force an inadmissible epsilon through the internal bound to check reporting
@@ -212,7 +210,7 @@ class TestJointlyTranslate:
             translation, "epsilon_upper_bound", lambda *args: 100.0
         )
         with pytest.raises(PositivityFailure):
-            jointly_translate(pure_state([1, 0]), pure_state([1, 1]), 0.99)
+            jointly_translate(pure_state([1, 0]), pure_state([1, 1]))
 
     def test_programming_errors_propagate_unchanged(self, monkeypatch):
         # only the library's own validation errors mean a tolerance problem
@@ -264,14 +262,14 @@ def assert_one_pair_case(stack, k, rho1, rho2):
     """Pair k of a stacked translation equals jointly_translate of that pair
     alone, and its selection and shift equal overlap_selection's and
     build_shift_operator's, field by field and bit for bit."""
-    selection, eps_max, shifts, translated, interior = stack
-    hat1, hat2, construction = jointly_translate(rho1, rho2, 0.5)
-    for one in (construction, build_shift_operator(rho1, rho2, 0.5)):
+    selection, ratio, eps_max, shifts, translated, interior = stack
+    hat1, hat2, construction = jointly_translate(rho1, rho2)
+    for one in (construction, build_shift_operator(rho1, rho2)):
         for name in ("vector1", "vector2"):
             assert np.array_equal(getattr(selection, name)[k], getattr(one.selection, name))
         for name in ("overlap", "weight1", "weight2"):
             assert getattr(selection, name)[k] == getattr(one.selection, name)
-        assert eps_max[k] == one.epsilon_max
+        assert ratio[k] == one.norm_ratio and eps_max[k] == one.epsilon_max
         assert np.array_equal(shifts[k], one.shift.entries)
     for name in ("vector1", "vector2", "overlap", "weight1", "weight2"):
         assert np.array_equal(getattr(overlap_selection(rho1, rho2), name), getattr(construction.selection, name))
@@ -280,7 +278,7 @@ def assert_one_pair_case(stack, k, rho1, rho2):
 
 
 def stacked_translations(pairs):
-    return translation._translations(np.array([[rho.entries for rho in pair] for pair in pairs]).swapaxes(0, 1), 0.5)
+    return translation._translations(np.array([[rho.entries for rho in pair] for pair in pairs]).swapaxes(0, 1))
 
 
 class TestStackedTranslation:
@@ -338,7 +336,7 @@ class TestStackedTranslation:
         )
         bad, good = (pure_state([1, 0]), pure_state([1, 1])), (pure_state([1, 0]), pure_state([1, 2]))
         stack = stacked_translations([bad, good])
-        _, _, shifts, translated, interior = stack
+        *_, shifts, translated, interior = stack
         assert interior.tolist() == [[False, True], [False, True]]
         assert np.array_equal(translated[:, 0], np.array([rho.entries for rho in bad]) - shifts[0])
         with pytest.raises(PositivityFailure):

@@ -216,8 +216,8 @@ def test_a_one_sided_translate_fails_the_trajectory_invariance(monkeypatch, pres
     # and the translate's distances, not either one with itself
     original = verify._translations
 
-    def one_sided(pairs, fraction):
-        *head, translated, interior = original(pairs, fraction)
+    def one_sided(pairs):
+        *head, translated, interior = original(pairs)
         return (*head, np.stack([translated[0], pairs[1]]), interior)
 
     monkeypatch.setattr(verify, "_translations", one_sided)
@@ -499,10 +499,10 @@ def translate_or_shift(rho1, rho2):
     """The pair jointly translated, or less its shift where the translation
     is not strictly interior, and the construction."""
     try:
-        hat1, hat2, construction = jointly_translate(rho1, rho2, 0.5)
+        hat1, hat2, construction = jointly_translate(rho1, rho2)
         return hat1.entries, hat2.entries, construction
     except PositivityFailure:
-        construction = build_shift_operator(rho1, rho2, 0.5)
+        construction = build_shift_operator(rho1, rho2)
         return *(rho.entries - construction.shift.entries for rho in (rho1, rho2)), construction
 
 
